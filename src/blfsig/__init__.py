@@ -15,6 +15,7 @@ from .fibration import (
     FibrationSpec,
     LefschetzDatum,
     RoundRegion,
+    ValidationError,
     abelianization,
     chain_twist_datum,
     compute_report,
@@ -39,7 +40,7 @@ from .locsig import (
     s_word,
     sigma_loc,
 )
-from .meyer import PhiTable, meyer_form, phi, phi_base, phi_table, tau, tau_of_words
+from .meyer import PhiTable, meyer_form, phi, phi_base, phi_table, tau
 from .ratlin import (
     ShapeError,
     kernel_basis,

@@ -136,13 +136,12 @@ def _report_lines(rep: fibration.InvariantReport) -> list[str]:
 
 
 def _compute_and_emit(spec, fmt: str) -> int:
-    validation = fibration.validate(spec)
-    if not validation.ok:
-        for issue in validation.issues:
-            print(f"validation: {issue}", file=sys.stderr)
-        return EXIT_INVALID
     try:
         rep = fibration.compute_report(spec)
+    except fibration.ValidationError as e:
+        for issue in e.report.issues:
+            print(f"validation: {issue}", file=sys.stderr)
+        return EXIT_INVALID
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -14,12 +14,25 @@ Two signature pipelines are provided: the localized formula
 
     Sign M = sum_i h(round monodromy_i) + sum_j sigma_loc(fiber_j)
 
-and an independent assembly through the Meyer cobounding function and the
-round-cobordism signatures.  Validation is homological (the symplectic
-representation cannot distinguish a mapping class from its product with
-the involution, hence the mod -1 comparisons); combinatorially consistent
-but geometrically impossible input is caught by the integrality of the
-total signature.
+and an independent assembly through the Meyer cocycle (Endo, "Meyer's
+signature cocycle and hyperelliptic fibrations", Math. Ann. 316, 2000)
+
+    Sign M = sum_i s(round monodromy_i) - sum_k tau(P_{k-1}, D_k)
+             - #(type II Lefschetz fibers),
+
+where D_k is the symplectic image of Lefschetz datum k and
+P_k = D_1 ... D_k.  The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k)
+for the Hurwitz product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v),
+with the closing term tau(H, H^-1) identically 0, so it costs one cocycle
+evaluation per Lefschetz fiber instead of one per letter of the Hurwitz
+word.  The localized
+formula is evaluated on the words themselves, so the two routes stay
+independent.
+
+Validation is homological (the symplectic representation cannot
+distinguish a mapping class from its product with the involution, hence
+the mod -1 comparisons); combinatorially consistent but geometrically
+impossible input is caught by the integrality of the total signature.
 """
 
 from __future__ import annotations
@@ -34,13 +47,23 @@ import numpy as np
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import ChainTwist, SeparatingTwist, Word, gen_word, parse_word, format_word
+from .words import (ChainTwist, SeparatingTwist, Word, WordError, format_word,
+                    gen_word, parse_word)
 
 SPEC_VERSION = 1
 
 
 class ConsistencyError(ValueError):
     """Input data that cannot come from an actual fibration."""
+
+
+class ValidationError(ConsistencyError):
+    """Validation found issues; ``report`` itemizes them."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__("validation failed: "
+                         + "; ".join(str(i) for i in report.issues))
+        self.report = report
 
 
 # -- data model ---------------------------------------------------------------
@@ -214,16 +237,22 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add("components", "active component must have genus >= 1")
             return report
 
-    # (a') Lefschetz data are conjugated twists of the right kind
+    # (a') Lefschetz data are conjugated twists of the right kind; their
+    # product is the incoming monodromy of the active component
+    hurwitz = ratlin.identity(2 * g_active) if g_active >= 1 else None
+    genus_mismatch = False
     for j, d in enumerate(spec.lefschetz):
         where = f"lefschetz[{j}]"
         if d.genus != g_active:
             report.add(where, f"word genus {d.genus} != fiber genus {g_active}")
+            genus_mismatch = True
             continue
         if isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g_active - 1:
+            # II_0 and II_g twists act trivially: the product is unaffected
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
             continue
         M = surface.word_to_matrix(d.word())
+        hurwitz = hurwitz @ M
         if isinstance(d.cycle, TypeI):
             if not _is_positive_transvection(M, g_active):
                 report.add(where, "matrix is not a conjugated right-handed transvection")
@@ -243,12 +272,15 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         except (ValueError, locsig.ContextError) as e:
             report.add(where, str(e))
             return report  # later checks need well-formed contexts
+    if genus_mismatch:
+        return report  # check (c) needs the whole Hurwitz product
 
     # (b) homological action on the vanishing cycle
+    monodromies = [surface.word_to_matrix(r.monodromy) for r in spec.rounds]
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         cls = surface.cycle_class(r.cycle, ctx.genus)
-        act = surface.curve_action(surface.word_to_matrix(r.monodromy), cls)
+        act = surface.curve_action(monodromies[k], cls)
         if isinstance(r.cycle, TypeI):
             if act == 0:
                 report.add(where, "monodromy does not preserve the vanishing cycle class")
@@ -260,14 +292,13 @@ def validate(spec: FibrationSpec) -> ValidationReport:
 
     # (c)+(d) boundary monodromies match across the base decomposition,
     # modulo the involution (+-identity on homology)
-    tracked: dict[int, Word] = {}
+    tracked: dict[int, np.ndarray] = {}
     if g_active >= 1:
-        tracked[spec.active_component()] = hurwitz_word(spec)
+        tracked[spec.active_component()] = hurwitz
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
-        expected = tracked.pop(r.component, Word(ctx.genus))
-        sign = _matches_mod_sign(surface.word_to_matrix(r.monodromy),
-                                 surface.word_to_matrix(expected))
+        expected = tracked.pop(r.component, ratlin.identity(2 * ctx.genus))
+        sign = _matches_mod_sign(monodromies[k], expected)
         if sign is None:
             report.add(where, "monodromy does not match the incoming boundary "
                               "monodromy on homology (even mod the involution)")
@@ -277,21 +308,20 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         pushed = locsig.push_forward(r.monodromy, ctx)
         if isinstance(r.cycle, TypeI):
             if ctx.genus - 1 >= 1:
-                tracked[r.component] = pushed
+                tracked[r.component] = surface.word_to_matrix(pushed)
         else:
             side1, side2 = pushed
             if side1.genus >= 1:
-                tracked[r.component] = side1
+                tracked[r.component] = surface.word_to_matrix(side1)
             if side2.genus >= 1:
-                tracked[len(stages[k])] = side2  # appended component index
+                tracked[len(stages[k])] = surface.word_to_matrix(side2)  # new component
     # south disk: whatever monodromy survives must bound a trivial bundle
     # (for a pure Lefschetz fibration this is the Hurwitz product itself)
-    for comp, w in tracked.items():
+    for comp, M in tracked.items():
         g_low = stages[-1][comp] if comp < len(stages[-1]) else None
         if g_low is None or g_low < 1:
             continue
-        sign = _matches_mod_sign(surface.word_to_matrix(w),
-                                 ratlin.identity(2 * g_low))
+        sign = _matches_mod_sign(M, ratlin.identity(2 * g_low))
         if sign is None:
             report.add("south disk",
                        f"component {comp}: residual monodromy is not homologically "
@@ -346,21 +376,30 @@ def total_signature(spec: FibrationSpec) -> int:
 
 
 def signature_meyer_path(spec: FibrationSpec) -> int:
-    """Signature assembled from the cobounding function, the round-cobordism
+    """Signature assembled from the Meyer cocycle, the round-cobordism
     signatures, and the fiber-neighborhood signatures (0 for type I, -1 for
-    type II); an independent route that must agree with total_signature."""
+    type II); an independent route that must agree with total_signature.
+
+    With D_k the symplectic image of Lefschetz datum k and
+    P_k = D_1 ... D_k (Endo, Math. Ann. 316, 2000):
+
+        Sign = sum s(rounds) - sum_k tau(P_{k-1}, D_k) - #II,
+
+    which is the cobounding-function assembly
+    sum s(rounds) - phi(H^-1) - sum_k phi(D_k) - #II for H = P_n telescoped
+    exactly: phi(H^-1) = tau(H, H^-1) - phi(H), and tau(A, A^-1) = 0 for
+    every symplectic A.
+    """
     stages = component_stages(spec)
     total = Fraction(0)
     for k, r in enumerate(spec.rounds):
         ctx = CycleContext(stages[k][r.component], r.cycle)
         total += locsig.s_word(r.monodromy, ctx)
-    if spec.active_genus() >= 1:
-        boundary = hurwitz_word(spec)
-        total += -meyer.phi(boundary.inverse())
-    for d in spec.lefschetz:
-        total += -meyer.phi(d.word())
-        if isinstance(d.cycle, TypeII):
-            total += -1
+    g = spec.active_genus()
+    if g >= 1:
+        data = [surface.word_to_matrix(d.word()) for d in spec.lefschetz]
+        total -= meyer.tau_prefix_sum(data, g)
+    total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")
 
 
@@ -576,8 +615,7 @@ class InvariantReport:
 def compute_report(spec: FibrationSpec) -> InvariantReport:
     validation = validate(spec)
     if not validation.ok:
-        raise ConsistencyError("validation failed: "
-                               + "; ".join(str(i) for i in validation.issues))
+        raise ValidationError(validation)
     breakdown = signature_breakdown(spec)
     sig = _as_integer(breakdown.total, "total signature")
     euler = euler_characteristic(spec)
@@ -609,12 +647,50 @@ def _cycle_to_json(cycle: CurveDescriptor) -> dict:
     return {"type": "II", "h": cycle.h}
 
 
-def _cycle_from_json(doc: dict) -> CurveDescriptor:
-    if doc["type"] == "I":
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", bool: "a boolean", float: "a number",
+               type(None): "null"}
+_REQUIRED = object()
+
+
+def _json_value(value, kind, path: str):
+    """value itself when it has the JSON type ``kind``; otherwise a
+    ValueError naming its path in the document."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{path}: expected {_JSON_TYPES[kind]}, "
+                         f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _json_member(doc: dict, key: str, kind, path: str, default=_REQUIRED):
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: required key is missing")
+        return default
+    return _json_value(doc[key], kind, where)
+
+
+def _json_items(doc: dict, key: str):
+    """(path, entry) for each object in the optional top-level array doc[key]."""
+    for j, entry in enumerate(_json_member(doc, key, list, "", [])):
+        yield f"{key}[{j}]", _json_value(entry, dict, f"{key}[{j}]")
+
+
+def _cycle_from_json(doc: dict, path: str) -> CurveDescriptor:
+    kind = _json_member(doc, "type", str, path)
+    if kind == "I":
         return TypeI()
-    if doc["type"] == "II":
-        return TypeII(int(doc["h"]))
-    raise ValueError(f"unknown cycle type {doc!r}")
+    if kind == "II":
+        return TypeII(_json_member(doc, "h", int, path))
+    raise ValueError(f"{path}.type: unknown cycle type {kind!r} (use \"I\" or \"II\")")
+
+
+def _word_from_json(text: str, genus: int, path: str) -> Word:
+    try:
+        return parse_word(text, genus)
+    except WordError as e:
+        raise WordError(f"{path}: {e}") from None
 
 
 def spec_to_json(spec: FibrationSpec) -> dict:
@@ -639,42 +715,56 @@ def spec_to_json(spec: FibrationSpec) -> dict:
     }
 
 
-def spec_from_json(doc: dict) -> FibrationSpec:
+def spec_from_json(doc) -> FibrationSpec:
+    """Build a spec from its JSON document.  A document of the wrong shape
+    raises ValueError naming the offending path, e.g. ``lefschetz[3].type``."""
+    _json_value(doc, dict, "spec")
     version = doc.get("spec_version")
     if version != SPEC_VERSION:
         raise ValueError(f"unsupported spec_version {version!r}")
-    higher = tuple(int(c["genus"]) for c in doc["higher_fiber"])
-    rounds_doc = doc.get("rounds", [])
-    active = int(rounds_doc[0]["component"]) if rounds_doc else 0
+    higher = []
+    for j, entry in enumerate(_json_member(doc, "higher_fiber", list, "")):
+        where = f"higher_fiber[{j}]"
+        genus = _json_member(_json_value(entry, dict, where), "genus", int, where)
+        if genus < 0:
+            raise ValueError(f"{where}.genus: must be >= 0, got {genus}")
+        higher.append(genus)
+    rounds_doc = list(_json_items(doc, "rounds"))
+    components = [_json_member(entry, "component", int, where)
+                  for where, entry in rounds_doc]
+    active = components[0] if components else 0
     if not 0 <= active < len(higher):
         raise ValueError(f"active component {active} does not exist")
     g_active = higher[active]
     lefschetz = []
-    for entry in doc.get("lefschetz", []):
-        cycle = _cycle_from_json(entry)
-        conj = parse_word(entry.get("conjugator", ""), g_active)
+    for where, entry in _json_items(doc, "lefschetz"):
+        cycle = _cycle_from_json(entry, where)
+        text = _json_member(entry, "conjugator", str, where, "")
+        conj = _word_from_json(text, g_active, f"{where}.conjugator")
         lefschetz.append(LefschetzDatum(cycle, conj))
     # genera evolve as rounds are applied; parse each monodromy at the genus
     # of its component at that stage
     genera = list(higher)
     rounds = []
-    for k, entry in enumerate(rounds_doc):
-        comp = int(entry["component"])
+    for (where, entry), comp in zip(rounds_doc, components):
         if not 0 <= comp < len(genera):
-            raise ValueError(f"rounds[{k}]: component {comp} does not exist")
-        cycle = _cycle_from_json(entry["cycle"])
+            raise ValueError(f"{where}.component: component {comp} does not exist")
+        cycle = _cycle_from_json(_json_member(entry, "cycle", dict, where),
+                                 f"{where}.cycle")
         g_k = genera[comp]
-        mono = parse_word(entry["monodromy"], g_k)
+        text = _json_member(entry, "monodromy", str, where)
+        mono = _word_from_json(text, g_k, f"{where}.monodromy")
         rounds.append(RoundRegion(comp, cycle, mono))
         if isinstance(cycle, TypeI):
             genera[comp] = g_k - 1
         else:
             genera[comp] = cycle.h
             genera.append(g_k - cycle.h)
-    flags = doc.get("flags", {})
-    return FibrationSpec(higher, tuple(lefschetz), tuple(rounds),
-                         spin=bool(flags.get("spin", False)),
-                         simply_connected=bool(flags.get("simply_connected", False)))
+    flags = _json_member(doc, "flags", dict, "", {})
+    return FibrationSpec(tuple(higher), tuple(lefschetz), tuple(rounds),
+                         spin=_json_member(flags, "spin", bool, "flags", False),
+                         simply_connected=_json_member(flags, "simply_connected",
+                                                       bool, "flags", False))
 
 
 def load_spec(path: str) -> FibrationSpec:

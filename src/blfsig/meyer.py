@@ -202,6 +202,19 @@ def phi(w: Word) -> Fraction:
     return _eval(w)[0]
 
 
-def tau_of_words(u: Word, v: Word) -> int:
-    """Cocycle of the symplectic images of two words."""
-    return tau(surface.word_to_matrix(u), surface.word_to_matrix(v))
+def tau_prefix_sum(mats, g: int) -> int:
+    """Sum_k tau(P_{k-1}, M_k) over the prefix products P_k = M_1 ... M_k
+    of the genus-g symplectic matrices M_k (P_0 = 1).
+
+    By phi(uv) = phi(u) + phi(v) - tau(u, v), this is
+    Sum_k phi(w_k) - phi(w_1 ... w_k) for any words w_k evaluating to M_k,
+    computed exactly without evaluating phi on a single letter (Endo,
+    "Meyer's signature cocycle and hyperelliptic fibrations", Math. Ann.
+    316, 2000).  Costs one cocycle evaluation per matrix.
+    """
+    P = ratlin.identity(2 * g)
+    total = 0
+    for M in mats:
+        total += _tau_cached(_key(P), _key(M))
+        P = P @ M
+    return total

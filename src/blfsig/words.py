@@ -144,10 +144,6 @@ class Word:
         return format_word(self)
 
 
-def empty_word(genus: int) -> Word:
-    return Word(genus)
-
-
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:
     return Word(genus, ((gen, exp),))
 

@@ -1,6 +1,6 @@
 import json
 
-from blfsig import cli
+from blfsig import cli, fibration
 
 
 def run(capsys, *argv):
@@ -106,6 +106,39 @@ def test_invalid_spec_exits_one(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "compute", str(path))
     assert code == 1 and "t4" in err
+
+
+def test_malformed_spec_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for doc, where in (({"spec_version": 1}, "higher_fiber"),
+                       ([1], "spec")):
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "compute", str(path))
+        assert code == 2, err
+        assert where in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_malformed_entry_names_its_path(capsys, tmp_path):
+    doc = {"spec_version": 1, "higher_fiber": [{"genus": 1}],
+           "lefschetz": [{"type": "I"}] * 3 + [{"kind": "I"}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == 2 and "lefschetz[3].type" in err
+
+
+def test_compute_validates_once(capsys, monkeypatch):
+    calls = []
+    validate = fibration.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(fibration, "validate", counting)
+    code, _, _ = run(capsys, "family", "mgn", "-g", "2", "-n", "1")
+    assert code == 0 and len(calls) == 1
 
 
 def test_verify_small(capsys):

@@ -1,13 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from blfsig import fibration as fib
-from blfsig import ratlin, surface
+from blfsig import locsig, meyer, ratlin, surface
 from blfsig.fibration import (
     ConsistencyError, FibrationSpec, LefschetzDatum, RoundRegion,
     chain_twist_datum, family_spec,
 )
+from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_valid_spec
 from blfsig.words import ChainTwist, Word, chain_word, gen_word
@@ -100,6 +102,12 @@ class TestValidation:
         rep = fib.validate(bad)
         assert any("transvection" in str(i) for i in rep.issues)
 
+    def test_datum_of_wrong_genus_is_an_issue(self):
+        bad = FibrationSpec((2,), (chain_twist_datum(1, 2), chain_twist_datum(1, 1)), ())
+        rep = fib.validate(bad)
+        assert [i.where for i in rep.issues] == ["lefschetz[1]"]
+        assert "genus" in rep.issues[0].message
+
     def test_inessential_lefschetz_cycle(self):
         bad = FibrationSpec((2,), (LefschetzDatum(TypeII(2), Word(2)),), ())
         rep = fib.validate(bad)
@@ -157,6 +165,47 @@ class TestMeyerPath:
             spec = random_valid_spec(rng, max_genus=3)
             assert fib.validate(spec).ok
             assert fib.total_signature(spec) == fib.signature_meyer_path(spec)
+
+
+def meyer_path_by_words(spec) -> Fraction:
+    """The word-level assembly that the telescoped sum replaces:
+    sum s(rounds) - phi(H^-1) - sum_k phi(D_k) - #II, with phi evaluated
+    letter by letter on the Hurwitz word H and on every datum word."""
+    stages = fib.component_stages(spec)
+    total = sum((locsig.s_word(r.monodromy, CycleContext(stages[k][r.component], r.cycle))
+                 for k, r in enumerate(spec.rounds)), Fraction(0))
+    if spec.active_genus() >= 1:
+        total -= meyer.phi(fib.hurwitz_word(spec).inverse())
+    for d in spec.lefschetz:
+        total -= meyer.phi(d.word()) + isinstance(d.cycle, TypeII)
+    return total
+
+
+class TestTelescopedMeyerPath:
+    def test_families_match_word_assembly(self):
+        specs = [family_spec("mgn", g, n) for g in (1, 2, 3) for n in (1, 2)]
+        specs += [family_spec("mgn_tilde", g, 1) for g in (2, 3)]
+        for spec in specs:
+            assert fib.signature_meyer_path(spec) == meyer_path_by_words(spec)
+
+    def test_random_specs_match_word_assembly(self, rng):
+        for _ in range(30):
+            spec = random_valid_spec(rng, max_genus=3)
+            assert fib.signature_meyer_path(spec) == meyer_path_by_words(spec)
+
+    def test_no_phi_evaluation(self, monkeypatch):
+        def no_phi(w):
+            raise AssertionError("phi evaluated on a word")
+
+        monkeypatch.setattr(meyer, "phi", no_phi)
+        assert fib.signature_meyer_path(family_spec("mgn", 2, 1)) == -8
+
+    def test_validation_does_not_build_the_hurwitz_word(self, monkeypatch):
+        def no_word(spec):
+            raise AssertionError("Hurwitz word built")
+
+        monkeypatch.setattr(fib, "hurwitz_word", no_word)
+        assert fib.compute_report(family_spec("mgn", 2, 1)).two_paths_agree
 
 
 class TestSeparatingFold:

@@ -157,3 +157,21 @@ class TestPhi:
 
     def test_genus_zero_is_trivial(self):
         assert meyer.phi(Word(0)) == 0
+
+    def test_prefix_sum_telescopes_phi(self, rng):
+        # sum_k tau(P_{k-1}, M_k) = sum_k phi(w_k) - phi(w_1 ... w_n), with
+        # separating twists among the factors from genus 2 on
+        for g in (1, 2, 3):
+            for _ in range(5):
+                words = [random_word(rng, g, rng.randrange(0, 5))
+                         for _ in range(rng.randrange(1, 6))]
+                if g >= 2:
+                    u = random_word(rng, g, 2)
+                    words.insert(rng.randrange(len(words) + 1),
+                                 u * gen_word(g, SeparatingTwist(1)) * u.inverse())
+                product = Word(g)
+                for w in words:
+                    product = product * w
+                mats = [surface.word_to_matrix(w) for w in words]
+                assert meyer.tau_prefix_sum(mats, g) == \
+                    sum(meyer.phi(w) for w in words) - meyer.phi(product)
