@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
@@ -193,33 +191,29 @@ class ValidationReport:
         self.issues.append(ValidationIssue(where, message))
 
 
-def _matches_mod_sign(A: np.ndarray, B: np.ndarray) -> str | None:
-    """'+' if A == B, '-' if A == -B, None otherwise."""
-    if A.shape != B.shape:
-        return None
-    if (A == B).all():
+def _matches_mod_sign(A: surface.Matrix, B: surface.Matrix) -> str | None:
+    """'+' if A == B, '-' if A == -B, None otherwise (tuple matrices)."""
+    if A == B:
         return "+"
-    if (A == -B).all():
+    if A == tuple(tuple(-x for x in row) for row in B):
         return "-"
     return None
 
 
-def _is_positive_transvection(M: np.ndarray, g: int) -> bool:
+def _is_positive_transvection(M: surface.Matrix, g: int) -> bool:
     """True when M is x -> x + <x, v> v for some integer vector v
-    (a conjugate of a right-handed twist along a non-separating cycle)."""
-    D = M - ratlin.identity(2 * g)
-    if ratlin.rank(D) != 1:
-        return False
-    v = None
-    for j in range(2 * g):
-        col = D[:, j]
-        if any(x != 0 for x in col):
-            d = 0
-            for x in col:
-                d = gcd(d, int(x))
-            v = np.array([int(x) // d for x in col], dtype=object)
-            break
-    return v is not None and (surface.twist_matrix(v, g) == M).all()
+    (a conjugate of a right-handed twist along a non-separating cycle).
+
+    Every column of M - 1 is a multiple of v, so the candidate is the
+    gcd-primitive first nonzero column; equality with its transvection
+    already implies that M - 1 has rank 1."""
+    n = 2 * g
+    for j in range(n):
+        col = [M[i][j] - (i == j) for i in range(n)]
+        if any(col):
+            d = gcd(*col)
+            return surface.transvection([x // d for x in col]) == M
+    return False
 
 
 def validate(spec: FibrationSpec) -> ValidationReport:
@@ -239,7 +233,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
 
     # (a') Lefschetz data are conjugated twists of the right kind; their
     # product is the incoming monodromy of the active component
-    hurwitz = ratlin.identity(2 * g_active) if g_active >= 1 else None
+    hurwitz = surface.sp_identity(g_active) if g_active >= 1 else None
     genus_mismatch = False
     for j, d in enumerate(spec.lefschetz):
         where = f"lefschetz[{j}]"
@@ -251,13 +245,13 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             # II_0 and II_g twists act trivially: the product is unaffected
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
             continue
-        M = surface.word_to_matrix(d.word())
-        hurwitz = hurwitz @ M
+        M = surface.word_matrix(d.word())
+        hurwitz = surface.mat_mul(hurwitz, M)
         if isinstance(d.cycle, TypeI):
             if not _is_positive_transvection(M, g_active):
                 report.add(where, "matrix is not a conjugated right-handed transvection")
         else:
-            if _matches_mod_sign(M, ratlin.identity(2 * g_active)) is None:
+            if _matches_mod_sign(M, surface.sp_identity(g_active)) is None:
                 report.add(where, "separating twist should act as +-identity on homology")
 
     # (a) round monodromies are words in the stabiliser generators
@@ -276,7 +270,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         return report  # check (c) needs the whole Hurwitz product
 
     # (b) homological action on the vanishing cycle
-    monodromies = [surface.word_to_matrix(r.monodromy) for r in spec.rounds]
+    monodromies = [surface.word_matrix(r.monodromy) for r in spec.rounds]
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         cls = surface.cycle_class(r.cycle, ctx.genus)
@@ -292,12 +286,12 @@ def validate(spec: FibrationSpec) -> ValidationReport:
 
     # (c)+(d) boundary monodromies match across the base decomposition,
     # modulo the involution (+-identity on homology)
-    tracked: dict[int, np.ndarray] = {}
+    tracked: dict[int, surface.Matrix] = {}
     if g_active >= 1:
         tracked[spec.active_component()] = hurwitz
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
-        expected = tracked.pop(r.component, ratlin.identity(2 * ctx.genus))
+        expected = tracked.pop(r.component, surface.sp_identity(ctx.genus))
         sign = _matches_mod_sign(monodromies[k], expected)
         if sign is None:
             report.add(where, "monodromy does not match the incoming boundary "
@@ -308,20 +302,20 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         pushed = locsig.push_forward(r.monodromy, ctx)
         if isinstance(r.cycle, TypeI):
             if ctx.genus - 1 >= 1:
-                tracked[r.component] = surface.word_to_matrix(pushed)
+                tracked[r.component] = surface.word_matrix(pushed)
         else:
             side1, side2 = pushed
             if side1.genus >= 1:
-                tracked[r.component] = surface.word_to_matrix(side1)
+                tracked[r.component] = surface.word_matrix(side1)
             if side2.genus >= 1:
-                tracked[len(stages[k])] = surface.word_to_matrix(side2)  # new component
+                tracked[len(stages[k])] = surface.word_matrix(side2)  # new component
     # south disk: whatever monodromy survives must bound a trivial bundle
     # (for a pure Lefschetz fibration this is the Hurwitz product itself)
     for comp, M in tracked.items():
         g_low = stages[-1][comp] if comp < len(stages[-1]) else None
         if g_low is None or g_low < 1:
             continue
-        sign = _matches_mod_sign(M, ratlin.identity(2 * g_low))
+        sign = _matches_mod_sign(M, surface.sp_identity(g_low))
         if sign is None:
             report.add("south disk",
                        f"component {comp}: residual monodromy is not homologically "
@@ -397,7 +391,7 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
         total += locsig.s_word(r.monodromy, ctx)
     g = spec.active_genus()
     if g >= 1:
-        data = [surface.word_to_matrix(d.word()) for d in spec.lefschetz]
+        data = [surface.word_matrix(d.word()) for d in spec.lefschetz]
         total -= meyer.tau_prefix_sum(data, g)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")

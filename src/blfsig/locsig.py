@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import meyer, ratlin, surface
+from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
 from .words import ChainTwist, Iota, Word
 
@@ -69,11 +67,13 @@ def iota_allowed(ctx: CycleContext) -> bool:
 
 
 def validate_word(w: Word, ctx: CycleContext) -> None:
-    """Check that every letter lies in the generating set of the context."""
+    """Check that every generator of the word lies in the generating set of
+    the context; the cost is the size of the word as written, whatever its
+    exponents."""
     if w.genus != ctx.genus:
         raise ContextError(f"word genus {w.genus} != context genus {ctx.genus}")
     allowed = allowed_chain_indices(ctx)
-    for gen, _ in w.letters():
+    for gen in w.generators():
         if isinstance(gen, ChainTwist):
             if gen.index not in allowed:
                 raise ContextError(
@@ -205,25 +205,19 @@ def s_word(w: Word, ctx: CycleContext) -> int:
     if not isinstance(ctx.cycle, TypeI):
         return 0
     g = ctx.genus
-    ident = (0,
-             meyer._key(ratlin.identity(2 * g)),
-             meyer._key(ratlin.identity(2 * (g - 1))))
+    ident = (0, surface.sp_identity(g), surface.sp_identity(g - 1))
 
     def combine(a, b):
         s1, M1, N1 = a
         s2, M2, N2 = b
         t_up = meyer._tau_cached(M1, M2)
         t_dn = meyer._tau_cached(N1, N2) if g > 1 else 0
-        M = np.array(M1, dtype=object) @ np.array(M2, dtype=object)
-        N = (np.array(N1, dtype=object) @ np.array(N2, dtype=object)) if g > 1 \
-            else np.zeros((0, 0), dtype=object)
-        return (s1 + s2 + t_up - t_dn, meyer._key(M), meyer._key(N))
+        return (s1 + s2 + t_up - t_dn, surface.mat_mul(M1, M2), surface.mat_mul(N1, N2))
 
     def invert(a):
         s, M, N = a
-        Minv = meyer._key(surface.symplectic_inverse(np.array(M, dtype=object)))
-        Ninv = meyer._key(surface.symplectic_inverse(np.array(N, dtype=object))) \
-            if g > 1 else N
+        Minv = surface.sp_inverse(M)
+        Ninv = surface.sp_inverse(N)
         t_up = meyer._tau_cached(M, Minv)
         t_dn = meyer._tau_cached(N, Ninv) if g > 1 else 0
         return (-s - t_up + t_dn, Minv, Ninv)
@@ -243,13 +237,11 @@ def s_word(w: Word, ctx: CycleContext) -> int:
 
     def gen_state(gen):
         M = surface.generator_matrix(gen, g)
-        if isinstance(gen, ChainTwist) and gen.index == 2 * g + 1:
-            N = ratlin.identity(2 * (g - 1))
-        elif g > 1:
-            N = surface.generator_matrix(gen, g - 1)
+        if (isinstance(gen, ChainTwist) and gen.index == 2 * g + 1) or g == 1:
+            N = surface.sp_identity(g - 1)
         else:
-            N = np.zeros((0, 0), dtype=object)
-        return (s_generator(gen, ctx), meyer._key(M), meyer._key(N))
+            N = surface.generator_matrix(gen, g - 1)
+        return (s_generator(gen, ctx), M, N)
 
     def evaluate(word):
         state = ident

@@ -28,14 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from . import ratlin, surface
-from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError
+from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError
 
 
-def _symplectic_pair(A, B):
+def _symplectic_pair(A, B) -> tuple:
+    """Check two numpy-or-nested-list matrices and return them as tuple
+    matrices (see ``surface``)."""
     A = ratlin.as_matrix(A)
     B = ratlin.as_matrix(B)
     if A.shape != B.shape:
@@ -46,39 +49,31 @@ def _symplectic_pair(A, B):
     for M, name in ((A, "first"), (B, "second")):
         if not surface.is_symplectic(M):
             raise ValueError(f"{name} argument is not symplectic")
-    return A, B
+    return tuple(map(tuple, A.tolist())), tuple(map(tuple, B.tolist()))
 
 
 def meyer_form(A, B) -> np.ndarray:
     """Gram matrix of the Meyer pairing on V_{A,B} (integer entries)."""
-    A, B = _symplectic_pair(A, B)
-    return ratlin.as_matrix(_gram(tuple(map(tuple, A.tolist())),
-                                  tuple(map(tuple, B.tolist()))))
+    return ratlin.as_matrix(_gram(*_symplectic_pair(A, B)))
 
 
-def _gram(At: tuple, Bt: tuple) -> list[list[int]]:
-    n = len(At)
-    g = n // 2
-    A = [list(r) for r in At]
-    B = [list(r) for r in Bt]
-    J = surface.intersection_matrix(g).tolist()
-    # A^-1 = -J A^T J
-    JA = [[sum(J[i][k] * A[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    Ainv = [[-sum(JA[i][k] * J[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    K = [[(Ainv[i][j] - (i == j)) for j in range(n)] +
-         [(B[i][j] - (i == j)) for j in range(n)] for i in range(n)]
+def _gram(A: tuple, B: tuple) -> list[list[int]]:
+    n = len(A)
+    s = [1 - 2 * (i % 2) for i in range(n)]
+    # K = (A^-1 - 1 | B - 1) with the shuffle A^-1[i][j] = s(i)s(j) A[j^1][i^1]
+    K = [[s[i] * s[j] * A[j ^ 1][i ^ 1] - (i == j) for j in range(n)] +
+         [B[i][j] - (i == j) for j in range(n)] for i in range(n)]
     kern = ratlin.kernel_basis_int(K)
-    # P = J (1 - B)
-    P = [[sum(J[i][k] * ((1 if k == j else 0) - B[k][j]) for k in range(n))
-          for j in range(n)] for i in range(n)]
+    # P = J (1 - B): row i is s(i) times row i^1 of 1 - B
+    P = [[s[i] * ((i ^ 1 == j) - B[i ^ 1][j]) for j in range(n)] for i in range(n)]
     us = []
     zs = []
     for v in kern:
         x, y = v[:n], v[n:]
         us.append([a + b for a, b in zip(x, y)])
-        zs.append([sum(P[i][k] * y[k] for k in range(n)) for i in range(n)])
+        zs.append([sum(map(mul, row, y)) for row in P])
+    G = [[sum(map(mul, u, z)) for z in zs] for u in us]
     d = len(kern)
-    G = [[sum(us[i][k] * zs[j][k] for k in range(n)) for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             if G[i][j] != G[j][i]:
@@ -100,12 +95,7 @@ def _tau_cached(At: tuple, Bt: tuple) -> int:
 def tau(A, B) -> int:
     """Meyer cocycle of two symplectic matrices; |tau| <= 2g and
     tau(1, .) = tau(., 1) = 0."""
-    A, B = _symplectic_pair(A, B)
-    return _tau_cached(tuple(map(tuple, A.tolist())), tuple(map(tuple, B.tolist())))
-
-
-def _key(M: np.ndarray) -> tuple:
-    return tuple(map(tuple, M.tolist()))
+    return _tau_cached(*_symplectic_pair(A, B))
 
 
 # -- the cobounding function -------------------------------------------------
@@ -127,7 +117,7 @@ class PhiTable:
 @lru_cache(maxsize=None)
 def phi_table(g: int) -> PhiTable:
     surface.check_genus(g)
-    minus_one = _key(-ratlin.identity(2 * g))
+    minus_one = surface.generator_matrix(IOTA, g)
     iota_value = Fraction(_tau_cached(minus_one, minus_one), 2)
     return PhiTable(genus=g,
                     nonseparating=Fraction(g + 1, 2 * g + 1),
@@ -148,20 +138,17 @@ def phi_base(gen, g: int) -> Fraction:
     raise WordError(f"unknown generator {gen!r}")
 
 
-# states of the central extension Q x_tau Sp(2g, Z): (value, matrix key)
+# states of the central extension Q x_tau Sp(2g, Z): (value, tuple matrix)
 
 def _combine(s1, s2):
     v1, M1 = s1
     v2, M2 = s2
-    t = _tau_cached(M1, M2)
-    P1 = np.array(M1, dtype=object)
-    P2 = np.array(M2, dtype=object)
-    return (v1 + v2 - t, _key(P1 @ P2))
+    return (v1 + v2 - _tau_cached(M1, M2), surface.mat_mul(M1, M2))
 
 
 def _invert(s):
     v, M = s
-    Minv = _key(surface.symplectic_inverse(np.array(M, dtype=object)))
+    Minv = surface.sp_inverse(M)
     return (-v + _tau_cached(M, Minv), Minv)
 
 
@@ -181,12 +168,12 @@ def _pow(s, e: int, ident):
 
 @lru_cache(maxsize=None)
 def _gen_state(gen, g: int):
-    return (phi_base(gen, g), _key(surface.generator_matrix(gen, g)))
+    return (phi_base(gen, g), surface.generator_matrix(gen, g))
 
 
 def _eval(w: Word):
     g = w.genus
-    ident = (Fraction(0), _key(ratlin.identity(2 * g)))
+    ident = (Fraction(0), surface.sp_identity(g))
     state = ident
     for item, exp in w.items:
         base = _eval(item) if isinstance(item, Word) else _gen_state(item, g)
@@ -204,7 +191,8 @@ def phi(w: Word) -> Fraction:
 
 def tau_prefix_sum(mats, g: int) -> int:
     """Sum_k tau(P_{k-1}, M_k) over the prefix products P_k = M_1 ... M_k
-    of the genus-g symplectic matrices M_k (P_0 = 1).
+    of the genus-g symplectic tuple matrices M_k (P_0 = 1; see
+    ``surface.word_matrix``).
 
     By phi(uv) = phi(u) + phi(v) - tau(u, v), this is
     Sum_k phi(w_k) - phi(w_1 ... w_k) for any words w_k evaluating to M_k,
@@ -212,9 +200,9 @@ def tau_prefix_sum(mats, g: int) -> int:
     "Meyer's signature cocycle and hyperelliptic fibrations", Math. Ann.
     316, 2000).  Costs one cocycle evaluation per matrix.
     """
-    P = ratlin.identity(2 * g)
+    P = surface.sp_identity(g)
     total = 0
     for M in mats:
-        total += _tau_cached(_key(P), _key(M))
-        P = P @ M
+        total += _tau_cached(P, M)
+        P = surface.mat_mul(P, M)
     return total

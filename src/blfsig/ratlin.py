@@ -2,9 +2,13 @@
 
 Every computation in this package reduces to small dense exact problems:
 signatures of symmetric bilinear forms, Smith normal forms of presentation
-matrices, and rational kernels.  Matrices are numpy arrays with
-``dtype=object`` whose entries are Python ints or ``fractions.Fraction``,
-so there is no floating point anywhere and no bound on entry size.
+matrices, and rational kernels.  The public functions take any nested
+sequence of rows and return numpy arrays with ``dtype=object`` whose
+entries are Python ints or ``fractions.Fraction``, so there is no floating
+point anywhere and no bound on entry size.  The integer kernels the cocycle
+code calls per evaluation, ``_signature_int`` and ``kernel_basis_int``,
+work on and return lists of lists; the symplectic hot path itself keeps
+its matrices as tuples of row tuples (see ``surface``).
 
 The signature routine diagonalises by symmetric (congruence) row/column
 elimination: the pivot is the first nonzero diagonal entry of the trailing

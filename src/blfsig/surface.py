@@ -10,11 +10,26 @@ so consecutive chain classes pair to +-1, non-consecutive ones to 0, and
 the chain relation holds at the matrix level.  A right-handed Dehn twist
 along a class c acts as the transvection x -> x + <x, c> c; the
 hyperelliptic involution acts as -identity.
+
+On the hot path a matrix is a tuple of row tuples of Python ints: it is
+immutable, so it serves as its own cache key and a cached value cannot be
+corrupted by a caller.  ``word_matrix`` evaluates a word in that form and
+caches the result per word, so a word repeated across a Hurwitz system is
+converted once per process.  Inverses need no elimination: J is a signed
+permutation (J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd
+i), so M^-1 = -J M^T J is the index shuffle
+
+    M^-1[i][j] = s(i) s(j) M[j^1][i^1].
+
+The public ``word_to_matrix``, ``twist_matrix`` and friends return numpy
+arrays with ``dtype=object`` (see ``ratlin``), each a fresh copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -40,6 +55,7 @@ class TypeII:
 
 
 CurveDescriptor = TypeI | TypeII
+Matrix = tuple  # tuple of row tuples of Python ints
 
 
 def check_genus(g: int) -> int:
@@ -95,15 +111,25 @@ def chain_class(i: int, g: int) -> np.ndarray:
     return v
 
 
+def transvection(c) -> Matrix:
+    """Transvection x -> x + <x, c> c of the right-handed twist along the
+    integer class c, as a tuple matrix: 1 - c c^T J, whose (i, j) entry is
+    delta_ij + s(j) c_i c_{j^1}.  A null class gives the identity."""
+    c = tuple(int(x) for x in c)
+    n = len(c)
+    row = tuple(c[j ^ 1] if j % 2 == 0 else -c[j ^ 1] for j in range(n))
+    return tuple(tuple(ci * r + (i == j) for j, r in enumerate(row))
+                 for i, ci in enumerate(c))
+
+
 def twist_matrix(c, g: int) -> np.ndarray:
     """Transvection x -> x + <x, c> c of the right-handed twist along c.
 
     A null class (separating curve) gives the identity.
     """
-    c = np.array(c, dtype=object)
-    M = ratlin.identity(2 * g)
-    J = intersection_matrix(g)
-    return M - np.outer(c, c) @ J
+    if len(c) != 2 * g:
+        raise ValueError(f"class of length {len(c)} at genus {g}")
+    return ratlin.as_matrix(transvection(c))
 
 
 def iota_matrix(g: int) -> np.ndarray:
@@ -126,40 +152,85 @@ def symplectic_inverse(M: np.ndarray) -> np.ndarray:
     return -J @ M.T @ J
 
 
-def generator_matrix(gen, g: int) -> np.ndarray:
+# -- tuple matrices -----------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def sp_identity(g: int) -> Matrix:
+    """The 2g x 2g identity as a tuple matrix; () at genus 0."""
+    n = 2 * g
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+
+
+def sp_inverse(A: Matrix) -> Matrix:
+    """Inverse of a symplectic tuple matrix by the index shuffle
+    A^-1[i][j] = s(i) s(j) A[j^1][i^1] (see the module docstring)."""
+    n = len(A)
+    return tuple(tuple(A[j ^ 1][i ^ 1] if (i ^ j) % 2 == 0 else -A[j ^ 1][i ^ 1]
+                       for j in range(n)) for i in range(n))
+
+
+def _power(A: Matrix, e: int) -> Matrix:
+    """A**e for a nonzero exponent, by repeated squaring."""
+    if e < 0:
+        A, e = sp_inverse(A), -e
+    acc = None
+    while e:
+        if e & 1:
+            acc = A if acc is None else mat_mul(acc, A)
+        e >>= 1
+        if e:
+            A = mat_mul(A, A)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def generator_matrix(gen, g: int) -> Matrix:
+    """Tuple matrix of a single generator at genus g."""
     if isinstance(gen, ChainTwist):
-        return twist_matrix(chain_class(gen.index, g), g)
+        return transvection(chain_class(gen.index, g))
     if isinstance(gen, Iota):
-        return iota_matrix(g)
+        return tuple(tuple(-x for x in row) for row in sp_identity(g))
     if isinstance(gen, SeparatingTwist):
-        return ratlin.identity(2 * g)  # null-homologous cycle, trivial transvection
+        return sp_identity(g)  # null-homologous cycle, trivial transvection
     raise WordError(f"unknown generator {gen!r}")
 
 
-def word_to_matrix(w: Word) -> np.ndarray:
-    """Product of generator matrices, left to right in word order."""
+@lru_cache(maxsize=1 << 12)
+def word_matrix(w: Word) -> Matrix:
+    """Product of generator matrices, left to right in word order, as a
+    tuple matrix; powers by repeated squaring, nested words cached too."""
     g = check_genus(w.genus)
-    M = ratlin.identity(2 * g)
+    M = None
     for item, exp in w.items:
-        if isinstance(item, Word):
-            base = word_to_matrix(item)
-        else:
-            base = generator_matrix(item, g)
-        M = M @ ratlin.mat_pow(base, exp, inverse=symplectic_inverse)
-    return M
+        base = word_matrix(item) if isinstance(item, Word) else generator_matrix(item, g)
+        P = _power(base, exp)
+        M = P if M is None else mat_mul(M, P)
+    return M if M is not None else sp_identity(g)
 
 
-def curve_action(M: np.ndarray, c) -> int:
-    """+1 if M c = c, -1 if M c = -c, 0 otherwise.
+def word_to_matrix(w: Word) -> np.ndarray:
+    """Product of generator matrices, left to right in word order; a fresh
+    array each call, so callers may modify it."""
+    return ratlin.as_matrix(word_matrix(w))
+
+
+def curve_action(M, c) -> int:
+    """+1 if M c = c, -1 if M c = -c, 0 otherwise, for a numpy or tuple
+    matrix M.
 
     A zero class returns +1; homology cannot see separating curves, so the
     caller should flag that case as vacuous.
     """
-    c = np.array(c, dtype=object)
-    img = M @ c
-    if (img == c).all():
+    c = [int(x) for x in c]
+    img = [sum(map(mul, row, c)) for row in M]
+    if img == c:
         return 1
-    if (img == -c).all():
+    if img == [-x for x in c]:
         return -1
     return 0
 

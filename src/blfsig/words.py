@@ -15,7 +15,9 @@ The text grammar (used by the command line and the spec file format) is
     term := atom [ '^' signed-int ]
     atom := 't' index | 'iota' | '(' word ')'
 
-with whitespace between terms and chain indices in 1..2g+1.
+with whitespace between terms and chain indices in 1..2g+1.  Parentheses
+nest at most MAX_NESTING deep, which bounds the recursion of every
+evaluator that walks a parsed word.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class SeparatingTwist:
 
 Generator = Union[ChainTwist, Iota, SeparatingTwist]
 IOTA = Iota()
+MAX_NESTING = 100
 
 
 class WordError(ValueError):
@@ -121,8 +124,27 @@ class Word:
     def letter_count(self) -> int:
         return sum(1 for _ in self.letters())
 
-    def generators(self) -> set:
-        return {gen for gen, _ in self.letters()}
+    def generators(self) -> list[Generator]:
+        """The distinct generators, in order of first appearance as written.
+
+        Walks the word tree once per item (a nested word shared by several
+        items is walked once), so the cost does not grow with exponents.
+        """
+        found: dict = {}
+        walked = {id(self)}
+        stack = [iter(self.items)]
+        while stack:
+            for item, _ in stack[-1]:
+                if isinstance(item, Word):
+                    if id(item) not in walked:
+                        walked.add(id(item))
+                        stack.append(iter(item.items))
+                        break
+                else:
+                    found.setdefault(item, None)
+            else:
+                stack.pop()
+        return list(found)
 
     def substitute(self, fn: Callable[[Generator], Generator | None],
                    genus: int) -> "Word":
@@ -198,6 +220,8 @@ def parse_word(text: str, genus: int) -> Word:
             elif kind == "iota":
                 item = IOTA
             elif kind == "open":
+                if depth == MAX_NESTING:
+                    raise WordError(f"parentheses nest deeper than {MAX_NESTING}")
                 item = parse_seq(depth + 1)
                 if pos >= len(tokens) or tokens[pos][0] != "close":
                     raise WordError("unbalanced '('")

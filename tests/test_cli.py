@@ -72,6 +72,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_deep_nesting_exits_two(capsys):
+    text = "(" * 3000 + "t1" + ")" * 3000
+    code, _, err = run(capsys, "phi", "-g", "1", text)
+    assert code == 2 and "nest deeper" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_context_error_exit_code(capsys):
     code, _, err = run(capsys, "h", "-g", "2", "--cycle", "I", "t4")
     assert code == 1 and "not a generator" in err

@@ -207,6 +207,26 @@ class TestTelescopedMeyerPath:
         monkeypatch.setattr(fib, "hurwitz_word", no_word)
         assert fib.compute_report(family_spec("mgn", 2, 1)).two_paths_agree
 
+    def test_each_datum_word_is_evaluated_once(self, monkeypatch):
+        # validate and the Meyer path both need every datum matrix; the
+        # cached evaluator converts each distinct word once
+        spec = family_spec("mgn", 2, 2)
+        datum_words = {d.word() for d in spec.lefschetz}
+        evaluate = surface.word_matrix
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return evaluate(w)
+
+        monkeypatch.setattr(surface, "word_matrix", counting)
+        evaluate.cache_clear()
+        assert fib.compute_report(spec).two_paths_agree
+        assert datum_words <= set(calls)
+        assert all(calls.count(w) == 2 * sum(d.word() == w for d in spec.lefschetz)
+                   for w in datum_words)
+        assert evaluate.cache_info().misses == len(set(calls)) < len(calls)
+
 
 class TestSeparatingFold:
     def spec(self):

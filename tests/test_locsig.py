@@ -71,6 +71,12 @@ class TestHValues:
                     chain_word(g, range(2 * h + 2, 2 * g + 2), 4 * (g - h) + 2), ctx)
                 assert s1 == s2
 
+    def test_cost_does_not_grow_with_exponents(self):
+        w = gen_word(2, ChainTwist(1), 10 ** 15)
+        assert locsig.h_word(w, CTX_I2) == F(-10 ** 15, 15)
+        with pytest.raises(ContextError):
+            locsig.h_word(gen_word(2, ChainTwist(4), 10 ** 15) * w, CTX_I2)
+
     def test_context_violations(self):
         with pytest.raises(ContextError):
             locsig.h_word(gen_word(2, ChainTwist(4)), CTX_I2)

@@ -172,6 +172,6 @@ class TestPhi:
                 product = Word(g)
                 for w in words:
                     product = product * w
-                mats = [surface.word_to_matrix(w) for w in words]
+                mats = [surface.word_matrix(w) for w in words]
                 assert meyer.tau_prefix_sum(mats, g) == \
                     sum(meyer.phi(w) for w in words) - meyer.phi(product)

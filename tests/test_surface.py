@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
+from blfsig.verify import random_word
 from blfsig.words import IOTA, ChainTwist, Word, chain_word, gen_word
 
 
@@ -126,6 +128,54 @@ class TestWordToMatrix:
                 flat = flat * (inner if e > 0 else inner.inverse())
             assert (surface.word_to_matrix(inner ** e) ==
                     surface.word_to_matrix(flat)).all()
+
+
+def nested_random_word(rng, g):
+    inner = random_word(rng, g, rng.randrange(1, 4))
+    outer = random_word(rng, g, rng.randrange(0, 4))
+    return outer * Word(g, ((inner, rng.choice([-3, -2, 2, 4])),)) * random_word(rng, g, 2)
+
+
+def reference_matrix(w):
+    """Letter by letter with numpy: I - c c^T J for a twist, -I for iota."""
+    g = w.genus
+    J = surface.intersection_matrix(g)
+    M = ratlin.identity(2 * g)
+    for gen, sign in w.letters():
+        if isinstance(gen, ChainTwist):
+            c = surface.chain_class(gen.index, g)
+            T = ratlin.identity(2 * g) - np.outer(c, c) @ J
+        else:
+            T = -ratlin.identity(2 * g)
+        M = M @ (T if sign > 0 else surface.symplectic_inverse(T))
+    return M
+
+
+class TestTupleMatrices:
+    def test_word_matrix_matches_letterwise_reference(self, rng):
+        for _ in range(30):
+            w = nested_random_word(rng, rng.randint(1, 4))
+            assert surface.word_to_matrix(w).tolist() == reference_matrix(w).tolist()
+
+    def test_shuffle_inverse(self, rng):
+        for _ in range(40):
+            g = rng.randint(1, 5)
+            w = nested_random_word(rng, g)
+            M = surface.word_matrix(w)
+            Minv = surface.sp_inverse(M)
+            assert Minv == tuple(map(tuple, surface.symplectic_inverse(
+                ratlin.as_matrix(M)).tolist()))
+            assert surface.mat_mul(M, Minv) == surface.sp_identity(g)
+            assert surface.mat_mul(Minv, M) == surface.sp_identity(g)
+
+    def test_returned_array_does_not_alias_the_cache(self):
+        w = chain_word(2, [1, 2, 3], 3)
+        want = surface.word_to_matrix(w).tolist()
+        M = surface.word_to_matrix(w)
+        M[0, 0] += 7
+        M[1, :] = 0
+        assert surface.word_to_matrix(w).tolist() == want
+        assert surface.word_matrix(w) == tuple(map(tuple, want))
 
 
 class TestCurveAction:

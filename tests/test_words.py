@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blfsig.words import (
-    IOTA, ChainTwist, SeparatingTwist, Word, WordError,
+    IOTA, MAX_NESTING, ChainTwist, SeparatingTwist, Word, WordError,
     chain_word, format_word, gen_word, parse_word,
 )
 
@@ -40,6 +40,24 @@ def test_unbalanced_parens():
     for text in ("(t1", "t1)", "(t1))"):
         with pytest.raises(WordError):
             parse_word(text, 2)
+
+
+def test_nesting_depth_is_capped():
+    def nested(depth):
+        return "(" * depth + "t1" + ")" * depth
+
+    w = parse_word(nested(MAX_NESTING), 1)
+    assert format_word(w) == nested(MAX_NESTING).replace("(", "( ").replace(")", " )")
+    with pytest.raises(WordError, match="nest deeper"):
+        parse_word(nested(MAX_NESTING + 1), 1)
+    with pytest.raises(WordError, match="nest deeper"):
+        parse_word(nested(3000), 1)
+
+
+def test_generators_walk_the_structure():
+    w = parse_word("t3^1000000000000 (t1 iota^-3 (t3 t2)^-7)^999999999999 t1", 2)
+    assert w.generators() == [ChainTwist(3), ChainTwist(1), IOTA, ChainTwist(2)]
+    assert Word(2).generators() == []
 
 
 def test_unknown_token():
