@@ -12,6 +12,25 @@ twist (equivalently, tau of a right-handed transvection with itself is
 +1); the calibration is pinned by the class-function tests, which fail
 loudly for the flipped convention.
 
+V_{A,B} has dimension between 2g and 4g, but the form lives on a smaller
+space.  It depends on its second argument only through w2 = (B - 1)y2,
+so by symmetry ker(A^-1 - 1) x ker(B - 1) lies in its radical, and the
+form descends to the quotient, which (x, y) -> (B - 1)y identifies with
+
+    W = Im(A^-1 - 1) ∩ Im(B - 1),   dim W <= min(rank(A - 1), rank(B - 1)).
+
+For w_i = (B - 1)y_i = -(A^-1 - 1)x_i it reads <w1, w2> = -(x1 + y1)^T J w2.
+This is well defined because Im(M - 1) is omega-orthogonal to ker(M - 1)
+for every symplectic M (omega(Mu - u, v) = omega(Mu, Mv) - omega(u, v) = 0
+when Mv = v), applied to M = A^-1 and M = B.  A form and its quotient by
+part of its radical have the same signature, so tau is unchanged.
+``_gram`` takes a lattice basis E of Im(B - 1) with integer preimages Y,
+solves (A^-1 - 1)x + E alpha = 0 over the integers, and keeps the basis
+solutions with alpha != 0.  Their images E alpha span W (rarely with a
+dependent one, which only adds radical), so the Gram matrix has at most 2g
+rows, the kernel has dimension at most 2g instead of up to 4g, and tau
+with an identity argument builds no form at all.
+
 The cobounding function phi is evaluated on words by the extension-group
 law phi(uv) = phi(u) + phi(v) - tau(u, v) from the base values
 
@@ -53,27 +72,44 @@ def _symplectic_pair(A, B) -> tuple:
 
 
 def meyer_form(A, B) -> np.ndarray:
-    """Gram matrix of the Meyer pairing on V_{A,B} (integer entries)."""
-    return ratlin.as_matrix(_gram(*_symplectic_pair(A, B)))
+    """Integer Gram matrix of the Meyer pairing on vectors of V_{A,B}
+    whose images span W = Im(A^-1 - 1) ∩ Im(B - 1) (see the module
+    docstring); its signature is -tau(A, B).  It has at most 2g rows and
+    is 0 x 0 when A or B is the identity."""
+    G = _gram(*_symplectic_pair(A, B))
+    return ratlin.as_matrix(G) if G else ratlin.zeros(0, 0)
 
 
 def _gram(A: tuple, B: tuple) -> list[list[int]]:
     n = len(A)
+    if A == surface.sp_identity(n // 2):
+        return []  # Im(A^-1 - 1) = 0
     s = [1 - 2 * (i % 2) for i in range(n)]
-    # K = (A^-1 - 1 | B - 1) with the shuffle A^-1[i][j] = s(i)s(j) A[j^1][i^1]
+    # E: lattice basis of Im(B - 1), with (B - 1) Y[k] = E[k]
+    E, Y, _ = ratlin.column_reduce([[B[i][j] - (i == j) for j in range(n)]
+                                    for i in range(n)])
+    if not E:
+        return []
+    # K = (A^-1 - 1 | E) with the shuffle A^-1[i][j] = s(i)s(j) A[j^1][i^1]
     K = [[s[i] * s[j] * A[j ^ 1][i ^ 1] - (i == j) for j in range(n)] +
-         [B[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    kern = ratlin.kernel_basis_int(K)
-    # P = J (1 - B): row i is s(i) times row i^1 of 1 - B
-    P = [[s[i] * ((i ^ 1 == j) - B[i ^ 1][j]) for j in range(n)] for i in range(n)]
+         [e[i] for e in E] for i in range(n)]
     us = []
     zs = []
-    for v in kern:
-        x, y = v[:n], v[n:]
-        us.append([a + b for a, b in zip(x, y)])
-        zs.append([sum(map(mul, row, y)) for row in P])
+    for v in ratlin.kernel_basis_int(K):
+        alpha = v[n:]
+        if not any(alpha):
+            continue  # in ker(A^-1 - 1) x 0, the radical
+        u = v[:n]  # u = x + Y alpha
+        w = [0] * n  # w = E alpha = (B - 1) Y alpha
+        for a, y, e in zip(alpha, Y, E):
+            if a:
+                u = [p + a * q for p, q in zip(u, y)]
+                w = [p + a * q for p, q in zip(w, e)]
+        us.append(u)
+        # z = -J w: entry i is -s(i) w[i^1]
+        zs.append([-s[i] * w[i ^ 1] for i in range(n)])
     G = [[sum(map(mul, u, z)) for z in zs] for u in us]
-    d = len(kern)
+    d = len(G)
     for i in range(d):
         for j in range(i + 1, d):
             if G[i][j] != G[j][i]:

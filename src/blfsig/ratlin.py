@@ -6,9 +6,15 @@ matrices, and rational kernels.  The public functions take any nested
 sequence of rows and return numpy arrays with ``dtype=object`` whose
 entries are Python ints or ``fractions.Fraction``, so there is no floating
 point anywhere and no bound on entry size.  The integer kernels the cocycle
-code calls per evaluation, ``_signature_int`` and ``kernel_basis_int``,
-work on and return lists of lists; the symplectic hot path itself keeps
-its matrices as tuples of row tuples (see ``surface``).
+code calls per evaluation, ``_signature_int`` and ``column_reduce``, work
+on and return lists of lists; the symplectic hot path itself keeps its
+matrices as tuples of row tuples (see ``surface``).
+
+One integer column reduction serves both the image and the kernel:
+``column_reduce`` eliminates row by row with unimodular column operations
+that it also applies to an identity tail, so each pivot column comes out
+with a preimage and each column that reduces to zero is a kernel vector.
+``kernel_basis_int`` is its kernel part.
 
 The signature routine diagonalises by symmetric (congruence) row/column
 elimination: the pivot is the first nonzero diagonal entry of the trailing
@@ -195,37 +201,58 @@ def kernel_basis(M) -> list[np.ndarray]:
     return basis
 
 
-def kernel_basis_int(M) -> list[list[int]]:
-    """Integer basis of the right null space of an integer matrix.
+def column_reduce(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Integer column reduction of an m x n integer matrix.
 
-    Column reduction with unimodular column operations only, so the result
-    is a lattice basis of the integer kernel (used by the cocycle code,
-    which wants integer Gram matrices).
+    Returns ``(image, preimages, kernel)``: the columns of ``image`` are a
+    lattice basis of the column lattice M Z^n, in column echelon form;
+    ``preimages[k]`` is an integer vector with M preimages[k] = image[k];
+    ``kernel`` is a lattice basis of the integer kernel.  Only unimodular
+    column operations are used, each applied to the matrix part and to an
+    identity tail, so the tails of the preimages and the kernel vectors
+    together form a unimodular n x n matrix.  Takes a list of rows as is,
+    or a numpy array, whose entries are converted to ints.
     """
-    M = as_matrix(M)
-    m, n = M.shape
+    if isinstance(M, np.ndarray):
+        if M.ndim != 2:
+            raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
+        m, n = M.shape
+        rows = [[int(x) for x in row] for row in M.tolist()]
+    else:
+        rows = M
+        m = len(rows)
+        n = len(rows[0]) if m else 0
     # each working column carries its matrix part and an identity tail
-    cols = [[int(M[i, j]) for i in range(m)] + [1 if t == j else 0 for t in range(n)]
-            for j in range(n)]
+    zero = [0] * n
+    cols = [[*col, *zero] for col in zip(*rows)] if m else [zero[:] for _ in range(n)]
+    for j, c in enumerate(cols):
+        c[m + j] = 1
     active = list(range(n))
+    pivots = []
     for r in range(m):
         while True:
-            nz = [j for j in active if cols[j][r] != 0]
+            nz = [j for j in active if cols[j][r]]
             if len(nz) <= 1:
                 break
             nz.sort(key=lambda j: abs(cols[j][r]))
-            a = nz[0]
-            ca = cols[a]
+            ca = cols[nz[0]]
+            p = ca[r]
             for b in nz[1:]:
-                q = cols[b][r] // ca[r]
-                if q:
-                    cb = cols[b]
-                    for t in range(r, m + n):
-                        cb[t] -= q * ca[t]
-        nz = [j for j in active if cols[j][r] != 0]
+                cb = cols[b]
+                q = cb[r] // p
+                cols[b] = [x - q * y for x, y in zip(cb, ca)]
         if nz:
             active.remove(nz[0])
-    return [cols[j][m:] for j in active]
+            pivots.append(nz[0])
+    return ([cols[j][:m] for j in pivots], [cols[j][m:] for j in pivots],
+            [cols[j][m:] for j in active])
+
+
+def kernel_basis_int(M) -> list[list[int]]:
+    """Integer basis of the right null space of an integer matrix: the
+    kernel part of ``column_reduce`` (used by the cocycle code, which wants
+    integer Gram matrices)."""
+    return column_reduce(M)[2]
 
 
 def det(M):
@@ -347,20 +374,3 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.array(U, dtype=object), np.array(D, dtype=object),
             np.array(V, dtype=object))
 
-
-def mat_pow(M: np.ndarray, e: int, inverse=None) -> np.ndarray:
-    """M**e by repeated squaring; negative powers need an ``inverse`` callback."""
-    n = M.shape[0]
-    if e < 0:
-        if inverse is None:
-            raise ValueError("negative power needs an inverse routine")
-        return mat_pow(inverse(M), -e)
-    R = identity(n)
-    P = M
-    while e:
-        if e & 1:
-            R = R @ P
-        e >>= 1
-        if e:
-            P = P @ P
-    return R

@@ -97,18 +97,21 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.genus != other.genus:
             raise WordError("cannot concatenate words of different genus")
-        return Word(self.genus, self.items + other.items)
+        return _checked_word(self.genus, self.items + other.items)
 
     def __pow__(self, e: int) -> "Word":
+        if not isinstance(e, int):
+            raise WordError(f"exponent must be an integer, got {e!r}")
         if e == 0:
-            return Word(self.genus)
+            return _checked_word(self.genus, ())
         if len(self.items) == 1:
             item, exp = self.items[0]
-            return Word(self.genus, ((item, exp * e),))
-        return Word(self.genus, ((self, e),))
+            return _checked_word(self.genus, ((item, exp * e),))
+        return _checked_word(self.genus, ((self, e),))
 
     def inverse(self) -> "Word":
-        return Word(self.genus, tuple((item, -exp) for item, exp in reversed(self.items)))
+        return _checked_word(self.genus,
+                             tuple((item, -exp) for item, exp in reversed(self.items)))
 
     def letters(self) -> Iterator[tuple[Generator, int]]:
         """Flat left-to-right stream of (generator, +1/-1) letters."""
@@ -164,6 +167,15 @@ class Word:
 
     def __str__(self):
         return format_word(self)
+
+
+def _checked_word(genus: int, items: tuple) -> Word:
+    """A Word built from items that are already valid at this genus (taken
+    from checked words), without running ``Word.__post_init__`` again."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "genus", genus)
+    object.__setattr__(w, "items", items)
+    return w
 
 
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:

@@ -1,14 +1,32 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from blfsig import meyer, ratlin, surface
 from blfsig.verify import random_symplectic, random_word
-from blfsig.words import ChainTwist, SeparatingTwist, Word, chain_word, gen_word
+from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
 
 
 def twist(i, g):
     return surface.twist_matrix(surface.chain_class(i, g), g)
+
+
+def full_space_form(A, B):
+    """Oracle: Gram matrix of (x1 + y1)^T J (1 - B) y2 on an integer basis
+    of the whole of V_{A,B} = ker (A^-1 - 1 | B - 1), of dimension 2g to 4g,
+    with A^-1 and J as products rather than shuffles."""
+    A, B = ratlin.as_matrix(A), ratlin.as_matrix(B)
+    n = A.shape[0]
+    I = ratlin.identity(n)
+    K = np.hstack([surface.symplectic_inverse(A) - I, B - I])
+    P = surface.intersection_matrix(n // 2) @ (I - B)
+    kern = [np.array(v, dtype=object) for v in ratlin.kernel_basis_int(K)]
+    return [[int((v[:n] + v[n:]) @ P @ w[n:]) for w in kern] for v in kern]
+
+
+def oracle_tau(A, B):
+    return -ratlin.signature_of_symmetric(full_space_form(A, B))
 
 
 class TestTau:
@@ -75,6 +93,64 @@ class TestTau:
             A, B = random_symplectic(rng, 2), random_symplectic(rng, 2)
             G = meyer.meyer_form(A, B)
             assert ratlin.is_symmetric(G)
+
+
+class TestReducedForm:
+    """tau is computed on W = Im(A^-1 - 1) ∩ Im(B - 1); the oracle builds
+    the form on all of V_{A,B}."""
+
+    def test_random_pairs_match_the_full_space_form(self, rng):
+        for g in (1, 2, 3, 4):
+            for _ in range(25):
+                A = random_symplectic(rng, g, rng.randrange(1, 9))
+                B = random_symplectic(rng, g, rng.randrange(1, 9))
+                assert meyer.tau(A, B) == oracle_tau(A, B)
+
+    def test_special_pairs_match_the_full_space_form(self, rng):
+        for g in (1, 2, 3, 4):
+            I = ratlin.identity(2 * g)
+            T = twist(rng.randrange(1, 2 * g + 2), g)
+            for _ in range(4):
+                A = random_symplectic(rng, g)
+                Ainv = surface.symplectic_inverse(A)
+                for X, Y in [(I, A), (A, I), (-I, A), (A, -I), (-I, -I), (T, A), (A, T),
+                             (T, T), (A, A), (A, Ainv), (Ainv, A), (A @ T, T),
+                             (A, A @ A)]:
+                    assert meyer.tau(X, Y) == oracle_tau(X, Y)
+
+    def test_squaring_chain_of_phi_matches_the_full_space_form(self, monkeypatch):
+        # phi of a chain-run power at g = 5 evaluates tau on the repeated
+        # squares of the run and on the accumulated products
+        g = 5
+        calls = []
+        cached = meyer._tau_cached
+
+        def recording(At, Bt):
+            value = cached(At, Bt)
+            calls.append((At, Bt, value))
+            return value
+
+        monkeypatch.setattr(meyer, "_tau_cached", recording)
+        meyer.phi(chain_word(g, range(1, 2 * g + 1), 4 * g + 2) * gen_word(g, IOTA))
+        assert len(calls) > 10
+        for At, Bt, value in calls:
+            assert value == oracle_tau(At, Bt)
+
+    def test_identity_argument_gives_the_empty_form(self, rng):
+        for g in (1, 2, 3):
+            I = ratlin.identity(2 * g)
+            for _ in range(5):
+                A = random_symplectic(rng, g)
+                assert meyer.meyer_form(A, I).shape == (0, 0)
+                assert meyer.meyer_form(I, A).shape == (0, 0)
+
+    def test_form_has_at_most_2g_rows(self, rng):
+        for g in (1, 2, 3, 4):
+            for _ in range(10):
+                A, B = random_symplectic(rng, g), random_symplectic(rng, g)
+                G = meyer.meyer_form(A, B)
+                assert G.shape[0] == G.shape[1] <= 2 * g
+                assert -ratlin.signature_of_symmetric(G) == meyer.tau(A, B)
 
 
 class TestPhi:

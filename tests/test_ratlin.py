@@ -125,6 +125,22 @@ class TestKernel:
                 assert all(sum(A[i, j] * v[j] for j in range(A.shape[1])) == 0
                            for i in range(A.shape[0]))
 
+    def test_column_reduce_image_and_kernel(self, rng):
+        for _ in range(40):
+            m, n, k = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 4)
+            A = random_int_matrix(rng, m, k) @ random_int_matrix(rng, k, n)
+            image, preimages, kernel = ratlin.column_reduce(A.tolist())
+            assert len(image) == ratlin.rank(A)
+            assert len(kernel) == n - len(image)
+            for e, y in zip(image, preimages):
+                assert [sum(A[i, j] * y[j] for j in range(n)) for i in range(m)] == e
+            for v in kernel:
+                assert all(sum(A[i, j] * v[j] for j in range(n)) == 0 for i in range(m))
+            # the tails are one unimodular change of basis: image and kernel
+            # are lattice bases, not just rational ones
+            assert ratlin.is_unimodular(preimages + kernel)
+            assert ratlin.column_reduce(A) == (image, preimages, kernel)
+
     def test_kernel_dimension_matches_rank(self, rng):
         for _ in range(30):
             A = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))

@@ -85,7 +85,9 @@ class TestTwistMatrices:
             P = ratlin.identity(2 * g)
             for i in range(1, 2 * g):
                 P = P @ twist(i, g)
-            lhs = ratlin.mat_pow(P, 2 * g)
+            lhs = ratlin.identity(2 * g)
+            for _ in range(2 * g):
+                lhs = lhs @ P
             rhs = twist(2 * g + 1, g) @ twist(2 * g + 1, g)
             assert (lhs == rhs).all()
 

@@ -74,6 +74,32 @@ def test_genus_bounds_on_constructor():
         Word(2, ((ChainTwist(1), 0),))
 
 
+def test_public_constructor_validates_every_item():
+    with pytest.raises(WordError):
+        Word(2, ((ChainTwist(1), 1), (ChainTwist(6), 1)))
+    with pytest.raises(WordError):
+        Word(2, ((ChainTwist(1), 1), (ChainTwist(2), 0)))
+    with pytest.raises(WordError):
+        Word(2, ((ChainTwist(1), 1), (gen_word(3, ChainTwist(1)), 2)))
+
+
+def test_products_of_checked_words_are_not_rechecked(monkeypatch):
+    u, v = parse_word("t1 (t2 t3)^2", 2), parse_word("t5^-1 iota", 2)
+    other_genus = gen_word(3, ChainTwist(1))
+
+    def recheck(self):
+        raise AssertionError("items re-validated")
+
+    monkeypatch.setattr(Word, "__post_init__", recheck)
+    w = (u * v) ** 3 * u.inverse() * v ** 0
+    assert list(w.letters()) == (list(u.letters()) + list(v.letters())) * 3 + \
+        list(u.inverse().letters())
+    with pytest.raises(WordError):
+        u * other_genus
+    with pytest.raises(WordError):
+        u ** 1.5
+
+
 def test_inverse_reverses_and_negates():
     w = parse_word("t1 t2^3", 2)
     assert w.inverse().items == ((ChainTwist(2), -3), (ChainTwist(1), -1))
