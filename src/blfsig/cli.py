@@ -171,6 +171,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--max-genus", args.max_genus)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("BLFSIG_SEED", verify.DEFAULT_SEED))

@@ -21,16 +21,20 @@ of the glued round-handle piece (s takes values in {-1, 0, +1} on single
 generators and is evaluated on words through the cocycle-corrected
 recursion s(uv) = s(u) + s(v) + tau(u, v) - tau(push u, push v)); the
 decomposition is an exact identity and is exposed as a cross-check.
+Both h and s fold a word with ``words.evaluate``: h in (Q, +), s in the
+triples (s, matrix upstairs, matrix on the cut surface) under that
+corrected law.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import ChainTwist, Iota, Word
+from .words import ChainTwist, Iota, Word, evaluate
 
 
 class ContextError(ValueError):
@@ -132,11 +136,10 @@ def h_word(w: Word, ctx: CycleContext) -> Fraction:
 
 
 def _h_sum(w: Word, ctx: CycleContext) -> Fraction:
-    total = Fraction(0)
-    for item, exp in w.items:
-        part = _h_sum(item, ctx) if isinstance(item, Word) else h_generator(item, ctx)
-        total += exp * part
-    return total
+    def value(item):
+        return _h_sum(item, ctx) if isinstance(item, Word) else h_generator(item, ctx)
+
+    return evaluate(w, value, operator.add, operator.neg, Fraction(0))
 
 
 def s_generator(gen, ctx: CycleContext) -> int:
@@ -205,13 +208,12 @@ def s_word(w: Word, ctx: CycleContext) -> int:
     if not isinstance(ctx.cycle, TypeI):
         return 0
     g = ctx.genus
-    ident = (0, surface.sp_identity(g), surface.sp_identity(g - 1))
 
     def combine(a, b):
         s1, M1, N1 = a
         s2, M2, N2 = b
         t_up = meyer._tau_cached(M1, M2)
-        t_dn = meyer._tau_cached(N1, N2) if g > 1 else 0
+        t_dn = meyer._tau_cached(N1, N2)
         return (s1 + s2 + t_up - t_dn, surface.mat_mul(M1, M2), surface.mat_mul(N1, N2))
 
     def invert(a):
@@ -219,21 +221,8 @@ def s_word(w: Word, ctx: CycleContext) -> int:
         Minv = surface.sp_inverse(M)
         Ninv = surface.sp_inverse(N)
         t_up = meyer._tau_cached(M, Minv)
-        t_dn = meyer._tau_cached(N, Ninv) if g > 1 else 0
+        t_dn = meyer._tau_cached(N, Ninv)
         return (-s - t_up + t_dn, Minv, Ninv)
-
-    def power(a, e):
-        if e < 0:
-            return power(invert(a), -e)
-        acc = ident
-        p = a
-        while e:
-            if e & 1:
-                acc = combine(acc, p)
-            e >>= 1
-            if e:
-                p = combine(p, p)
-        return acc
 
     def gen_state(gen):
         M = surface.generator_matrix(gen, g)
@@ -243,14 +232,14 @@ def s_word(w: Word, ctx: CycleContext) -> int:
             N = surface.generator_matrix(gen, g - 1)
         return (s_generator(gen, ctx), M, N)
 
-    def evaluate(word):
-        state = ident
-        for item, exp in word.items:
-            base = evaluate(item) if isinstance(item, Word) else gen_state(item)
-            state = combine(state, power(base, exp))
-        return state
+    ident = (0, surface.sp_identity(g), surface.sp_identity(g - 1))
 
-    return evaluate(w)[0]
+    def value(item):
+        if isinstance(item, Word):
+            return evaluate(item, value, combine, invert, ident)
+        return gen_state(item)
+
+    return evaluate(w, value, combine, invert, ident)[0]
 
 
 @dataclass(frozen=True)

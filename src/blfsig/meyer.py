@@ -38,8 +38,9 @@ law phi(uv) = phi(u) + phi(v) - tau(u, v) from the base values
     phi(separating twist, h)     = -4h(g-h)/(2g+1)
     phi(iota)                    = tau(-1, -1)/2   (computed, and = 0)
 
-Powers of subwords are combined by repeated squaring, which is sound
-because the cocycle identity makes the combine law associative.
+Words are folded into the central extension Q x_tau Sp(2g, Z) by
+``words.evaluate``; its repeated squaring is sound because the cocycle
+identity makes the combine law associative.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from operator import mul
 import numpy as np
 
 from . import ratlin, surface
-from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError
+from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -188,20 +189,6 @@ def _invert(s):
     return (-v + _tau_cached(M, Minv), Minv)
 
 
-def _pow(s, e: int, ident):
-    if e < 0:
-        return _pow(_invert(s), -e, ident)
-    acc = ident
-    p = s
-    while e:
-        if e & 1:
-            acc = _combine(acc, p)
-        e >>= 1
-        if e:
-            p = _combine(p, p)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _gen_state(gen, g: int):
     return (phi_base(gen, g), surface.generator_matrix(gen, g))
@@ -209,12 +196,11 @@ def _gen_state(gen, g: int):
 
 def _eval(w: Word):
     g = w.genus
-    ident = (Fraction(0), surface.sp_identity(g))
-    state = ident
-    for item, exp in w.items:
-        base = _eval(item) if isinstance(item, Word) else _gen_state(item, g)
-        state = _combine(state, _pow(base, exp, ident))
-    return state
+
+    def value(item):
+        return _eval(item) if isinstance(item, Word) else _gen_state(item, g)
+
+    return evaluate(w, value, _combine, _invert, (Fraction(0), surface.sp_identity(g)))
 
 
 def phi(w: Word) -> Fraction:

@@ -13,9 +13,9 @@ hyperelliptic involution acts as -identity.
 
 On the hot path a matrix is a tuple of row tuples of Python ints: it is
 immutable, so it serves as its own cache key and a cached value cannot be
-corrupted by a caller.  ``word_matrix`` evaluates a word in that form and
-caches the result per word, so a word repeated across a Hurwitz system is
-converted once per process.  Inverses need no elimination: J is a signed
+corrupted by a caller.  ``word_matrix`` folds a word into that form with
+``words.evaluate`` and caches the result per word, so a word repeated
+across a Hurwitz system is converted once per process.  Inverses need no elimination: J is a signed
 permutation (J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd
 i), so M^-1 = -J M^T J is the index shuffle
 
@@ -34,7 +34,7 @@ from operator import mul
 import numpy as np
 
 from . import ratlin
-from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError
+from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
 
 
 @dataclass(frozen=True)
@@ -174,20 +174,6 @@ def sp_inverse(A: Matrix) -> Matrix:
                        for j in range(n)) for i in range(n))
 
 
-def _power(A: Matrix, e: int) -> Matrix:
-    """A**e for a nonzero exponent, by repeated squaring."""
-    if e < 0:
-        A, e = sp_inverse(A), -e
-    acc = None
-    while e:
-        if e & 1:
-            acc = A if acc is None else mat_mul(acc, A)
-        e >>= 1
-        if e:
-            A = mat_mul(A, A)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def generator_matrix(gen, g: int) -> Matrix:
     """Tuple matrix of a single generator at genus g."""
@@ -203,14 +189,14 @@ def generator_matrix(gen, g: int) -> Matrix:
 @lru_cache(maxsize=1 << 12)
 def word_matrix(w: Word) -> Matrix:
     """Product of generator matrices, left to right in word order, as a
-    tuple matrix; powers by repeated squaring, nested words cached too."""
+    tuple matrix, folded by ``words.evaluate``; nested words are cached
+    too."""
     g = check_genus(w.genus)
-    M = None
-    for item, exp in w.items:
-        base = word_matrix(item) if isinstance(item, Word) else generator_matrix(item, g)
-        P = _power(base, exp)
-        M = P if M is None else mat_mul(M, P)
-    return M if M is not None else sp_identity(g)
+
+    def value(item):
+        return word_matrix(item) if isinstance(item, Word) else generator_matrix(item, g)
+
+    return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g))
 
 
 def word_to_matrix(w: Word) -> np.ndarray:

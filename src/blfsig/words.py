@@ -6,8 +6,8 @@ of simple closed curves, the hyperelliptic involution ``iota``, and (for
 internal use by the fibration machinery) the twist along the standard
 separating curve splitting off genus h.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
-powers of subwords stay symbolic and evaluate in O(log exponent) group
-operations.
+powers of subwords stay symbolic, and ``evaluate`` folds a word into any
+group in O(log exponent) operations per power.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -176,6 +176,33 @@ def _checked_word(genus: int, items: tuple) -> Word:
     object.__setattr__(w, "genus", genus)
     object.__setattr__(w, "items", items)
     return w
+
+
+def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one):
+    """Fold a word into a group: the product of ``value(item) ** exp`` over
+    the items, left to right.
+
+    ``value`` is called on generators and on nested words alike, so a
+    caller may cache nested values or recurse through ``evaluate``.  Powers
+    use repeated squaring, a negative exponent inverts first, and the fold
+    starts from the first factor: ``one`` is returned for the empty word
+    and is never passed to ``mul``.
+    """
+    acc = None
+    for item, exp in w.items:
+        base = value(item)
+        if exp < 0:
+            base, exp = inv(base), -exp
+        power = None
+        while True:
+            if exp & 1:
+                power = base if power is None else mul(power, base)
+            exp >>= 1
+            if not exp:
+                break
+            base = mul(base, base)
+        acc = power if acc is None else mul(acc, power)
+    return one if acc is None else acc
 
 
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:

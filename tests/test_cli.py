@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blfsig import cli, fibration
 
@@ -164,3 +169,39 @@ def test_verify_seed_from_env(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+
+def test_verify_rejects_nonpositive_samples(capsys):
+    code, out, err = run(capsys, "verify", "--samples", "-1")
+    assert code == 2 and "--samples" in err and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_nonpositive_max_genus(capsys):
+    code, out, err = run(capsys, "verify", "--max-genus", "0")
+    assert code == 2 and "--max-genus" in err and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+# Word text from grammar tokens, malformed ones included.  Exponents stay
+# at |e| <= 64: the entries of a power of a hyperbolic word grow linearly
+# in digits with the exponent, so no time bound holds for every exponent.
+TOKENS = ("t0", "t1", "t2", "t3", "t5", "t7", "iota", "(", ")", "^", "^0",
+          "^1", "^-1", "^2", "^-3", "^64", "^-64", "x")
+word_texts = st.lists(st.tuples(st.sampled_from(("", " ")), st.sampled_from(TOKENS)),
+                      max_size=10).map(lambda parts: "".join(s + t for s, t in parts))
+
+
+@given(st.sampled_from(("phi", "tau", "h")), st.integers(-1, 3), word_texts, word_texts)
+@settings(max_examples=400, deadline=None)
+def test_word_text_fuzz_ends_in_an_exit_code(command, genus, text, other):
+    argv = [command, f"--genus={genus}"]
+    argv += {"phi": [text], "tau": [text, other], "h": ["--cycle", "I", text]}[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert len(err.strip().splitlines()) == 1, err

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from blfsig import meyer, ratlin, surface
+from blfsig import locsig, meyer, ratlin, surface
+from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
 from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
 
@@ -251,3 +252,24 @@ class TestPhi:
                 mats = [surface.word_matrix(w) for w in words]
                 assert meyer.tau_prefix_sum(mats, g) == \
                     sum(meyer.phi(w) for w in words) - meyer.phi(product)
+
+
+def test_powers_request_no_tau_with_an_identity_first_argument(monkeypatch):
+    # folds start from their first factor, so no power asks for tau(1, M);
+    # the 0 x 0 matrices of the genus-0 cut surface at g = 1 are exempt
+    firsts = []
+    cached = meyer._tau_cached
+
+    def recording(At, Bt):
+        firsts.append(At)
+        return cached(At, Bt)
+
+    monkeypatch.setattr(meyer, "_tau_cached", recording)
+    for g in (1, 2, 3):
+        ctx = locsig.CycleContext(g, TypeI())
+        gen = ChainTwist(1 if g > 1 else 3)
+        for e in range(1, 17):
+            meyer.phi(gen_word(g, ChainTwist(1), e))
+            locsig.s_word(gen_word(g, gen, e), ctx)
+    assert firsts
+    assert not [At for At in firsts if At and At == surface.sp_identity(len(At) // 2)]

@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blfsig.words import (
     IOTA, MAX_NESTING, ChainTwist, SeparatingTwist, Word, WordError,
-    chain_word, format_word, gen_word, parse_word,
+    chain_word, evaluate, format_word, gen_word, parse_word,
 )
 
 
@@ -151,3 +151,79 @@ def test_chain_word_builder():
     w = chain_word(2, [1, 2, 3], 4)
     assert w.items[0][1] == 4
     assert [g.index for g, _ in w.letters()] == [1, 2, 3] * 4
+
+
+# -- words.evaluate in a non-abelian toy group: permutations of 0..5 ----------
+
+ONE = object()  # the empty word's value; evaluate must never multiply it
+PERMS = {ChainTwist(1): (1, 0, 2, 3, 4, 5), ChainTwist(2): (0, 2, 3, 4, 5, 1),
+         ChainTwist(3): (5, 1, 2, 0, 4, 3), ChainTwist(4): (0, 1, 4, 2, 3, 5),
+         ChainTwist(5): (3, 4, 5, 0, 1, 2), IOTA: (2, 3, 0, 1, 5, 4)}
+IDENTITY = tuple(range(6))
+
+
+def compose(p, q):
+    if p is ONE or q is ONE:
+        raise AssertionError("evaluate multiplied the empty word's value")
+    return tuple(p[i] for i in q)
+
+
+def invert(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_value(item):
+    if isinstance(item, Word):
+        return evaluate(item, perm_value, compose, invert, ONE)
+    return PERMS[item]
+
+
+def letter_count(w: Word) -> int:
+    return sum(abs(e) * (letter_count(x) if isinstance(x, Word) else 1) for x, e in w.items)
+
+
+@st.composite
+def nested_words(draw, depth=2):
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            items.append((draw(nested_words(depth - 1)), draw(st.integers(-3, 3).filter(bool))))
+        else:
+            items.append((draw(st.sampled_from(sorted(PERMS, key=str))),
+                          draw(st.integers(-200, 200).filter(bool))))
+    return Word(2, tuple(items))
+
+
+@given(nested_words())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_the_flat_fold(w):
+    assume(letter_count(w) <= 20000)
+    flat = IDENTITY
+    for gen, sign in w.letters():
+        flat = compose(flat, PERMS[gen] if sign > 0 else invert(PERMS[gen]))
+    assert evaluate(w, perm_value, compose, invert, ONE) == flat
+
+
+def test_evaluate_empty_word_is_one():
+    assert evaluate(Word(2), perm_value, compose, invert, ONE) is ONE
+
+
+def test_evaluate_large_exponents_cost_log_many_products():
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return compose(p, q)
+
+    t2 = PERMS[ChainTwist(2)]  # a 5-cycle
+    for e in (10 ** 18 + 3, -(10 ** 18 + 3)):
+        calls.clear()
+        got = evaluate(gen_word(2, ChainTwist(2), e), perm_value, counting, invert, ONE)
+        expected = IDENTITY
+        for _ in range(e % 5):
+            expected = compose(expected, t2)
+        assert got == expected
+        assert len(calls) <= 2 * (10 ** 18).bit_length()
