@@ -21,9 +21,9 @@ of the glued round-handle piece (s takes values in {-1, 0, +1} on single
 generators and is evaluated on words through the cocycle-corrected
 recursion s(uv) = s(u) + s(v) + tau(u, v) - tau(push u, push v)); the
 decomposition is an exact identity and is exposed as a cross-check.
-Both h and s fold a word with ``words.evaluate``: h in (Q, +), s in the
-triples (s, matrix upstairs, matrix on the cut surface) under that
-corrected law.
+Both h and s fold a word with ``words.evaluate``: h in (Z, +), scaled by a
+common denominator of its generator values, s in the triples (s, matrix
+upstairs, matrix on the cut surface) under that corrected law.
 """
 
 from __future__ import annotations
@@ -130,16 +130,28 @@ def h_generator(gen, ctx: CycleContext) -> Fraction:
 
 
 def h_word(w: Word, ctx: CycleContext) -> Fraction:
-    """Evaluate the homomorphism by additivity over the word."""
+    """Evaluate the homomorphism by additivity over the word, in ints over
+    a common denominator D of the generator values."""
     validate_word(w, ctx)
-    return _h_sum(w, ctx)
+    g = ctx.genus
+    if isinstance(ctx.cycle, TypeI):
+        D = 4 * g * g - 1
+    else:
+        h = ctx.cycle.h
+        D = (2 * g + 1) * (2 * h + 1) * (2 * (g - h) + 1)
+    return Fraction(_h_sum(w, ctx, D), D)
 
 
-def _h_sum(w: Word, ctx: CycleContext) -> Fraction:
+def _h_sum(w: Word, ctx: CycleContext, D: int) -> int:
+    """D * h(w) as an int, so powers fold by int additions."""
     def value(item):
-        return _h_sum(item, ctx) if isinstance(item, Word) else h_generator(item, ctx)
+        if isinstance(item, Word):
+            return _h_sum(item, ctx, D)
+        v = h_generator(item, ctx) * D
+        assert v.denominator == 1, f"{D} is not a denominator of h({item})"
+        return v.numerator
 
-    return evaluate(w, value, operator.add, operator.neg, Fraction(0))
+    return evaluate(w, value, operator.add, operator.neg, 0)
 
 
 def s_generator(gen, ctx: CycleContext) -> int:

@@ -20,12 +20,15 @@ The signature routine diagonalises by symmetric (congruence) row/column
 elimination: the pivot is the first nonzero diagonal entry of the trailing
 block, and when the whole trailing diagonal vanishes, the first nonzero
 off-diagonal entry is split off as a hyperbolic pair contributing zero.
+It stays fraction-free; once a pivot is longer than ``CONTENT_BITS``, it
+divides the trailing block by the gcd of its entries, so entry lengths stay
+bounded instead of doubling at every step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -64,18 +67,25 @@ def _sign(x) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+# forms whose pivots stay this short never pay for the gcd of their entries
+CONTENT_BITS = 64
+
+
 def _signature_int(T: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix, destructively, in place.
 
     Fraction-free symmetric elimination: one step replaces the trailing
     block by ``q * (Schur complement)`` where ``q`` is the pivot, so the
     stored block equals the true remaining form up to a positive rescaling
-    and a running sign that we track in ``scale``.
+    and a running sign that we track in ``scale``.  After a pivot longer
+    than ``CONTENT_BITS``, the trailing block is divided by its content, a
+    positive scalar, which keeps that true.
     """
     n = len(T)
     sig = 0
     scale = 1
     k = 0
+    q = 0  # the last pivot
 
     def swap(a: int, b: int) -> None:
         T[a], T[b] = T[b], T[a]
@@ -83,6 +93,8 @@ def _signature_int(T: list[list[int]]) -> int:
             row[a], row[b] = row[b], row[a]
 
     while k < n:
+        if q.bit_length() > CONTENT_BITS:
+            _divide_content(T, k)
         piv = next((i for i in range(k, n) if T[i][i] != 0), None)
         if piv is not None:
             if piv != k:
@@ -123,6 +135,14 @@ def _signature_int(T: list[list[int]]) -> int:
         scale *= _sign(q)
         k += 2
     return sig
+
+
+def _divide_content(T: list[list[int]], k: int) -> None:
+    """Divide the trailing block T[k:][k:] by the gcd of its entries."""
+    c = gcd(*(x for row in T[k:] for x in row[k:]))
+    if c > 1:
+        for row in T[k:]:
+            row[k:] = [x // c for x in row[k:]]
 
 
 def signature_of_symmetric(M) -> int:

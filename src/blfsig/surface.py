@@ -21,6 +21,13 @@ i), so M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
+``mat_mul`` computes only the entries its factors change: the columns of
+B that are not unit columns, in the rows of A that are not unit rows.  It
+takes two square matrices of one size 2g, as every caller passes.  A chain
+class has at most two nonzero coordinates, so a chain twist, and any power
+of one, differs from the identity in at most two rows and two columns, and
+a product with it on either side costs O(g^2) instead of O(g^3).
+
 The public ``word_to_matrix``, ``twist_matrix`` and friends return numpy
 arrays with ``dtype=object`` (see ``ratlin``), each a fresh copy.
 """
@@ -162,8 +169,24 @@ def sp_identity(g: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+    """Product of two tuple matrices of one size 2g x 2g, computing only
+    the entries the factors change: a unit column e_j of B leaves column j
+    of A in place, a unit row e_i of A makes row i of the product the row
+    B[i] (shared, as tuples are immutable), and every other entry is a dot
+    product.  O(g^2) when either factor is a chain twist or a power of one;
+    O(g^3) for two general matrices."""
+    units = sp_identity(len(B) // 2)
+    moved = [(j, col) for j, (col, unit) in enumerate(zip(zip(*B), units)) if col != unit]
+    out = []
+    for row, unit, brow in zip(A, units, B):
+        if row == unit:
+            out.append(brow)
+            continue
+        new = list(row)
+        for j, col in moved:
+            new[j] = sum(map(mul, row, col))
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def sp_inverse(A: Matrix) -> Matrix:

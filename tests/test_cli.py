@@ -205,3 +205,84 @@ def test_word_text_fuzz_ends_in_an_exit_code(command, genus, text, other):
     assert "Traceback" not in err
     if code:
         assert len(err.strip().splitlines()) == 1, err
+
+
+# Spec documents from the spec grammar, then up to two mutations: a value
+# replaced by one of the wrong JSON type or range, or a key deleted.
+# Built-in family documents (g <= 2) are among the bases, so valid
+# fibrations and near misses of them are drawn too.  Genera stay in -1..3:
+# there is no genus cap, so a large genus would only measure the machine.
+junk = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.just(1.5), st.just("1"),
+                 st.sampled_from(("", "I", "II", "t1", "t1\nt2", "(t1")),
+                 st.just([]), st.just({}), st.just([{"genus": 1}]))
+cycles = st.sampled_from([{"type": "I"}] * 6 + [{"type": "II", "h": h} for h in range(-1, 5)] +
+                         [{"type": "III"}, {"type": "i"}, {"type": "II"}])
+letters = st.builds("{}^{}".format, st.sampled_from(("t1", "t2", "t3", "t4", "t5", "iota")),
+                    st.integers(-64, 64))
+good_words = st.lists(letters, max_size=4).map(" ".join) | \
+    st.lists(letters, min_size=1, max_size=3).map(lambda ls: f"({' '.join(ls)})^2")
+words = good_words | good_words | word_texts
+
+
+def _lefschetz(cycle, conjugator):
+    return cycle if conjugator is None else {**cycle, "conjugator": conjugator}
+
+
+grammar_docs = st.fixed_dictionaries({
+    "spec_version": st.just(1),
+    "higher_fiber": st.lists(st.fixed_dictionaries({"genus": st.sampled_from((1, 2, 3, 0, -1))}),
+                             min_size=1, max_size=3),
+    "lefschetz": st.lists(st.builds(_lefschetz, cycles, st.none() | words), max_size=6),
+    "rounds": st.lists(st.fixed_dictionaries({
+        "component": st.integers(-1, 2), "cycle": cycles, "monodromy": words}),
+        max_size=3),
+    "flags": st.fixed_dictionaries({"spin": st.booleans(),
+                                    "simply_connected": st.booleans()}),
+})
+family_docs = st.builds(
+    lambda family_genus, n: fibration.spec_to_json(fibration.family_spec(*family_genus, n)),
+    st.sampled_from((("mgn", 1), ("mgn", 2), ("mgn-tilde", 2))), st.integers(1, 2))
+
+
+def _places(doc):
+    """Every (container, key) below doc, in document order."""
+    for k in (doc.keys() if isinstance(doc, dict) else range(len(doc))):
+        yield doc, k
+        if isinstance(doc[k], (dict, list)):
+            yield from _places(doc[k])
+
+
+@st.composite
+def spec_documents(draw):
+    doc = draw(st.one_of(grammar_docs, family_docs))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        places = list(_places(doc))
+        if not places:
+            break
+        container, key = draw(st.sampled_from(places))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(junk)
+    top_level_junk = draw(st.sampled_from((False,) * 9 + (True,)))
+    return draw(junk) if top_level_junk else doc
+
+
+@given(spec_documents())
+@settings(max_examples=300, deadline=None)
+def test_spec_json_fuzz_ends_in_an_exit_code(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["compute", str(path)])
+    lines = err.getvalue().strip().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not lines and out.getvalue()
+    elif code == 2:
+        assert len(lines) == 1, lines
+    else:
+        assert (len(lines) == 1 and lines[0].startswith("error:")) or \
+            (lines and all(line.startswith("validation: ") for line in lines)), lines

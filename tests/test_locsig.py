@@ -77,6 +77,24 @@ class TestHValues:
         with pytest.raises(ContextError):
             locsig.h_word(gen_word(2, ChainTwist(4), 10 ** 15) * w, CTX_I2)
 
+    def test_nested_words_match_fraction_reference(self, rng):
+        # reference: e * h(item), summed in Fractions over the word tree
+        def reference(w, ctx):
+            return sum((e * (reference(item, ctx) if isinstance(item, Word)
+                             else locsig.h_generator(item, ctx))
+                        for item, e in w.items), F(0))
+
+        for _ in range(60):
+            g = rng.randint(1, 5)
+            cycle = TypeI() if rng.random() < 0.5 else TypeII(rng.randint(0, g))
+            ctx = CycleContext(g, cycle)
+            inner = random_context_word(rng, ctx, rng.randint(1, 4))
+            e = rng.choice([-10 ** 12, -37, 2, 1000, 10 ** 15])
+            w = (random_context_word(rng, ctx, 3) * Word(g, ((inner, e),)) *
+                 random_context_word(rng, ctx, 2))
+            w = Word(g, ((w, rng.choice([-3, 1, 64])), (inner, -1)))
+            assert locsig.h_word(w, ctx) == reference(w, ctx)
+
     def test_context_violations(self):
         with pytest.raises(ContextError):
             locsig.h_word(gen_word(2, ChainTwist(4)), CTX_I2)

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,33 @@ from hypothesis import strategies as st
 
 from blfsig import ratlin
 from conftest import random_int_matrix, random_symmetric, random_unimodular, signature_oracle
+
+
+def random_small_symmetric(rng, n, zero_diagonal=False):
+    """Symmetric integer n x n matrix with entries in -3..3."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + int(zero_diagonal), n):
+            M[i][j] = M[j][i] = rng.randint(-3, 3)
+    return M
+
+
+def shuffled_sum_with_hyperbolic(rng, r, h, shift):
+    """R + H, with R random r x r plus shift on its diagonal and
+    H = (0 B; B^T 0) for a random h x h block B, conjugated by a random
+    permutation."""
+    n = r + 2 * h
+    M = [[0] * n for _ in range(n)]
+    R = random_small_symmetric(rng, r)
+    for i in range(r):
+        M[i][:r] = R[i]
+        M[i][i] += shift
+    for i in range(h):
+        for j in range(h):
+            M[r + i][r + h + j] = M[r + h + j][r + i] = rng.randint(-3, 3)
+    p = list(range(n))
+    rng.shuffle(p)
+    return [[M[p[i]][p[j]] for j in range(n)] for i in range(n)]
 
 
 class TestSignature:
@@ -54,6 +83,25 @@ class TestSignature:
             n = rng.randint(1, 5)
             M = random_symmetric(rng, n)
             assert ratlin.signature_of_symmetric(M) == signature_oracle(M)
+
+    def test_large_forms_against_oracle(self, rng):
+        # zero diagonals force hyperbolic steps: in the first case at the
+        # start, in the second for the whole hyperbolic block H once the
+        # random block R is eliminated, by which time H carries the product
+        # of R's pivots as content
+        for n in (16, 24):
+            M = random_small_symmetric(rng, n, zero_diagonal=True)
+            assert ratlin.signature_of_symmetric(M) == signature_oracle(M)
+        for n, shift in ((16, 4), (20, -4)):
+            M = shuffled_sum_with_hyperbolic(rng, n // 2, n // 4, shift)
+            assert ratlin.signature_of_symmetric(M) == signature_oracle(M)
+
+    def test_entries_stay_bounded(self):
+        # took over 10 s when elimination never divided earlier pivots out
+        M = random_small_symmetric(random.Random(1), 24)
+        t = time.perf_counter()
+        ratlin.signature_of_symmetric(M)
+        assert time.perf_counter() - t < 2.0
 
 
 class TestSmithNormalForm:

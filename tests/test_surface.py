@@ -4,7 +4,7 @@ import pytest
 from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_word
-from blfsig.words import IOTA, ChainTwist, Word, chain_word, gen_word
+from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
 
 
 def twist(i, g):
@@ -178,6 +178,57 @@ class TestTupleMatrices:
         M[1, :] = 0
         assert surface.word_to_matrix(w).tolist() == want
         assert surface.word_matrix(w) == tuple(map(tuple, want))
+
+
+def dense_product(A, B):
+    n = len(B)
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
+                 for i in range(len(A)))
+
+
+def sample_factors(rng, g):
+    """Random word matrices with the sparse factors the folds multiply by:
+    chain twists and their powers, iota, the identity, separating twists."""
+    twist_power = Word(g, ((ChainTwist(rng.randint(1, 2 * g + 1)), rng.choice([-5, -1, 2, 7])),))
+    words = [random_word(rng, g, rng.randint(1, 8)), nested_random_word(rng, g),
+             gen_word(g, ChainTwist(rng.randint(1, 2 * g + 1))), twist_power,
+             gen_word(g, IOTA), Word(g)]
+    if g >= 2:
+        words.append(gen_word(g, SeparatingTwist(rng.randint(1, g - 1))))
+    return [surface.word_matrix(w) for w in words]
+
+
+class TestSparseProducts:
+    def test_matches_dense_product(self, rng):
+        for g in range(1, 7):
+            for _ in range(3):
+                mats = sample_factors(rng, g)
+                for A in mats:
+                    for B in mats:
+                        assert surface.mat_mul(A, B) == dense_product(A, B), g
+
+    def test_genus_zero(self):
+        assert surface.mat_mul((), ()) == ()
+
+    def test_twist_costs_quadratic_multiplications(self, rng, monkeypatch):
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append(None)
+            return a * b
+
+        monkeypatch.setattr(surface, "mul", counting_mul)
+        g = 6
+        n = 2 * g
+        W = surface.word_matrix(random_word(rng, g, 40))
+        for i, e in ((1, 1), (2, -1), (7, 5), (2 * g + 1, -3)):
+            T = surface.word_matrix(gen_word(g, ChainTwist(i), e))
+            for A, B in ((W, T), (T, W)):
+                calls.clear()
+                assert surface.mat_mul(A, B) == dense_product(A, B)
+                # a twist power moves at most two rows and two columns:
+                # at most 2n dot products of length n, against n^2 dense
+                assert len(calls) <= 2 * n * n < n ** 3
 
 
 class TestCurveAction:
