@@ -21,13 +21,14 @@ of the glued round-handle piece (s takes values in {-1, 0, +1} on single
 generators and is evaluated on words through the cocycle-corrected
 recursion s(uv) = s(u) + s(v) + tau(u, v) - tau(push u, push v)); the
 decomposition is an exact identity and is exposed as a cross-check.
-Both h and s fold a word with ``words.evaluate``: h in (Z, +), scaled by a
-common denominator of its generator values, s in the triples (s, matrix
+Both h and s fold a word with ``words.evaluate``: h in (Z, +), scaled by the
+least common denominator of its generator values, s in the triples (s, matrix
 upstairs, matrix on the cut surface) under that corrected law.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,25 +132,19 @@ def h_generator(gen, ctx: CycleContext) -> Fraction:
 
 def h_word(w: Word, ctx: CycleContext) -> Fraction:
     """Evaluate the homomorphism by additivity over the word, in ints over
-    a common denominator D of the generator values."""
+    the least common denominator D of its generator values."""
     validate_word(w, ctx)
-    g = ctx.genus
-    if isinstance(ctx.cycle, TypeI):
-        D = 4 * g * g - 1
-    else:
-        h = ctx.cycle.h
-        D = (2 * g + 1) * (2 * h + 1) * (2 * (g - h) + 1)
-    return Fraction(_h_sum(w, ctx, D), D)
+    values = {gen: h_generator(gen, ctx) for gen in w.generators()}
+    D = math.lcm(1, *(v.denominator for v in values.values()))
+    scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
+    return Fraction(_h_sum(w, scaled), D)
 
 
-def _h_sum(w: Word, ctx: CycleContext, D: int) -> int:
-    """D * h(w) as an int, so powers fold by int additions."""
+def _h_sum(w: Word, scaled: dict) -> int:
+    """D * h(w) as an int from the scaled generator values, so powers fold
+    by int additions."""
     def value(item):
-        if isinstance(item, Word):
-            return _h_sum(item, ctx, D)
-        v = h_generator(item, ctx) * D
-        assert v.denominator == 1, f"{D} is not a denominator of h({item})"
-        return v.numerator
+        return _h_sum(item, scaled) if isinstance(item, Word) else scaled[item]
 
     return evaluate(w, value, operator.add, operator.neg, 0)
 

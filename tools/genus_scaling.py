@@ -1,6 +1,6 @@
 """How the symplectic layers scale with the genus.
 
-    python3 tools/genus_scaling.py [--root CHECKOUT] [--budget SECONDS]
+    python3 tools/genus_scaling.py [--root CHECKOUT]
 
 Prints one JSON object with the time, in seconds, of
 
@@ -14,9 +14,9 @@ Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
 A cell repeats its call, clearing the caches in between, until it has run
 five times or spent a second, and reports the fastest run.  A cell that
-does not finish within the budget (default 20 s) is killed and recorded
-as "> budget"; one that fails, for instance by exceeding the address-space
-limit (default 2048 MB), is recorded as "error: ...".
+does not finish within BUDGET_S seconds is killed and recorded as
+"> budget"; one that fails, for instance by exceeding the address-space
+limit of MEMORY_MB megabytes, is recorded as "error: ...".
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from pathlib import Path
 
 GENERA = (6, 10, 20, 50, 100)
 VALIDATE_GENERA = (2, 4, 6, 8)
+BUDGET_S = 20.0
+MEMORY_MB = 2048
 
 
 def cell(kind: str, g: int) -> float:
@@ -62,15 +64,15 @@ def cell(kind: str, g: int) -> float:
     return best
 
 
-def run_cell(root: Path, kind: str, g: int, budget: float, memory_mb: int):
+def run_cell(root: Path, kind: str, g: int):
     cmd = [sys.executable, __file__, "--root", str(root), "--cell", kind, str(g)]
-    limit = memory_mb << 20
+    limit = MEMORY_MB << 20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=budget,
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=BUDGET_S,
                               preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return "> budget"
@@ -83,8 +85,6 @@ def run_cell(root: Path, kind: str, g: int, budget: float, memory_mb: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--budget", type=float, default=20.0)
-    ap.add_argument("--memory-mb", type=int, default=2048)
     ap.add_argument("--cell", nargs=2, metavar=("KIND", "GENUS"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     root = args.root.resolve()
@@ -92,12 +92,12 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(root / "src"))
         print(cell(args.cell[0], int(args.cell[1])))
         return 0
-    table = {kind: {str(g): run_cell(root, kind, g, args.budget, args.memory_mb)
+    table = {kind: {str(g): run_cell(root, kind, g)
                     for g in genera}
              for kind, genera in (("word_matrix", GENERA), ("tau", GENERA),
                                   ("validate", VALIDATE_GENERA))}
-    print(json.dumps({"python": platform.python_version(), "budget_s": args.budget,
-                      "memory_mb": args.memory_mb, "seconds": table}, indent=1))
+    print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
+                      "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
 
 
