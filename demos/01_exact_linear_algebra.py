@@ -1,12 +1,18 @@
 """Exact linear algebra: signatures, Smith normal forms, kernels.
 
-Everything runs over Python ints and fractions.Fraction inside numpy
-object arrays, so all outputs below are exact.
+Everything runs over Python ints and fractions.Fraction: a matrix is
+any sequence of rows going in and a tuple of row tuples coming out, so
+all outputs below are exact.
 """
 
 from fractions import Fraction as F
 
 from blfsig import ratlin
+
+
+def product(X, Y):
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Y)) for row in X)
+
 
 # %% signatures of symmetric forms by congruence diagonalisation
 print("signature [[2]]              =", ratlin.signature_of_symmetric([[2]]))
@@ -20,23 +26,23 @@ M = [[F(1, 2), F(2, 3), 1],
 print("signature of a rational form =", ratlin.signature_of_symmetric(M))
 
 # %% Smith normal form with its unimodular transforms
-A = ratlin.as_matrix([[4, 0], [0, 6]])
+A = [[4, 0], [0, 6]]
 U, D, V = ratlin.smith_normal_form(A)
 print("\nSNF of diag(4, 6):")
-print("  D =", D.tolist())
-print("  U A V == D:", (U @ A @ V == D).all())
+print("  D =", D)
+print("  U A V == D:", product(product(U, A), V) == D)
 print("  U, V unimodular:", ratlin.is_unimodular(U), ratlin.is_unimodular(V))
 
 # the quotient Z^2 / <(12, -12)> = Z + Z/12, read off the diagonal
 U, D, V = ratlin.smith_normal_form([[12], [-12]])
-print("SNF of the column (12, -12)^T:", D.tolist())
+print("SNF of the column (12, -12)^T:", D)
 
-# %% rational kernels
-print("\nkernel of [1 1]:", [v.tolist() for v in ratlin.kernel_basis([[1, 1]])])
-print("kernel of the identity:", ratlin.kernel_basis(ratlin.identity(3)))
+# %% kernels of rational matrices, as integer bases
+print("\nkernel of [1 1]:", ratlin.kernel_basis([[1, 1]]))
+print("kernel of the identity:", ratlin.kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 K = [[1, 2, 3, 4], [2, 4, 6, 8]]
 basis = ratlin.kernel_basis(K)
 print("kernel of a rank-1 2x4 matrix: dimension", len(basis))
 for v in basis:
-    assert all(x == 0 for x in ratlin.as_matrix(K) @ v)
+    assert product(K, [[x] for x in v]) == ((0,), (0,))
 print("all kernel vectors annihilated exactly")

@@ -17,11 +17,12 @@ rng = random.Random(0)
 # %% the cocycle: normalisation and the cocycle identity
 g = 2
 T = surface.word_to_matrix(gen_word(g, ChainTwist(5)))
-I = surface.ratlin.identity(2 * g)
+I = surface.sp_identity(g)
 print("tau(1, T) =", meyer.tau(I, T), "  tau(T, T) =", meyer.tau(T, T))
 a, b, c = (random_symplectic(rng, g) for _ in range(3))
 print("cocycle identity:",
-      meyer.tau(a, b) + meyer.tau(a @ b, c) == meyer.tau(b, c) + meyer.tau(a, b @ c))
+      meyer.tau(a, b) + meyer.tau(surface.mat_mul(a, b), c)
+      == meyer.tau(b, c) + meyer.tau(a, surface.mat_mul(b, c)))
 
 # %% base values of the cobounding function
 for g in (1, 2, 3):

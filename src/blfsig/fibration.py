@@ -554,7 +554,7 @@ def separating_torsion(g: int, h: int) -> int:
         raise ValueError(f"type II_h abelianization needs g >= 2, 1 <= h <= g-1")
     rel = [[4 * h * (2 * h + 1)], [-4 * (g - h) * (2 * (g - h) + 1)]]
     _, D, _ = ratlin.smith_normal_form(rel)
-    return int(D[0, 0])
+    return D[0][0]
 
 
 def abelianization(g: int, cycle: CurveDescriptor) -> str:

@@ -41,6 +41,11 @@ law phi(uv) = phi(u) + phi(v) - tau(u, v) from the base values
 Words are folded into the central extension Q x_tau Sp(2g, Z) by
 ``words.evaluate``; its repeated squaring is sound because the cocycle
 identity makes the combine law associative.
+
+Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
+``meyer_form`` also take any sequence of integer rows, normalise it to
+that form and check that it is symplectic; the internal callers hold
+``surface.word_matrix`` values and call ``_tau_cached`` directly.
 """
 
 from __future__ import annotations
@@ -50,35 +55,35 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-import numpy as np
-
 from . import ratlin, surface
 from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
 
 
 def _symplectic_pair(A, B) -> tuple:
-    """Check two numpy-or-nested-list matrices and return them as tuple
-    matrices (see ``surface``)."""
-    A = ratlin.as_matrix(A)
-    B = ratlin.as_matrix(B)
-    if A.shape != B.shape:
-        raise ratlin.ShapeError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    n = A.shape[0]
-    if A.shape[1] != n or n % 2:
-        raise ratlin.ShapeError(f"expected square even-dimensional matrices, got {A.shape}")
+    """Two matrices, each any sequence of integer rows, as tuple matrices
+    (see ``surface``), after checking that they are symplectic of one
+    size."""
+    pair = []
     for M, name in ((A, "first"), (B, "second")):
+        rows = ratlin._rows(M)
+        M = tuple(tuple(map(int, row)) for row in rows)
+        if list(map(list, M)) != rows:
+            raise ValueError(f"{name} argument is not an integer matrix")
         if not surface.is_symplectic(M):
             raise ValueError(f"{name} argument is not symplectic")
-    return tuple(map(tuple, A.tolist())), tuple(map(tuple, B.tolist()))
+        pair.append(M)
+    A, B = pair
+    if len(A) != len(B):
+        raise ratlin.ShapeError(f"dimension mismatch: {len(A)} vs {len(B)}")
+    return A, B
 
 
-def meyer_form(A, B) -> np.ndarray:
+def meyer_form(A, B) -> surface.Matrix:
     """Integer Gram matrix of the Meyer pairing on vectors of V_{A,B}
     whose images span W = Im(A^-1 - 1) ∩ Im(B - 1) (see the module
     docstring); its signature is -tau(A, B).  It has at most 2g rows and
-    is 0 x 0 when A or B is the identity."""
-    G = _gram(*_symplectic_pair(A, B))
-    return ratlin.as_matrix(G) if G else ratlin.zeros(0, 0)
+    is () when A or B is the identity."""
+    return tuple(map(tuple, _gram(*_symplectic_pair(A, B))))
 
 
 def _gram(A: tuple, B: tuple) -> list[list[int]]:

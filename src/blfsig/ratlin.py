@@ -2,19 +2,21 @@
 
 Every computation in this package reduces to small dense exact problems:
 signatures of symmetric bilinear forms, Smith normal forms of presentation
-matrices, and rational kernels.  The public functions take any nested
-sequence of rows and return numpy arrays with ``dtype=object`` whose
-entries are Python ints or ``fractions.Fraction``, so there is no floating
-point anywhere and no bound on entry size.  The integer kernels the cocycle
-code calls per evaluation, ``_signature_int`` and ``column_reduce``, work
-on and return lists of lists; the symplectic hot path itself keeps its
-matrices as tuples of row tuples (see ``surface``).
+matrices, and integer kernels.  The public functions take any sequence of
+rows of ints or ``fractions.Fraction``, read by plain iteration, raise
+``ShapeError`` unless it is 2-d and rectangular, and return matrices and
+vectors as tuples of Python ints (the tuple matrices of ``surface``), so
+there is no floating point anywhere and no bound on entry size.  The
+integer kernels the cocycle code calls per evaluation, ``_signature_int``
+and ``column_reduce``, take lists of integer rows as they are.
 
-One integer column reduction serves both the image and the kernel:
+One integer column reduction serves the image, the kernel and the rank:
 ``column_reduce`` eliminates row by row with unimodular column operations
 that it also applies to an identity tail, so each pivot column comes out
 with a preimage and each column that reduces to zero is a kernel vector.
-``kernel_basis_int`` is its kernel part.
+``kernel_basis_int`` is its kernel part; ``rank`` and ``kernel_basis``
+apply it to a rational matrix after scaling each row by the lcm of its
+denominators, which changes neither.
 
 The signature routine diagonalises by symmetric (congruence) row/column
 elimination: the pivot is the first nonzero diagonal entry of the trailing
@@ -29,38 +31,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
+from numbers import Number
 
 
 class ShapeError(ValueError):
     """Raised when a matrix argument has the wrong shape or symmetry."""
 
 
-def as_matrix(rows) -> np.ndarray:
-    """Copy the input into a 2-d ``dtype=object`` numpy array."""
-    M = np.array(rows, dtype=object)
-    if M.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
-    return M
+def _rows(M) -> list[list]:
+    """The rows of M, any sequence of rows of numbers, as lists."""
+    try:
+        rows = [list(row) for row in M]
+    except TypeError:
+        raise ShapeError("expected a 2-d matrix, a sequence of rows") from None
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != width:
+            raise ShapeError(f"ragged rows of lengths {width} and {len(row)}")
+        if not all(isinstance(x, Number) for x in row):
+            raise ShapeError("expected a 2-d matrix of numbers")
+    return rows
 
 
-def identity(n: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        M[i, i] = 1
-    return M
+def _integer_rows(M) -> list[list[int]]:
+    """The rows of a rational matrix, each scaled by the lcm of its
+    denominators: the same rank and the same kernel."""
+    out = []
+    for row in _rows(M):
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=object)
-
-
-def is_symmetric(M: np.ndarray) -> bool:
-    r, c = M.shape
-    if r != c:
+def is_symmetric(M) -> bool:
+    rows = _rows(M)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         return False
-    return all(M[i, j] == M[j, i] for i in range(r) for j in range(i + 1, r))
+    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def _sign(x) -> int:
@@ -148,77 +157,28 @@ def _divide_content(T: list[list[int]], k: int) -> None:
 def signature_of_symmetric(M) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric
     rational matrix, computed exactly by congruence diagonalisation."""
-    M = as_matrix(M)
-    r, c = M.shape
+    rows = [[Fraction(x) for x in row] for row in _rows(M)]
+    r = len(rows)
+    c = len(rows[0]) if rows else 0
     if r != c:
         raise ShapeError(f"signature needs a square matrix, got {r}x{c}")
-    if not is_symmetric(M):
+    if not is_symmetric(rows):
         raise ShapeError("signature needs a symmetric matrix")
-    if r == 0:
-        return 0
     # clear denominators: L*M is integer and congruent-in-signature for L > 0
-    L = lcm(*[int(M[i, j].denominator) for i in range(r) for j in range(r)]) if r else 1
-    T = [[int(M[i, j] * L) for j in range(r)] for i in range(r)]
-    return _signature_int(T)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    L = lcm(*(x.denominator for row in rows for x in row))
+    return _signature_int([[int(x * L) for x in row] for row in rows])
 
 
 def rank(M) -> int:
-    M = as_matrix(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    """Rank of a rational matrix: the size of its integer image."""
+    return len(column_reduce(_integer_rows(M))[0])
 
 
-def kernel_basis(M) -> list[np.ndarray]:
-    """Basis of the right null space of a rational matrix.
-
-    Returns one vector per free column of the reduced row echelon form;
-    the list is empty exactly when the matrix is injective.
-    """
-    M = as_matrix(M)
-    m, n = M.shape
-    if m == 0:
-        return [np.array([1 if j == f else 0 for j in range(n)], dtype=object)
-                for f in range(n)]
-    rows = [[Fraction(x) for x in row] for row in M]
-    rows, pivots = _rref(rows)
-    basis = []
-    pivot_set = set(pivots)
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][f]
-        basis.append(np.array(v, dtype=object))
-    return basis
+def kernel_basis(M) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of the right null space of a rational matrix, as a
+    tuple of vectors; empty exactly when the matrix is injective (or has
+    no rows, whose width a sequence of rows cannot tell)."""
+    return tuple(map(tuple, column_reduce(_integer_rows(M))[2]))
 
 
 def column_reduce(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -230,21 +190,14 @@ def column_reduce(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]
     ``kernel`` is a lattice basis of the integer kernel.  Only unimodular
     column operations are used, each applied to the matrix part and to an
     identity tail, so the tails of the preimages and the kernel vectors
-    together form a unimodular n x n matrix.  Takes a list of rows as is,
-    or a numpy array, whose entries are converted to ints.
+    together form a unimodular n x n matrix.  Takes a sequence of integer
+    rows as is, unchecked.
     """
-    if isinstance(M, np.ndarray):
-        if M.ndim != 2:
-            raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
-        m, n = M.shape
-        rows = [[int(x) for x in row] for row in M.tolist()]
-    else:
-        rows = M
-        m = len(rows)
-        n = len(rows[0]) if m else 0
+    m = len(M)
+    n = len(M[0]) if m else 0
     # each working column carries its matrix part and an identity tail
     zero = [0] * n
-    cols = [[*col, *zero] for col in zip(*rows)] if m else [zero[:] for _ in range(n)]
+    cols = [[*col, *zero] for col in zip(*M)]
     for j, c in enumerate(cols):
         c[m + j] = 1
     active = list(range(n))
@@ -277,11 +230,10 @@ def kernel_basis_int(M) -> list[list[int]]:
 
 def det(M):
     """Exact determinant via fraction elimination."""
-    M = as_matrix(M)
-    r, c = M.shape
-    if r != c:
+    rows = [[Fraction(x) for x in row] for row in _rows(M)]
+    r = len(rows)
+    if any(len(row) != r for row in rows):
         raise ShapeError("determinant needs a square matrix")
-    rows = [[Fraction(x) for x in row] for row in M]
     d = Fraction(1)
     for k in range(r):
         pr = next((i for i in range(k, r) if rows[i][k] != 0), None)
@@ -303,15 +255,16 @@ def is_unimodular(M) -> bool:
     return abs(det(M)) == 1
 
 
-def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(A) -> tuple[tuple, tuple, tuple]:
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
-    non-negative entries satisfying d_i | d_{i+1}.
+    non-negative entries satisfying d_i | d_{i+1}; all three are tuple
+    matrices.
     """
-    A = as_matrix(A)
-    m, n = A.shape
-    D = [[int(x) for x in row] for row in A]
+    D = [[int(x) for x in row] for row in _rows(A)]
+    m = len(D)
+    n = len(D[0]) if m else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -391,6 +344,5 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if t == min(m, n):
             break
 
-    return (np.array(U, dtype=object), np.array(D, dtype=object),
-            np.array(V, dtype=object))
+    return tuple(tuple(map(tuple, X)) for X in (U, D, V))
 

@@ -11,13 +11,14 @@ the chain relation holds at the matrix level.  A right-handed Dehn twist
 along a class c acts as the transvection x -> x + <x, c> c; the
 hyperelliptic involution acts as -identity.
 
-On the hot path a matrix is a tuple of row tuples of Python ints: it is
-immutable, so it serves as its own cache key and a cached value cannot be
-corrupted by a caller.  ``word_matrix`` folds a word into that form with
-``words.evaluate`` and caches the result per word, so a word repeated
-across a Hurwitz system is converted once per process.  Inverses need no elimination: J is a signed
-permutation (J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd
-i), so M^-1 = -J M^T J is the index shuffle
+A matrix is a tuple of row tuples of Python ints, and a homology class a
+tuple of ints: immutable, so a matrix serves as its own cache key and a
+cached value cannot be corrupted by a caller.  ``word_matrix`` folds a
+word into that form with ``words.evaluate`` and caches the result per
+word, so a word repeated across a Hurwitz system is converted once per
+process.  Inverses need no elimination: J is a signed permutation
+(J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd i), so
+M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
@@ -28,8 +29,10 @@ class has at most two nonzero coordinates, so a chain twist, and any power
 of one, differs from the identity in at most two rows and two columns, and
 a product with it on either side costs O(g^2) instead of O(g^3).
 
-The public ``word_to_matrix``, ``twist_matrix`` and friends return numpy
-arrays with ``dtype=object`` (see ``ratlin``), each a fresh copy.
+``is_symplectic`` checks M J M^T = J, which holds exactly when M^T J M = J,
+as pairings of rows: <M_i, M_j> = J_ij for i < j (the pairing is
+alternating, so the diagonal and the lower triangle follow), with the rows
+J M_j built once: about half the work of the product M^-1 M.
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-import numpy as np
-
 from . import ratlin
-from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
+from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,13 @@ def check_genus(g: int) -> int:
     return g
 
 
-def intersection_matrix(g: int) -> np.ndarray:
+def intersection_matrix(g: int) -> Matrix:
     """Block-diagonal J with <a_i, b_i> = +1 in the interleaved basis."""
-    J = ratlin.zeros(2 * g, 2 * g)
+    J = [[0] * (2 * g) for _ in range(2 * g)]
     for k in range(g):
-        J[2 * k, 2 * k + 1] = 1
-        J[2 * k + 1, 2 * k] = -1
-    return J
+        J[2 * k][2 * k + 1] = 1
+        J[2 * k + 1][2 * k] = -1
+    return tuple(map(tuple, J))
 
 
 def pairing(u, v) -> int:
@@ -89,24 +90,20 @@ def pairing(u, v) -> int:
     return total
 
 
-def basis_a(k: int, g: int) -> np.ndarray:
-    v = np.zeros(2 * g, dtype=object)
-    v[2 * (k - 1)] = 1
-    return v
+def basis_a(k: int, g: int) -> tuple[int, ...]:
+    return tuple(int(j == 2 * (k - 1)) for j in range(2 * g))
 
 
-def basis_b(k: int, g: int) -> np.ndarray:
-    v = np.zeros(2 * g, dtype=object)
-    v[2 * (k - 1) + 1] = 1
-    return v
+def basis_b(k: int, g: int) -> tuple[int, ...]:
+    return tuple(int(j == 2 * (k - 1) + 1) for j in range(2 * g))
 
 
-def chain_class(i: int, g: int) -> np.ndarray:
+def chain_class(i: int, g: int) -> tuple[int, ...]:
     """Homology class of the i-th chain curve, 1 <= i <= 2g+1."""
     check_genus(g)
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"chain index {i} out of range 1..{2 * g + 1}")
-    v = np.zeros(2 * g, dtype=object)
+    v = [0] * (2 * g)
     if i % 2 == 0:
         v[i - 1] = 1  # b_{i/2}
     else:
@@ -115,7 +112,7 @@ def chain_class(i: int, g: int) -> np.ndarray:
             v[2 * (k - 2)] = 1  # a_{k-1}
         if k <= g:
             v[2 * (k - 1)] += 1  # a_k
-    return v
+    return tuple(v)
 
 
 def transvection(c) -> Matrix:
@@ -129,34 +126,29 @@ def transvection(c) -> Matrix:
                  for i, ci in enumerate(c))
 
 
-def twist_matrix(c, g: int) -> np.ndarray:
-    """Transvection x -> x + <x, c> c of the right-handed twist along c.
-
-    A null class (separating curve) gives the identity.
-    """
+def twist_matrix(c, g: int) -> Matrix:
+    """``transvection(c)``, after checking that c is a class at genus g."""
     if len(c) != 2 * g:
         raise ValueError(f"class of length {len(c)} at genus {g}")
-    return ratlin.as_matrix(transvection(c))
+    return transvection(c)
 
 
-def iota_matrix(g: int) -> np.ndarray:
-    return -ratlin.identity(2 * g)
+def iota_matrix(g: int) -> Matrix:
+    return generator_matrix(IOTA, g)
 
 
-def is_symplectic(M: np.ndarray, g: int | None = None) -> bool:
-    r, c = M.shape
-    if r != c or r % 2:
+def is_symplectic(M, g: int | None = None) -> bool:
+    """True if M, a square sequence of rows of even size (ShapeError
+    otherwise), is symplectic, and of size 2g when g is given."""
+    n = len(M)
+    if n % 2 or any(len(row) != n for row in M):
+        raise ratlin.ShapeError(f"expected a square matrix of even size, got {n} rows")
+    if g is not None and n != 2 * g:
         return False
-    if g is not None and r != 2 * g:
-        return False
-    J = intersection_matrix(r // 2)
-    return bool((M.T @ J @ M == J).all())
-
-
-def symplectic_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix: M^-1 = -J M^T J."""
-    J = intersection_matrix(M.shape[0] // 2)
-    return -J @ M.T @ J
+    # J M_j: entry k is s(k) M_j[k^1]
+    JM = [[-row[k ^ 1] if k % 2 else row[k ^ 1] for k in range(n)] for row in M]
+    return all(sum(map(mul, M[i], JM[j])) == (j == i + 1 and i % 2 == 0)
+               for i in range(n) for j in range(i + 1, n))
 
 
 # -- tuple matrices -----------------------------------------------------------
@@ -222,15 +214,15 @@ def word_matrix(w: Word) -> Matrix:
     return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g))
 
 
-def word_to_matrix(w: Word) -> np.ndarray:
-    """Product of generator matrices, left to right in word order; a fresh
-    array each call, so callers may modify it."""
-    return ratlin.as_matrix(word_matrix(w))
+def word_to_matrix(w: Word) -> Matrix:
+    """Product of generator matrices, left to right in word order: the
+    cached, immutable ``word_matrix(w)`` itself."""
+    return word_matrix(w)
 
 
 def curve_action(M, c) -> int:
-    """+1 if M c = c, -1 if M c = -c, 0 otherwise, for a numpy or tuple
-    matrix M.
+    """+1 if M c = c, -1 if M c = -c, 0 otherwise, for a matrix M given as
+    any sequence of rows.
 
     A zero class returns +1; homology cannot see separating curves, so the
     caller should flag that case as vacuous.
@@ -244,7 +236,7 @@ def curve_action(M, c) -> int:
     return 0
 
 
-def cycle_class(cycle: CurveDescriptor, g: int) -> np.ndarray:
+def cycle_class(cycle: CurveDescriptor, g: int) -> tuple[int, ...]:
     """Homology class of the standard curve of the given type: the top
     chain curve (class a_g) for type I, zero for separating types."""
     check_genus(g)
@@ -252,4 +244,4 @@ def cycle_class(cycle: CurveDescriptor, g: int) -> np.ndarray:
         return chain_class(2 * g + 1, g)
     if not 0 <= cycle.h <= g:
         raise ValueError(f"type II_h needs 0 <= h <= {g}, got {cycle.h}")
-    return np.zeros(2 * g, dtype=object)
+    return (0,) * (2 * g)

@@ -3,7 +3,15 @@
 The signature oracle goes through the characteristic polynomial (exact
 Faddeev-LeVerrier over Fractions) and Descartes' rule of signs, which
 counts roots exactly for real-rooted polynomials; it shares no code with
-the congruence-diagonalisation implementation it checks.
+the congruence-diagonalisation implementation it checks.  The rank and
+kernel oracle is a reduced row echelon form over the rationals, which
+shares no code with the integer column reduction behind ``ratlin.rank``
+and ``ratlin.kernel_basis``.
+
+The package returns tuple matrices; numpy, a test-only dependency, gives
+the oracles and the tests an independent matrix product.  ``arr`` converts
+at that boundary, and the random matrices below are numpy arrays, which
+the public functions read as sequences of rows.
 """
 
 from __future__ import annotations
@@ -14,16 +22,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blfsig import ratlin
+
+def arr(M) -> np.ndarray:
+    """A matrix or vector as a numpy array of Python numbers."""
+    return np.array(M, dtype=object)
+
+
+def eye(n: int) -> tuple:
+    """The n x n identity as a tuple matrix, built here, not by the package."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def char_poly(M) -> list[Fraction]:
     """Coefficients of det(xI - M), highest degree first."""
-    M = ratlin.as_matrix(M)
-    n = M.shape[0]
-    I = ratlin.identity(n)
+    n = len(M)
+    I = arr(eye(n))
     coeffs = [Fraction(1)]
-    A = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    A = arr([[Fraction(x) for x in row] for row in M])
     Mf = A.copy()
     c = Fraction(-sum(A[i, i] for i in range(n)))
     coeffs.append(c)
@@ -32,6 +47,34 @@ def char_poly(M) -> list[Fraction]:
         c = Fraction(-sum(A[i, i] for i in range(n)), k)
         coeffs.append(c)
     return coeffs
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Fraction(1, 1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def rank_oracle(M) -> int:
+    return len(rref([[Fraction(x) for x in row] for row in M])[1])
 
 
 def _sign_changes(seq) -> int:
@@ -59,7 +102,7 @@ def random_symmetric(rng: random.Random, n: int, fractions=True):
             else:
                 v = rng.randint(-6, 6)
             M[i][j] = M[j][i] = v
-    return ratlin.as_matrix(M)
+    return arr(M)
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 12):
@@ -73,12 +116,11 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 12):
     if rng.random() < 0.5:
         i = rng.randrange(n)
         P[i] = [-a for a in P[i]]
-    return ratlin.as_matrix(P)
+    return arr(P)
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int):
-    return ratlin.as_matrix([[rng.randint(-9, 9) for _ in range(n)]
-                             for _ in range(m)])
+    return arr([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
 
 
 @pytest.fixture

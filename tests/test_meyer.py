@@ -7,6 +7,7 @@ from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
 from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
+from conftest import arr, eye
 
 
 def twist(i, g):
@@ -16,13 +17,14 @@ def twist(i, g):
 def full_space_form(A, B):
     """Oracle: Gram matrix of (x1 + y1)^T J (1 - B) y2 on an integer basis
     of the whole of V_{A,B} = ker (A^-1 - 1 | B - 1), of dimension 2g to 4g,
-    with A^-1 and J as products rather than shuffles."""
-    A, B = ratlin.as_matrix(A), ratlin.as_matrix(B)
+    with A^-1 = -J A^T J and J as numpy products rather than shuffles."""
+    A, B = arr(A), arr(B)
     n = A.shape[0]
-    I = ratlin.identity(n)
-    K = np.hstack([surface.symplectic_inverse(A) - I, B - I])
-    P = surface.intersection_matrix(n // 2) @ (I - B)
-    kern = [np.array(v, dtype=object) for v in ratlin.kernel_basis_int(K)]
+    I = arr(eye(n))
+    J = arr(surface.intersection_matrix(n // 2))
+    K = np.hstack([-J @ A.T @ J - I, B - I])
+    P = J @ (I - B)
+    kern = [arr(v) for v in ratlin.kernel_basis_int(K.tolist())]
     return [[int((v[:n] + v[n:]) @ P @ w[n:]) for w in kern] for v in kern]
 
 
@@ -33,7 +35,7 @@ def oracle_tau(A, B):
 class TestTau:
     def test_identity_normalization(self, rng):
         for g in (1, 2):
-            I = ratlin.identity(2 * g)
+            I = eye(2 * g)
             for _ in range(10):
                 B = random_symplectic(rng, g)
                 assert meyer.tau(I, B) == 0
@@ -44,12 +46,12 @@ class TestTau:
         for g in (1, 2):
             for _ in range(15):
                 A = random_symplectic(rng, g)
-                assert meyer.tau(A, surface.symplectic_inverse(A)) == 0
+                assert meyer.tau(A, surface.sp_inverse(A)) == 0
 
     def test_minus_identity_pair_vanishes(self):
         # the value behind phi(iota) = tau(-1,-1)/2: computed, not assumed
         for g in (1, 2, 3):
-            I = ratlin.identity(2 * g)
+            I = arr(eye(2 * g))
             assert meyer.tau(-I, -I) == 0
             assert meyer.phi_table(g).iota == 0
 
@@ -69,7 +71,7 @@ class TestTau:
     def test_cocycle_identity(self, rng):
         for g in (1, 2, 3):
             for _ in range(60):
-                a, b, c = (random_symplectic(rng, g, rng.randrange(2, 8))
+                a, b, c = (arr(random_symplectic(rng, g, rng.randrange(2, 8)))
                            for _ in range(3))
                 assert meyer.tau(a, b) + meyer.tau(a @ b, c) == \
                     meyer.tau(b, c) + meyer.tau(a, b @ c)
@@ -82,12 +84,31 @@ class TestTau:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ratlin.ShapeError):
-            meyer.tau(ratlin.identity(2), ratlin.identity(4))
+            meyer.tau(eye(2), eye(4))
 
     def test_non_symplectic_rejected(self):
-        M = ratlin.as_matrix([[1, 1], [1, 1]])
+        M = [[1, 1], [1, 1]]
         with pytest.raises(ValueError):
-            meyer.tau(M, ratlin.identity(2))
+            meyer.tau(M, eye(2))
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            meyer.tau([[1, F(1, 2)], [0, 1]], eye(2))
+        with pytest.raises(ratlin.ShapeError):
+            meyer.tau([[1, 0], [0]], eye(2))
+        with pytest.raises(ratlin.ShapeError):
+            meyer.tau(eye(3), eye(3))
+
+    def test_input_type_does_not_matter(self, rng):
+        # a list of lists, a tuple matrix and a numpy array give one value
+        for g in (1, 2, 3):
+            for _ in range(10):
+                A, B = random_symplectic(rng, g), random_symplectic(rng, g)
+                values = {meyer.tau(X, Y) for X, Y in (
+                    ([list(r) for r in A], [list(r) for r in B]), (A, B), (arr(A), arr(B)))}
+                assert len(values) == 1
+                assert values == {meyer.tau(arr(A), [list(r) for r in B])}
+                assert meyer.meyer_form(arr(A), B) == meyer.meyer_form(A, B)
 
     def test_form_is_symmetric_gram(self, rng):
         for _ in range(10):
@@ -109,11 +130,11 @@ class TestReducedForm:
 
     def test_special_pairs_match_the_full_space_form(self, rng):
         for g in (1, 2, 3, 4):
-            I = ratlin.identity(2 * g)
-            T = twist(rng.randrange(1, 2 * g + 2), g)
+            I = arr(eye(2 * g))
+            T = arr(twist(rng.randrange(1, 2 * g + 2), g))
             for _ in range(4):
                 A = random_symplectic(rng, g)
-                Ainv = surface.symplectic_inverse(A)
+                A, Ainv = arr(A), arr(surface.sp_inverse(A))
                 for X, Y in [(I, A), (A, I), (-I, A), (A, -I), (-I, -I), (T, A), (A, T),
                              (T, T), (A, A), (A, Ainv), (Ainv, A), (A @ T, T),
                              (A, A @ A)]:
@@ -139,18 +160,18 @@ class TestReducedForm:
 
     def test_identity_argument_gives_the_empty_form(self, rng):
         for g in (1, 2, 3):
-            I = ratlin.identity(2 * g)
+            I = eye(2 * g)
             for _ in range(5):
                 A = random_symplectic(rng, g)
-                assert meyer.meyer_form(A, I).shape == (0, 0)
-                assert meyer.meyer_form(I, A).shape == (0, 0)
+                assert meyer.meyer_form(A, I) == ()
+                assert meyer.meyer_form(I, A) == ()
 
     def test_form_has_at_most_2g_rows(self, rng):
         for g in (1, 2, 3, 4):
             for _ in range(10):
                 A, B = random_symplectic(rng, g), random_symplectic(rng, g)
                 G = meyer.meyer_form(A, B)
-                assert G.shape[0] == G.shape[1] <= 2 * g
+                assert all(len(row) == len(G) for row in G) and len(G) <= 2 * g
                 assert -ratlin.signature_of_symmetric(G) == meyer.tau(A, B)
 
 

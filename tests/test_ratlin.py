@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blfsig import ratlin
-from conftest import random_int_matrix, random_symmetric, random_unimodular, signature_oracle
+from conftest import (
+    arr, eye, random_int_matrix, random_symmetric, random_unimodular, rank_oracle, rref,
+    signature_oracle,
+)
 
 
 def random_small_symmetric(rng, n, zero_diagonal=False):
@@ -50,7 +53,7 @@ class TestSignature:
 
     def test_definite(self):
         assert ratlin.signature_of_symmetric([[-1, 0], [0, -1]]) == -2
-        assert ratlin.signature_of_symmetric(ratlin.identity(5)) == 5
+        assert ratlin.signature_of_symmetric(eye(5)) == 5
 
     def test_fractional_entries(self):
         M = [[F(1, 2), F(1, 3)], [F(1, 3), F(-5, 7)]]
@@ -106,8 +109,8 @@ class TestSignature:
 
 class TestSmithNormalForm:
     def check(self, A):
-        A = ratlin.as_matrix(A)
-        U, D, V = ratlin.smith_normal_form(A)
+        A = arr(A)
+        U, D, V = map(arr, ratlin.smith_normal_form(A))
         assert (U @ A @ V == D).all()
         assert ratlin.is_unimodular(U) and ratlin.is_unimodular(V)
         m, n = D.shape
@@ -135,7 +138,7 @@ class TestSmithNormalForm:
     def test_column_vector(self):
         # gcd(12, -12) = 12
         U, D, V = ratlin.smith_normal_form([[12], [-12]])
-        assert D.tolist() == [[12], [0]]
+        assert D == ((12,), (0,))
         self.check([[12], [-12]])
 
     def test_random(self, rng):
@@ -153,10 +156,10 @@ class TestSmithNormalForm:
 
 class TestKernel:
     def test_identity_injective(self):
-        assert ratlin.kernel_basis(ratlin.identity(3)) == []
+        assert ratlin.kernel_basis(eye(3)) == ()
 
     def test_zero_matrix(self):
-        basis = ratlin.kernel_basis(ratlin.zeros(2, 2))
+        basis = ratlin.kernel_basis(((0, 0), (0, 0)))
         assert len(basis) == 2
 
     def test_single_equation(self):
@@ -168,7 +171,7 @@ class TestKernel:
         for _ in range(40):
             A = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
             for v in ratlin.kernel_basis(A):
-                assert all(x == 0 for x in A @ v)
+                assert all(x == 0 for x in A @ arr(v))
             for v in ratlin.kernel_basis_int(A):
                 assert all(sum(A[i, j] * v[j] for j in range(A.shape[1])) == 0
                            for i in range(A.shape[0]))
@@ -195,3 +198,98 @@ class TestKernel:
             n = A.shape[1]
             assert len(ratlin.kernel_basis(A)) == n - ratlin.rank(A)
             assert len(ratlin.kernel_basis_int(A)) == n - ratlin.rank(A)
+
+
+def random_rational_rows(rng, m, n, zero_rows=0):
+    """m x n rational rows, the first ``zero_rows`` of them (in shuffled
+    position) all zero, the rest dependent half of the time."""
+    rows = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(m)]
+    for i in range(min(zero_rows, m)):
+        rows[i] = [F(0)] * n
+    if m >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(range(m), 2)
+        rows[a] = [x * F(rng.randint(-3, 3), 2) for x in rows[b]]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestRankAndKernelAgainstRref:
+    """rank and kernel_basis come from the integer column reduction; the
+    oracle is a reduced row echelon form over Q, which they no longer use."""
+
+    def check(self, M):
+        n = len(M[0]) if len(M) else 0
+        r = rank_oracle(M)
+        assert ratlin.rank(M) == r
+        basis = ratlin.kernel_basis(M)
+        assert len(basis) == n - r
+        for v in basis:
+            assert all(type(x) is int for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
+        # a basis, not just a spanning set: full rank as the rows of a matrix
+        if basis:
+            assert rank_oracle(basis) == len(basis)
+
+    def test_random_integer_matrices(self, rng):
+        for _ in range(80):
+            m, n = rng.randint(1, 6), rng.randint(1, 7)
+            self.check(random_int_matrix(rng, m, n))
+            # integer matrices of lower rank, as products
+            k = rng.randint(1, 3)
+            self.check(random_int_matrix(rng, m, k) @ random_int_matrix(rng, k, n))
+
+    def test_random_rational_matrices(self, rng):
+        for _ in range(80):
+            m, n = rng.randint(1, 6), rng.randint(1, 7)
+            self.check(random_rational_rows(rng, m, n, zero_rows=rng.randint(0, 2)))
+
+    def test_zero_rows(self):
+        for m, n in ((1, 1), (1, 4), (3, 2), (4, 4)):
+            M = [[0] * n for _ in range(m)]
+            self.check(M)
+            assert ratlin.kernel_basis(M) == tuple(eye(n))
+
+    def test_no_rows(self):
+        # m = 0: a sequence of no rows has no width, so the kernel is empty
+        assert ratlin.rank([]) == rank_oracle([]) == 0
+        assert ratlin.kernel_basis([]) == ()
+        assert ratlin.kernel_basis(()) == ()
+
+    def test_oracle_pivots(self):
+        # the oracle itself on a hand example: x + 2y = 0, z free of y
+        rows, pivots = rref([[F(1), F(2), F(0)], [F(2), F(4), F(1)]])
+        assert pivots == [0, 2]
+        assert rows == [[1, 2, 0], [0, 0, 1]]
+
+
+class TestMatrixArguments:
+    """The public functions read any sequence of rows and return tuples."""
+
+    def test_rows_of_any_sequence_type(self, rng):
+        for _ in range(20):
+            M = random_symmetric(rng, rng.randint(1, 5))
+            forms = (M, M.tolist(), tuple(map(tuple, M.tolist())))
+            assert len({ratlin.signature_of_symmetric(X) for X in forms}) == 1
+            assert len({ratlin.rank(X) for X in forms}) == 1
+            assert len({ratlin.kernel_basis(X) for X in forms}) == 1
+            assert len({ratlin.det(X) for X in forms}) == 1
+
+    def test_tuple_results(self):
+        U, D, V = ratlin.smith_normal_form([[4, 0], [0, 6]])
+        assert D == ((2, 0), (0, 12))
+        assert all(type(X) is tuple and all(type(row) is tuple for row in X)
+                   for X in (U, D, V))
+        assert ratlin.kernel_basis([[1, 1]]) in (((1, -1),), ((-1, 1),))
+
+    @pytest.mark.parametrize("bad", [
+        [[1, 2], [3]],          # ragged
+        [1, 2],                 # 1-d
+        [[[1]], [[2]]],         # 3-d
+        5,                      # not a sequence
+    ])
+    def test_shape_errors(self, bad):
+        for fn in (ratlin.signature_of_symmetric, ratlin.rank, ratlin.kernel_basis,
+                   ratlin.det, ratlin.is_unimodular, ratlin.smith_normal_form,
+                   ratlin.is_symmetric):
+            with pytest.raises(ratlin.ShapeError):
+                fn(bad)

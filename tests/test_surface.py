@@ -5,6 +5,7 @@ from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_word
 from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
+from conftest import arr, eye
 
 
 def twist(i, g):
@@ -13,14 +14,14 @@ def twist(i, g):
 
 class TestChainClasses:
     def test_examples_genus_2(self):
-        assert surface.chain_class(1, 2).tolist() == [1, 0, 0, 0]   # a_1
-        assert surface.chain_class(4, 2).tolist() == [0, 0, 0, 1]   # b_2
-        assert surface.chain_class(3, 2).tolist() == [1, 0, 1, 0]   # a_1 + a_2
+        assert surface.chain_class(1, 2) == (1, 0, 0, 0)   # a_1
+        assert surface.chain_class(4, 2) == (0, 0, 0, 1)   # b_2
+        assert surface.chain_class(3, 2) == (1, 0, 1, 0)   # a_1 + a_2
 
     def test_end_curves(self):
         for g in (1, 2, 3):
-            assert (surface.chain_class(1, g) == surface.basis_a(1, g)).all()
-            assert (surface.chain_class(2 * g + 1, g) == surface.basis_a(g, g)).all()
+            assert surface.chain_class(1, g) == surface.basis_a(1, g)
+            assert surface.chain_class(2 * g + 1, g) == surface.basis_a(g, g)
 
     def test_intersection_pattern_bruteforce(self):
         # consecutive chain classes pair to +-1, all others to 0
@@ -50,12 +51,12 @@ class TestChainClasses:
 class TestTwistMatrices:
     def test_null_class_gives_identity(self):
         M = surface.twist_matrix([0, 0, 0, 0], 2)
-        assert (M == ratlin.identity(4)).all()
+        assert M == eye(4)
 
     def test_genus_one_transvection(self):
         # a -> a, b -> b - a
         M = surface.twist_matrix(surface.basis_a(1, 1), 1)
-        assert M.tolist() == [[1, -1], [0, 1]]
+        assert M == ((1, -1), (0, 1))
 
     def test_twists_are_symplectic(self):
         for g in (1, 2, 3):
@@ -66,12 +67,12 @@ class TestTwistMatrices:
         for g in (1, 2):
             for i in range(1, 2 * g + 2):
                 c = surface.chain_class(i, g)
-                assert (surface.twist_matrix(c, g) ==
-                        surface.twist_matrix(-c, g)).all()
+                assert surface.twist_matrix(c, g) == \
+                    surface.twist_matrix([-x for x in c], g)
 
     def test_braid_relations(self):
         for g in (1, 2, 3, 4):
-            A = [twist(i, g) for i in range(1, 2 * g + 2)]
+            A = [arr(twist(i, g)) for i in range(1, 2 * g + 2)]
             for i in range(len(A) - 1):
                 assert ((A[i] @ A[i + 1] @ A[i]) ==
                         (A[i + 1] @ A[i] @ A[i + 1])).all()
@@ -82,19 +83,19 @@ class TestTwistMatrices:
     def test_chain_relation(self):
         # (t_1 ... t_{2g-1})^{2g} = t_{2g+1}^2
         for g in (1, 2, 3, 4):
-            P = ratlin.identity(2 * g)
+            P = arr(eye(2 * g))
             for i in range(1, 2 * g):
-                P = P @ twist(i, g)
-            lhs = ratlin.identity(2 * g)
+                P = P @ arr(twist(i, g))
+            lhs = arr(eye(2 * g))
             for _ in range(2 * g):
                 lhs = lhs @ P
-            rhs = twist(2 * g + 1, g) @ twist(2 * g + 1, g)
+            rhs = arr(twist(2 * g + 1, g)) @ arr(twist(2 * g + 1, g))
             assert (lhs == rhs).all()
 
 
 class TestWordToMatrix:
     def test_empty_word(self):
-        assert (surface.word_to_matrix(Word(2)) == ratlin.identity(4)).all()
+        assert surface.word_to_matrix(Word(2)) == eye(4)
 
     def test_word_times_inverse(self, rng):
         for _ in range(20):
@@ -103,21 +104,22 @@ class TestWordToMatrix:
                            rng.choice([-2, -1, 1, 2])) for _ in range(6))
             w = Word(g, items)
             M = surface.word_to_matrix(w * w.inverse())
-            assert (M == ratlin.identity(2 * g)).all()
+            assert M == eye(2 * g)
 
     def test_chain_relation_via_words(self):
         g = 2
         lhs = chain_word(g, [1, 2, 3], 1) ** 4
         rhs = gen_word(g, ChainTwist(5), 2)
-        assert (surface.word_to_matrix(lhs) == surface.word_to_matrix(rhs)).all()
+        assert surface.word_to_matrix(lhs) == surface.word_to_matrix(rhs)
 
     def test_iota_central_and_involutive(self, rng):
         for g in (1, 2, 3):
             I2 = surface.word_to_matrix(gen_word(g, IOTA, 2))
-            assert (I2 == ratlin.identity(2 * g)).all()
-            M = surface.word_to_matrix(gen_word(g, IOTA))
+            assert I2 == eye(2 * g)
+            M = arr(surface.word_to_matrix(gen_word(g, IOTA)))
             for i in range(1, 2 * g + 2):
-                assert ((M @ twist(i, g)) == (twist(i, g) @ M)).all()
+                T = arr(twist(i, g))
+                assert ((M @ T) == (T @ M)).all()
 
     def test_structured_powers_match_flat(self, rng):
         for _ in range(10):
@@ -128,8 +130,7 @@ class TestWordToMatrix:
             flat = Word(g)
             for _ in range(abs(e)):
                 flat = flat * (inner if e > 0 else inner.inverse())
-            assert (surface.word_to_matrix(inner ** e) ==
-                    surface.word_to_matrix(flat)).all()
+            assert surface.word_to_matrix(inner ** e) == surface.word_to_matrix(flat)
 
 
 def nested_random_word(rng, g):
@@ -139,25 +140,36 @@ def nested_random_word(rng, g):
 
 
 def reference_matrix(w):
-    """Letter by letter with numpy: I - c c^T J for a twist, -I for iota."""
+    """Letter by letter with numpy: I - c c^T J for a twist, -I for iota,
+    and T^-1 = -J T^T J."""
     g = w.genus
-    J = surface.intersection_matrix(g)
-    M = ratlin.identity(2 * g)
+    J = numpy_j(g)
+    I = arr(eye(2 * g))
+    M = I
     for gen, sign in w.letters():
         if isinstance(gen, ChainTwist):
-            c = surface.chain_class(gen.index, g)
-            T = ratlin.identity(2 * g) - np.outer(c, c) @ J
+            c = arr(surface.chain_class(gen.index, g))
+            T = I - np.outer(c, c) @ J
         else:
-            T = -ratlin.identity(2 * g)
-        M = M @ (T if sign > 0 else surface.symplectic_inverse(T))
+            T = -I
+        M = M @ (T if sign > 0 else -J @ T.T @ J)
     return M
+
+
+def numpy_j(g):
+    """J with <a_i, b_i> = +1, built here, not by the package."""
+    J = np.zeros((2 * g, 2 * g), dtype=object)
+    for k in range(g):
+        J[2 * k, 2 * k + 1] = 1
+        J[2 * k + 1, 2 * k] = -1
+    return J
 
 
 class TestTupleMatrices:
     def test_word_matrix_matches_letterwise_reference(self, rng):
         for _ in range(30):
             w = nested_random_word(rng, rng.randint(1, 4))
-            assert surface.word_to_matrix(w).tolist() == reference_matrix(w).tolist()
+            assert surface.word_to_matrix(w) == tuple(map(tuple, reference_matrix(w).tolist()))
 
     def test_shuffle_inverse(self, rng):
         for _ in range(40):
@@ -165,19 +177,25 @@ class TestTupleMatrices:
             w = nested_random_word(rng, g)
             M = surface.word_matrix(w)
             Minv = surface.sp_inverse(M)
-            assert Minv == tuple(map(tuple, surface.symplectic_inverse(
-                ratlin.as_matrix(M)).tolist()))
+            J = numpy_j(g)
+            assert Minv == tuple(map(tuple, (-J @ arr(M).T @ J).tolist()))
             assert surface.mat_mul(M, Minv) == surface.sp_identity(g)
             assert surface.mat_mul(Minv, M) == surface.sp_identity(g)
 
-    def test_returned_array_does_not_alias_the_cache(self):
+    def test_word_to_matrix_is_the_immutable_cached_matrix(self):
+        # no copy is needed: a caller cannot write into the cached value
         w = chain_word(2, [1, 2, 3], 3)
-        want = surface.word_to_matrix(w).tolist()
         M = surface.word_to_matrix(w)
-        M[0, 0] += 7
-        M[1, :] = 0
-        assert surface.word_to_matrix(w).tolist() == want
-        assert surface.word_matrix(w) == tuple(map(tuple, want))
+        assert M == surface.word_matrix(w)
+        with pytest.raises(TypeError):
+            M[0] = (7, 0, 0, 0)
+        with pytest.raises(TypeError):
+            M[0][0] += 7
+        assert surface.word_to_matrix(w) == surface.word_matrix(w)
+
+    def test_intersection_matrix(self):
+        for g in (1, 2, 3):
+            assert surface.intersection_matrix(g) == tuple(map(tuple, numpy_j(g).tolist()))
 
 
 def dense_product(A, B):
@@ -234,7 +252,7 @@ class TestSparseProducts:
 class TestCurveAction:
     def test_identity_fixes(self):
         c = surface.chain_class(5, 2)
-        assert surface.curve_action(ratlin.identity(4), c) == 1
+        assert surface.curve_action(eye(4), c) == 1
 
     def test_iota_negates(self):
         c = surface.basis_a(2, 2)
@@ -246,5 +264,55 @@ class TestCurveAction:
         assert surface.curve_action(M, surface.basis_a(2, 2)) == 0
 
     def test_cycle_class(self):
-        assert (surface.cycle_class(TypeI(), 2) == surface.chain_class(5, 2)).all()
-        assert not surface.cycle_class(TypeII(1), 2).any()
+        assert surface.cycle_class(TypeI(), 2) == surface.chain_class(5, 2)
+        assert surface.cycle_class(TypeII(1), 2) == (0, 0, 0, 0)
+
+
+class TestIsSymplectic:
+    def test_word_matrices_and_generators(self, rng):
+        for g in range(1, 7):
+            assert surface.is_symplectic(surface.iota_matrix(g), g)
+            assert surface.is_symplectic(surface.intersection_matrix(g), g)
+            for _ in range(3):
+                M = surface.word_matrix(random_word(rng, g, 40))
+                assert surface.is_symplectic(M) and surface.is_symplectic(M, g)
+                # any sequence of rows: lists and numpy arrays too
+                assert surface.is_symplectic([list(row) for row in M], g)
+                assert surface.is_symplectic(arr(M), g)
+
+    def test_one_changed_entry_is_rejected(self, rng):
+        rejected = 0
+        for g in (1, 2, 3, 6):
+            M = [list(row) for row in surface.word_matrix(random_word(rng, g, 40))]
+            J = numpy_j(g)
+            for _ in range(10):
+                i, j = rng.randrange(2 * g), rng.randrange(2 * g)
+                bad = [row[:] for row in M]
+                bad[i][j] += rng.choice([-2, -1, 1, 3])
+                # some changes stay symplectic (a shear inside a block), so
+                # the numpy oracle M^T J M == J decides
+                want = (arr(bad).T @ J @ arr(bad) == J).all()
+                assert surface.is_symplectic(bad) == want
+                rejected += not want
+        assert rejected >= 30
+
+    def test_matches_numpy_oracle_on_random_integer_matrices(self, rng):
+        # the 2 x 2 symplectic matrices are exactly those of determinant 1
+        for _ in range(200):
+            M = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+            want = (arr(M).T @ numpy_j(1) @ arr(M) == numpy_j(1)).all()
+            assert surface.is_symplectic(M) == want == (M[0][0] * M[1][1] - M[0][1] * M[1][0] == 1)
+
+    def test_wrong_genus(self):
+        assert not surface.is_symplectic(eye(4), 1)
+        assert not surface.is_symplectic(eye(4), 3)
+        assert surface.is_symplectic(eye(4), 2)
+
+    @pytest.mark.parametrize("bad", [
+        eye(3),                                  # odd size
+        ((1, 0, 0), (0, 1, 0)),                  # not square
+        ((1, 0, 0, 0), (0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),  # ragged rows
+    ])
+    def test_shape_errors(self, bad):
+        with pytest.raises(ratlin.ShapeError):
+            surface.is_symplectic(bad)
