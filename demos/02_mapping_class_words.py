@@ -25,7 +25,7 @@ print("symplectic:", surface.is_symplectic(T1, g))
 # %% words: parse, multiply, invert, evaluate
 w = parse_word("(t4 t3 t2 t1^2 t2 t3 t4)^2", g)
 print("\nHurwitz word:", w)
-print("letters:", w.letter_count())
+print("letters:", sum(1 for _ in w.letters()))
 M = surface.word_to_matrix(w)
 print("its matrix equals that of t5^-4:",
       M == surface.word_to_matrix(parse_word("t5^-4", g)))

@@ -392,7 +392,7 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     g = spec.active_genus()
     if g >= 1:
         data = [surface.word_matrix(d.word()) for d in spec.lefschetz]
-        total -= meyer.tau_prefix_sum(data, g)
+        total -= meyer.tau_prefix_sum(data)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")
 
@@ -688,9 +688,8 @@ def _word_from_json(text: str, genus: int, path: str) -> Word:
 
 
 def spec_to_json(spec: FibrationSpec) -> dict:
-    stages = component_stages(spec)
     rounds = []
-    for k, r in enumerate(spec.rounds):
+    for r in spec.rounds:
         rounds.append({"component": r.component,
                        "cycle": _cycle_to_json(r.cycle),
                        "monodromy": format_word(r.monodromy)})

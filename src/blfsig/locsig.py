@@ -18,24 +18,21 @@ is the homomorphism with generator values
 
 h decomposes as h = s + phi - (pushforward phi), where s is the signature
 of the glued round-handle piece (s takes values in {-1, 0, +1} on single
-generators and is evaluated on words through the cocycle-corrected
-recursion s(uv) = s(u) + s(v) + tau(u, v) - tau(push u, push v)); the
-decomposition is an exact identity and is exposed as a cross-check.
-Both h and s fold a word with ``words.evaluate``: h in (Z, +), scaled by the
-least common denominator of its generator values, s in the triples (s, matrix
-upstairs, matrix on the cut surface) under that corrected law.
+generators and obeys s(uv) = s(u) + s(v) + tau(u, v) - tau(push u, push v));
+the decomposition is an exact identity and is exposed as a cross-check.
+h is the generator sum ``words.homomorphism``.  Unrolling the law for s
+over a word gives s(w) = sum s(gen) - c(w) + c(push w), with c the cocycle
+correction ``meyer.correction``, the same fold that evaluates phi.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import ChainTwist, Iota, Word, evaluate
+from .words import ChainTwist, Iota, Word, homomorphism
 
 
 class ContextError(ValueError):
@@ -131,22 +128,9 @@ def h_generator(gen, ctx: CycleContext) -> Fraction:
 
 
 def h_word(w: Word, ctx: CycleContext) -> Fraction:
-    """Evaluate the homomorphism by additivity over the word, in ints over
-    the least common denominator D of its generator values."""
+    """Evaluate the homomorphism by additivity over the word."""
     validate_word(w, ctx)
-    values = {gen: h_generator(gen, ctx) for gen in w.generators()}
-    D = math.lcm(1, *(v.denominator for v in values.values()))
-    scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
-    return Fraction(_h_sum(w, scaled), D)
-
-
-def _h_sum(w: Word, scaled: dict) -> int:
-    """D * h(w) as an int from the scaled generator values, so powers fold
-    by int additions."""
-    def value(item):
-        return _h_sum(item, scaled) if isinstance(item, Word) else scaled[item]
-
-    return evaluate(w, value, operator.add, operator.neg, 0)
+    return homomorphism(w, lambda gen: h_generator(gen, ctx))
 
 
 def s_generator(gen, ctx: CycleContext) -> int:
@@ -210,43 +194,13 @@ def pushed_phi(w: Word, ctx: CycleContext) -> Fraction:
 
 
 def s_word(w: Word, ctx: CycleContext) -> int:
-    """Round-cobordism signature of a word, via the corrected recursion."""
+    """Round-cobordism signature of a word: its generator sum corrected by
+    the Meyer cocycle upstairs and on the cut surface."""
     validate_word(w, ctx)
     if not isinstance(ctx.cycle, TypeI):
         return 0
-    g = ctx.genus
-
-    def combine(a, b):
-        s1, M1, N1 = a
-        s2, M2, N2 = b
-        t_up = meyer._tau_cached(M1, M2)
-        t_dn = meyer._tau_cached(N1, N2)
-        return (s1 + s2 + t_up - t_dn, surface.mat_mul(M1, M2), surface.mat_mul(N1, N2))
-
-    def invert(a):
-        s, M, N = a
-        Minv = surface.sp_inverse(M)
-        Ninv = surface.sp_inverse(N)
-        t_up = meyer._tau_cached(M, Minv)
-        t_dn = meyer._tau_cached(N, Ninv)
-        return (-s - t_up + t_dn, Minv, Ninv)
-
-    def gen_state(gen):
-        M = surface.generator_matrix(gen, g)
-        if (isinstance(gen, ChainTwist) and gen.index == 2 * g + 1) or g == 1:
-            N = surface.sp_identity(g - 1)
-        else:
-            N = surface.generator_matrix(gen, g - 1)
-        return (s_generator(gen, ctx), M, N)
-
-    ident = (0, surface.sp_identity(g), surface.sp_identity(g - 1))
-
-    def value(item):
-        if isinstance(item, Word):
-            return evaluate(item, value, combine, invert, ident)
-        return gen_state(item)
-
-    return evaluate(w, value, combine, invert, ident)[0]
+    additive = homomorphism(w, lambda gen: s_generator(gen, ctx))
+    return int(additive) - meyer.correction(w) + meyer.correction(push_forward(w, ctx))
 
 
 @dataclass(frozen=True)
@@ -269,7 +223,6 @@ class DecompositionReport:
 
 def decomposition_check(w: Word, ctx: CycleContext) -> DecompositionReport:
     """Evaluate the homomorphism two ways and report the comparison."""
-    validate_word(w, ctx)
     return DecompositionReport(
         context=ctx,
         homomorphism=h_word(w, ctx),

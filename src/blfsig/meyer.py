@@ -31,16 +31,26 @@ dependent one, which only adds radical), so the Gram matrix has at most 2g
 rows, the kernel has dimension at most 2g instead of up to 4g, and tau
 with an identity argument builds no form at all.
 
-The cobounding function phi is evaluated on words by the extension-group
-law phi(uv) = phi(u) + phi(v) - tau(u, v) from the base values
+The cobounding function phi obeys phi(uv) = phi(u) + phi(v) - tau(u, v)
+and has the base values
 
     phi(chain twist)             = (g+1)/(2g+1)
     phi(separating twist, h)     = -4h(g-h)/(2g+1)
     phi(iota)                    = tau(-1, -1)/2   (computed, and = 0)
 
-Words are folded into the central extension Q x_tau Sp(2g, Z) by
-``words.evaluate``; its repeated squaring is sound because the cocycle
-identity makes the combine law associative.
+so phi(w) is the generator sum ``words.homomorphism(w, phi_base)`` plus the
+Z-valued correction c(w) of the word's letter matrices.  ``correction``
+folds a word by ``words.evaluate`` in the states (c, M), with
+
+    (c1, M1)(c2, M2) = (c1 + c2 - tau(M1, M2), M1 M2),   (c, M)^-1 = (-c, M^-1),
+
+starting from (0, M) on each generator.  The cocycle identity makes this
+law associative, so repeated squaring is sound.  The inverse needs no tau
+call because tau(M, M^-1) = 0 for every symplectic M (forced by phi(1) = 0
+and phi(w^-1) = -phi(w), and checked on the form by the tests).  The same
+fold gives the two other tau sums of the package: a round piece's
+s(w) = sum s(gen) - c(w) + c(push w) (see ``locsig``), and the Meyer-path
+sum sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``tau_prefix_sum``.
 
 Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
 ``meyer_form`` also take any sequence of integer rows, normalise it to
@@ -52,11 +62,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 from . import ratlin, surface
-from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
+from .words import (IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate,
+                    homomorphism)
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -180,32 +191,35 @@ def phi_base(gen, g: int) -> Fraction:
     raise WordError(f"unknown generator {gen!r}")
 
 
-# states of the central extension Q x_tau Sp(2g, Z): (value, tuple matrix)
+# the cocycle correction: states (c, tuple matrix) under the tau-corrected law
 
 def _combine(s1, s2):
-    v1, M1 = s1
-    v2, M2 = s2
-    return (v1 + v2 - _tau_cached(M1, M2), surface.mat_mul(M1, M2))
+    c1, M1 = s1
+    c2, M2 = s2
+    return (c1 + c2 - _tau_cached(M1, M2), surface.mat_mul(M1, M2))
 
 
 def _invert(s):
-    v, M = s
-    Minv = surface.sp_inverse(M)
-    return (-v + _tau_cached(M, Minv), Minv)
+    c, M = s
+    return (-c, surface.sp_inverse(M))  # tau(M, M^-1) = 0
 
 
-@lru_cache(maxsize=None)
-def _gen_state(gen, g: int):
-    return (phi_base(gen, g), surface.generator_matrix(gen, g))
-
-
-def _eval(w: Word):
+def _state(w: Word):
     g = w.genus
 
     def value(item):
-        return _eval(item) if isinstance(item, Word) else _gen_state(item, g)
+        if isinstance(item, Word):
+            return _state(item)
+        return (0, surface.generator_matrix(item, g))
 
-    return evaluate(w, value, _combine, _invert, (Fraction(0), surface.sp_identity(g)))
+    return evaluate(w, value, _combine, _invert, (0, surface.sp_identity(g)))
+
+
+def correction(w: Word) -> int:
+    """phi(w) minus the sum of its generators' base values: the tau
+    corrections of folding the word's letter matrices (see the module
+    docstring); 0 at genus 0."""
+    return _state(w)[0] if w.genus else 0
 
 
 def phi(w: Word) -> Fraction:
@@ -213,23 +227,21 @@ def phi(w: Word) -> Fraction:
     chosen word for a fixed group element."""
     if w.genus == 0:
         return Fraction(0)  # trivial mapping class group
-    return _eval(w)[0]
+    return homomorphism(w, lambda gen: phi_base(gen, w.genus)) + correction(w)
 
 
-def tau_prefix_sum(mats, g: int) -> int:
+def tau_prefix_sum(mats) -> int:
     """Sum_k tau(P_{k-1}, M_k) over the prefix products P_k = M_1 ... M_k
-    of the genus-g symplectic tuple matrices M_k (P_0 = 1; see
+    of a sequence of symplectic tuple matrices of one size (P_0 = 1; see
     ``surface.word_matrix``).
 
     By phi(uv) = phi(u) + phi(v) - tau(u, v), this is
-    Sum_k phi(w_k) - phi(w_1 ... w_k) for any words w_k evaluating to M_k,
+    Sum_k phi(w_k) - phi(w_1 ... w_n) for any words w_k evaluating to M_k,
     computed exactly without evaluating phi on a single letter (Endo,
     "Meyer's signature cocycle and hyperelliptic fibrations", Math. Ann.
-    316, 2000).  Costs one cocycle evaluation per matrix.
+    316, 2000).  It is -c of the sequence, folded by ``_combine`` from the
+    first matrix, so it costs one cocycle evaluation per matrix after the
+    first.
     """
-    P = surface.sp_identity(g)
-    total = 0
-    for M in mats:
-        total += _tau_cached(P, M)
-        P = surface.mat_mul(P, M)
-    return total
+    states = [(0, M) for M in mats]
+    return -reduce(_combine, states)[0] if states else 0

@@ -260,9 +260,15 @@ def smith_normal_form(A) -> tuple[tuple, tuple, tuple]:
 
     Returns (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
     non-negative entries satisfying d_i | d_{i+1}; all three are tuple
-    matrices.
+    matrices.  An entry that is not an integer raises ShapeError.
     """
-    D = [[int(x) for x in row] for row in _rows(A)]
+    D = _rows(A)
+    for i, row in enumerate(D):
+        for j, x in enumerate(row):
+            if x != int(x):
+                raise ShapeError(f"Smith normal form needs integer entries, "
+                                 f"got {x} at ({i}, {j})")
+            row[j] = int(x)
     m = len(D)
     n = len(D[0]) if m else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]

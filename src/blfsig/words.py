@@ -7,7 +7,9 @@ internal use by the fibration machinery) the twist along the standard
 separating curve splitting off genus h.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
 powers of subwords stay symbolic, and ``evaluate`` folds a word into any
-group in O(log exponent) operations per power.
+group in O(log exponent) operations per power.  ``homomorphism`` is the
+additive case: a homomorphism to (Q, +) given by its generator values,
+folded in ints over their common denominator.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -22,8 +24,11 @@ evaluator that walks a parsed word.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Union
 
 
@@ -124,9 +129,6 @@ class Word:
                 else:
                     yield item, sign
 
-    def letter_count(self) -> int:
-        return sum(1 for _ in self.letters())
-
     def generators(self) -> list[Generator]:
         """The distinct generators, in order of first appearance as written.
 
@@ -203,6 +205,23 @@ def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one):
             base = mul(base, base)
         acc = power if acc is None else mul(acc, power)
     return one if acc is None else acc
+
+
+def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fraction:
+    """The homomorphism to (Q, +) with generator values ``value(gen)``,
+    evaluated on a word.  The word is folded in ints over the least common
+    denominator D of the values of its generators, so a power costs
+    O(log exponent) int additions, and one Fraction is built at the end."""
+    values = {gen: value(gen) for gen in w.generators()}
+    D = math.lcm(1, *(v.denominator for v in values.values()))
+    scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
+
+    def part(item) -> int:
+        if isinstance(item, Word):
+            return evaluate(item, part, operator.add, operator.neg, 0)
+        return scaled[item]
+
+    return Fraction(part(w), D)
 
 
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:

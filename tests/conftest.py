@@ -12,6 +12,9 @@ The package returns tuple matrices; numpy, a test-only dependency, gives
 the oracles and the tests an independent matrix product.  ``arr`` converts
 at that boundary, and the random matrices below are numpy arrays, which
 the public functions read as sequences of rows.
+
+``bounded_power_base`` draws words whose powers have matrix entries linear
+in the exponent, so the word folds can be checked at exponents near 10^12.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from blfsig import locsig
+from blfsig.verify import random_context_word
+from blfsig.words import IOTA, chain_word, gen_word
 
 
 def arr(M) -> np.ndarray:
@@ -126,3 +133,17 @@ def random_int_matrix(rng: random.Random, m: int, n: int):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+def bounded_power_base(rng, ctx):
+    """A stabiliser word whose powers have matrix entries linear in the
+    exponent: a conjugated run of consecutive allowed chain twists, or iota."""
+    if locsig.iota_allowed(ctx) and rng.random() < 0.15:
+        return gen_word(ctx.genus, IOTA)
+    indices = sorted(locsig.allowed_chain_indices(ctx))
+    a = rng.randrange(len(indices))
+    b = a
+    while b + 1 < len(indices) and indices[b + 1] == indices[b] + 1 and rng.random() < 0.6:
+        b += 1
+    u = random_context_word(rng, ctx, rng.randrange(0, 3))
+    return u * chain_word(ctx.genus, indices[a:b + 1]) * u.inverse()

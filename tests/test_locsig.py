@@ -2,14 +2,63 @@ from fractions import Fraction as F
 
 import pytest
 
-from blfsig import locsig
+from blfsig import locsig, meyer, surface, words
 from blfsig.locsig import ContextError, CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_context_word
-from blfsig.words import IOTA, ChainTwist, Word, chain_word, gen_word
+from blfsig.words import IOTA, ChainTwist, Word, chain_word, evaluate, gen_word
+from conftest import bounded_power_base
 
 
 CTX_I2 = CycleContext(2, TypeI())
+
+
+def cut_sides(gen, ctx):
+    """(genus, matrix) of a stabiliser generator on each side of the surface
+    cut along the cycle: the top twist dies in type I (every twist at
+    genus 1), and a type II_h twist acts on the side it lies on."""
+    g = ctx.genus
+    if isinstance(ctx.cycle, TypeI):
+        if g == 1 or gen == ChainTwist(2 * g + 1):
+            return ((g - 1, surface.sp_identity(g - 1)),)
+        return ((g - 1, surface.generator_matrix(gen, g - 1)),)
+    h = ctx.cycle.h
+    if h in (0, g):
+        return ((g, surface.generator_matrix(gen, g)),)
+    if gen.index <= 2 * h:
+        return ((h, surface.generator_matrix(gen, h)), (g - h, surface.sp_identity(g - h)))
+    side = surface.generator_matrix(ChainTwist(gen.index - 2 * h - 1), g - h)
+    return ((h, surface.sp_identity(h)), (g - h, side))
+
+
+def s_by_triple_fold(w, ctx):
+    """The recursion that ``locsig.s_word`` replaces by a generator sum and
+    two ``meyer.correction`` terms: states (s, matrix upstairs, matrices on
+    the sides of the cut) under s(uv) = s(u) + s(v) + tau(u, v)
+    - tau(push u, push v), with tau of the sides summed and the inverse
+    paying tau(M, M^-1) - tau(N, N^-1) instead of relying on its vanishing.
+    In a separating context every generator has s = 0."""
+    g = ctx.genus
+    tau, mul, inv = meyer._tau_cached, surface.mat_mul, surface.sp_inverse
+
+    def combine(a, b):
+        (s1, M1, N1), (s2, M2, N2) = a, b
+        return (s1 + s2 + tau(M1, M2) - sum(map(tau, N1, N2)),
+                mul(M1, M2), tuple(map(mul, N1, N2)))
+
+    def invert(a):
+        s, M, N = a
+        Minv, Ninv = inv(M), tuple(map(inv, N))
+        return (-s - tau(M, Minv) + sum(map(tau, N, Ninv)), Minv, Ninv)
+
+    def value(item):
+        if isinstance(item, Word):
+            return evaluate(item, value, combine, invert, None)
+        s = locsig.s_generator(item, ctx) if isinstance(ctx.cycle, TypeI) else 0
+        return (s, surface.generator_matrix(item, g),
+                tuple(N for _, N in cut_sides(item, ctx)))
+
+    return evaluate(w, value, combine, invert, (0,))[0]
 
 
 class TestSigmaLoc:
@@ -78,11 +127,17 @@ class TestHValues:
             locsig.h_word(gen_word(2, ChainTwist(4), 10 ** 15) * w, CTX_I2)
 
     def test_nested_words_match_fraction_reference(self, rng):
-        # reference: e * h(item), summed in Fractions over the word tree
-        def reference(w, ctx):
-            return sum((e * (reference(item, ctx) if isinstance(item, Word)
-                             else locsig.h_generator(item, ctx))
+        # reference: e * value(item), summed in Fractions over the word tree
+        def reference(w, value):
+            return sum((e * (reference(item, value) if isinstance(item, Word)
+                             else value(item))
                         for item, e in w.items), F(0))
+
+        def other(gen):
+            # denominators 4, 5 and 6 on the chain twists, 9 on iota
+            if gen == IOTA:
+                return F(-7, 9)
+            return F(gen.index - 3, 4 + gen.index % 3)
 
         for _ in range(60):
             g = rng.randint(1, 5)
@@ -93,7 +148,9 @@ class TestHValues:
             w = (random_context_word(rng, ctx, 3) * Word(g, ((inner, e),)) *
                  random_context_word(rng, ctx, 2))
             w = Word(g, ((w, rng.choice([-3, 1, 64])), (inner, -1)))
-            assert locsig.h_word(w, ctx) == reference(w, ctx)
+            assert locsig.h_word(w, ctx) == \
+                reference(w, lambda gen: locsig.h_generator(gen, ctx))
+            assert words.homomorphism(w, other) == reference(w, other)
 
     def test_context_violations(self):
         with pytest.raises(ContextError):
@@ -131,6 +188,32 @@ class TestSValues:
         assert locsig.s_word(gen_word(2, ChainTwist(5)) * gen_word(2, IOTA),
                              CTX_I2) == 0
         assert locsig.s_word(Word(2), CTX_I2) == 0
+
+
+class TestSAgainstTripleFold:
+    def contexts(self, g):
+        return [CycleContext(g, TypeI())] + [CycleContext(g, TypeII(h)) for h in range(g + 1)]
+
+    def test_random_context_words(self, rng):
+        for g in (1, 2, 3, 4):
+            for ctx in self.contexts(g):
+                for _ in range(8):
+                    w = random_context_word(rng, ctx, rng.randrange(1, 12))
+                    assert locsig.s_word(w, ctx) == s_by_triple_fold(w, ctx), (ctx, w)
+
+    def test_nested_huge_powers(self, rng):
+        for _ in range(40):
+            g = rng.randint(1, 4)
+            ctx = rng.choice(self.contexts(g) + [CycleContext(g, TypeI())] * g)
+            base = bounded_power_base(rng, ctx)
+            e = rng.choice([-10 ** 12, -999_999_999_999, -37, 2, 1000, 10 ** 12])
+            w = (random_context_word(rng, ctx, 2) * Word(g, ((base, e),)) *
+                 random_context_word(rng, ctx, 2))
+            w = Word(g, ((w, rng.choice([-3, -1, 2])), (base, -1)))
+            s = locsig.s_word(w, ctx)
+            assert s == s_by_triple_fold(w, ctx), (ctx, w)
+            if not isinstance(ctx.cycle, TypeI):
+                assert s == 0
 
 
 class TestPushForward:

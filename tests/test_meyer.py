@@ -6,8 +6,9 @@ import pytest
 from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
-from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
-from conftest import arr, eye
+from blfsig.words import (IOTA, ChainTwist, SeparatingTwist, Word, chain_word, evaluate,
+                          gen_word)
+from conftest import arr, bounded_power_base, eye
 
 
 def twist(i, g):
@@ -30,6 +31,28 @@ def full_space_form(A, B):
 
 def oracle_tau(A, B):
     return -ratlin.signature_of_symmetric(full_space_form(A, B))
+
+
+def phi_by_fraction_fold(w: Word) -> F:
+    """The fold that ``meyer.phi`` replaces by a generator sum plus
+    ``meyer.correction``: states (phi, matrix) in the central extension
+    Q x_tau Sp(2g, Z), phi(uv) = phi(u) + phi(v) - tau(u, v), where the
+    inverse pays tau(M, M^-1) instead of relying on its vanishing."""
+    g = w.genus
+
+    def combine(a, b):
+        return (a[0] + b[0] - meyer._tau_cached(a[1], b[1]), surface.mat_mul(a[1], b[1]))
+
+    def invert(a):
+        Minv = surface.sp_inverse(a[1])
+        return (-a[0] + meyer._tau_cached(a[1], Minv), Minv)
+
+    def value(item):
+        if isinstance(item, Word):
+            return evaluate(item, value, combine, invert, None)
+        return (meyer.phi_base(item, g), surface.generator_matrix(item, g))
+
+    return evaluate(w, value, combine, invert, (F(0), None))[0]
 
 
 class TestTau:
@@ -256,6 +279,23 @@ class TestPhi:
     def test_genus_zero_is_trivial(self):
         assert meyer.phi(Word(0)) == 0
 
+    def test_random_words_match_the_fraction_fold(self, rng):
+        for g in (1, 2, 3, 4):
+            for _ in range(25):
+                w = random_word(rng, g, rng.randrange(1, 9))
+                if g >= 2 and rng.random() < 0.3:
+                    w = w * gen_word(g, SeparatingTwist(rng.randrange(0, g + 1)), -1)
+                assert meyer.phi(w) == phi_by_fraction_fold(w)
+
+    def test_nested_huge_powers_match_the_fraction_fold(self, rng):
+        for _ in range(30):
+            g = rng.randint(1, 4)
+            base = bounded_power_base(rng, locsig.CycleContext(g, TypeI()))
+            e = rng.choice([-10 ** 12, -999_999_999_999, -37, 2, 1000, 10 ** 12])
+            w = random_word(rng, g, 2) * Word(g, ((base, e),)) * random_word(rng, g, 2)
+            w = Word(g, ((w, rng.choice([-3, -1, 2])), (base, -1), (IOTA, 1)))
+            assert meyer.phi(w) == phi_by_fraction_fold(w)
+
     def test_prefix_sum_telescopes_phi(self, rng):
         # sum_k tau(P_{k-1}, M_k) = sum_k phi(w_k) - phi(w_1 ... w_n), with
         # separating twists among the factors from genus 2 on
@@ -271,7 +311,7 @@ class TestPhi:
                 for w in words:
                     product = product * w
                 mats = [surface.word_matrix(w) for w in words]
-                assert meyer.tau_prefix_sum(mats, g) == \
+                assert meyer.tau_prefix_sum(mats) == \
                     sum(meyer.phi(w) for w in words) - meyer.phi(product)
 
 
@@ -294,3 +334,57 @@ def test_powers_request_no_tau_with_an_identity_first_argument(monkeypatch):
             locsig.s_word(gen_word(g, gen, e), ctx)
     assert firsts
     assert not [At for At in firsts if At and At == surface.sp_identity(len(At) // 2)]
+
+
+def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):
+    # tau(M, M^-1) = 0, so inverting a state asks for no cocycle value;
+    # negative powers and inverted nested words would otherwise ask for one
+    pairs = []
+    cached = meyer._tau_cached
+
+    def recording(At, Bt):
+        pairs.append((At, Bt))
+        return cached(At, Bt)
+
+    monkeypatch.setattr(meyer, "_tau_cached", recording)
+    for g in (1, 2, 3):
+        ctx = locsig.CycleContext(g, TypeI())
+        top = ChainTwist(2 * g + 1)
+        # infinite-order words, so no product in the folds is the identity;
+        # at g = 1 the stabiliser of a type I cycle has only t1 and t3
+        inner = Word(g, ((ChainTwist(1), 1), (top, -2))) if g == 1 else \
+            Word(g, ((ChainTwist(1), 1), (ChainTwist(2), -1), (ChainTwist(3), 2)))
+        for e in range(1, 9):
+            for w in (gen_word(g, ChainTwist(1), -e), gen_word(g, top, -e),
+                      Word(g, ((inner, -e),)),
+                      Word(g, ((Word(g, ((inner, 2), (top, -1))), -e), (IOTA, 1)))):
+                meyer.phi(w)
+                locsig.s_word(w, ctx)
+    assert pairs
+    assert not [(A, B) for A, B in pairs
+                if surface.mat_mul(A, B) == surface.sp_identity(len(A) // 2)]
+
+
+def test_prefix_sum_requests_no_identity_first_argument(monkeypatch, rng):
+    # the fold starts from M_1, so it asks tau(P_{k-1}, M_k) for k >= 2 only
+    firsts = []
+    cached = meyer._tau_cached
+
+    def recording(At, Bt):
+        firsts.append(At)
+        return cached(At, Bt)
+
+    monkeypatch.setattr(meyer, "_tau_cached", recording)
+    for g in (1, 2, 3):
+        for _ in range(8):
+            mats = [surface.word_matrix(random_word(rng, g, rng.randrange(1, 5)))
+                    for _ in range(rng.randrange(1, 7))]
+            prefixes = [arr(mats[0])]
+            for M in mats[1:]:
+                prefixes.append(prefixes[-1] @ arr(M))
+            firsts.clear()
+            meyer.tau_prefix_sum(mats)
+            assert [arr(P).tolist() for P in firsts] == [P.tolist() for P in prefixes[:-1]]
+            if not any((P == arr(eye(2 * g))).all() for P in prefixes):
+                assert eye(2 * g) not in firsts
+    assert meyer.tau_prefix_sum([]) == 0

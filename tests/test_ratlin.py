@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,19 @@ class TestSmithNormalForm:
         U, D, V = ratlin.smith_normal_form([[12], [-12]])
         assert D == ((12,), (0,))
         self.check([[12], [-12]])
+
+    def test_non_integer_entries_rejected(self):
+        # truncated by int() they gave D = diag(2, 0) and ((1,),)
+        with pytest.raises(ratlin.ShapeError, match=r"1/2 at \(0, 0\)"):
+            ratlin.smith_normal_form([[F(1, 2), 0], [0, F(7, 3)]])
+        with pytest.raises(ratlin.ShapeError, match=r"1\.9 at \(0, 0\)"):
+            ratlin.smith_normal_form([[1.9]])
+        with pytest.raises(ratlin.ShapeError, match=r"7/3 at \(1, 1\)"):
+            ratlin.smith_normal_form([[1, 0], [0, F(7, 3)]])
+        # integral entries of any number type still pass
+        A = [[F(4), 2.0], [np.int64(6), 8]]
+        assert ratlin.smith_normal_form(A)[1] == ((2, 0), (0, 10))
+        assert self.check(A) == [2, 10]
 
     def test_random(self, rng):
         for _ in range(60):
