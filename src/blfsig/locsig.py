@@ -185,22 +185,19 @@ def push_forward(w: Word, ctx: CycleContext):
     return w.substitute(side1, h), w.substitute(side2, g - h)
 
 
-def pushed_phi(w: Word, ctx: CycleContext) -> Fraction:
-    """phi of the pushforward (a sum of two values in the separating case)."""
-    image = push_forward(w, ctx)
-    if isinstance(ctx.cycle, TypeI):
-        return meyer.phi(image)
-    return meyer.phi(image[0]) + meyer.phi(image[1])
-
-
 def s_word(w: Word, ctx: CycleContext) -> int:
     """Round-cobordism signature of a word: its generator sum corrected by
     the Meyer cocycle upstairs and on the cut surface."""
     validate_word(w, ctx)
     if not isinstance(ctx.cycle, TypeI):
         return 0
-    additive = homomorphism(w, lambda gen: s_generator(gen, ctx))
-    return int(additive) - meyer.correction(w) + meyer.correction(push_forward(w, ctx))
+    return _s_value(w, ctx, meyer.correction(w), meyer.correction(push_forward(w, ctx)))
+
+
+def _s_value(w: Word, ctx: CycleContext, c: int, c_push: int) -> int:
+    """s(w) of a type I context from the corrections of w and of its
+    pushforward."""
+    return int(homomorphism(w, lambda gen: s_generator(gen, ctx))) - c + c_push
 
 
 @dataclass(frozen=True)
@@ -222,11 +219,23 @@ class DecompositionReport:
 
 
 def decomposition_check(w: Word, ctx: CycleContext) -> DecompositionReport:
-    """Evaluate the homomorphism two ways and report the comparison."""
+    """Evaluate the homomorphism two ways and report the comparison.  The
+    pushforward and the cocycle correction of each distinct word are
+    computed once and shared by s, phi and the pushed phi."""
+    h = h_word(w, ctx)
+    image = push_forward(w, ctx)
+    sides = (image,) if isinstance(ctx.cycle, TypeI) else image
+    corrections = {}
+    for x in (w, *sides):
+        if x not in corrections:
+            corrections[x] = meyer.correction(x)
+    s_term = _s_value(w, ctx, corrections[w], corrections[image]) \
+        if isinstance(ctx.cycle, TypeI) else 0
     return DecompositionReport(
         context=ctx,
-        homomorphism=h_word(w, ctx),
-        s_term=s_word(w, ctx),
-        phi_term=meyer.phi(w),
-        pushed_phi_term=pushed_phi(w, ctx),
+        homomorphism=h,
+        s_term=s_term,
+        phi_term=meyer.generator_sum(w) + corrections[w],
+        pushed_phi_term=sum((meyer.generator_sum(x) + corrections[x] for x in sides),
+                            Fraction(0)),
     )

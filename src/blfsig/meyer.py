@@ -29,7 +29,27 @@ solves (A^-1 - 1)x + E alpha = 0 over the integers, and keeps the basis
 solutions with alpha != 0.  Their images E alpha span W (rarely with a
 dependent one, which only adds radical), so the Gram matrix has at most 2g
 rows, the kernel has dimension at most 2g instead of up to 4g, and tau
-with an identity argument builds no form at all.
+with an identity argument builds no form at all.  E and Y depend on B
+alone and are cached per matrix (``_image``), so each letter or datum
+matrix is reduced once per process.
+
+Three kinds of argument get a smaller form.  Each is exact because the
+form on V and the form it induces on W have one signature.
+
+- B a transvection, Im(B - 1) = Q e with (B - 1) y = e: W is Q e or 0.
+  One solution (x, alpha) with alpha != 0 spans it, and with u = x + alpha y
+  the Gram matrix is the single number -alpha <u, e>, so
+  tau = sign(alpha <u, e>).
+- A a transvection too: a symplectic A with rank(A - 1) = 1 fixes its
+  image, so for a nonzero column f = (A - 1) e_j, (A^-1 - 1) e_j =
+  -A^-1 f = -f and Im(A^-1 - 1) = Q f.  W != 0 exactly when e is parallel
+  to f, and then x = e_p e_j, alpha = f_p solve the system with no kernel,
+  e_p being the first nonzero entry of e.
+- B = -1: B - 1 = -2 is invertible, so V = {(x, (A^-1 - 1) x / 2)},
+  W = Im(A^-1 - 1), and the pairing is x1^T (J A^-1 - A^-T J) x2 / 2.  On
+  the vectors (2A e_i, (1 - A) e_i) its Gram matrix is 2(A^T J - J A), with
+  no reduction and no kernel: tau(A, -1) = -sig(A^T J - J A), the form
+  x -> <Ax, x> on Q^2g.
 
 The cobounding function phi obeys phi(uv) = phi(u) + phi(v) - tau(u, v)
 and has the base values
@@ -63,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from operator import mul, neg
 
 from . import ratlin, surface
 from .words import (IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate,
@@ -99,20 +119,19 @@ def meyer_form(A, B) -> surface.Matrix:
 
 def _gram(A: tuple, B: tuple) -> list[list[int]]:
     n = len(A)
-    if A == surface.sp_identity(n // 2):
+    g = n // 2
+    if A == surface.sp_identity(g):
         return []  # Im(A^-1 - 1) = 0
-    s = [1 - 2 * (i % 2) for i in range(n)]
-    # E: lattice basis of Im(B - 1), with (B - 1) Y[k] = E[k]
-    E, Y, _ = ratlin.column_reduce([[B[i][j] - (i == j) for j in range(n)]
-                                    for i in range(n)])
+    if B == surface.iota_matrix(g):
+        return _gram_minus_one(A)
+    E, Y = _image(B)
     if not E:
         return []
-    # K = (A^-1 - 1 | E) with the shuffle A^-1[i][j] = s(i)s(j) A[j^1][i^1]
-    K = [[s[i] * s[j] * A[j ^ 1][i ^ 1] - (i == j) for j in range(n)] +
-         [e[i] for e in E] for i in range(n)]
+    if len(E) == 1:
+        return _gram_line(A, E[0], Y[0])
     us = []
     zs = []
-    for v in ratlin.kernel_basis_int(K):
+    for v in ratlin.kernel_basis_int(_kernel_rows(A, E)):
         alpha = v[n:]
         if not any(alpha):
             continue  # in ker(A^-1 - 1) x 0, the radical
@@ -124,7 +143,7 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
                 w = [p + a * q for p, q in zip(w, e)]
         us.append(u)
         # z = -J w: entry i is -s(i) w[i^1]
-        zs.append([-s[i] * w[i ^ 1] for i in range(n)])
+        zs.append([-w[i ^ 1] if i % 2 == 0 else w[i ^ 1] for i in range(n)])
     G = [[sum(map(mul, u, z)) for z in zs] for u in us]
     d = len(G)
     for i in range(d):
@@ -132,6 +151,89 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
             if G[i][j] != G[j][i]:
                 raise AssertionError("Meyer form came out asymmetric; convention bug")
     return G
+
+
+@lru_cache(maxsize=1 << 10)
+def _image(B: tuple) -> tuple[tuple, tuple]:
+    """(E, Y): a lattice basis E of Im(B - 1), as columns, and preimages
+    with (B - 1) Y[k] = E[k]; one column reduction per matrix B."""
+    n = len(B)
+    E, Y, _ = ratlin.column_reduce([[B[i][j] - (i == j) for j in range(n)]
+                                    for i in range(n)])
+    return tuple(map(tuple, E)), tuple(map(tuple, Y))
+
+
+def _kernel_rows(A: tuple, E) -> list[list[int]]:
+    """K = (A^-1 - 1 | E): row i of A^-1 is s(i) times the J-shuffle
+    (entry j is s(j) c[j^1]) of column c = i^1 of A."""
+    n = len(A)
+    cols = list(zip(*A))
+    K = []
+    for i, tail in enumerate(zip(*E)):
+        c = cols[i ^ 1]
+        row = [0] * n
+        if i % 2 == 0:
+            row[0::2] = c[1::2]
+            row[1::2] = map(neg, c[0::2])
+        else:
+            row[0::2] = map(neg, c[1::2])
+            row[1::2] = c[0::2]
+        row[i] -= 1
+        row += tail
+        K.append(row)
+    return K
+
+
+def _gram_line(A: tuple, e: tuple, y: tuple) -> list[list[int]]:
+    """The form when Im(B - 1) = Q e, with (B - 1) y = e: W is Q e or 0,
+    and the Gram matrix is the 1 x 1 value -alpha <u, e> of one vector
+    (x, alpha y) of V with alpha != 0, where u = x + alpha y."""
+    n = len(A)
+    found = _rank_one_column(A)
+    if found is None:
+        x = next((v for v in ratlin.kernel_basis_int(_kernel_rows(A, (e,))) if v[n]), None)
+        if x is None:
+            return []  # e is not in Im(A^-1 - 1)
+        alpha = x[n]
+        u = [p + alpha * q for p, q in zip(x, y)]
+    else:
+        # A is a transvection, fixing f = (A - 1) e_j, so (A^-1 - 1) e_j = -f
+        j, f = found
+        p = next(i for i, x in enumerate(e) if x)
+        ep, alpha = e[p], f[p]
+        if any(alpha * a != ep * b for a, b in zip(e, f)):
+            return []  # Q e ∩ Q f = 0
+        # x = e_p e_j: (A^-1 - 1) x = -e_p f = -f_p e
+        u = [alpha * q for q in y]
+        u[j] += ep
+    return [[-alpha * surface.pairing(u, e)]]
+
+
+def _rank_one_column(A: tuple):
+    """(j, (A - 1) e_j) for a nonzero column j if A - 1 has rank one, else
+    None, for A != 1; stops at the first row of A - 1 that is not a
+    multiple of the first nonzero one."""
+    units = surface.sp_identity(len(A) // 2)
+    R = None
+    for row, unit in zip(A, units):
+        if row == unit:
+            continue
+        d = [a - b for a, b in zip(row, unit)]
+        if R is None:
+            R = d
+            j = next(k for k, x in enumerate(d) if x)
+            Rj = R[j]
+        elif any(Rj * a != d[j] * b for a, b in zip(d, R)):
+            return None
+    return j, [row[j] - unit[j] for row, unit in zip(A, units)]
+
+
+def _gram_minus_one(A: tuple) -> list[list[int]]:
+    """The form for B = -1: V = {(x, (A^-1 - 1)x / 2)} and on the vectors
+    (2A e_i, (1 - A) e_i) its Gram matrix is 2(A^T J - J A) = -2(P + P^T)
+    with P = J A, whose row i is s(i) A[i^1]."""
+    P = [A[i ^ 1] if i % 2 == 0 else tuple(map(neg, A[i ^ 1])) for i in range(len(A))]
+    return [[-2 * (a + b) for a, b in zip(row, col)] for row, col in zip(P, zip(*P))]
 
 
 def _tau_core(At: tuple, Bt: tuple) -> int:
@@ -212,7 +314,12 @@ def _state(w: Word):
             return _state(item)
         return (0, surface.generator_matrix(item, g))
 
-    return evaluate(w, value, _combine, _invert, (0, surface.sp_identity(g)))
+    def inverse(item):
+        if isinstance(item, Word):
+            return _invert(_state(item))
+        return (0, surface.generator_inverse(item, g))
+
+    return evaluate(w, value, _combine, _invert, (0, surface.sp_identity(g)), inverse)
 
 
 def correction(w: Word) -> int:
@@ -222,12 +329,18 @@ def correction(w: Word) -> int:
     return _state(w)[0] if w.genus else 0
 
 
+def generator_sum(w: Word) -> Fraction:
+    """Sum of the base values of the word's generators, phi(w) minus
+    ``correction(w)``; 0 at genus 0."""
+    if w.genus == 0:
+        return Fraction(0)  # trivial mapping class group
+    return homomorphism(w, lambda gen: phi_base(gen, w.genus))
+
+
 def phi(w: Word) -> Fraction:
     """The cobounding function evaluated on a word; independent of the
     chosen word for a fixed group element."""
-    if w.genus == 0:
-        return Fraction(0)  # trivial mapping class group
-    return homomorphism(w, lambda gen: phi_base(gen, w.genus)) + correction(w)
+    return generator_sum(w) + correction(w)
 
 
 def tau_prefix_sum(mats) -> int:

@@ -22,12 +22,17 @@ M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
+``generator_inverse`` keeps each generator's inverse beside its matrix, so
+a negative exponent in a word reuses it.
+
 ``mat_mul`` computes only the entries its factors change: the columns of
 B that are not unit columns, in the rows of A that are not unit rows.  It
 takes two square matrices of one size 2g, as every caller passes.  A chain
 class has at most two nonzero coordinates, so a chain twist, and any power
 of one, differs from the identity in at most two rows and two columns, and
-a product with it on either side costs O(g^2) instead of O(g^3).
+a product with it on either side costs O(g^2) instead of O(g^3).  The
+matrix -1 of iota has no unit row or column, so ``mat_mul`` tests for it
+and negates the other factor, also in O(g^2).
 
 ``is_symplectic`` checks M J M^T = J, which holds exactly when M^T J M = J,
 as pairings of rows: <M_i, M_j> = J_ij for i < j (the pairing is
@@ -39,10 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import mul, neg
 
 from . import ratlin
-from .words import IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
+from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,10 @@ def twist_matrix(c, g: int) -> Matrix:
     return transvection(c)
 
 
+@lru_cache(maxsize=None)
 def iota_matrix(g: int) -> Matrix:
-    return generator_matrix(IOTA, g)
+    """-1, the matrix of the hyperelliptic involution; () at genus 0."""
+    return tuple(tuple(map(neg, row)) for row in sp_identity(g))
 
 
 def is_symplectic(M, g: int | None = None) -> bool:
@@ -165,9 +172,16 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     the entries the factors change: a unit column e_j of B leaves column j
     of A in place, a unit row e_i of A makes row i of the product the row
     B[i] (shared, as tuples are immutable), and every other entry is a dot
-    product.  O(g^2) when either factor is a chain twist or a power of one;
-    O(g^3) for two general matrices."""
-    units = sp_identity(len(B) // 2)
+    product.  A factor -1 (iota) negates the other one.  O(g^2) when either
+    factor is -1, a chain twist or a power of one; O(g^3) for two general
+    matrices."""
+    g = len(B) // 2
+    minus = iota_matrix(g)
+    if B == minus:
+        return tuple(tuple(map(neg, row)) for row in A)
+    if A == minus:
+        return tuple(tuple(map(neg, row)) for row in B)
+    units = sp_identity(g)
     moved = [(j, col) for j, (col, unit) in enumerate(zip(zip(*B), units)) if col != unit]
     out = []
     for row, unit, brow in zip(A, units, B):
@@ -195,10 +209,17 @@ def generator_matrix(gen, g: int) -> Matrix:
     if isinstance(gen, ChainTwist):
         return transvection(chain_class(gen.index, g))
     if isinstance(gen, Iota):
-        return tuple(tuple(-x for x in row) for row in sp_identity(g))
+        return iota_matrix(g)
     if isinstance(gen, SeparatingTwist):
         return sp_identity(g)  # null-homologous cycle, trivial transvection
     raise WordError(f"unknown generator {gen!r}")
+
+
+@lru_cache(maxsize=1 << 10)
+def generator_inverse(gen, g: int) -> Matrix:
+    """Inverse of ``generator_matrix(gen, g)``, built once per generator
+    and genus and kept beside it, for the negative exponents of words."""
+    return sp_inverse(generator_matrix(gen, g))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -211,7 +232,11 @@ def word_matrix(w: Word) -> Matrix:
     def value(item):
         return word_matrix(item) if isinstance(item, Word) else generator_matrix(item, g)
 
-    return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g))
+    def inverse(item):
+        return sp_inverse(word_matrix(item)) if isinstance(item, Word) else \
+            generator_inverse(item, g)
+
+    return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g), inverse)
 
 
 def word_to_matrix(w: Word) -> Matrix:

@@ -180,7 +180,8 @@ def _checked_word(genus: int, items: tuple) -> Word:
     return w
 
 
-def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one):
+def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one,
+             inverse: Callable | None = None):
     """Fold a word into a group: the product of ``value(item) ** exp`` over
     the items, left to right.
 
@@ -188,13 +189,17 @@ def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one):
     caller may cache nested values or recurse through ``evaluate``.  Powers
     use repeated squaring, a negative exponent inverts first, and the fold
     starts from the first factor: ``one`` is returned for the empty word
-    and is never passed to ``mul``.
+    and is never passed to ``mul``.  The inverse of an item is
+    ``inverse(item)`` when that is given, so a caller may cache it, and
+    ``inv(value(item))`` otherwise.
     """
     acc = None
     for item, exp in w.items:
-        base = value(item)
-        if exp < 0:
-            base, exp = inv(base), -exp
+        if exp > 0:
+            base = value(item)
+        else:
+            base = inv(value(item)) if inverse is None else inverse(item)
+            exp = -exp
         power = None
         while True:
             if exp & 1:

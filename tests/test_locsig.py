@@ -275,3 +275,34 @@ class TestDecomposition:
                 w = random_context_word(rng, ctx, rng.randrange(1, 20))
                 rep = locsig.decomposition_check(w, ctx)
                 assert rep.agrees, (ctx, w)
+
+    def test_terms_match_the_separate_evaluations(self, rng):
+        for ctx in self.contexts():
+            for _ in range(8):
+                w = random_context_word(rng, ctx, rng.randrange(1, 12))
+                rep = locsig.decomposition_check(w, ctx)
+                image = locsig.push_forward(w, ctx)
+                sides = (image,) if isinstance(ctx.cycle, TypeI) else image
+                assert rep.homomorphism == locsig.h_word(w, ctx)
+                assert rep.s_term == locsig.s_word(w, ctx)
+                assert rep.phi_term == meyer.phi(w)
+                assert rep.pushed_phi_term == sum(meyer.phi(x) for x in sides)
+
+    def test_each_correction_is_folded_once(self, monkeypatch):
+        calls = []
+        correction = meyer.correction
+
+        def recording(w):
+            calls.append(w)
+            return correction(w)
+
+        monkeypatch.setattr(meyer, "correction", recording)
+        for ctx, text in ((CycleContext(3, TypeI()), "t1 t2^-1 (t3 t7^2)^5 iota t5"),
+                          (CycleContext(3, TypeII(0)), "t1 t2^-1 (t3 t7^2)^5 t5"),
+                          (CycleContext(3, TypeII(1)), "t1 t2^-1 (t4 t7^2)^5 t5")):
+            w = words.parse_word(text, 3)
+            calls.clear()
+            assert locsig.decomposition_check(w, ctx).agrees
+            assert len(calls) == len(set(calls)), ctx
+            image = locsig.push_forward(w, ctx)
+            assert set(calls) == {w, *((image,) if isinstance(ctx.cycle, TypeI) else image)}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -196,6 +197,145 @@ class TestReducedForm:
                 G = meyer.meyer_form(A, B)
                 assert all(len(row) == len(G) for row in G) and len(G) <= 2 * g
                 assert -ratlin.signature_of_symmetric(G) == meyer.tau(A, B)
+
+
+def power(M, k):
+    """M^k by numpy products, inverting through the index shuffle."""
+    base = arr(M if k > 0 else surface.sp_inverse(M))
+    out = arr(eye(len(M)))
+    for _ in range(abs(k)):
+        out = out @ base
+    return out
+
+
+def random_class(rng, g):
+    while True:
+        c = tuple(rng.randint(-2, 2) for _ in range(2 * g))
+        if any(c):
+            return c
+
+
+class TestSpecialForms:
+    """tau with a transvection second argument (Im(B - 1) = Q e), with two
+    transvections, and with B = -1, against the full-space form."""
+
+    @staticmethod
+    def check(A, B):
+        want = oracle_tau(A, B)
+        assert meyer.tau(A, B) == want
+        G = meyer.meyer_form(A, B)
+        assert len(G) <= len(arr(A))
+        assert -ratlin.signature_of_symmetric(G) == want if G else want == 0
+        return want
+
+    def test_twist_powers(self, rng):
+        for g in range(1, 7):
+            A = random_symplectic(rng, g, rng.randrange(2, 9))
+            for k in (1, -1, 2, -2, 3, -3, 7, -7):
+                T = surface.word_matrix(gen_word(g, ChainTwist(rng.randrange(1, 2 * g + 2)), k))
+                self.check(A, T)
+                self.check(T, A)
+
+    def test_conjugated_transvections(self, rng):
+        for g in range(1, 7):
+            for _ in range(3):
+                W = random_symplectic(rng, g, rng.randrange(2, 9))
+                t = power(twist(rng.randrange(1, 2 * g + 2), g), rng.choice([1, -1, 2]))
+                T = arr(W) @ t @ arr(surface.sp_inverse(W))
+                A = random_symplectic(rng, g, rng.randrange(2, 9))
+                self.check(A, T)
+                self.check(T, A)
+                assert self.check(T, power(T, -1)) == 0
+
+    def test_transvection_pairs(self, rng):
+        # parallel (c and m c, either sign and power) and skew classes
+        for g in range(1, 7):
+            c = random_class(rng, g)
+            d = random_class(rng, g)
+            for a in (1, -1, 2, -3):
+                for m, b in ((1, 1), (1, -1), (-1, 2), (2, 1), (2, -1), (1, -a)):
+                    mc = tuple(m * x for x in c)
+                    self.check(power(surface.transvection(c), a),
+                               power(surface.transvection(mc), b))
+                self.check(power(surface.transvection(c), a), surface.transvection(d))
+            for _ in range(6):
+                i, j = rng.randrange(1, 2 * g + 2), rng.randrange(1, 2 * g + 2)
+                self.check(twist(i, g), power(twist(j, g), rng.choice([1, -1])))
+
+    def test_minus_identity(self, rng):
+        for g in range(1, 7):
+            minus = surface.iota_matrix(g)
+            assert self.check(minus, minus) == 0
+            for _ in range(3):
+                A = random_symplectic(rng, g, rng.randrange(1, 9))
+                self.check(A, minus)
+                self.check(minus, A)
+                self.check(arr(A) @ arr(minus), minus)
+            self.check(twist(1, g), minus)
+            G = meyer.meyer_form(A, minus)
+            assert len(G) == 2 * g  # a form on the whole of Q^2g, no reduction
+
+    def test_phi_pairs_with_iota_at_genus_6(self, monkeypatch):
+        g = 6
+        rng = random.Random(12)
+        w = random_word(rng, g, 6) * gen_word(g, IOTA) * random_word(rng, g, 5)  # 12 letters
+        calls = []
+        cached = meyer._tau_cached
+
+        def recording(At, Bt):
+            calls.append((At, Bt))
+            return cached(At, Bt)
+
+        cached.cache_clear()
+        monkeypatch.setattr(meyer, "_tau_cached", recording)
+        meyer.phi(w)
+        monkeypatch.undo()
+        assert len(calls) > 10
+        assert any(Bt == surface.iota_matrix(g) for _, Bt in calls)
+        for At, Bt in calls:
+            self.check(At, Bt)
+
+    def test_transvection_and_minus_one_forms_need_no_kernel(self, monkeypatch, rng):
+        kernels = []
+        kernel = ratlin.kernel_basis_int
+
+        def recording(M):
+            kernels.append(M)
+            return kernel(M)
+
+        monkeypatch.setattr(ratlin, "kernel_basis_int", recording)
+        for g in range(1, 7):
+            c = surface.chain_class(rng.randrange(1, 2 * g + 2), g)
+            W = random_symplectic(rng, g)
+            v = tuple(int(x) for x in arr(W) @ arr(c))
+            A = random_symplectic(rng, g)
+            for X, Y in ((surface.transvection(v), surface.transvection(v)),
+                         (surface.transvection(v), surface.transvection(c)),
+                         (surface.sp_inverse(surface.transvection(v)), surface.transvection(v)),
+                         (A, surface.iota_matrix(g))):
+                want = oracle_tau(X, Y)
+                kernels.clear()
+                assert len(meyer._gram(X, Y)) <= (1 if Y != surface.iota_matrix(g) else 2 * g)
+                assert meyer._tau_core(X, Y) == want
+                assert not kernels
+
+    def test_second_argument_is_reduced_once(self, rng):
+        for g in (2, 4, 6):
+            B = random_symplectic(rng, g)
+            meyer._image.cache_clear()
+            for _ in range(5):
+                A = random_symplectic(rng, g)
+                assert meyer._tau_core(A, B) == oracle_tau(A, B)
+            assert meyer._image.cache_info().misses == 1
+
+    def test_general_form_keeps_its_symmetry_check(self):
+        # B - 1 of rank 4 that is not symplectic: Im(B - 1) is no longer
+        # omega-orthogonal to ker(B - 1), and the general form says so
+        A = ((0, 1, 0, 0), (-1, 4, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1))
+        B = ((1, -1, 2, -2), (0, -1, -2, -2), (2, -2, 2, -1), (1, -2, 2, 0))
+        assert surface.is_symplectic(A) and not surface.is_symplectic(B)
+        with pytest.raises(AssertionError, match="asymmetric"):
+            meyer._gram(A, B)
 
 
 class TestPhi:

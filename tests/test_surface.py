@@ -4,7 +4,8 @@ import pytest
 from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_word
-from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
+from blfsig.words import (IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word,
+                          parse_word)
 from conftest import arr, eye
 
 
@@ -247,6 +248,47 @@ class TestSparseProducts:
                 # a twist power moves at most two rows and two columns:
                 # at most 2n dot products of length n, against n^2 dense
                 assert len(calls) <= 2 * n * n < n ** 3
+
+
+    def test_iota_factor_is_a_negation(self, rng, monkeypatch):
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append(None)
+            return a * b
+
+        monkeypatch.setattr(surface, "mul", counting_mul)
+        for g in range(1, 7):
+            minus = surface.iota_matrix(g)
+            for M in sample_factors(rng, g) + [minus]:
+                for A, B in ((M, minus), (minus, M)):
+                    calls.clear()
+                    assert surface.mat_mul(A, B) == dense_product(A, B)
+                    assert not calls
+        assert surface.iota_matrix(0) == () == surface.mat_mul((), ())
+
+
+class TestGeneratorInverses:
+    def test_built_once_per_generator_and_genus(self, rng, monkeypatch):
+        calls = []
+        shuffle = surface.sp_inverse
+
+        def counting(M):
+            calls.append(M)
+            return shuffle(M)
+
+        monkeypatch.setattr(surface, "sp_inverse", counting)
+        surface.generator_inverse.cache_clear()
+        for g in (2, 3):
+            surface.word_matrix.cache_clear()
+            for text in ("t1^-1 t2", "t2 t1^-3", "(t1^-2 iota^-1)^3 t1^-1", "t3^-1 iota^-5"):
+                w = parse_word(text, g)
+                assert arr(surface.word_matrix(w)).tolist() == reference_matrix(w).tolist()
+        # t1, iota and t3 at each genus; nested words have no negative exponent
+        assert len(calls) == 6
+        for (gen, g) in ((ChainTwist(1), 2), (IOTA, 3), (ChainTwist(3), 3)):
+            assert surface.mat_mul(surface.generator_matrix(gen, g),
+                                   surface.generator_inverse(gen, g)) == surface.sp_identity(g)
 
 
 class TestCurveAction:

@@ -227,3 +227,22 @@ def test_evaluate_large_exponents_cost_log_many_products():
             expected = compose(expected, t2)
         assert got == expected
         assert len(calls) <= 2 * (10 ** 18).bit_length()
+
+
+@given(nested_words())
+@settings(max_examples=50, deadline=None)
+def test_evaluate_takes_item_inverses_from_the_hook(w):
+    # with ``inverse`` given, a negative exponent never inverts a value
+    assume(letter_count(w) <= 20000)
+    asked = []
+
+    def inverse(item):
+        asked.append(item)
+        return invert(perm_value(item))
+
+    def no_invert(p):
+        raise AssertionError("inverted a value despite the inverse hook")
+
+    got = evaluate(w, perm_value, compose, no_invert, ONE, inverse)
+    assert got == evaluate(w, perm_value, compose, invert, ONE)
+    assert len(asked) == sum(e < 0 for _, e in w.items)

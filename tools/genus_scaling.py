@@ -7,6 +7,10 @@ Prints one JSON object with the time, in seconds, of
 - ``word_matrix``: ``surface.word_matrix`` on two 40-letter words drawn by
   ``verify.random_word`` from ``random.Random(5)``, at g = 6, 10, 20, 50, 100;
 - ``tau``: ``meyer._tau_cached`` on the matrices of those two words;
+- ``tau_transvection``: ``meyer._tau_cached(A, T)`` with A the matrix of the
+  first word and T = W t_1 W^-1, a transvection conjugated by the matrix W
+  of the second;
+- ``tau_minus_one``: ``meyer._tau_cached(A, -1)``, -1 being iota's matrix;
 - ``validate``: ``fibration.validate`` on the ``mgn`` family at n = 1,
   g = 2, 4, 6, 8.
 
@@ -41,21 +45,38 @@ def cell(kind: str, g: int) -> float:
     import random
 
     from blfsig import fibration, meyer, surface, verify
+    from blfsig.words import ChainTwist, gen_word
 
     rng = random.Random(5)
     words = [verify.random_word(rng, g, 40) for _ in range(2)]
-    spec = fibration.family_spec("mgn", g, 1) if kind == "validate" else None
-    matrices = [surface.word_matrix(w) for w in words] if kind == "tau" else None
-    calls = {"word_matrix": lambda: [surface.word_matrix(w) for w in words],
-             "tau": lambda: meyer._tau_cached(*matrices),
-             "validate": lambda: fibration.validate(spec)}
+    if kind == "word_matrix":
+        def call():
+            return [surface.word_matrix(w) for w in words]
+    elif kind == "validate":
+        spec = fibration.family_spec("mgn", g, 1)
+
+        def call():
+            return fibration.validate(spec)
+    else:
+        A, B = (surface.word_matrix(w) for w in words)
+        if kind == "tau_transvection":
+            B = surface.word_matrix(words[1] * gen_word(g, ChainTwist(1)) * words[1].inverse())
+        elif kind == "tau_minus_one":
+            B = surface.iota_matrix(g)
+
+        def call():
+            return meyer._tau_cached(A, B)
+    # the caches a cell clears between runs; those a checkout lacks are skipped
+    caches = [getattr(module, name, None) for module, name in
+              ((surface, "word_matrix"), (meyer, "_tau_cached"), (meyer, "_image"))]
     best = float("inf")
     spent = 0.0
     for _ in range(5):
-        surface.word_matrix.cache_clear()
-        meyer._tau_cached.cache_clear()
+        for cache in caches:
+            if cache is not None:
+                cache.cache_clear()
         t = time.perf_counter()
-        calls[kind]()
+        call()
         elapsed = time.perf_counter() - t
         best = min(best, elapsed)
         spent += elapsed
@@ -95,6 +116,7 @@ def main(argv=None) -> int:
     table = {kind: {str(g): run_cell(root, kind, g)
                     for g in genera}
              for kind, genera in (("word_matrix", GENERA), ("tau", GENERA),
+                                  ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
                                   ("validate", VALIDATE_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
