@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -254,7 +255,11 @@ def _places(doc):
 
 @st.composite
 def spec_documents(draw):
-    doc = draw(st.one_of(grammar_docs, family_docs))
+    # mutate a copy: drawn documents share the dicts and lists of the
+    # sampled_from and just strategies above, and mutating those in place
+    # would change what later examples draw (Hypothesis then reports a
+    # flaky strategy)
+    doc = copy.deepcopy(draw(st.one_of(grammar_docs, family_docs)))
     for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
         places = list(_places(doc))
         if not places:
@@ -263,7 +268,7 @@ def spec_documents(draw):
         if isinstance(container, dict) and draw(st.booleans()):
             del container[key]
         else:
-            container[key] = draw(junk)
+            container[key] = copy.deepcopy(draw(junk))
     top_level_junk = draw(st.sampled_from((False,) * 9 + (True,)))
     return draw(junk) if top_level_junk else doc
 
