@@ -40,7 +40,7 @@ from .locsig import (
     s_word,
     sigma_loc,
 )
-from .meyer import PhiTable, meyer_form, phi, phi_base, phi_table, tau
+from .meyer import meyer_form, phi, phi_base, tau
 from .ratlin import (
     ShapeError,
     kernel_basis,

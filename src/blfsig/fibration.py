@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from operator import mul
 
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
@@ -99,6 +99,15 @@ class LefschetzDatum:
         """The full twist word w t w^-1."""
         w = self.conjugator
         return w * self.standard_twist() * w.inverse()
+
+    def matrix(self) -> surface.Matrix:
+        """The symplectic image of ``word()``: the transvection along W c,
+        with W the matrix of the conjugator and c the class of the standard
+        cycle, since W t_c W^-1 = t_{Wc} for symplectic W.  c is zero for a
+        separating cycle, which gives the identity."""
+        c = surface.cycle_class(self.cycle, self.genus)
+        W = surface.word_matrix(self.conjugator)
+        return surface.transvection([sum(map(mul, row, c)) for row in W])
 
 
 def chain_twist_datum(i: int, g: int) -> LefschetzDatum:
@@ -200,22 +209,6 @@ def _matches_mod_sign(A: surface.Matrix, B: surface.Matrix) -> str | None:
     return None
 
 
-def _is_positive_transvection(M: surface.Matrix, g: int) -> bool:
-    """True when M is x -> x + <x, v> v for some integer vector v
-    (a conjugate of a right-handed twist along a non-separating cycle).
-
-    Every column of M - 1 is a multiple of v, so the candidate is the
-    gcd-primitive first nonzero column; equality with its transvection
-    already implies that M - 1 has rank 1."""
-    n = 2 * g
-    for j in range(n):
-        col = [M[i][j] - (i == j) for i in range(n)]
-        if any(col):
-            d = gcd(*col)
-            return surface.transvection([x // d for x in col]) == M
-    return False
-
-
 def validate(spec: FibrationSpec) -> ValidationReport:
     """Homological consistency checks; every failure is itemized."""
     report = ValidationReport()
@@ -231,7 +224,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add("components", "active component must have genus >= 1")
             return report
 
-    # (a') Lefschetz data are conjugated twists of the right kind; their
+    # (a') Lefschetz data are essential twists at the active genus; their
     # product is the incoming monodromy of the active component
     hurwitz = surface.sp_identity(g_active) if g_active >= 1 else None
     genus_mismatch = False
@@ -245,14 +238,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             # II_0 and II_g twists act trivially: the product is unaffected
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
             continue
-        M = surface.word_matrix(d.word())
-        hurwitz = surface.mat_mul(hurwitz, M)
-        if isinstance(d.cycle, TypeI):
-            if not _is_positive_transvection(M, g_active):
-                report.add(where, "matrix is not a conjugated right-handed transvection")
-        else:
-            if _matches_mod_sign(M, surface.sp_identity(g_active)) is None:
-                report.add(where, "separating twist should act as +-identity on homology")
+        hurwitz = surface.mat_mul(hurwitz, d.matrix())
 
     # (a) round monodromies are words in the stabiliser generators
     contexts = []
@@ -391,7 +377,7 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
         total += locsig.s_word(r.monodromy, ctx)
     g = spec.active_genus()
     if g >= 1:
-        data = [surface.word_matrix(d.word()) for d in spec.lefschetz]
+        data = [d.matrix() for d in spec.lefschetz]
         total -= meyer.tau_prefix_sum(data)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")

@@ -14,7 +14,7 @@ is the homomorphism with generator values
                h(t_{2g+1}) = -g/(2g+1)
     type II_h: h(t_i) = (g+1)/(2g+1) - (h+1)/(2h+1)          for i <= 2h,
                h(t_i) = (g+1)/(2g+1) - (g-h+1)/(2(g-h)+1)    for i >= 2h+2
-    type II_0, II_g: h = 0.
+    type II_0, II_g: h(t_i) = 0 for every i.
 
 h decomposes as h = s + phi - (pushforward phi), where s is the signature
 of the glued round-handle piece (s takes values in {-1, 0, +1} on single
@@ -23,6 +23,11 @@ the decomposition is an exact identity and is exposed as a cross-check.
 h is the generator sum ``words.homomorphism``.  Unrolling the law for s
 over a word gives s(w) = sum s(gen) - c(w) + c(push w), with c the cocycle
 correction ``meyer.correction``, the same fold that evaluates phi.
+
+The generators listed above are the whole generating set of each
+stabiliser.  ``_generator`` is its one description, with each generator's
+h and s values and its image on the cut surface: a case analysis on the
+chain index, O(1) at every genus, that every other function here reads.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 
 from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import ChainTwist, Iota, Word, homomorphism
+from .words import IOTA, ChainTwist, Iota, Word, homomorphism
 
 
 class ContextError(ValueError):
@@ -54,37 +59,63 @@ class CycleContext:
         return f"(g={self.genus}, {self.cycle})"
 
 
-def allowed_chain_indices(ctx: CycleContext) -> frozenset[int]:
+def _generator(gen, ctx: CycleContext) -> tuple[Fraction, int, tuple | None]:
+    """The one description of the stabiliser's generating set: for a
+    generator of it, its h value, its s value and its image (side, generator)
+    on the cut surface, None when it dies there.  Any other generator raises
+    ContextError.  A case analysis on the index, O(1) at every genus."""
     g = ctx.genus
+    i = gen.index if isinstance(gen, ChainTwist) else None
     if isinstance(ctx.cycle, TypeI):
-        return frozenset(range(1, 2 * g)) | {2 * g + 1}
-    h = ctx.cycle.h
-    if h in (0, g):
-        return frozenset(range(1, 2 * g + 2))
-    return frozenset(range(1, 2 * h + 1)) | frozenset(range(2 * h + 2, 2 * g + 2))
+        if isinstance(gen, Iota):
+            # reverses the orientation of the cycle; survives one genus down
+            return Fraction(0), 0, (0, gen)
+        if i == 2 * g + 1:
+            return Fraction(-g, 2 * g + 1), -1, None  # the top twist dies
+        if i is not None and 1 <= i <= 2 * g - 1:
+            # at genus 1 the chain curve t_1 is isotopic to the top curve
+            return Fraction(-1, 4 * g * g - 1), -1 if g == 1 else 0, (0, gen)
+    elif i is not None and 1 <= i <= 2 * g + 1:
+        # separating cycle: s vanishes, since the correction space does
+        h = ctx.cycle.h
+        if h in (0, g):
+            # the whole surface lies on one side: the genus-g side 1 for h = 0
+            return Fraction(0), 0, (1 if h == 0 else 0, gen)
+        if i <= 2 * h:
+            return Fraction(g + 1, 2 * g + 1) - Fraction(h + 1, 2 * h + 1), 0, (0, gen)
+        if i >= 2 * h + 2:
+            # the top chain curve lies on the genus g-h side, so i = 2g+1
+            # takes the same value as the rest of that side
+            return (Fraction(g + 1, 2 * g + 1) - Fraction(g - h + 1, 2 * (g - h) + 1),
+                    0, (1, ChainTwist(i - 2 * h - 1)))
+    raise ContextError(f"{gen} is not a generator of the stabiliser for {ctx}")
+
+
+def _admits(gen, ctx: CycleContext) -> bool:
+    try:
+        _generator(gen, ctx)
+    except ContextError:
+        return False
+    return True
+
+
+def allowed_chain_indices(ctx: CycleContext) -> frozenset[int]:
+    return frozenset(i for i in range(1, 2 * ctx.genus + 2)
+                     if _admits(ChainTwist(i), ctx))
 
 
 def iota_allowed(ctx: CycleContext) -> bool:
-    return isinstance(ctx.cycle, TypeI)
+    return _admits(IOTA, ctx)
 
 
 def validate_word(w: Word, ctx: CycleContext) -> None:
     """Check that every generator of the word lies in the generating set of
     the context; the cost is the size of the word as written, whatever its
-    exponents."""
+    exponents or the genus."""
     if w.genus != ctx.genus:
         raise ContextError(f"word genus {w.genus} != context genus {ctx.genus}")
-    allowed = allowed_chain_indices(ctx)
     for gen in w.generators():
-        if isinstance(gen, ChainTwist):
-            if gen.index not in allowed:
-                raise ContextError(
-                    f"t{gen.index} is not a generator of the stabiliser for {ctx}")
-        elif isinstance(gen, Iota):
-            if not iota_allowed(ctx):
-                raise ContextError(f"iota is not a generator for {ctx}")
-        else:
-            raise ContextError(f"{gen} is not admitted in stabiliser words")
+        _generator(gen, ctx)
 
 
 def sigma_loc(cycle: CurveDescriptor, g: int) -> Fraction:
@@ -100,31 +131,7 @@ def sigma_loc(cycle: CurveDescriptor, g: int) -> Fraction:
 
 
 def h_generator(gen, ctx: CycleContext) -> Fraction:
-    g = ctx.genus
-    if isinstance(ctx.cycle, TypeI):
-        if isinstance(gen, Iota):
-            return Fraction(0)
-        if isinstance(gen, ChainTwist):
-            i = gen.index
-            if i == 2 * g + 1:
-                return Fraction(-g, 2 * g + 1)
-            if i <= 2 * g - 1:
-                return Fraction(-1, 4 * g * g - 1)
-        raise ContextError(f"{gen} is not a generator for {ctx}")
-    h = ctx.cycle.h
-    if h in (0, g):
-        if isinstance(gen, ChainTwist) and 1 <= gen.index <= 2 * g + 1:
-            return Fraction(0)
-        raise ContextError(f"{gen} is not a generator for {ctx}")
-    if isinstance(gen, ChainTwist):
-        i = gen.index
-        if i <= 2 * h:
-            return Fraction(g + 1, 2 * g + 1) - Fraction(h + 1, 2 * h + 1)
-        if i >= 2 * h + 2:
-            # the top chain curve lies on the genus g-h side, so i = 2g+1
-            # takes the same value as the rest of that side
-            return Fraction(g + 1, 2 * g + 1) - Fraction(g - h + 1, 2 * (g - h) + 1)
-    raise ContextError(f"{gen} is not a generator for {ctx}")
+    return _generator(gen, ctx)[0]
 
 
 def h_word(w: Word, ctx: CycleContext) -> Fraction:
@@ -135,18 +142,7 @@ def h_word(w: Word, ctx: CycleContext) -> Fraction:
 
 def s_generator(gen, ctx: CycleContext) -> int:
     """Round-cobordism signature of a single generator: in {-1, 0, +1}."""
-    g = ctx.genus
-    if not isinstance(ctx.cycle, TypeI):
-        return 0  # separating vanishing cycle: the correction space vanishes
-    if isinstance(gen, Iota):
-        return 0  # reverses the orientation of the cycle
-    if isinstance(gen, ChainTwist):
-        if gen.index == 2 * g + 1:
-            return -1
-        if gen.index <= 2 * g - 1:
-            # at genus 1 the chain curve t_1 is isotopic to the top curve
-            return -1 if g == 1 else 0
-    raise ContextError(f"{gen} is not a generator for {ctx}")
+    return _generator(gen, ctx)[1]
 
 
 # -- pushforward to the cut surface ------------------------------------------
@@ -158,31 +154,19 @@ def push_forward(w: Word, ctx: CycleContext):
     Type II_h: a pair of words at genus h and g-h (for h in {0, g} the
     nontrivial side is the word itself).
     """
+    images = {gen: _generator(gen, ctx)[2] for gen in w.generators()}
+
+    def side(k: int, genus: int) -> Word:
+        def fn(gen):
+            image = images[gen]
+            return image[1] if image is not None and image[0] == k else None
+        return w.substitute(fn, genus)
+
     g = ctx.genus
     if isinstance(ctx.cycle, TypeI):
-        top = 2 * g + 1
-
-        def fn(gen):
-            if isinstance(gen, ChainTwist):
-                return None if gen.index == top else gen
-            return gen  # iota -> iota one genus down
-
-        return w.substitute(fn, g - 1)
+        return side(0, g - 1)
     h = ctx.cycle.h
-    if h == 0:
-        return Word(0), w
-    if h == g:
-        return w, Word(0)
-
-    def side1(gen):
-        return gen if isinstance(gen, ChainTwist) and gen.index <= 2 * h else None
-
-    def side2(gen):
-        if isinstance(gen, ChainTwist) and gen.index >= 2 * h + 2:
-            return ChainTwist(gen.index - 2 * h - 1)
-        return None
-
-    return w.substitute(side1, h), w.substitute(side2, g - h)
+    return side(0, h), side(1, g - h)
 
 
 def s_word(w: Word, ctx: CycleContext) -> int:

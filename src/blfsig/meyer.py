@@ -56,7 +56,7 @@ and has the base values
 
     phi(chain twist)             = (g+1)/(2g+1)
     phi(separating twist, h)     = -4h(g-h)/(2g+1)
-    phi(iota)                    = tau(-1, -1)/2   (computed, and = 0)
+    phi(iota)                    = tau(-1, -1)/2 = 0
 
 so phi(w) is the generator sum ``words.homomorphism(w, phi_base)`` plus the
 Z-valued correction c(w) of the word's letter matrices.  ``correction``
@@ -80,13 +80,12 @@ that form and check that it is symplectic; the internal callers hold
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, neg
 
 from . import ratlin, surface
-from .words import (IOTA, ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate,
+from .words import (ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate,
                     homomorphism)
 
 
@@ -255,41 +254,21 @@ def tau(A, B) -> int:
 
 # -- the cobounding function -------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiTable:
-    """Base values of the cobounding function at a fixed genus."""
-    genus: int
-    nonseparating: Fraction
-    iota: Fraction
-
-    def separating(self, h: int) -> Fraction:
-        g = self.genus
-        if not 0 <= h <= g:
-            raise ValueError(f"separating type needs 0 <= h <= {g}, got {h}")
-        return Fraction(-4 * h * (g - h), 2 * g + 1)
-
-
-@lru_cache(maxsize=None)
-def phi_table(g: int) -> PhiTable:
-    surface.check_genus(g)
-    minus_one = surface.generator_matrix(IOTA, g)
-    iota_value = Fraction(_tau_cached(minus_one, minus_one), 2)
-    return PhiTable(genus=g,
-                    nonseparating=Fraction(g + 1, 2 * g + 1),
-                    iota=iota_value)
-
-
 def phi_base(gen, g: int) -> Fraction:
     """Base value of the cobounding function on a single generator."""
-    table = phi_table(g)
+    surface.check_genus(g)
     if isinstance(gen, ChainTwist):
         if not 1 <= gen.index <= 2 * g + 1:
             raise WordError(f"t{gen.index} out of range for genus {g}")
-        return table.nonseparating
+        return Fraction(g + 1, 2 * g + 1)
     if isinstance(gen, SeparatingTwist):
-        return table.separating(gen.h)
+        if not 0 <= gen.h <= g:
+            raise ValueError(f"separating type needs 0 <= h <= {g}, got {gen.h}")
+        return Fraction(-4 * gen.h * (g - gen.h), 2 * g + 1)
     if isinstance(gen, Iota):
-        return table.iota
+        # phi(iota) = tau(-1, -1) / 2, and tau(-1, -1) = -sig 2(A^T J - J A)
+        # at A = -1, where A^T J - J A = -J + J = 0
+        return Fraction(0)
     raise WordError(f"unknown generator {gen!r}")
 
 

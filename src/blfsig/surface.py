@@ -123,12 +123,13 @@ def chain_class(i: int, g: int) -> tuple[int, ...]:
 def transvection(c) -> Matrix:
     """Transvection x -> x + <x, c> c of the right-handed twist along the
     integer class c, as a tuple matrix: 1 - c c^T J, whose (i, j) entry is
-    delta_ij + s(j) c_i c_{j^1}.  A null class gives the identity."""
+    delta_ij + s(j) c_i c_{j^1}.  Row i is the unit row where c_i = 0, so
+    a null class gives the identity."""
     c = tuple(int(x) for x in c)
     n = len(c)
     row = tuple(c[j ^ 1] if j % 2 == 0 else -c[j ^ 1] for j in range(n))
-    return tuple(tuple(ci * r + (i == j) for j, r in enumerate(row))
-                 for i, ci in enumerate(c))
+    return tuple(tuple(ci * r + (i == j) for j, r in enumerate(row)) if ci else unit
+                 for i, (ci, unit) in enumerate(zip(c, sp_identity(n // 2))))
 
 
 def twist_matrix(c, g: int) -> Matrix:

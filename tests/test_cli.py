@@ -3,6 +3,7 @@ import copy
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,53 @@ def test_deep_nesting_exits_two(capsys):
 def test_context_error_exit_code(capsys):
     code, _, err = run(capsys, "h", "-g", "2", "--cycle", "I", "t4")
     assert code == 1 and "not a generator" in err
+
+
+UNREALIZABLE = {  # a II_1 fold whose h term is -4/5: not an integer signature
+    "spec_version": 1, "higher_fiber": [{"genus": 2}], "lefschetz": [],
+    "rounds": [{"component": 0, "cycle": {"type": "II", "h": 1}, "monodromy": "( t1 t2 )^6"}],
+    "flags": {"spin": False, "simply_connected": False},
+}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["h", "-g", "2", "--cycle", "I", "t4"], 1,
+     "error: t4 is not a generator of the stabiliser for (g=2, I)"),
+    (["h", "-g", "3", "--cycle", "II:1", "iota"], 1,
+     "error: iota is not a generator of the stabiliser for (g=3, II_1)"),
+    (["h", "-g", "3", "--cycle", "II:1", "t3"], 1,
+     "error: t3 is not a generator of the stabiliser for (g=3, II_1)"),
+    (["h", "-g", "2", "--cycle", "II:3", "t1"], 1, "error: II_3 invalid at genus 2"),
+    (["h", "-g", "0", "--cycle", "I", "t1"], 1,
+     "error: mapping class operations need genus >= 1, got 0"),
+    (["h", "-g", "2", "--cycle", "II:x", "t1"], 2,
+     "error: bad separating genus in cycle 'II:x'"),
+    (["h", "-g", "2", "--cycle", "I", "t5^-4"], 0, ""),
+    (["sigma-loc", "-g", "2", "--cycle", "II:2"], 1,
+     "error: a Lefschetz vanishing cycle of type II needs 1 <= h <= g-1, got h=2"),
+    (["sigma-loc", "-g", "0", "--cycle", "I"], 1,
+     "error: mapping class operations need genus >= 1, got 0"),
+    (["sigma-loc", "-g", "2", "--cycle", "III"], 2,
+     "error: cycle must be 'I' or 'II:h', got 'III'"),
+    (["sigma-loc", "-g", "3", "--cycle", "II:1"], 0, ""),
+    (["abelianization", "-g", "1", "--cycle", "II:1"], 1,
+     "error: type II_h abelianization needs g >= 2, 1 <= h <= g-1"),
+    (["abelianization", "-g", "0", "--cycle", "I"], 1,
+     "error: mapping class operations need genus >= 1, got 0"),
+    (["abelianization", "-g", "2", "--cycle", "II:1"], 0, ""),
+    (["compute", UNREALIZABLE], 1,
+     "error: total signature came out -4/5, not an integer: the input data is not "
+     "realizable by a fibration"),
+    (["family", "mgn", "-g", "1", "-n", "1"], 0, ""),
+])
+def test_error_line_and_exit_code(capsys, tmp_path, argv, code, err):
+    # each command leaves its errors to run(), which prints one line
+    if argv[0] == "compute":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ["compute", str(path)]
+    got, _, stderr = run(capsys, *argv)
+    assert (got, stderr) == (code, err + "\n" if err else "")
 
 
 def test_invalid_sigma_exit_code(capsys):

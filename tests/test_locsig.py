@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +7,177 @@ from blfsig import locsig, meyer, surface, words
 from blfsig.locsig import ContextError, CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_context_word
-from blfsig.words import IOTA, ChainTwist, Word, chain_word, evaluate, gen_word
+from blfsig.words import (IOTA, ChainTwist, Iota, SeparatingTwist, Word, chain_word, evaluate,
+                          gen_word)
 from conftest import bounded_power_base
 
 
 CTX_I2 = CycleContext(2, TypeI())
+
+
+# -- the case analysis that locsig._generator replaced, kept as an oracle ----
+
+def former_member(gen, ctx):
+    """Membership as ``validate_word`` decided it."""
+    g = ctx.genus
+    if isinstance(gen, Iota):
+        return isinstance(ctx.cycle, TypeI)
+    if not isinstance(gen, ChainTwist):
+        return False
+    if isinstance(ctx.cycle, TypeI):
+        return gen.index in set(range(1, 2 * g)) | {2 * g + 1}
+    h = ctx.cycle.h
+    if h in (0, g):
+        return 1 <= gen.index <= 2 * g + 1
+    return 1 <= gen.index <= 2 * h or 2 * h + 2 <= gen.index <= 2 * g + 1
+
+
+def former_h_generator(gen, ctx):
+    g = ctx.genus
+    if isinstance(ctx.cycle, TypeI):
+        if isinstance(gen, Iota):
+            return F(0)
+        if isinstance(gen, ChainTwist):
+            i = gen.index
+            if i == 2 * g + 1:
+                return F(-g, 2 * g + 1)
+            if i <= 2 * g - 1:
+                return F(-1, 4 * g * g - 1)
+        raise ContextError(f"{gen} is not a generator for {ctx}")
+    h = ctx.cycle.h
+    if h in (0, g):
+        if isinstance(gen, ChainTwist) and 1 <= gen.index <= 2 * g + 1:
+            return F(0)
+        raise ContextError(f"{gen} is not a generator for {ctx}")
+    if isinstance(gen, ChainTwist):
+        i = gen.index
+        if i <= 2 * h:
+            return F(g + 1, 2 * g + 1) - F(h + 1, 2 * h + 1)
+        if i >= 2 * h + 2:
+            return F(g + 1, 2 * g + 1) - F(g - h + 1, 2 * (g - h) + 1)
+    raise ContextError(f"{gen} is not a generator for {ctx}")
+
+
+def former_s_generator(gen, ctx):
+    g = ctx.genus
+    if not isinstance(ctx.cycle, TypeI):
+        return 0
+    if isinstance(gen, Iota):
+        return 0
+    if isinstance(gen, ChainTwist):
+        if gen.index == 2 * g + 1:
+            return -1
+        if gen.index <= 2 * g - 1:
+            return -1 if g == 1 else 0
+    raise ContextError(f"{gen} is not a generator for {ctx}")
+
+
+def former_push_forward(w, ctx):
+    g = ctx.genus
+    if isinstance(ctx.cycle, TypeI):
+        top = 2 * g + 1
+
+        def fn(gen):
+            if isinstance(gen, ChainTwist):
+                return None if gen.index == top else gen
+            return gen
+
+        return w.substitute(fn, g - 1)
+    h = ctx.cycle.h
+    if h == 0:
+        return Word(0), w
+    if h == g:
+        return w, Word(0)
+
+    def side1(gen):
+        return gen if isinstance(gen, ChainTwist) and gen.index <= 2 * h else None
+
+    def side2(gen):
+        if isinstance(gen, ChainTwist) and gen.index >= 2 * h + 2:
+            return ChainTwist(gen.index - 2 * h - 1)
+        return None
+
+    return w.substitute(side1, h), w.substitute(side2, g - h)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ContextError:
+        return ContextError
+
+
+class TestGeneratingSets:
+    def contexts(self):
+        for g in range(1, 7):
+            yield CycleContext(g, TypeI())
+            yield from (CycleContext(g, TypeII(h)) for h in range(g + 1))
+
+    def candidates(self, g):
+        return ([ChainTwist(i) for i in range(1, 2 * g + 4)] + [IOTA]
+                + [SeparatingTwist(h) for h in range(g + 1)])
+
+    def test_matches_the_former_case_analysis(self):
+        h_disagreements = s_disagreements = 0
+        for ctx in self.contexts():
+            g = ctx.genus
+            for gen in self.candidates(g):
+                h, s = locsig.h_generator, locsig.s_generator
+                if former_member(gen, ctx):
+                    assert h(gen, ctx) == former_h_generator(gen, ctx), (ctx, gen)
+                    assert s(gen, ctx) == former_s_generator(gen, ctx), (ctx, gen)
+                    w = gen_word(g, gen, -3) * gen_word(g, gen)
+                    assert locsig.push_forward(w, ctx) == former_push_forward(w, ctx)
+                    continue
+                assert outcome(h, gen, ctx) is ContextError, (ctx, gen)
+                assert outcome(s, gen, ctx) is ContextError, (ctx, gen)
+                if outcome(former_h_generator, gen, ctx) is not ContextError:
+                    # the former h took any index past 2h+1 at a separating cycle
+                    assert isinstance(ctx.cycle, TypeII) and 0 < ctx.cycle.h < g
+                    assert gen.index > 2 * g + 1
+                    h_disagreements += 1
+                if outcome(former_s_generator, gen, ctx) is not ContextError:
+                    # and the former s gave 0 for every generator at one
+                    assert isinstance(ctx.cycle, TypeII)
+                    s_disagreements += 1
+                try:
+                    w = gen_word(g, gen)
+                except words.WordError:
+                    continue  # no word at this genus holds it
+                for fn in (locsig.validate_word, locsig.push_forward):
+                    with pytest.raises(ContextError, match="not a generator of the stabiliser"):
+                        fn(w, ctx)
+        # indices 2g+2 and 2g+3 at each II_h with 0 < h < g
+        assert h_disagreements == 2 * sum(g - 1 for g in range(1, 7))
+        assert s_disagreements > 0
+
+    def test_derived_sets(self):
+        for ctx in self.contexts():
+            g = ctx.genus
+            assert locsig.allowed_chain_indices(ctx) == {
+                i for i in range(1, 2 * g + 2) if former_member(ChainTwist(i), ctx)}
+            assert locsig.iota_allowed(ctx) == former_member(IOTA, ctx)
+
+    def test_index_past_the_chain_at_a_separating_cycle(self):
+        with pytest.raises(ContextError):
+            locsig.h_generator(ChainTwist(99), CycleContext(3, TypeII(1)))
+
+    def test_s_rejects_non_generators_at_a_separating_cycle(self):
+        for ctx in (CycleContext(3, TypeII(1)), CycleContext(3, TypeII(0))):
+            for gen in (IOTA, ChainTwist(99), SeparatingTwist(1)):
+                with pytest.raises(ContextError):
+                    locsig.s_generator(gen, ctx)
+
+    def test_h_word_at_huge_genus_allocates_little(self):
+        tracemalloc.start()
+        try:
+            g = 10 ** 6
+            value = locsig.h_word(words.parse_word("t1^5 t3", g), CycleContext(g, TypeI()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == F(-6, 4 * g * g - 1)
+        assert peak < 1 << 20
 
 
 def cut_sides(gen, ctx):

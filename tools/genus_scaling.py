@@ -12,7 +12,9 @@ Prints one JSON object with the time, in seconds, of
   of the second;
 - ``tau_minus_one``: ``meyer._tau_cached(A, -1)``, -1 being iota's matrix;
 - ``validate``: ``fibration.validate`` on the ``mgn`` family at n = 1,
-  g = 2, 4, 6, 8.
+  g = 2, 4, 6, 8;
+- ``h_word``: ``locsig.h_word`` of ``t1^5 t3``, parsed at g, for a type I
+  cycle at g = 10^3 and 10^6, where the word is short and the genus is not.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -36,6 +38,7 @@ from pathlib import Path
 
 GENERA = (6, 10, 20, 50, 100)
 VALIDATE_GENERA = (2, 4, 6, 8)
+H_WORD_GENERA = (10 ** 3, 10 ** 6)
 BUDGET_S = 20.0
 MEMORY_MB = 2048
 
@@ -44,8 +47,8 @@ def cell(kind: str, g: int) -> float:
     """Fastest of up to five cold runs of one cell, in seconds."""
     import random
 
-    from blfsig import fibration, meyer, surface, verify
-    from blfsig.words import ChainTwist, gen_word
+    from blfsig import fibration, locsig, meyer, surface, verify
+    from blfsig.words import ChainTwist, gen_word, parse_word
 
     rng = random.Random(5)
     words = [verify.random_word(rng, g, 40) for _ in range(2)]
@@ -57,6 +60,11 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return fibration.validate(spec)
+    elif kind == "h_word":
+        ctx = locsig.CycleContext(g, surface.TypeI())
+
+        def call():
+            return locsig.h_word(parse_word("t1^5 t3", g), ctx)
     else:
         A, B = (surface.word_matrix(w) for w in words)
         if kind == "tau_transvection":
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
                     for g in genera}
              for kind, genera in (("word_matrix", GENERA), ("tau", GENERA),
                                   ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
-                                  ("validate", VALIDATE_GENERA))}
+                                  ("validate", VALIDATE_GENERA), ("h_word", H_WORD_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
