@@ -21,13 +21,19 @@ signature cocycle and hyperelliptic fibrations", Math. Ann. 316, 2000)
              - #(type II Lefschetz fibers),
 
 where D_k is the symplectic image of Lefschetz datum k and
-P_k = D_1 ... D_k.  The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k)
-for the Hurwitz product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v),
-with the closing term tau(H, H^-1) identically 0, so it costs one cocycle
-evaluation per Lefschetz fiber instead of one per letter of the Hurwitz
-word.  The localized
-formula is evaluated on the words themselves, so the two routes stay
-independent.
+P_k = D_1 ... D_k.  D_k is the transvection along the datum's vanishing
+class v = W c, W the matrix of its conjugator and c the class of the
+standard cycle.  v is computed by acting on c with the conjugator's
+letters, right to left (``surface.word_action``), with no matrix of the
+conjugator except for a nested power, and kept per distinct datum, so
+validation and the Meyer path read it once.
+
+The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k) for the Hurwitz
+product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v), with the closing
+term tau(H, H^-1) identically 0, so it costs one cocycle evaluation per
+Lefschetz fiber instead of one per letter of the Hurwitz word.  The
+localized formula is evaluated on the words themselves, so the two routes
+stay independent.
 
 Validation is homological (the symplectic representation cannot
 distinguish a mapping class from its product with the involution, hence
@@ -40,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
 
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
@@ -100,14 +106,38 @@ class LefschetzDatum:
         w = self.conjugator
         return w * self.standard_twist() * w.inverse()
 
+    def vector(self) -> tuple[int, ...]:
+        """The vanishing class v = W c, with W the matrix of the conjugator
+        and c the class of the standard cycle (zero for a separating one),
+        computed by acting on c with the conjugator's letters
+        (``surface.word_action``) once per distinct datum."""
+        return _vanishing_class(self)
+
     def matrix(self) -> surface.Matrix:
-        """The symplectic image of ``word()``: the transvection along W c,
-        with W the matrix of the conjugator and c the class of the standard
-        cycle, since W t_c W^-1 = t_{Wc} for symplectic W.  c is zero for a
-        separating cycle, which gives the identity."""
-        c = surface.cycle_class(self.cycle, self.genus)
-        W = surface.word_matrix(self.conjugator)
-        return surface.transvection([sum(map(mul, row, c)) for row in W])
+        """The symplectic image of ``word()``: the transvection along
+        ``vector()``, since W t_c W^-1 = t_{Wc} for symplectic W; the
+        identity for a separating cycle."""
+        return surface.transvection(self.vector())
+
+
+def _datum_matrices(data) -> list[surface.Matrix]:
+    """``d.matrix()`` for each datum, with one transvection built per
+    distinct class, so that repeated data share one tuple matrix."""
+    built = {}
+    out = []
+    for d in data:
+        v = d.vector()
+        M = built.get(v)
+        if M is None:
+            M = built[v] = surface.transvection(v)
+        out.append(M)
+    return out
+
+
+@lru_cache(maxsize=1 << 12)
+def _vanishing_class(d: LefschetzDatum) -> tuple[int, ...]:
+    """``d.vector()``, kept per datum: an O(g) class, not a 2g x 2g matrix."""
+    return surface.word_action(d.conjugator, surface.cycle_class(d.cycle, d.genus))
 
 
 def chain_twist_datum(i: int, g: int) -> LefschetzDatum:
@@ -226,7 +256,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
 
     # (a') Lefschetz data are essential twists at the active genus; their
     # product is the incoming monodromy of the active component
-    hurwitz = surface.sp_identity(g_active) if g_active >= 1 else None
+    essential = []
     genus_mismatch = False
     for j, d in enumerate(spec.lefschetz):
         where = f"lefschetz[{j}]"
@@ -238,7 +268,10 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             # II_0 and II_g twists act trivially: the product is unaffected
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
             continue
-        hurwitz = surface.mat_mul(hurwitz, d.matrix())
+        essential.append(d)
+    hurwitz = surface.sp_identity(g_active) if g_active >= 1 else None
+    for M in _datum_matrices(essential):
+        hurwitz = surface.mat_mul(hurwitz, M)
 
     # (a) round monodromies are words in the stabiliser generators
     contexts = []
@@ -377,7 +410,7 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
         total += locsig.s_word(r.monodromy, ctx)
     g = spec.active_genus()
     if g >= 1:
-        data = [d.matrix() for d in spec.lefschetz]
+        data = _datum_matrices(spec.lefschetz)
         total -= meyer.tau_prefix_sum(data)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")

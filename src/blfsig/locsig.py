@@ -73,8 +73,10 @@ def _generator(gen, ctx: CycleContext) -> tuple[Fraction, int, tuple | None]:
         if i == 2 * g + 1:
             return Fraction(-g, 2 * g + 1), -1, None  # the top twist dies
         if i is not None and 1 <= i <= 2 * g - 1:
-            # at genus 1 the chain curve t_1 is isotopic to the top curve
-            return Fraction(-1, 4 * g * g - 1), -1 if g == 1 else 0, (0, gen)
+            # at genus 1 the chain curve t_1 is isotopic to the top curve,
+            # and dies with it
+            h = Fraction(-1, 4 * g * g - 1)
+            return (h, -1, None) if g == 1 else (h, 0, (0, gen))
     elif i is not None and 1 <= i <= 2 * g + 1:
         # separating cycle: s vanishes, since the correction space does
         h = ctx.cycle.h
@@ -150,7 +152,8 @@ def s_generator(gen, ctx: CycleContext) -> int:
 def push_forward(w: Word, ctx: CycleContext):
     """Image of a stabiliser word under cutting along the cycle.
 
-    Type I: a word at genus g-1 (the top twist dies, iota survives).
+    Type I: a word at genus g-1 (the top twist dies, and so does t_1 at
+    genus 1, where the cut surface is a sphere; iota survives).
     Type II_h: a pair of words at genus h and g-h (for h in {0, g} the
     nontrivial side is the word itself).
     """

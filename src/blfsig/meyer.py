@@ -30,8 +30,10 @@ solutions with alpha != 0.  Their images E alpha span W (rarely with a
 dependent one, which only adds radical), so the Gram matrix has at most 2g
 rows, the kernel has dimension at most 2g instead of up to 4g, and tau
 with an identity argument builds no form at all.  E and Y depend on B
-alone and are cached per matrix (``_image``), so each letter or datum
-matrix is reduced once per process.
+alone and are cached per matrix (``_image``).  For a transvection B they
+are read off B with no reduction: B - 1 has rank one, so a nonzero column
+f = (B - 1) e_j spans its image, with E = (f,) and Y = (e_j,); B = 1 has
+empty E and Y, and any other B is column-reduced once per process.
 
 Three kinds of argument get a smaller form.  Each is exact because the
 form on V and the form it induces on W have one signature.
@@ -154,9 +156,18 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
 
 @lru_cache(maxsize=1 << 10)
 def _image(B: tuple) -> tuple[tuple, tuple]:
-    """(E, Y): a lattice basis E of Im(B - 1), as columns, and preimages
-    with (B - 1) Y[k] = E[k]; one column reduction per matrix B."""
+    """(E, Y): a basis E of Im(B - 1), as columns, and preimages with
+    (B - 1) Y[k] = E[k], once per matrix B.  Empty for B = 1; for a
+    transvection the column f = (B - 1) e_j that ``_rank_one_column`` finds
+    and e_j, read off B with no reduction; otherwise a lattice basis from
+    one column reduction."""
     n = len(B)
+    if B == surface.sp_identity(n // 2):
+        return (), ()
+    found = _rank_one_column(B)
+    if found is not None:
+        j, f = found
+        return (tuple(f),), (tuple(int(k == j) for k in range(n)),)
     E, Y, _ = ratlin.column_reduce([[B[i][j] - (i == j) for j in range(n)]
                                     for i in range(n)])
     return tuple(map(tuple, E)), tuple(map(tuple, Y))

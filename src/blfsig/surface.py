@@ -23,7 +23,10 @@ M^-1 = -J M^T J is the index shuffle
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
 ``generator_inverse`` keeps each generator's inverse beside its matrix, so
-a negative exponent in a word reuses it.
+a negative exponent in a word reuses it.  ``word_action`` gives W c for
+a class c without the matrix W: it acts on c with the word's letters from
+right to left, in O(1) per chain-twist power, and only a nested power
+(u)^N goes through ``word_matrix``.
 
 ``mat_mul`` computes only the entries its factors change: the columns of
 B that are not unit columns, in the rows of A that are not unit rows.  It
@@ -109,15 +112,18 @@ def chain_class(i: int, g: int) -> tuple[int, ...]:
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"chain index {i} out of range 1..{2 * g + 1}")
     v = [0] * (2 * g)
-    if i % 2 == 0:
-        v[i - 1] = 1  # b_{i/2}
-    else:
-        k = (i + 1) // 2
-        if k - 1 >= 1:
-            v[2 * (k - 2)] = 1  # a_{k-1}
-        if k <= g:
-            v[2 * (k - 1)] += 1  # a_k
+    for p in _chain_support(i, g):
+        v[p] = 1
     return tuple(v)
+
+
+def _chain_support(i: int, g: int) -> tuple[int, ...]:
+    """The coordinates where the class of the i-th chain curve is 1 (it is
+    0 elsewhere), for 1 <= i <= 2g+1: one or two of them, in O(1)."""
+    if i % 2 == 0:
+        return (i - 1,)  # b_{i/2}
+    k = (i + 1) // 2
+    return tuple(p for p in (2 * (k - 2), 2 * (k - 1)) if 0 <= p < 2 * g)  # a_{k-1}, a_k
 
 
 def transvection(c) -> Matrix:
@@ -125,11 +131,17 @@ def transvection(c) -> Matrix:
     integer class c, as a tuple matrix: 1 - c c^T J, whose (i, j) entry is
     delta_ij + s(j) c_i c_{j^1}.  Row i is the unit row where c_i = 0, so
     a null class gives the identity."""
-    c = tuple(int(x) for x in c)
+    c = tuple(map(int, c))
     n = len(c)
-    row = tuple(c[j ^ 1] if j % 2 == 0 else -c[j ^ 1] for j in range(n))
-    return tuple(tuple(ci * r + (i == j) for j, r in enumerate(row)) if ci else unit
-                 for i, (ci, unit) in enumerate(zip(c, sp_identity(n // 2))))
+    row = [c[j ^ 1] if j % 2 == 0 else -c[j ^ 1] for j in range(n)]
+    out = []
+    for i, (ci, unit) in enumerate(zip(c, sp_identity(n // 2))):
+        if ci:
+            unit = [ci * r for r in row]
+            unit[i] += 1
+            unit = tuple(unit)
+        out.append(unit)
+    return tuple(out)
 
 
 def twist_matrix(c, g: int) -> Matrix:
@@ -238,6 +250,33 @@ def word_matrix(w: Word) -> Matrix:
             generator_inverse(item, g)
 
     return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g), inverse)
+
+
+def word_action(w: Word, c) -> tuple[int, ...]:
+    """W c, for W the matrix of the word w and c an integer class at its
+    genus, by acting on c with the word's items from right to left: a chain
+    twist power t_i^e maps x to x + e <x, c_i> c_i, in O(1) as c_i has at
+    most two nonzero coordinates; an odd power of iota negates x; a
+    separating twist acts trivially.  Only a nested subword (u)^N goes
+    through ``word_matrix``, whose repeated squaring keeps the cost
+    polynomial in the size of the word as written."""
+    g = check_genus(w.genus)
+    x = [int(v) for v in c]
+    if len(x) != 2 * g:
+        raise ValueError(f"class of length {len(x)} at genus {g}")
+    for item, exp in reversed(w.items):
+        if isinstance(item, ChainTwist):
+            # <x, c_i> = sum over the support p of s(p^1) x[p^1], s(k) = -1 for odd k
+            support = _chain_support(item.index, g)
+            t = exp * sum(x[p ^ 1] if p % 2 else -x[p ^ 1] for p in support)
+            for p in support:
+                x[p] += t
+        elif isinstance(item, Iota):
+            if exp % 2:
+                x = [-v for v in x]
+        elif isinstance(item, Word):
+            x = [sum(map(mul, row, x)) for row in word_matrix(Word(g, ((item, exp),)))]
+    return tuple(x)
 
 
 def word_to_matrix(w: Word) -> Matrix:

@@ -17,9 +17,12 @@ The text grammar (used by the command line and the spec file format) is
     term := atom [ '^' signed-int ]
     atom := 't' index | 'iota' | '(' word ')'
 
-with whitespace between terms and chain indices in 1..2g+1.  Parentheses
+with whitespace between terms and chain indices in 1..2g+1.  A word at
+genus 0 holds no chain twist, as a sphere has no chain curves.  Parentheses
 nest at most MAX_NESTING deep, which bounds the recursion of every
-evaluator that walks a parsed word.
+evaluator that walks a parsed word.  ``parse_word`` keeps the words of
+recent texts: a Word is immutable, so a text repeated across a spec file
+is parsed once.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 
@@ -89,6 +93,8 @@ class Word:
                 if item.genus != self.genus:
                     raise WordError("nested word has mismatched genus")
             elif isinstance(item, ChainTwist):
+                if not self.genus:
+                    raise WordError(f"t{item.index} at genus 0: a sphere has no chain curves")
                 if not 1 <= item.index <= 2 * self.genus + 1:
                     raise WordError(
                         f"t{item.index} out of range for genus {self.genus} "
@@ -261,8 +267,11 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+@lru_cache(maxsize=1 << 12)
 def parse_word(text: str, genus: int) -> Word:
-    """Parse the text grammar into a Word at the given genus."""
+    """Parse the text grammar into a Word at the given genus.  Parsed
+    texts are cached: a Word is immutable, so callers may share it, and a
+    malformed text raises on every call, as exceptions are not cached."""
     if genus < 1:
         raise WordError("words need genus >= 1")
     tokens = _tokenize(text)

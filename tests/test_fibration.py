@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,35 @@ from blfsig.fibration import (
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_valid_spec, random_word
-from blfsig.words import ChainTwist, Word, chain_word, gen_word
+from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
 from conftest import eye
+
+
+def random_conjugator(rng, g, length):
+    """A word at genus g with chain twists (some to the power 10^12), iota,
+    separating twists and nested powers (u)^N, |N| up to 10^12, of a u whose
+    matrix has finite order or is unipotent, so its entries stay small."""
+    items = []
+    for _ in range(length):
+        kind = rng.randrange(6)
+        big = rng.choice([1, -1, 2, -3, 10 ** 12, -10 ** 12, 10 ** 12 - 1])
+        if kind == 0:
+            items.append((IOTA, rng.choice([1, 2, -3])))
+        elif kind == 1:
+            items.append((SeparatingTwist(rng.randrange(g + 1)), rng.choice([1, -2])))
+        elif kind == 2:
+            # an even run of the chain bounds a separating curve: finite order
+            n = 2 * rng.randrange(1, g + 1)
+            i = rng.randrange(1, 2 * g + 3 - n)
+            items.append((chain_word(g, range(i, i + n)), big))
+        elif kind == 3:
+            # a conjugated twist: unipotent
+            u = random_word(rng, g, rng.randrange(1, 4))
+            items.append((u * gen_word(g, ChainTwist(rng.randrange(1, 2 * g + 2))) * u.inverse(),
+                          big))
+        else:
+            items.append((ChainTwist(rng.randrange(1, 2 * g + 2)), big))
+    return Word(g, tuple(items))
 
 
 class TestLefschetzData:
@@ -30,7 +59,8 @@ class TestLefschetzData:
         assert surface.word_to_matrix(d.word()) == eye(4)
 
     def test_matrix_is_the_matrix_of_the_datum_word(self, rng):
-        # matrix() builds W t_c W^-1 as the transvection along W c
+        # matrix() builds W t_c W^-1 as the transvection along v = W c, and
+        # vector() computes v by acting on c with the conjugator's letters
         data = [d for _ in range(40) for d in random_valid_spec(rng, max_genus=4).lefschetz]
         for g in (1, 2, 3, 4):
             moved = list(family_spec("mgn", g, 1).lefschetz)
@@ -42,9 +72,37 @@ class TestLefschetzData:
             data += moved
             data += [LefschetzDatum(TypeII(h), random_word(rng, g, rng.randrange(0, 8)))
                      for h in range(g + 1) for _ in range(3)]
+            data += [LefschetzDatum(cycle, random_conjugator(rng, g, rng.randrange(0, 9)))
+                     for cycle in [TypeI()] * 25 + [TypeII(h) for h in range(g + 1)]]
         data += family_spec("mgn_tilde", 2, 1).lefschetz
         for d in data:
-            assert d.matrix() == surface.word_matrix(d.word()), d
+            v = d.vector()
+            assert all(type(x) is int for x in v)
+            assert surface.transvection(v) == d.matrix() == surface.word_matrix(d.word()), d
+            W, c = surface.word_matrix(d.conjugator), surface.cycle_class(d.cycle, d.genus)
+            assert list(v) == [sum(a * b for a, b in zip(row, c)) for row in W]
+            if isinstance(d.cycle, TypeII):
+                assert v == (0,) * (2 * d.genus) and d.matrix() == eye(2 * d.genus)
+
+    def test_nested_power_costs_log_many_products(self, monkeypatch):
+        products = []
+        mat_mul = surface.mat_mul
+
+        def counting(A, B):
+            products.append(1)
+            return mat_mul(A, B)
+
+        monkeypatch.setattr(surface, "mat_mul", counting)
+        N = 10 ** 12
+        for g in (2, 3):
+            d = LefschetzDatum(TypeI(), chain_word(g, [1, 2], N))
+            surface.word_matrix.cache_clear()
+            fib._vanishing_class.cache_clear()
+            products.clear()
+            v = d.vector()
+            assert 0 < len(products) <= 2 * N.bit_length() + 2
+            # (t1 t2)^6 acts trivially on homology, and 10^12 = 4 mod 6
+            assert v == LefschetzDatum(TypeI(), chain_word(g, [1, 2], 4)).vector()
 
 
 class TestFamilies:
@@ -216,27 +274,38 @@ class TestTelescopedMeyerPath:
         monkeypatch.setattr(fib, "hurwitz_word", no_word)
         assert fib.compute_report(family_spec("mgn", 2, 1)).two_paths_agree
 
-    def test_each_conjugator_is_evaluated_once(self, monkeypatch):
-        # validate and the Meyer path both need every datum matrix; each is
-        # built from the matrix of its conjugator, which the cached evaluator
-        # converts once, and no datum word is evaluated
-        spec = family_spec("mgn", 2, 2)
-        conjugators = {d.conjugator for d in spec.lefschetz}
-        evaluate = surface.word_matrix
-        calls = []
+    def test_each_datum_class_is_computed_once(self, monkeypatch, rng):
+        # validate and the Meyer path both need every datum's transvection;
+        # its class is computed once per distinct datum by acting on the
+        # vector, so no datum word, and no conjugator of chain letters
+        # alone, goes through the word evaluator
+        data = list(family_spec("mgn", 2, 2).lefschetz)
+        for _ in range(6):
+            p = rng.randrange(len(data) - 1)
+            a, b = data[p], data[p + 1]
+            data[p:p + 2] = LefschetzDatum(b.cycle, a.word() * b.conjugator), a
+        spec = replace(family_spec("mgn", 2, 2), lefschetz=tuple(data))
+        assert all(isinstance(item, ChainTwist) for d in data for item, _ in d.conjugator.items)
+        assert len(set(data)) < len(data)
+        act, evaluate = surface.word_action, surface.word_matrix
+        actions, evaluated = [], []
 
-        def counting(w):
-            calls.append(w)
+        def acting(w, c):
+            actions.append(w)
+            return act(w, c)
+
+        def evaluating(w):
+            evaluated.append(w)
             return evaluate(w)
 
-        monkeypatch.setattr(surface, "word_matrix", counting)
+        monkeypatch.setattr(surface, "word_action", acting)
+        monkeypatch.setattr(surface, "word_matrix", evaluating)
+        fib._vanishing_class.cache_clear()
         evaluate.cache_clear()
         assert fib.compute_report(spec).two_paths_agree
-        assert conjugators <= set(calls)
-        assert not {d.word() for d in spec.lefschetz} & set(calls)
-        assert all(calls.count(w) == 2 * sum(d.conjugator == w for d in spec.lefschetz)
-                   for w in conjugators)
-        assert evaluate.cache_info().misses == len(set(calls)) < len(calls)
+        assert Counter(actions) == Counter({d.conjugator for d in data})
+        assert fib._vanishing_class.cache_info().misses == len(set(data))
+        assert not set(evaluated) & {w for d in data for w in (d.word(), d.conjugator)}
 
 
 class TestSeparatingFold:

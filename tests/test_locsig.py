@@ -79,7 +79,9 @@ def former_push_forward(w, ctx):
 
         def fn(gen):
             if isinstance(gen, ChainTwist):
-                return None if gen.index == top else gen
+                # the cut surface of a genus-1 cycle is a sphere, with no
+                # chain curves: t_1 dies there as the top twist does
+                return None if gen.index == top or g == 1 else gen
             return gen
 
         return w.substitute(fn, g - 1)
@@ -399,6 +401,19 @@ class TestPushForward:
         assert side1.genus == 1 and side1.items == ((ChainTwist(1), 2),)
         assert side2.genus == 2
         assert side2.items == ((ChainTwist(1), 1), (ChainTwist(4), -1))
+
+    def test_genus_one_chain_twist_dies(self):
+        # the cut surface is a sphere, which has no chain curves; s and the
+        # pushed phi read 0 there, as they did when t_1 survived
+        ctx = CycleContext(1, TypeI())
+        assert locsig.push_forward(gen_word(1, ChainTwist(1), 3), ctx) == Word(0)
+        w = words.parse_word("t1^-2 iota t3 (t1 t3)^5 t1", 1)
+        assert locsig.push_forward(w, ctx) == Word(0, ((IOTA, 1),))
+        rep = locsig.decomposition_check(gen_word(1, ChainTwist(1), 3), ctx)
+        assert (rep.homomorphism, rep.s_term, rep.phi_term, rep.pushed_phi_term) == (-1, -1, 0, 0)
+        rep = locsig.decomposition_check(w, ctx)
+        assert rep.agrees and rep.pushed_phi_term == 0
+        assert rep.s_term == locsig.s_word(w, ctx) == s_by_triple_fold(w, ctx)
 
     def test_trivial_separating_side(self):
         ctx = CycleContext(2, TypeII(0))

@@ -328,6 +328,27 @@ class TestSpecialForms:
                 assert meyer._tau_core(A, B) == oracle_tau(A, B)
             assert meyer._image.cache_info().misses == 1
 
+    def test_transvection_image_needs_no_reduction(self, monkeypatch, rng):
+        def no_reduction(M):
+            raise AssertionError("column_reduce called")
+
+        monkeypatch.setattr(ratlin, "column_reduce", no_reduction)
+        meyer._image.cache_clear()
+        for g in range(1, 7):
+            assert meyer._image(surface.sp_identity(g)) == ((), ())
+            W = random_symplectic(rng, g)
+            c = surface.chain_class(rng.randrange(1, 2 * g + 2), g)
+            v = tuple(int(x) for x in arr(W) @ arr(c))
+            for k in (1, -1, 2, -3):
+                for B in (power(surface.transvection(v), k), power(twist(1, g), k)):
+                    B = tuple(map(tuple, B))
+                    E, Y = meyer._image(B)
+                    assert len(E) == len(Y) == 1 and any(E[0])
+                    assert list(arr(B) @ arr(Y[0]) - arr(Y[0])) == list(E[0])
+        monkeypatch.undo()
+        meyer._image.cache_clear()
+        assert len(meyer._image(random_symplectic(rng, 3))[0]) > 1
+
     def test_general_form_keeps_its_symmetry_check(self):
         # B - 1 of rank 4 that is not symplectic: Im(B - 1) is no longer
         # omega-orthogonal to ker(B - 1), and the general form says so

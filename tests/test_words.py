@@ -74,6 +74,33 @@ def test_genus_bounds_on_constructor():
         Word(2, ((ChainTwist(1), 0),))
 
 
+def test_no_chain_twist_at_genus_zero():
+    # a sphere has no chain curves; iota and the empty word stay valid
+    with pytest.raises(WordError, match="genus 0"):
+        Word(0, ((ChainTwist(1), 3),))
+    with pytest.raises(WordError, match="genus 0"):
+        gen_word(0, ChainTwist(1))
+    assert Word(0, ((IOTA, 1),)).genus == 0 and Word(0).items == ()
+
+
+def test_parsed_texts_are_shared():
+    text = "t1 ( t2 t3^-2 )^5 iota t4"
+    w = parse_word(text, 2)
+    assert parse_word(text, 2) == w == parse_word(text.replace(" ", "  "), 2)
+    # the genus is part of the key
+    assert parse_word(text, 3).genus == 3 and format_word(parse_word(text, 3)) == text
+
+
+def test_invalid_text_raises_on_every_call():
+    for text, genus in (("t9", 2), ("t1^0", 2), ("(t1", 2), ("t1 x3", 2), ("t1", 0)):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(WordError) as err:
+                parse_word(text, genus)
+            messages.add(str(err.value))
+        assert len(messages) == 1, (text, messages)
+
+
 def test_public_constructor_validates_every_item():
     with pytest.raises(WordError):
         Word(2, ((ChainTwist(1), 1), (ChainTwist(6), 1)))

@@ -12,7 +12,9 @@ Prints one JSON object with the time, in seconds, of
   of the second;
 - ``tau_minus_one``: ``meyer._tau_cached(A, -1)``, -1 being iota's matrix;
 - ``validate``: ``fibration.validate`` on the ``mgn`` family at n = 1,
-  g = 2, 4, 6, 8;
+  g = 2, 4, 6, 8, 10, 20, 30, 50;
+- ``meyer_path``: ``fibration.signature_meyer_path`` on the same specs at
+  g = 10, 20, 30, 50, vanishing classes included;
 - ``h_word``: ``locsig.h_word`` of ``t1^5 t3``, parsed at g, for a type I
   cycle at g = 10^3 and 10^6, where the word is short and the genus is not.
 
@@ -37,7 +39,8 @@ import time
 from pathlib import Path
 
 GENERA = (6, 10, 20, 50, 100)
-VALIDATE_GENERA = (2, 4, 6, 8)
+FAMILY_GENERA = (10, 20, 30, 50)
+VALIDATE_GENERA = (2, 4, 6, 8) + FAMILY_GENERA
 H_WORD_GENERA = (10 ** 3, 10 ** 6)
 BUDGET_S = 20.0
 MEMORY_MB = 2048
@@ -55,11 +58,12 @@ def cell(kind: str, g: int) -> float:
     if kind == "word_matrix":
         def call():
             return [surface.word_matrix(w) for w in words]
-    elif kind == "validate":
+    elif kind in ("validate", "meyer_path"):
         spec = fibration.family_spec("mgn", g, 1)
+        run = fibration.validate if kind == "validate" else fibration.signature_meyer_path
 
         def call():
-            return fibration.validate(spec)
+            return run(spec)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -76,7 +80,8 @@ def cell(kind: str, g: int) -> float:
             return meyer._tau_cached(A, B)
     # the caches a cell clears between runs; those a checkout lacks are skipped
     caches = [getattr(module, name, None) for module, name in
-              ((surface, "word_matrix"), (meyer, "_tau_cached"), (meyer, "_image"))]
+              ((surface, "word_matrix"), (meyer, "_tau_cached"), (meyer, "_image"),
+               (fibration, "_vanishing_class"))]
     best = float("inf")
     spent = 0.0
     for _ in range(5):
@@ -125,7 +130,8 @@ def main(argv=None) -> int:
                     for g in genera}
              for kind, genera in (("word_matrix", GENERA), ("tau", GENERA),
                                   ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
-                                  ("validate", VALIDATE_GENERA), ("h_word", H_WORD_GENERA))}
+                                  ("validate", VALIDATE_GENERA), ("meyer_path", FAMILY_GENERA),
+                                  ("h_word", H_WORD_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
