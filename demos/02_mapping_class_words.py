@@ -18,7 +18,7 @@ print([[surface.pairing(surface.chain_class(i, g), surface.chain_class(j, g))
         for j in range(1, 2 * g + 2)] for i in range(1, 2 * g + 2)])
 
 # %% twists are transvections; iota is -identity
-T1 = surface.twist_matrix(surface.chain_class(1, g), g)
+T1 = surface.transvection(surface.chain_class(1, g))
 print("\ntwist along [c_1]:\n", T1)
 print("symplectic:", surface.is_symplectic(T1, g))
 

@@ -53,15 +53,12 @@ from .surface import (
     TypeII,
     chain_class,
     curve_action,
-    intersection_matrix,
-    twist_matrix,
     word_to_matrix,
 )
 from .words import (
     IOTA,
     ChainTwist,
     Iota,
-    SeparatingTwist,
     Word,
     WordError,
     chain_word,

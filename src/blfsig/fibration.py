@@ -51,7 +51,7 @@ from functools import lru_cache
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import (ChainTwist, SeparatingTwist, Word, WordError, format_word,
+from .words import (IOTA, ChainTwist, Word, WordError, chain_word, format_word,
                     gen_word, parse_word)
 
 SPEC_VERSION = 1
@@ -96,10 +96,15 @@ class LefschetzDatum:
         return self.conjugator.genus
 
     def standard_twist(self) -> Word:
+        """t_{2g+1} for type I; for II_h the chain word (t_1 ... t_{2h})^{4h+2},
+        which is empty for h = 0."""
         g = self.genus
         if isinstance(self.cycle, TypeI):
             return gen_word(g, ChainTwist(2 * g + 1))
-        return gen_word(g, SeparatingTwist(self.cycle.h))
+        h = self.cycle.h
+        if not 0 <= h <= g:
+            raise WordError(f"II_{h} out of range for genus {g}")
+        return chain_word(g, range(1, 2 * h + 1), 4 * h + 2)
 
     def word(self) -> Word:
         """The full twist word w t w^-1."""
@@ -113,16 +118,11 @@ class LefschetzDatum:
         (``surface.word_action``) once per distinct datum."""
         return _vanishing_class(self)
 
-    def matrix(self) -> surface.Matrix:
-        """The symplectic image of ``word()``: the transvection along
-        ``vector()``, since W t_c W^-1 = t_{Wc} for symplectic W; the
-        identity for a separating cycle."""
-        return surface.transvection(self.vector())
-
 
 def _datum_matrices(data) -> list[surface.Matrix]:
-    """``d.matrix()`` for each datum, with one transvection built per
-    distinct class, so that repeated data share one tuple matrix."""
+    """The image of ``d.word()`` for each datum, the transvection along
+    ``d.vector()`` (W t_c W^-1 = t_{Wc}), built once per distinct class, so
+    that repeated data share one tuple matrix."""
     built = {}
     out = []
     for d in data:
@@ -170,12 +170,19 @@ class FibrationSpec:
         return self.higher_fiber[self.active_component()]
 
 
-def component_stages(spec: FibrationSpec) -> list[list[int]]:
-    """Component genera before each round region and at the south disk.
+def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> None:
+    """A fold on component ``comp``, applied to the genera in place: type I
+    drops its genus g by one; II_h keeps genus h in place and appends g - h."""
+    if isinstance(cycle, TypeI):
+        genera[comp] -= 1
+    else:
+        genera.append(genera[comp] - cycle.h)
+        genera[comp] = cycle.h
 
-    Type I folds drop the component's genus by one; type II_h folds split
-    it into genus h (in place) and genus g-h (appended).
-    """
+
+def component_stages(spec: FibrationSpec) -> list[list[int]]:
+    """Component genera before each round region and at the south disk
+    (see ``_fold_genera``)."""
     genera = list(spec.higher_fiber)
     stages = [list(genera)]
     for k, r in enumerate(spec.rounds):
@@ -185,13 +192,9 @@ def component_stages(spec: FibrationSpec) -> list[list[int]]:
         if isinstance(r.cycle, TypeI):
             if g < 1:
                 raise ConsistencyError(f"round {k}: type I fold on a genus-0 component")
-            genera[r.component] = g - 1
-        else:
-            h = r.cycle.h
-            if not 0 <= h <= g:
-                raise ConsistencyError(f"round {k}: II_{h} fold on a genus-{g} component")
-            genera[r.component] = h
-            genera.append(g - h)
+        elif not 0 <= r.cycle.h <= g:
+            raise ConsistencyError(f"round {k}: II_{r.cycle.h} fold on a genus-{g} component")
+        _fold_genera(genera, r.component, r.cycle)
         stages.append(list(genera))
     return stages
 
@@ -554,7 +557,6 @@ def family_spec(family: str, g: int, n: int) -> FibrationSpec:
         tail = list(range(1, 2 * g - 1))
         data += [chain_twist_datum(i, g)
                  for _ in range(2 * (2 * g - 1) * n) for i in tail]
-        from .words import IOTA, chain_word
         mono = ((gen_word(g, ChainTwist(2 * g + 1), -2) * gen_word(g, IOTA)) ** (2 * n)
                 * chain_word(g, tail, 2 * (2 * g - 1) * n))
         rounds = (RoundRegion(0, TypeI(), mono),)
@@ -763,15 +765,10 @@ def spec_from_json(doc) -> FibrationSpec:
             raise ValueError(f"{where}.component: component {comp} does not exist")
         cycle = _cycle_from_json(_json_member(entry, "cycle", dict, where),
                                  f"{where}.cycle")
-        g_k = genera[comp]
         text = _json_member(entry, "monodromy", str, where)
-        mono = _word_from_json(text, g_k, f"{where}.monodromy")
+        mono = _word_from_json(text, genera[comp], f"{where}.monodromy")
         rounds.append(RoundRegion(comp, cycle, mono))
-        if isinstance(cycle, TypeI):
-            genera[comp] = g_k - 1
-        else:
-            genera[comp] = cycle.h
-            genera.append(g_k - cycle.h)
+        _fold_genera(genera, comp, cycle)
     flags = _json_member(doc, "flags", dict, "", {})
     return FibrationSpec(tuple(higher), tuple(lefschetz), tuple(rounds),
                          spin=_json_member(flags, "spin", bool, "flags", False),

@@ -57,11 +57,13 @@ The cobounding function phi obeys phi(uv) = phi(u) + phi(v) - tau(u, v)
 and has the base values
 
     phi(chain twist)             = (g+1)/(2g+1)
-    phi(separating twist, h)     = -4h(g-h)/(2g+1)
     phi(iota)                    = tau(-1, -1)/2 = 0
 
-so phi(w) is the generator sum ``words.homomorphism(w, phi_base)`` plus the
-Z-valued correction c(w) of the word's letter matrices.  ``correction``
+on the two generator kinds.  The separating twist of genus h is the chain
+word (t_1 ... t_{2h})^{4h+2}, so its value -4h(g-h)/(2g+1) (Endo) follows
+from these two; the tests check it against that closed form.  phi(w) is
+the generator sum ``words.homomorphism(w, phi_base)`` plus the Z-valued
+correction c(w) of the word's letter matrices.  ``correction``
 folds a word by ``words.evaluate`` in the states (c, M), with
 
     (c1, M1)(c2, M2) = (c1 + c2 - tau(M1, M2), M1 M2),   (c, M)^-1 = (-c, M^-1),
@@ -87,8 +89,7 @@ from functools import lru_cache, reduce
 from operator import mul, neg
 
 from . import ratlin, surface
-from .words import (ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate,
-                    homomorphism)
+from .words import ChainTwist, Iota, Word, WordError, evaluate, homomorphism
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -246,15 +247,11 @@ def _gram_minus_one(A: tuple) -> list[list[int]]:
     return [[-2 * (a + b) for a, b in zip(row, col)] for row, col in zip(P, zip(*P))]
 
 
-def _tau_core(At: tuple, Bt: tuple) -> int:
-    if not At:
-        return 0
-    return -ratlin._signature_int(_gram(At, Bt))
-
-
 @lru_cache(maxsize=1 << 16)
 def _tau_cached(At: tuple, Bt: tuple) -> int:
-    return _tau_core(At, Bt)
+    """tau of two symplectic tuple matrices of one size, unchecked; 0 at
+    genus 0."""
+    return -ratlin._signature_int(_gram(At, Bt)) if At else 0
 
 
 def tau(A, B) -> int:
@@ -272,10 +269,6 @@ def phi_base(gen, g: int) -> Fraction:
         if not 1 <= gen.index <= 2 * g + 1:
             raise WordError(f"t{gen.index} out of range for genus {g}")
         return Fraction(g + 1, 2 * g + 1)
-    if isinstance(gen, SeparatingTwist):
-        if not 0 <= gen.h <= g:
-            raise ValueError(f"separating type needs 0 <= h <= {g}, got {gen.h}")
-        return Fraction(-4 * gen.h * (g - gen.h), 2 * g + 1)
     if isinstance(gen, Iota):
         # phi(iota) = tau(-1, -1) / 2, and tau(-1, -1) = -sig 2(A^T J - J A)
         # at A = -1, where A^T J - J A = -J + J = 0

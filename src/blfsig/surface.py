@@ -1,7 +1,8 @@
 """The closed genus-g reference surface and its symplectic representation.
 
-First homology carries the symplectic basis (a_1, b_1, ..., a_g, b_g).
-The chain curves c_1, ..., c_{2g+1} get the homology classes
+First homology carries the symplectic basis (a_1, b_1, ..., a_g, b_g),
+with intersection form J = ``pairing``, <a_k, b_k> = +1.  The chain curves
+c_1, ..., c_{2g+1} get the homology classes
 
     [c_{2k}]   = b_k,
     [c_{2k-1}] = a_{k-1} + a_k      (a_0 = a_{g+1} = 0),
@@ -9,7 +10,8 @@ The chain curves c_1, ..., c_{2g+1} get the homology classes
 so consecutive chain classes pair to +-1, non-consecutive ones to 0, and
 the chain relation holds at the matrix level.  A right-handed Dehn twist
 along a class c acts as the transvection x -> x + <x, c> c; the
-hyperelliptic involution acts as -identity.
+hyperelliptic involution acts as -identity.  A separating twist, the chain
+word (t_1 ... t_{2h})^{4h+2}, has the identity matrix.
 
 A matrix is a tuple of row tuples of Python ints, and a homology class a
 tuple of ints: immutable, so a matrix serves as its own cache key and a
@@ -50,7 +52,7 @@ from functools import lru_cache
 from operator import mul, neg
 
 from . import ratlin
-from .words import ChainTwist, Iota, SeparatingTwist, Word, WordError, evaluate
+from .words import ChainTwist, Iota, Word, WordError, evaluate
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,6 @@ def check_genus(g: int) -> int:
     return g
 
 
-def intersection_matrix(g: int) -> Matrix:
-    """Block-diagonal J with <a_i, b_i> = +1 in the interleaved basis."""
-    J = [[0] * (2 * g) for _ in range(2 * g)]
-    for k in range(g):
-        J[2 * k][2 * k + 1] = 1
-        J[2 * k + 1][2 * k] = -1
-    return tuple(map(tuple, J))
-
-
 def pairing(u, v) -> int:
     """Algebraic intersection number <u, v> = u^T J v."""
     n = len(u)
@@ -96,14 +89,6 @@ def pairing(u, v) -> int:
     for k in range(n // 2):
         total += u[2 * k] * v[2 * k + 1] - u[2 * k + 1] * v[2 * k]
     return total
-
-
-def basis_a(k: int, g: int) -> tuple[int, ...]:
-    return tuple(int(j == 2 * (k - 1)) for j in range(2 * g))
-
-
-def basis_b(k: int, g: int) -> tuple[int, ...]:
-    return tuple(int(j == 2 * (k - 1) + 1) for j in range(2 * g))
 
 
 def chain_class(i: int, g: int) -> tuple[int, ...]:
@@ -142,13 +127,6 @@ def transvection(c) -> Matrix:
             unit = tuple(unit)
         out.append(unit)
     return tuple(out)
-
-
-def twist_matrix(c, g: int) -> Matrix:
-    """``transvection(c)``, after checking that c is a class at genus g."""
-    if len(c) != 2 * g:
-        raise ValueError(f"class of length {len(c)} at genus {g}")
-    return transvection(c)
 
 
 @lru_cache(maxsize=None)
@@ -223,8 +201,6 @@ def generator_matrix(gen, g: int) -> Matrix:
         return transvection(chain_class(gen.index, g))
     if isinstance(gen, Iota):
         return iota_matrix(g)
-    if isinstance(gen, SeparatingTwist):
-        return sp_identity(g)  # null-homologous cycle, trivial transvection
     raise WordError(f"unknown generator {gen!r}")
 
 
@@ -256,10 +232,9 @@ def word_action(w: Word, c) -> tuple[int, ...]:
     """W c, for W the matrix of the word w and c an integer class at its
     genus, by acting on c with the word's items from right to left: a chain
     twist power t_i^e maps x to x + e <x, c_i> c_i, in O(1) as c_i has at
-    most two nonzero coordinates; an odd power of iota negates x; a
-    separating twist acts trivially.  Only a nested subword (u)^N goes
-    through ``word_matrix``, whose repeated squaring keeps the cost
-    polynomial in the size of the word as written."""
+    most two nonzero coordinates, and an odd power of iota negates x.  Only
+    a nested subword (u)^N goes through ``word_matrix``, whose repeated
+    squaring keeps the cost polynomial in the size of the word as written."""
     g = check_genus(w.genus)
     x = [int(v) for v in c]
     if len(x) != 2 * g:

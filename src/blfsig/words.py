@@ -2,14 +2,16 @@
 class group of a closed genus-g surface.
 
 Generators are the Dehn twists t_1, ..., t_{2g+1} along the standard chain
-of simple closed curves, the hyperelliptic involution ``iota``, and (for
-internal use by the fibration machinery) the twist along the standard
-separating curve splitting off genus h.  A word is a sequence of
+of simple closed curves and the hyperelliptic involution ``iota``.  The
+twist along the standard separating curve that splits off genus h needs no
+generator of its own: it is the chain word (t_1 ... t_{2h})^{4h+2} (the
+chain relation), so every word has a text form.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
-powers of subwords stay symbolic, and ``evaluate`` folds a word into any
-group in O(log exponent) operations per power.  ``homomorphism`` is the
-additive case: a homomorphism to (Q, +) given by its generator values,
-folded in ints over their common denominator.
+powers of subwords stay symbolic (the power of the empty word is the empty
+word), and ``evaluate`` folds a word into any group in O(log exponent)
+operations per power.  ``homomorphism`` is the additive case: a
+homomorphism to (Q, +) given by its generator values, folded in ints over
+their common denominator.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -53,18 +55,7 @@ class Iota:
         return "iota"
 
 
-@dataclass(frozen=True)
-class SeparatingTwist:
-    """Right-handed twist along the standard separating curve bounding
-    subsurfaces of genus h and g-h.  Not part of the text grammar; built
-    structurally by the fibration layer."""
-    h: int
-
-    def __str__(self):
-        return f"sep{self.h}"
-
-
-Generator = Union[ChainTwist, Iota, SeparatingTwist]
+Generator = Union[ChainTwist, Iota]
 IOTA = Iota()
 MAX_NESTING = 100
 
@@ -99,9 +90,6 @@ class Word:
                     raise WordError(
                         f"t{item.index} out of range for genus {self.genus} "
                         f"(max index {2 * self.genus + 1})")
-            elif isinstance(item, SeparatingTwist):
-                if not 0 <= item.h <= self.genus:
-                    raise WordError(f"sep{item.h} out of range for genus {self.genus}")
             elif not isinstance(item, Iota):
                 raise WordError(f"unknown generator {item!r}")
 
@@ -113,7 +101,7 @@ class Word:
     def __pow__(self, e: int) -> "Word":
         if not isinstance(e, int):
             raise WordError(f"exponent must be an integer, got {e!r}")
-        if e == 0:
+        if e == 0 or not self.items:
             return _checked_word(self.genus, ())
         if len(self.items) == 1:
             item, exp = self.items[0]
@@ -321,8 +309,6 @@ def format_word(w: Word) -> str:
     for item, exp in w.items:
         if isinstance(item, Word):
             atom = f"( {format_word(item)} )"
-        elif isinstance(item, SeparatingTwist):
-            raise WordError("separating twists have no text form")
         else:
             atom = str(item)
         parts.append(atom if exp == 1 else f"{atom}^{exp}")

@@ -40,6 +40,16 @@ def eye(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def numpy_j(g: int) -> np.ndarray:
+    """J with <a_i, b_i> = +1 in the interleaved basis, built here, not by
+    the package."""
+    J = np.zeros((2 * g, 2 * g), dtype=object)
+    for k in range(g):
+        J[2 * k, 2 * k + 1] = 1
+        J[2 * k + 1, 2 * k] = -1
+    return J
+
+
 def char_poly(M) -> list[Fraction]:
     """Coefficients of det(xI - M), highest degree first."""
     n = len(M)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blfsig import cli, fibration
+from blfsig import cli, fibration, meyer, surface
+from blfsig.verify import random_word
+from blfsig.words import format_word
 
 
 def run(capsys, *argv):
@@ -31,6 +33,23 @@ def test_phi_json(capsys):
 def test_tau_command(capsys):
     code, out, _ = run(capsys, "tau", "-g", "2", "t5", "t5")
     assert code == 0 and out.strip() == "1"
+
+
+def test_tau_command_skips_the_symplectic_check(capsys, monkeypatch, rng):
+    # word matrices are symplectic by construction: tau of two words needs
+    # no check, and gives what the checked public tau gives
+    pairs = [(g, random_word(rng, g, rng.randrange(0, 7)),
+              random_word(rng, g, rng.randrange(0, 7)))
+             for g in range(1, 5) for _ in range(6)]
+    want = [meyer.tau(surface.word_matrix(u), surface.word_matrix(v)) for _, u, v in pairs]
+
+    def no_check(*args):
+        raise AssertionError("is_symplectic called")
+
+    monkeypatch.setattr(surface, "is_symplectic", no_check)
+    for (g, u, v), value in zip(pairs, want):
+        code, out, _ = run(capsys, "tau", "-g", str(g), format_word(u), format_word(v))
+        assert (code, out.strip()) == (0, str(value)), (g, u, v)
 
 
 def test_h_command(capsys):

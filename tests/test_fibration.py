@@ -14,13 +14,14 @@ from blfsig.fibration import (
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_valid_spec, random_word
-from blfsig.words import IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word
+from blfsig.words import (IOTA, ChainTwist, Word, WordError, chain_word, format_word,
+                          gen_word, parse_word)
 from conftest import eye
 
 
 def random_conjugator(rng, g, length):
     """A word at genus g with chain twists (some to the power 10^12), iota,
-    separating twists and nested powers (u)^N, |N| up to 10^12, of a u whose
+    separating twists (t_1 ... t_{2h})^{4h+2} and nested powers (u)^N, |N| up to 10^12, of a u whose
     matrix has finite order or is unipotent, so its entries stay small."""
     items = []
     for _ in range(length):
@@ -29,7 +30,8 @@ def random_conjugator(rng, g, length):
         if kind == 0:
             items.append((IOTA, rng.choice([1, 2, -3])))
         elif kind == 1:
-            items.append((SeparatingTwist(rng.randrange(g + 1)), rng.choice([1, -2])))
+            h = rng.randrange(g + 1)
+            items += (chain_word(g, range(1, 2 * h + 1), 4 * h + 2) ** rng.choice([1, -2])).items
         elif kind == 2:
             # an even run of the chain bounds a separating curve: finite order
             n = 2 * rng.randrange(1, g + 1)
@@ -51,7 +53,7 @@ class TestLefschetzData:
             for i in range(1, 2 * g + 2):
                 datum = chain_twist_datum(i, g)
                 M = surface.word_to_matrix(datum.word())
-                want = surface.twist_matrix(surface.chain_class(i, g), g)
+                want = surface.transvection(surface.chain_class(i, g))
                 assert M == want, (g, i)
 
     def test_separating_datum_acts_trivially(self):
@@ -59,8 +61,8 @@ class TestLefschetzData:
         assert surface.word_to_matrix(d.word()) == eye(4)
 
     def test_matrix_is_the_matrix_of_the_datum_word(self, rng):
-        # matrix() builds W t_c W^-1 as the transvection along v = W c, and
-        # vector() computes v by acting on c with the conjugator's letters
+        # _datum_matrices builds W t_c W^-1 as the transvection along v = W c,
+        # and vector() computes v by acting on c with the conjugator's letters
         data = [d for _ in range(40) for d in random_valid_spec(rng, max_genus=4).lefschetz]
         for g in (1, 2, 3, 4):
             moved = list(family_spec("mgn", g, 1).lefschetz)
@@ -78,11 +80,32 @@ class TestLefschetzData:
         for d in data:
             v = d.vector()
             assert all(type(x) is int for x in v)
-            assert surface.transvection(v) == d.matrix() == surface.word_matrix(d.word()), d
+            M = surface.transvection(v)
+            assert fib._datum_matrices([d]) == [M] and M == surface.word_matrix(d.word()), d
             W, c = surface.word_matrix(d.conjugator), surface.cycle_class(d.cycle, d.genus)
             assert list(v) == [sum(a * b for a, b in zip(row, c)) for row in W]
             if isinstance(d.cycle, TypeII):
-                assert v == (0,) * (2 * d.genus) and d.matrix() == eye(2 * d.genus)
+                assert v == (0,) * (2 * d.genus) and M == eye(2 * d.genus)
+
+    def test_separating_datum_words_have_a_text_form(self, rng):
+        # the II_h standard twist is a chain word, so every datum word
+        # round-trips through the text grammar
+        for g in range(1, 5):
+            for h in range(g + 1):
+                for conj in [Word(g)] + [random_conjugator(rng, g, rng.randrange(0, 6))
+                                         for _ in range(4)]:
+                    w = LefschetzDatum(TypeII(h), conj).word()
+                    assert parse_word(format_word(w), g) == w, (g, h, w)
+
+    def test_standard_twist_rejects_h_out_of_range(self):
+        for g in range(1, 5):
+            assert LefschetzDatum(TypeII(0), Word(g)).standard_twist() == Word(g)
+            for h in (-1, g + 1, g + 2):
+                d = LefschetzDatum(TypeII(h), Word(g))
+                with pytest.raises(WordError, match=f"II_{h}"):
+                    d.standard_twist()
+                with pytest.raises(WordError):
+                    d.word()
 
     def test_nested_power_costs_log_many_products(self, monkeypatch):
         products = []

@@ -7,8 +7,7 @@ from blfsig import locsig, meyer, surface, words
 from blfsig.locsig import ContextError, CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_context_word
-from blfsig.words import (IOTA, ChainTwist, Iota, SeparatingTwist, Word, chain_word, evaluate,
-                          gen_word)
+from blfsig.words import IOTA, ChainTwist, Iota, Word, chain_word, evaluate, gen_word
 from conftest import bounded_power_base
 
 
@@ -116,8 +115,7 @@ class TestGeneratingSets:
             yield from (CycleContext(g, TypeII(h)) for h in range(g + 1))
 
     def candidates(self, g):
-        return ([ChainTwist(i) for i in range(1, 2 * g + 4)] + [IOTA]
-                + [SeparatingTwist(h) for h in range(g + 1)])
+        return [ChainTwist(i) for i in range(1, 2 * g + 4)] + [IOTA]
 
     def test_matches_the_former_case_analysis(self):
         h_disagreements = s_disagreements = 0
@@ -166,7 +164,7 @@ class TestGeneratingSets:
 
     def test_s_rejects_non_generators_at_a_separating_cycle(self):
         for ctx in (CycleContext(3, TypeII(1)), CycleContext(3, TypeII(0))):
-            for gen in (IOTA, ChainTwist(99), SeparatingTwist(1)):
+            for gen in (IOTA, ChainTwist(99)):
                 with pytest.raises(ContextError):
                     locsig.s_generator(gen, ctx)
 

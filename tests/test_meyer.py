@@ -7,13 +7,18 @@ import pytest
 from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
-from blfsig.words import (IOTA, ChainTwist, SeparatingTwist, Word, chain_word, evaluate,
-                          gen_word)
-from conftest import arr, bounded_power_base, eye
+from blfsig.words import IOTA, ChainTwist, Word, chain_word, evaluate, gen_word
+from conftest import arr, bounded_power_base, eye, numpy_j
 
 
 def twist(i, g):
-    return surface.twist_matrix(surface.chain_class(i, g), g)
+    return surface.transvection(surface.chain_class(i, g))
+
+
+def separating_twist(g, h):
+    """The twist along the standard separating curve of genus h, written as
+    the chain word (t_1 ... t_{2h})^{4h+2}."""
+    return chain_word(g, range(1, 2 * h + 1), 4 * h + 2)
 
 
 def full_space_form(A, B):
@@ -23,7 +28,7 @@ def full_space_form(A, B):
     A, B = arr(A), arr(B)
     n = A.shape[0]
     I = arr(eye(n))
-    J = arr(surface.intersection_matrix(n // 2))
+    J = numpy_j(n // 2)
     K = np.hstack([-J @ A.T @ J - I, B - I])
     P = J @ (I - B)
     kern = [arr(v) for v in ratlin.kernel_basis_int(K.tolist())]
@@ -50,7 +55,7 @@ def phi_by_fraction_fold(w: Word) -> F:
 
     def value(item):
         if isinstance(item, Word):
-            return evaluate(item, value, combine, invert, None)
+            return evaluate(item, value, combine, invert, (F(0), surface.sp_identity(g)))
         return (meyer.phi_base(item, g), surface.generator_matrix(item, g))
 
     return evaluate(w, value, combine, invert, (F(0), None))[0]
@@ -316,7 +321,7 @@ class TestSpecialForms:
                 want = oracle_tau(X, Y)
                 kernels.clear()
                 assert len(meyer._gram(X, Y)) <= (1 if Y != surface.iota_matrix(g) else 2 * g)
-                assert meyer._tau_core(X, Y) == want
+                assert meyer._tau_cached.__wrapped__(X, Y) == want
                 assert not kernels
 
     def test_second_argument_is_reduced_once(self, rng):
@@ -325,7 +330,7 @@ class TestSpecialForms:
             meyer._image.cache_clear()
             for _ in range(5):
                 A = random_symplectic(rng, g)
-                assert meyer._tau_core(A, B) == oracle_tau(A, B)
+                assert meyer._tau_cached.__wrapped__(A, B) == oracle_tau(A, B)
             assert meyer._image.cache_info().misses == 1
 
     def test_transvection_image_needs_no_reduction(self, monkeypatch, rng):
@@ -380,17 +385,22 @@ class TestPhi:
         assert meyer.phi(gen_word(2, ChainTwist(5), -2)) == F(-1, 5)
 
     def test_separating_base_values(self):
-        assert meyer.phi_base(SeparatingTwist(1), 2) == F(-4, 5)
-        assert meyer.phi_base(SeparatingTwist(1), 3) == F(-8, 7)
-        assert meyer.phi_base(SeparatingTwist(0), 3) == 0
-        assert meyer.phi_base(SeparatingTwist(3), 3) == 0
+        # the separating twist has no generator of its own: its value is
+        # phi of its chain word
+        assert meyer.phi(separating_twist(2, 1)) == F(-4, 5)
+        assert meyer.phi(separating_twist(3, 1)) == F(-8, 7)
+        assert meyer.phi(separating_twist(3, 0)) == 0
+        assert meyer.phi(separating_twist(3, 3)) == 0
 
     def test_separating_value_matches_chain_relation(self):
-        # (t_1 ... t_{2h})^{4h+2} is the separating twist; the recursion
-        # through chain twists must land on the separating base value
-        for g, h in [(2, 1), (3, 1), (3, 2)]:
-            w = chain_word(g, range(1, 2 * h + 1), 4 * h + 2)
-            assert meyer.phi(w) == meyer.phi_base(SeparatingTwist(h), g)
+        # (t_1 ... t_{2h})^{4h+2} is the separating twist: it acts trivially
+        # on homology, and the recursion through chain twists must land on
+        # Endo's value -4h(g-h)/(2g+1), which is 0 for h = 0 and h = g
+        for g in range(1, 7):
+            for h in range(g + 1):
+                w = separating_twist(g, h)
+                assert surface.word_matrix(w) == eye(2 * g), (g, h)
+                assert meyer.phi(w) == F(-4 * h * (g - h), 2 * g + 1), (g, h)
 
     def test_conjugation_invariance(self, rng):
         for g in (1, 2, 3):
@@ -424,7 +434,7 @@ class TestPhi:
         # a conjugated separating twist keeps the base value (class function)
         for _ in range(10):
             u = random_word(rng, 2, rng.randrange(1, 5))
-            w = u * gen_word(2, SeparatingTwist(1)) * u.inverse()
+            w = u * separating_twist(2, 1) * u.inverse()
             assert meyer.phi(w) == F(-4, 5)
 
     def test_structured_power_matches_flat(self, rng):
@@ -445,7 +455,7 @@ class TestPhi:
             for _ in range(25):
                 w = random_word(rng, g, rng.randrange(1, 9))
                 if g >= 2 and rng.random() < 0.3:
-                    w = w * gen_word(g, SeparatingTwist(rng.randrange(0, g + 1)), -1)
+                    w = w * separating_twist(g, rng.randrange(0, g + 1)).inverse()
                 assert meyer.phi(w) == phi_by_fraction_fold(w)
 
     def test_nested_huge_powers_match_the_fraction_fold(self, rng):
@@ -467,7 +477,7 @@ class TestPhi:
                 if g >= 2:
                     u = random_word(rng, g, 2)
                     words.insert(rng.randrange(len(words) + 1),
-                                 u * gen_word(g, SeparatingTwist(1)) * u.inverse())
+                                 u * separating_twist(g, 1) * u.inverse())
                 product = Word(g)
                 for w in words:
                     product = product * w

@@ -4,13 +4,12 @@ import pytest
 from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_word
-from blfsig.words import (IOTA, ChainTwist, SeparatingTwist, Word, chain_word, gen_word,
-                          parse_word)
-from conftest import arr, eye
+from blfsig.words import IOTA, ChainTwist, Word, chain_word, gen_word, parse_word
+from conftest import arr, eye, numpy_j
 
 
 def twist(i, g):
-    return surface.twist_matrix(surface.chain_class(i, g), g)
+    return surface.transvection(surface.chain_class(i, g))
 
 
 class TestChainClasses:
@@ -20,9 +19,12 @@ class TestChainClasses:
         assert surface.chain_class(3, 2) == (1, 0, 1, 0)   # a_1 + a_2
 
     def test_end_curves(self):
-        for g in (1, 2, 3):
-            assert surface.chain_class(1, g) == surface.basis_a(1, g)
-            assert surface.chain_class(2 * g + 1, g) == surface.basis_a(g, g)
+        # [c_1] = a_1 and [c_{2g+1}] = a_g
+        for g, a_1, a_g in ((1, (1, 0), (1, 0)),
+                            (2, (1, 0, 0, 0), (0, 0, 1, 0)),
+                            (3, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0))):
+            assert surface.chain_class(1, g) == a_1
+            assert surface.chain_class(2 * g + 1, g) == a_g
 
     def test_intersection_pattern_bruteforce(self):
         # consecutive chain classes pair to +-1, all others to 0
@@ -51,12 +53,12 @@ class TestChainClasses:
 
 class TestTwistMatrices:
     def test_null_class_gives_identity(self):
-        M = surface.twist_matrix([0, 0, 0, 0], 2)
+        M = surface.transvection([0, 0, 0, 0])
         assert M == eye(4)
 
     def test_genus_one_transvection(self):
         # a -> a, b -> b - a
-        M = surface.twist_matrix(surface.basis_a(1, 1), 1)
+        M = surface.transvection((1, 0))
         assert M == ((1, -1), (0, 1))
 
     def test_twists_are_symplectic(self):
@@ -68,8 +70,7 @@ class TestTwistMatrices:
         for g in (1, 2):
             for i in range(1, 2 * g + 2):
                 c = surface.chain_class(i, g)
-                assert surface.twist_matrix(c, g) == \
-                    surface.twist_matrix([-x for x in c], g)
+                assert surface.transvection(c) == surface.transvection([-x for x in c])
 
     def test_braid_relations(self):
         for g in (1, 2, 3, 4):
@@ -157,15 +158,6 @@ def reference_matrix(w):
     return M
 
 
-def numpy_j(g):
-    """J with <a_i, b_i> = +1, built here, not by the package."""
-    J = np.zeros((2 * g, 2 * g), dtype=object)
-    for k in range(g):
-        J[2 * k, 2 * k + 1] = 1
-        J[2 * k + 1, 2 * k] = -1
-    return J
-
-
 class TestTupleMatrices:
     def test_word_matrix_matches_letterwise_reference(self, rng):
         for _ in range(30):
@@ -194,10 +186,6 @@ class TestTupleMatrices:
             M[0][0] += 7
         assert surface.word_to_matrix(w) == surface.word_matrix(w)
 
-    def test_intersection_matrix(self):
-        for g in (1, 2, 3):
-            assert surface.intersection_matrix(g) == tuple(map(tuple, numpy_j(g).tolist()))
-
 
 def dense_product(A, B):
     n = len(B)
@@ -207,13 +195,15 @@ def dense_product(A, B):
 
 def sample_factors(rng, g):
     """Random word matrices with the sparse factors the folds multiply by:
-    chain twists and their powers, iota, the identity, separating twists."""
+    chain twists and their powers, iota, the identity, separating twists
+    (t_1 ... t_{2h})^{4h+2}."""
     twist_power = Word(g, ((ChainTwist(rng.randint(1, 2 * g + 1)), rng.choice([-5, -1, 2, 7])),))
     words = [random_word(rng, g, rng.randint(1, 8)), nested_random_word(rng, g),
              gen_word(g, ChainTwist(rng.randint(1, 2 * g + 1))), twist_power,
              gen_word(g, IOTA), Word(g)]
     if g >= 2:
-        words.append(gen_word(g, SeparatingTwist(rng.randint(1, g - 1))))
+        h = rng.randint(1, g - 1)
+        words.append(chain_word(g, range(1, 2 * h + 1), 4 * h + 2))
     return [surface.word_matrix(w) for w in words]
 
 
@@ -297,13 +287,13 @@ class TestCurveAction:
         assert surface.curve_action(eye(4), c) == 1
 
     def test_iota_negates(self):
-        c = surface.basis_a(2, 2)
+        c = (0, 0, 1, 0)  # a_2
         assert surface.curve_action(surface.iota_matrix(2), c) == -1
 
     def test_transverse_twist_moves(self):
         # the twist along b_2 sends a_2 to a_2 + b_2
-        M = surface.twist_matrix(surface.basis_b(2, 2), 2)
-        assert surface.curve_action(M, surface.basis_a(2, 2)) == 0
+        M = surface.transvection((0, 0, 0, 1))
+        assert surface.curve_action(M, (0, 0, 1, 0)) == 0
 
     def test_cycle_class(self):
         assert surface.cycle_class(TypeI(), 2) == surface.chain_class(5, 2)
@@ -314,7 +304,7 @@ class TestIsSymplectic:
     def test_word_matrices_and_generators(self, rng):
         for g in range(1, 7):
             assert surface.is_symplectic(surface.iota_matrix(g), g)
-            assert surface.is_symplectic(surface.intersection_matrix(g), g)
+            assert surface.is_symplectic(numpy_j(g), g)
             for _ in range(3):
                 M = surface.word_matrix(random_word(rng, g, 40))
                 assert surface.is_symplectic(M) and surface.is_symplectic(M, g)

@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blfsig.words import (
-    IOTA, MAX_NESTING, ChainTwist, SeparatingTwist, Word, WordError,
+    IOTA, MAX_NESTING, ChainTwist, Word, WordError,
     chain_word, evaluate, format_word, gen_word, parse_word,
 )
 
@@ -69,8 +69,6 @@ def test_genus_bounds_on_constructor():
     with pytest.raises(WordError):
         Word(2, ((ChainTwist(6), 1),))
     with pytest.raises(WordError):
-        Word(2, ((SeparatingTwist(3), 1),))
-    with pytest.raises(WordError):
         Word(2, ((ChainTwist(1), 0),))
 
 
@@ -127,6 +125,14 @@ def test_products_of_checked_words_are_not_rechecked(monkeypatch):
         u ** 1.5
 
 
+def test_power_of_the_empty_word_is_empty():
+    # the II_0 standard twist is the chain word on no indices, (  )^2
+    for e in (-3, -1, 1, 2, 3):
+        assert Word(2) ** e == Word(2)
+        assert chain_word(2, [], e) == Word(2)
+        assert format_word(Word(2) ** e) == ""
+
+
 def test_inverse_reverses_and_negates():
     w = parse_word("t1 t2^3", 2)
     assert w.inverse().items == ((ChainTwist(2), -3), (ChainTwist(1), -1))
@@ -136,12 +142,6 @@ def test_inverse_reverses_and_negates():
 def test_letters_flatten_powers():
     w = parse_word("(t1 t2)^-2", 2)
     assert list(w.letters()) == [(ChainTwist(2), -1), (ChainTwist(1), -1)] * 2
-
-
-def test_separating_twist_has_no_text_form():
-    w = gen_word(2, SeparatingTwist(1))
-    with pytest.raises(WordError):
-        format_word(w)
 
 
 def test_roundtrip_examples():
