@@ -25,15 +25,21 @@ P_k = D_1 ... D_k.  D_k is the transvection along the datum's vanishing
 class v = W c, W the matrix of its conjugator and c the class of the
 standard cycle.  v is computed by acting on c with the conjugator's
 letters, right to left (``surface.word_action``), with no matrix of the
-conjugator except for a nested power, and kept per distinct datum, so
-validation and the Meyer path read it once.
+conjugator except for a nested power, and kept per distinct datum.
 
 The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k) for the Hurwitz
 product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v), with the closing
-term tau(H, H^-1) identically 0, so it costs one cocycle evaluation per
-Lefschetz fiber instead of one per letter of the Hurwitz word.  The
-localized formula is evaluated on the words themselves, so the two routes
-stay independent.
+term tau(H, H^-1) identically 0, so it needs at most one cocycle
+evaluation per Lefschetz fiber instead of one per letter of the Hurwitz
+word.  ``compute_report`` folds the Hurwitz system once, in ``meyer``'s
+tau-corrected states (c, P): ``validate`` folds the data it accepts, reads
+the Hurwitz product H from the fold and keeps the fold in its report, and
+the Meyer path reads c = -sum_k tau(P_{k-1}, D_k) from it.  The fold
+builds each distinct datum transvection once and raises a leading or
+trailing block of repeated data by squaring (``meyer.sequence_state``), so
+``mgn``(g, n), one block of 4g data repeated 2n times, costs 4g - 1 +
+O(log n) cocycle evaluations.  The localized formula is evaluated on the
+words themselves, so the two routes stay independent.
 
 Validation is homological (the symplectic representation cannot
 distinguish a mapping class from its product with the involution, hence
@@ -122,7 +128,7 @@ class LefschetzDatum:
 def _datum_matrices(data) -> list[surface.Matrix]:
     """The image of ``d.word()`` for each datum, the transvection along
     ``d.vector()`` (W t_c W^-1 = t_{Wc}), built once per distinct class, so
-    that repeated data share one tuple matrix."""
+    that repeated data share one tuple matrix and compare equal at once."""
     built = {}
     out = []
     for d in data:
@@ -172,11 +178,18 @@ class FibrationSpec:
 
 def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> None:
     """A fold on component ``comp``, applied to the genera in place: type I
-    drops its genus g by one; II_h keeps genus h in place and appends g - h."""
+    drops its genus g by one; II_h keeps genus h in place and appends g - h.
+    A fold that genus g does not admit (type I at g = 0, II_h outside
+    0..g) raises ValueError saying so, and leaves the genera as they were."""
+    g = genera[comp]
     if isinstance(cycle, TypeI):
+        if g < 1:
+            raise ValueError("type I fold on a genus-0 component")
         genera[comp] -= 1
     else:
-        genera.append(genera[comp] - cycle.h)
+        if not 0 <= cycle.h <= g:
+            raise ValueError(f"II_{cycle.h} fold on a genus-{g} component")
+        genera.append(g - cycle.h)
         genera[comp] = cycle.h
 
 
@@ -188,13 +201,10 @@ def component_stages(spec: FibrationSpec) -> list[list[int]]:
     for k, r in enumerate(spec.rounds):
         if not 0 <= r.component < len(genera):
             raise ConsistencyError(f"round {k}: component {r.component} does not exist")
-        g = genera[r.component]
-        if isinstance(r.cycle, TypeI):
-            if g < 1:
-                raise ConsistencyError(f"round {k}: type I fold on a genus-0 component")
-        elif not 0 <= r.cycle.h <= g:
-            raise ConsistencyError(f"round {k}: II_{r.cycle.h} fold on a genus-{g} component")
-        _fold_genera(genera, r.component, r.cycle)
+        try:
+            _fold_genera(genera, r.component, r.cycle)
+        except ValueError as e:
+            raise ConsistencyError(f"round {k}: {e}") from None
         stages.append(list(genera))
     return stages
 
@@ -224,6 +234,10 @@ class ValidationIssue:
 class ValidationReport:
     issues: list[ValidationIssue] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # the Hurwitz system folded once (``_hurwitz_state`` of the data that
+    # passed), which ``signature_meyer_path`` reads; None when validation
+    # stopped before the fold or the active genus is 0
+    hurwitz: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -272,9 +286,6 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
             continue
         essential.append(d)
-    hurwitz = surface.sp_identity(g_active) if g_active >= 1 else None
-    for M in _datum_matrices(essential):
-        hurwitz = surface.mat_mul(hurwitz, M)
 
     # (a) round monodromies are words in the stabiliser generators
     contexts = []
@@ -310,7 +321,8 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     # modulo the involution (+-identity on homology)
     tracked: dict[int, surface.Matrix] = {}
     if g_active >= 1:
-        tracked[spec.active_component()] = hurwitz
+        report.hurwitz = _hurwitz_state(essential, g_active)
+        tracked[spec.active_component()] = report.hurwitz[1]
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         expected = tracked.pop(r.component, surface.sp_identity(ctx.genus))
@@ -391,10 +403,23 @@ def total_signature(spec: FibrationSpec) -> int:
     return _as_integer(signature_breakdown(spec).total, "total signature")
 
 
-def signature_meyer_path(spec: FibrationSpec) -> int:
+def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
+    """The Hurwitz system of the data at genus g folded once in ``meyer``'s
+    tau-corrected states: (c, H) with H = D_1 ... D_n, the Hurwitz product
+    that validation compares, and c = -Sum_k tau(P_{k-1}, D_k), the
+    Meyer-path sum; (0, 1) for no data.  Each distinct datum transvection is
+    built once, and ``meyer.sequence_state`` raises a repeated block of
+    data by squaring."""
+    return meyer.sequence_state(_datum_matrices(data)) or (0, surface.sp_identity(g))
+
+
+def signature_meyer_path(spec: FibrationSpec, hurwitz: tuple | None = None) -> int:
     """Signature assembled from the Meyer cocycle, the round-cobordism
     signatures, and the fiber-neighborhood signatures (0 for type I, -1 for
     type II); an independent route that must agree with total_signature.
+    ``hurwitz`` is the fold of the Hurwitz system that ``validate`` kept
+    (``ValidationReport.hurwitz``), when the caller has one; without it the
+    data are folded here.
 
     With D_k the symplectic image of Lefschetz datum k and
     P_k = D_1 ... D_k (Endo, Math. Ann. 316, 2000):
@@ -413,8 +438,9 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
         total += locsig.s_word(r.monodromy, ctx)
     g = spec.active_genus()
     if g >= 1:
-        data = _datum_matrices(spec.lefschetz)
-        total -= meyer.tau_prefix_sum(data)
+        if hurwitz is None:
+            hurwitz = _hurwitz_state(spec.lefschetz, g)
+        total += hurwitz[0]  # c = -Sum_k tau(P_{k-1}, D_k)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")
 
@@ -634,7 +660,7 @@ def compute_report(spec: FibrationSpec) -> InvariantReport:
     breakdown = signature_breakdown(spec)
     sig = _as_integer(breakdown.total, "total signature")
     euler = euler_characteristic(spec)
-    meyer_sig = signature_meyer_path(spec)
+    meyer_sig = signature_meyer_path(spec, validation.hurwitz)
     homeo = homeomorphism_report(sig, euler, spec.spin, spec.simply_connected)
     notes = []
     if (sig - euler) % 2:
@@ -766,9 +792,13 @@ def spec_from_json(doc) -> FibrationSpec:
         cycle = _cycle_from_json(_json_member(entry, "cycle", dict, where),
                                  f"{where}.cycle")
         text = _json_member(entry, "monodromy", str, where)
-        mono = _word_from_json(text, genera[comp], f"{where}.monodromy")
+        genus = genera[comp]
+        try:
+            _fold_genera(genera, comp, cycle)
+        except ValueError as e:
+            raise ValueError(f"{where}.cycle: {e}") from None
+        mono = _word_from_json(text, genus, f"{where}.monodromy")
         rounds.append(RoundRegion(comp, cycle, mono))
-        _fold_genera(genera, comp, cycle)
     flags = _json_member(doc, "flags", dict, "", {})
     return FibrationSpec(tuple(higher), tuple(lefschetz), tuple(rounds),
                          spin=_json_member(flags, "spin", bool, "flags", False),

@@ -71,10 +71,17 @@ folds a word by ``words.evaluate`` in the states (c, M), with
 starting from (0, M) on each generator.  The cocycle identity makes this
 law associative, so repeated squaring is sound.  The inverse needs no tau
 call because tau(M, M^-1) = 0 for every symplectic M (forced by phi(1) = 0
-and phi(w^-1) = -phi(w), and checked on the form by the tests).  The same
-fold gives the two other tau sums of the package: a round piece's
-s(w) = sum s(gen) - c(w) + c(push w) (see ``locsig``), and the Meyer-path
-sum sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``tau_prefix_sum``.
+and phi(w^-1) = -phi(w), and checked on the form by the tests).  A
+generator power needs no fold at all: tau(T^j, T) = 1 for a right-handed
+transvection T and j >= 1, so t_i^e is the state (sign(e) - e, T^e), one
+scaled transvection, and iota^e is (0, +-1) as tau(-1, -1) = 0.  Only a
+nested power is raised by squaring.  The same fold gives the two other tau
+sums of the package: a round piece's s(w) = sum s(gen) - c(w) + c(push w)
+(see ``locsig``), and the Meyer-path sum
+sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``sequence_state`` and
+``tau_prefix_sum``, which factor the sequence into runs (``words.runs``)
+and raise a repeated block of data by squaring, so one block repeated k
+times costs its own length plus O(log k) cocycle evaluations.
 
 Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
 ``meyer_form`` also take any sequence of integer rows, normalise it to
@@ -89,7 +96,7 @@ from functools import lru_cache, reduce
 from operator import mul, neg
 
 from . import ratlin, surface
-from .words import ChainTwist, Iota, Word, WordError, evaluate, homomorphism
+from .words import ChainTwist, Iota, Word, WordError, evaluate, homomorphism, runs
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -289,20 +296,19 @@ def _invert(s):
     return (-c, surface.sp_inverse(M))  # tau(M, M^-1) = 0
 
 
+def _letter_state(gen, e: int, g: int):
+    """The state of a generator power gen^e, in closed form: t_i^e is one
+    transvection with correction sign(e) - e, since tau(T^j, T) = 1 for a
+    right-handed transvection T and j >= 1, and iota^e is -1 or 1 with
+    correction 0, since tau(-1, -1) = 0."""
+    c = ((1 if e > 0 else -1) - e) if isinstance(gen, ChainTwist) else 0
+    return (c, surface.generator_matrix(gen, g, e))
+
+
 def _state(w: Word):
     g = w.genus
-
-    def value(item):
-        if isinstance(item, Word):
-            return _state(item)
-        return (0, surface.generator_matrix(item, g))
-
-    def inverse(item):
-        if isinstance(item, Word):
-            return _invert(_state(item))
-        return (0, surface.generator_inverse(item, g))
-
-    return evaluate(w, value, _combine, _invert, (0, surface.sp_identity(g)), inverse)
+    return evaluate(w, _state, _combine, _invert, (0, surface.sp_identity(g)),
+                    lambda gen, e: _letter_state(gen, e, g))
 
 
 def correction(w: Word) -> int:
@@ -326,6 +332,25 @@ def phi(w: Word) -> Fraction:
     return generator_sum(w) + correction(w)
 
 
+def sequence_state(mats):
+    """The state (c, P) of a sequence of symplectic tuple matrices of one
+    size, folded under the tau-corrected law from (0, M_k) each: the product
+    P = M_1 ... M_n and c = -Sum_k tau(P_{k-1}, M_k), with P_k = M_1 ... M_k;
+    None for an empty sequence.
+
+    The sequence is factored into runs (``words.runs``, which compares the
+    matrices with ``==``), and ``words.evaluate`` raises each run's block by
+    repeated squaring, which is exact because the law is associative.  So a
+    block of m matrices repeated k times costs m - 1 + O(log k) cocycle
+    evaluations instead of mk - 1.
+    """
+    def block(span):
+        return reduce(_combine, ((0, mats[k]) for k in span))
+
+    parts = [(range(start, start + period), count) for start, period, count in runs(mats)]
+    return evaluate(parts, block, _combine, _invert, None)
+
+
 def tau_prefix_sum(mats) -> int:
     """Sum_k tau(P_{k-1}, M_k) over the prefix products P_k = M_1 ... M_k
     of a sequence of symplectic tuple matrices of one size (P_0 = 1; see
@@ -335,9 +360,7 @@ def tau_prefix_sum(mats) -> int:
     Sum_k phi(w_k) - phi(w_1 ... w_n) for any words w_k evaluating to M_k,
     computed exactly without evaluating phi on a single letter (Endo,
     "Meyer's signature cocycle and hyperelliptic fibrations", Math. Ann.
-    316, 2000).  It is -c of the sequence, folded by ``_combine`` from the
-    first matrix, so it costs one cocycle evaluation per matrix after the
-    first.
+    316, 2000).  It is -c of ``sequence_state``, which folds runs of a
+    repeated block by squaring.
     """
-    states = [(0, M) for M in mats]
-    return -reduce(_combine, states)[0] if states else 0
+    return -sequence_state(mats)[0] if mats else 0

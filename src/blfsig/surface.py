@@ -24,11 +24,12 @@ M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
-``generator_inverse`` keeps each generator's inverse beside its matrix, so
-a negative exponent in a word reuses it.  ``word_action`` gives W c for
-a class c without the matrix W: it acts on c with the word's letters from
-right to left, in O(1) per chain-twist power, and only a nested power
-(u)^N goes through ``word_matrix``.
+A generator power needs no product at all: t_i^e is the transvection
+x -> x + e <x, c_i> c_i, and iota^e is -1 or 1 (``generator_matrix``), so
+only a nested power (u)^N is raised by repeated squaring.
+``word_action`` gives W c for a class c without the matrix W: it acts on
+c with the word's letters from right to left, in O(1) per chain-twist
+power, and only a nested power (u)^N goes through ``word_matrix``.
 
 ``mat_mul`` computes only the entries its factors change: the columns of
 B that are not unit columns, in the rows of A that are not unit rows.  It
@@ -111,14 +112,14 @@ def _chain_support(i: int, g: int) -> tuple[int, ...]:
     return tuple(p for p in (2 * (k - 2), 2 * (k - 1)) if 0 <= p < 2 * g)  # a_{k-1}, a_k
 
 
-def transvection(c) -> Matrix:
-    """Transvection x -> x + <x, c> c of the right-handed twist along the
-    integer class c, as a tuple matrix: 1 - c c^T J, whose (i, j) entry is
-    delta_ij + s(j) c_i c_{j^1}.  Row i is the unit row where c_i = 0, so
-    a null class gives the identity."""
+def transvection(c, e: int = 1) -> Matrix:
+    """The e-th power x -> x + e <x, c> c of the transvection of the
+    right-handed twist along the integer class c, as a tuple matrix:
+    1 - e c c^T J, whose (i, j) entry is delta_ij + e s(j) c_i c_{j^1}.  Row
+    i is the unit row where c_i = 0, so a null class gives the identity."""
     c = tuple(map(int, c))
     n = len(c)
-    row = [c[j ^ 1] if j % 2 == 0 else -c[j ^ 1] for j in range(n)]
+    row = [e * c[j ^ 1] if j % 2 == 0 else -e * c[j ^ 1] for j in range(n)]
     out = []
     for i, (ci, unit) in enumerate(zip(c, sp_identity(n // 2))):
         if ci:
@@ -194,38 +195,27 @@ def sp_inverse(A: Matrix) -> Matrix:
                        for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def generator_matrix(gen, g: int) -> Matrix:
-    """Tuple matrix of a single generator at genus g."""
+@lru_cache(maxsize=1 << 12)
+def generator_matrix(gen, g: int, e: int = 1) -> Matrix:
+    """Tuple matrix of the power gen^e of a single generator at genus g, in
+    closed form: t_i^e is the transvection along c_i scaled by e, and
+    iota^e is -1 or 1 by the parity of e."""
     if isinstance(gen, ChainTwist):
-        return transvection(chain_class(gen.index, g))
+        return transvection(chain_class(gen.index, g), e)
     if isinstance(gen, Iota):
-        return iota_matrix(g)
+        return iota_matrix(g) if e % 2 else sp_identity(g)
     raise WordError(f"unknown generator {gen!r}")
-
-
-@lru_cache(maxsize=1 << 10)
-def generator_inverse(gen, g: int) -> Matrix:
-    """Inverse of ``generator_matrix(gen, g)``, built once per generator
-    and genus and kept beside it, for the negative exponents of words."""
-    return sp_inverse(generator_matrix(gen, g))
 
 
 @lru_cache(maxsize=1 << 12)
 def word_matrix(w: Word) -> Matrix:
     """Product of generator matrices, left to right in word order, as a
-    tuple matrix, folded by ``words.evaluate``; nested words are cached
-    too."""
+    tuple matrix, folded by ``words.evaluate``: a generator power is one
+    closed-form matrix, a nested power goes by repeated squaring, and
+    nested words are cached too."""
     g = check_genus(w.genus)
-
-    def value(item):
-        return word_matrix(item) if isinstance(item, Word) else generator_matrix(item, g)
-
-    def inverse(item):
-        return sp_inverse(word_matrix(item)) if isinstance(item, Word) else \
-            generator_inverse(item, g)
-
-    return evaluate(w, value, mat_mul, sp_inverse, sp_identity(g), inverse)
+    return evaluate(w, word_matrix, mat_mul, sp_inverse, sp_identity(g),
+                    lambda gen, e: generator_matrix(gen, g, e))
 
 
 def word_action(w: Word, c) -> tuple[int, ...]:

@@ -8,10 +8,15 @@ generator of its own: it is the chain word (t_1 ... t_{2h})^{4h+2} (the
 chain relation), so every word has a text form.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
 powers of subwords stay symbolic (the power of the empty word is the empty
-word), and ``evaluate`` folds a word into any group in O(log exponent)
-operations per power.  ``homomorphism`` is the additive case: a
-homomorphism to (Q, +) given by its generator values, folded in ints over
-their common denominator.
+word), and ``evaluate`` folds a word into any group: a nested power in
+O(log exponent) operations by ``pow_by_squaring``, and a generator power
+by a caller's closed form when it has one (a transvection scaled by the
+exponent, an integer multiple), in O(1).  ``homomorphism`` is the additive
+case: a homomorphism to (Q, +) given by its generator values, folded in
+ints over their common denominator.  ``runs`` turns a flat sequence into
+such items the other way round: it finds a leading and a trailing power
+block^k in linear time, so a fold of a Hurwitz system whose data repeat a
+block raises that block by squaring.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -174,36 +179,90 @@ def _checked_word(genus: int, items: tuple) -> Word:
     return w
 
 
-def evaluate(w: Word, value: Callable, mul: Callable, inv: Callable, one,
-             inverse: Callable | None = None):
+def evaluate(w, value: Callable, mul: Callable, inv: Callable, one,
+             power: Callable | None = None):
     """Fold a word into a group: the product of ``value(item) ** exp`` over
     the items, left to right.
 
-    ``value`` is called on generators and on nested words alike, so a
-    caller may cache nested values or recurse through ``evaluate``.  Powers
-    use repeated squaring, a negative exponent inverts first, and the fold
-    starts from the first factor: ``one`` is returned for the empty word
-    and is never passed to ``mul``.  The inverse of an item is
-    ``inverse(item)`` when that is given, so a caller may cache it, and
-    ``inv(value(item))`` otherwise.
+    ``w`` is a Word or any sequence of (item, exponent) pairs.  ``value`` is
+    called on nested words as on any other item, so a caller may cache
+    nested values or recurse through ``evaluate``, and their powers use
+    ``pow_by_squaring``.  The factor of every other item is
+    ``power(item, exp)`` when that is given, so a caller may build a
+    generator's power in closed form, and ``pow_by_squaring`` of its value
+    otherwise.  The fold starts from the first factor: ``one`` is returned
+    for the empty word and is never passed to ``mul``.
     """
+    items = w.items if isinstance(w, Word) else w
     acc = None
-    for item, exp in w.items:
-        if exp > 0:
-            base = value(item)
+    for item, exp in items:
+        if power is None or isinstance(item, Word):
+            factor = pow_by_squaring(value(item), exp, mul, inv)
         else:
-            base = inv(value(item)) if inverse is None else inverse(item)
-            exp = -exp
-        power = None
-        while True:
-            if exp & 1:
-                power = base if power is None else mul(power, base)
-            exp >>= 1
-            if not exp:
-                break
-            base = mul(base, base)
-        acc = power if acc is None else mul(acc, power)
+            factor = power(item, exp)
+        acc = factor if acc is None else mul(acc, factor)
     return one if acc is None else acc
+
+
+def pow_by_squaring(x, e: int, mul: Callable, inv: Callable):
+    """x ** e for a nonzero int e: O(log |e|) products by repeated
+    squaring, a negative exponent inverting x first."""
+    if e < 0:
+        x, e = inv(x), -e
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
+def runs(keys) -> list[tuple[int, int, int]]:
+    """Factor a sequence into runs: parts (start, period, count), in order
+    and covering it, with keys[start : start + period * count] equal to
+    keys[start : start + period] repeated count times.  The parts are the
+    longest leading power block^k with k >= 2, the longest trailing one in
+    what is left, and the plain stretch between them (count 1); each may be
+    absent.  Keys are compared with ``==`` only, O(len(keys)) times."""
+    n = len(keys)
+    lead = _leading_power(keys)
+    start = lead[0] * lead[1] if lead else 0
+    tail = _leading_power(keys[start:][::-1])
+    stop = n - tail[0] * tail[1] if tail else n
+    parts = [(0, *lead)] if lead else []
+    if start < stop:
+        parts.append((start, stop - start, 1))
+    if tail:
+        parts.append((stop, *tail))
+    return parts
+
+
+def _leading_power(keys) -> tuple[int, int] | None:
+    """(p, k) for the longest prefix of keys that is a block of length p
+    repeated k >= 2 times, or None.  The prefix function of Knuth, Morris
+    and Pratt gives the shortest period p = L - border(L) of every prefix
+    length L in at most 2 len(keys) comparisons, and a prefix is a power of
+    a shorter block exactly when p divides L (by the Fine-Wilf theorem, a
+    period q with q | L and q <= L/2 is a multiple of p)."""
+    border = [0] * len(keys)
+    b = 0
+    for i in range(1, len(keys)):
+        # each comparison extends the border, shortens it, or ends at 0
+        while True:
+            if keys[i] == keys[b]:
+                b += 1
+                break
+            if not b:
+                break
+            b = border[b - 1]
+        border[i] = b
+    for L in range(len(keys), 1, -1):
+        p = L - border[L - 1]
+        if p < L and L % p == 0:
+            return p, L // p
+    return None
 
 
 def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fraction:
@@ -215,10 +274,9 @@ def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fract
     D = math.lcm(1, *(v.denominator for v in values.values()))
     scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
 
-    def part(item) -> int:
-        if isinstance(item, Word):
-            return evaluate(item, part, operator.add, operator.neg, 0)
-        return scaled[item]
+    def part(item: Word) -> int:
+        return evaluate(item, part, operator.add, operator.neg, 0,
+                        lambda gen, e: e * scaled[gen])
 
     return Fraction(part(w), D)
 

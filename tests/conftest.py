@@ -15,6 +15,8 @@ the public functions read as sequences of rows.
 
 ``bounded_power_base`` draws words whose powers have matrix entries linear
 in the exponent, so the word folds can be checked at exponents near 10^12.
+``plain_fold`` is the per-datum left fold of a Hurwitz system that
+``meyer.sequence_state`` replaces by folding runs of a block by squaring.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blfsig import locsig
+from blfsig import locsig, meyer
 from blfsig.verify import random_context_word
 from blfsig.words import IOTA, chain_word, gen_word
 
@@ -157,3 +159,14 @@ def bounded_power_base(rng, ctx):
         b += 1
     u = random_context_word(rng, ctx, rng.randrange(0, 3))
     return u * chain_word(ctx.genus, indices[a:b + 1]) * u.inverse()
+
+
+def plain_fold(mats):
+    """The per-datum left fold of a nonempty sequence of symplectic
+    matrices, with numpy products and the public ``meyer.tau``:
+    (-Sum_k tau(P_{k-1}, M_k), P_n) as a pair of an int and nested lists."""
+    c, P = 0, arr(mats[0])
+    for M in mats[1:]:
+        c -= meyer.tau(P.tolist(), M)
+        P = P @ arr(M)
+    return c, P.tolist()

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,50 @@ def test_malformed_entry_names_its_path(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "compute", str(path))
     assert code == 2 and "lefschetz[3].type" in err
+
+
+def spec_doc(higher, rounds, lefschetz=()):
+    return {"spec_version": 1, "higher_fiber": [{"genus": g} for g in higher],
+            "lefschetz": list(lefschetz),
+            "rounds": [{"component": c, "cycle": cycle, "monodromy": mono}
+                       for c, cycle, mono in rounds]}
+
+
+@pytest.mark.parametrize("doc,where,message", [
+    # II_5 on a genus-2 component, then a fold on the new component 1
+    (spec_doc([2], [(0, {"type": "II", "h": 5}, ""), (1, {"type": "I"}, "")]),
+     "rounds[0].cycle", "II_5 fold on a genus-2 component"),
+    # the first fold leaves genus 0, where no second type I fold applies
+    (spec_doc([1], [(0, {"type": "I"}, ""), (0, {"type": "I"}, "")]),
+     "rounds[1].cycle", "type I fold on a genus-0 component"),
+    (spec_doc([2], [(0, {"type": "II", "h": -1}, "")]),
+     "rounds[0].cycle", "II_-1 fold on a genus-2 component"),
+])
+def test_a_fold_the_genus_does_not_admit_names_its_round(capsys, tmp_path, doc, where, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(where)}: {re.escape(message)}$"):
+        fibration.spec_from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == 2 and f"{where}: {message}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_data_that_validation_rejects_exit_one(capsys, tmp_path, monkeypatch):
+    # the Hurwitz fold only sees data that passed, so a datum no fibration
+    # of this genus has keeps its validation failure (exit 1)
+    doc = fibration.spec_to_json(fibration.family_spec("mgn", 2, 1))
+    doc["lefschetz"].append({"type": "II", "h": 7})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == 1 and err == "validation: lefschetz[16]: II_7 is not essential at genus 2\n"
+    # a spec file cannot hold a datum of another genus, so hand one to compute
+    spec = fibration.family_spec("mgn", 2, 1)
+    bad = replace(spec, lefschetz=spec.lefschetz + (fibration.chain_twist_datum(1, 1),))
+    monkeypatch.setattr(fibration, "load_spec", lambda path: bad)
+    code, _, err = run(capsys, "compute", str(path))
+    assert code == 1 and err == "validation: lefschetz[16]: word genus 1 != fiber genus 2\n"
 
 
 def test_compute_validates_once(capsys, monkeypatch):

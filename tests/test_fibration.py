@@ -16,7 +16,7 @@ from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_valid_spec, random_word
 from blfsig.words import (IOTA, ChainTwist, Word, WordError, chain_word, format_word,
                           gen_word, parse_word)
-from conftest import eye
+from conftest import arr, eye, plain_fold
 
 
 def random_conjugator(rng, g, length):
@@ -329,6 +329,55 @@ class TestTelescopedMeyerPath:
         assert Counter(actions) == Counter({d.conjugator for d in data})
         assert fib._vanishing_class.cache_info().misses == len(set(data))
         assert not set(evaluated) & {w for d in data for w in (d.word(), d.conjugator)}
+
+
+def hurwitz_moved_family(rng, g, n, moves):
+    """mgn(g, n) with elementary Hurwitz moves (a, b) -> (a b a^-1, a), all
+    inside one repetition of its block of 4g data, drawn by ``rng``: the
+    data read block^a (moved block) block^b, and every invariant is kept."""
+    spec = family_spec("mgn", g, n)
+    data = list(spec.lefschetz)
+    r = rng.randrange(2 * n)
+    for _ in range(moves):
+        p = 4 * g * r + rng.randrange(4 * g - 1)
+        a, b = data[p], data[p + 1]
+        data[p:p + 2] = LefschetzDatum(b.cycle, a.word() * b.conjugator), a
+    return replace(spec, lefschetz=tuple(data))
+
+
+class TestHurwitzFold:
+    def test_matches_the_plain_fold(self, rng):
+        for g in (1, 2, 3):
+            for n in (1, 2, 3):
+                for moves in (0, 1, 2):
+                    spec = hurwitz_moved_family(rng, g, n, moves)
+                    c, H = fib.validate(spec).hurwitz
+                    assert (c, arr(H).tolist()) == plain_fold(fib._datum_matrices(spec.lefschetz))
+                    rep = fib.compute_report(spec)
+                    assert rep.meyer_path_signature == fib.signature_meyer_path(spec) == -4 * g * n
+
+    def test_a_repeated_block_costs_one_block_plus_log_many_misses(self):
+        # mgn(2, 8) is a block of 8 data repeated 16 times
+        meyer._tau_cached.cache_clear()
+        assert fib.compute_report(family_spec("mgn", 2, 8)).two_paths_agree
+        assert meyer._tau_cached.cache_info().misses <= 8 + 2 * (16).bit_length()
+
+    def test_rejected_data_never_reach_the_fold(self, monkeypatch):
+        folded = []
+        fold = meyer.sequence_state
+
+        def recording(mats):
+            folded.append(len(mats))
+            return fold(mats)
+
+        monkeypatch.setattr(meyer, "sequence_state", recording)
+        data = list(family_spec("mgn", 2, 1).lefschetz)
+        for bad in (LefschetzDatum(TypeII(7), Word(2)), chain_twist_datum(1, 1)):
+            folded.clear()
+            spec = replace(family_spec("mgn", 2, 1), lefschetz=tuple(data + [bad]))
+            with pytest.raises(fib.ValidationError):
+                fib.compute_report(spec)
+            assert folded in ([], [len(data)])
 
 
 class TestSeparatingFold:

@@ -7,8 +7,9 @@ import pytest
 from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
-from blfsig.words import IOTA, ChainTwist, Word, chain_word, evaluate, gen_word
-from conftest import arr, bounded_power_base, eye, numpy_j
+from blfsig.words import (IOTA, ChainTwist, Word, chain_word, evaluate, gen_word,
+                          pow_by_squaring)
+from conftest import arr, bounded_power_base, eye, numpy_j, plain_fold
 
 
 def twist(i, g):
@@ -487,8 +488,9 @@ class TestPhi:
 
 
 def test_powers_request_no_tau_with_an_identity_first_argument(monkeypatch):
-    # folds start from their first factor, so no power asks for tau(1, M);
-    # the 0 x 0 matrices of the genus-0 cut surface at g = 1 are exempt
+    # folds start from their first factor, so no nested power asks for
+    # tau(1, M), and a generator power asks for no tau at all; the 0 x 0
+    # matrices of the genus-0 cut surface at g = 1 are exempt
     firsts = []
     cached = meyer._tau_cached
 
@@ -503,8 +505,91 @@ def test_powers_request_no_tau_with_an_identity_first_argument(monkeypatch):
         for e in range(1, 17):
             meyer.phi(gen_word(g, ChainTwist(1), e))
             locsig.s_word(gen_word(g, gen, e), ctx)
+    assert not firsts
+    for g in (1, 2, 3):
+        ctx = locsig.CycleContext(g, TypeI())
+        # t_1 t_{2g+1} has infinite order, so no power of it is the identity
+        inner = Word(g, ((ChainTwist(1), 1), (ChainTwist(2 * g + 1), 1)))
+        for e in range(1, 17):
+            meyer.phi(Word(g, ((inner, e),)))
+            locsig.s_word(Word(g, ((inner, e), (IOTA, 1))), ctx)
     assert firsts
     assert not [At for At in firsts if At and At == surface.sp_identity(len(At) // 2)]
+
+
+def test_letter_power_corrections_match_the_squaring_fold():
+    # c(t_i^e) = sign(e) - e and c(iota^e) = 0, each with the matrix of the
+    # power, as the fold of e single-letter states by squaring gives them
+    for g in (1, 2, 3, 4):
+        for gen in (ChainTwist(1), ChainTwist(2), ChainTwist(2 * g + 1), IOTA):
+            state = (0, surface.generator_matrix(gen, g))
+            for e in [e for e in range(-64, 65) if e]:
+                want = pow_by_squaring(state, e, meyer._combine, meyer._invert)
+                w = gen_word(g, gen, e)
+                closed = ((1 if e > 0 else -1) - e) if isinstance(gen, ChainTwist) else 0
+                assert meyer.correction(w) == closed == want[0], (g, gen, e)
+                assert surface.word_matrix(w) == want[1], (g, gen, e)
+
+
+def test_huge_letter_power_needs_no_product(monkeypatch):
+    products = []
+    mat_mul = surface.mat_mul
+
+    def counting(A, B):
+        products.append(1)
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(surface, "mat_mul", counting)
+    e = 10 ** 18
+    assert meyer.phi(gen_word(3, ChainTwist(1), e)) == F(4, 7) * e + 1 - e
+    assert not products
+
+
+def hurwitz_moved(block, i):
+    """The block with the elementary Hurwitz move at i:
+    (D_i, D_{i+1}) -> (D_i D_{i+1} D_i^-1, D_i), which keeps the product."""
+    D, E = block[i], block[i + 1]
+    moved = surface.mat_mul(surface.mat_mul(D, E), surface.sp_inverse(D))
+    return block[:i] + [moved, D] + block[i + 2:]
+
+
+class TestSequenceState:
+    def check(self, mats):
+        c, P = meyer.sequence_state(mats)
+        assert (c, arr(P).tolist()) == plain_fold(mats)
+        assert meyer.tau_prefix_sum(mats) == -c
+
+    def test_periodic_aperiodic_and_moved_blocks_match_the_plain_fold(self, rng):
+        for g in (1, 2, 3):
+            letters = [twist(i, g) for i in range(1, 2 * g + 2)]
+            for _ in range(6):
+                block = [rng.choice(letters) for _ in range(rng.randrange(1, 6))]
+                self.check(block * rng.randrange(2, 9))
+                self.check([rng.choice(letters) for _ in range(rng.randrange(1, 20))])
+                if len(block) >= 2:
+                    moved = hurwitz_moved(block, rng.randrange(len(block) - 1))
+                    a, b = rng.randrange(0, 5), rng.randrange(0, 5)
+                    self.check(block * a + moved + block * b)
+
+    def test_a_repeated_block_costs_its_length_plus_log_many_cocycle_calls(self, monkeypatch):
+        calls = []
+        cached = meyer._tau_cached
+
+        def counting(At, Bt):
+            calls.append(1)
+            return cached(At, Bt)
+
+        monkeypatch.setattr(meyer, "_tau_cached", counting)
+        g = 3
+        block = [twist(i, g) for i in (1, 2, 3, 4, 5, 6, 7)]
+        for k in (2, 16, 1000):
+            calls.clear()
+            meyer.sequence_state(block * k)
+            assert len(calls) <= len(block) - 1 + 2 * k.bit_length()
+
+    def test_empty_sequence(self):
+        assert meyer.sequence_state([]) is None
+        assert meyer.tau_prefix_sum([]) == 0
 
 
 def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from blfsig import ratlin, surface
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_word
-from blfsig.words import IOTA, ChainTwist, Word, chain_word, gen_word, parse_word
+from blfsig.words import (IOTA, ChainTwist, Word, chain_word, gen_word, parse_word,
+                          pow_by_squaring)
 from conftest import arr, eye, numpy_j
 
 
@@ -258,27 +259,37 @@ class TestSparseProducts:
         assert surface.iota_matrix(0) == () == surface.mat_mul((), ())
 
 
-class TestGeneratorInverses:
-    def test_built_once_per_generator_and_genus(self, rng, monkeypatch):
-        calls = []
-        shuffle = surface.sp_inverse
+class TestGeneratorPowers:
+    def test_letter_powers_match_the_squaring_fold(self):
+        # t_i^e is one transvection scaled by e and iota^e is +-1, equal to
+        # the power by squaring and, at small |e|, to the numpy letter fold
+        for g in (1, 2, 3, 4):
+            for gen in [ChainTwist(i) for i in range(1, 2 * g + 2)] + [IOTA]:
+                one = surface.generator_matrix(gen, g)
+                for e in [e for e in range(-64, 65) if e]:
+                    want = pow_by_squaring(one, e, surface.mat_mul, surface.sp_inverse)
+                    w = gen_word(g, gen, e)
+                    assert surface.generator_matrix(gen, g, e) == want, (g, gen, e)
+                    assert surface.word_matrix(w) == want, (g, gen, e)
+                    if abs(e) <= 3:
+                        assert arr(want).tolist() == reference_matrix(w).tolist()
 
-        def counting(M):
-            calls.append(M)
-            return shuffle(M)
+    def test_huge_powers_need_no_product(self, monkeypatch):
+        products = []
+        mat_mul = surface.mat_mul
 
-        monkeypatch.setattr(surface, "sp_inverse", counting)
-        surface.generator_inverse.cache_clear()
-        for g in (2, 3):
-            surface.word_matrix.cache_clear()
-            for text in ("t1^-1 t2", "t2 t1^-3", "(t1^-2 iota^-1)^3 t1^-1", "t3^-1 iota^-5"):
-                w = parse_word(text, g)
-                assert arr(surface.word_matrix(w)).tolist() == reference_matrix(w).tolist()
-        # t1, iota and t3 at each genus; nested words have no negative exponent
-        assert len(calls) == 6
-        for (gen, g) in ((ChainTwist(1), 2), (IOTA, 3), (ChainTwist(3), 3)):
-            assert surface.mat_mul(surface.generator_matrix(gen, g),
-                                   surface.generator_inverse(gen, g)) == surface.sp_identity(g)
+        def counting(A, B):
+            products.append(1)
+            return mat_mul(A, B)
+
+        monkeypatch.setattr(surface, "mat_mul", counting)
+        e = -(10 ** 18) - 1
+        T = surface.word_matrix(gen_word(3, ChainTwist(2), e))
+        assert surface.word_matrix(gen_word(3, IOTA, e)) == surface.iota_matrix(3)
+        assert not products
+        # x -> x + e <x, b_1> b_1
+        assert T == surface.transvection(surface.chain_class(2, 3), e)
+        assert (T[0][:2], T[1][:2]) == ((1, 0), (e, 1))
 
 
 class TestCurveAction:

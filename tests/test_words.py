@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from blfsig.words import (
     IOTA, MAX_NESTING, ChainTwist, Word, WordError,
-    chain_word, evaluate, format_word, gen_word, parse_word,
+    chain_word, evaluate, format_word, gen_word, parse_word, pow_by_squaring, runs,
 )
 
 
@@ -256,20 +256,98 @@ def test_evaluate_large_exponents_cost_log_many_products():
         assert len(calls) <= 2 * (10 ** 18).bit_length()
 
 
+def generator_items(w: Word) -> int:
+    """Generator items of the word tree, each nested word counted once per
+    occurrence, as a fold that does not cache nested values visits them."""
+    return sum(generator_items(x) if isinstance(x, Word) else 1 for x, _ in w.items)
+
+
 @given(nested_words())
 @settings(max_examples=50, deadline=None)
-def test_evaluate_takes_item_inverses_from_the_hook(w):
-    # with ``inverse`` given, a negative exponent never inverts a value
+def test_evaluate_takes_generator_powers_from_the_hook(w):
+    # with ``power`` given, a generator's factor is power(gen, exp), and its
+    # value is never taken; nested words still go by squaring their values
     assume(letter_count(w) <= 20000)
     asked = []
 
-    def inverse(item):
-        asked.append(item)
-        return invert(perm_value(item))
+    def power(gen, e):
+        asked.append(gen)
+        return pow_by_squaring(PERMS[gen], e, compose, invert)
 
-    def no_invert(p):
-        raise AssertionError("inverted a value despite the inverse hook")
+    def value(item):
+        assert isinstance(item, Word), "took a generator's value despite the power hook"
+        return evaluate(item, value, compose, invert, ONE, power)
 
-    got = evaluate(w, perm_value, compose, no_invert, ONE, inverse)
-    assert got == evaluate(w, perm_value, compose, invert, ONE)
-    assert len(asked) == sum(e < 0 for _, e in w.items)
+    assert evaluate(w, value, compose, invert, ONE, power) == \
+        evaluate(w, perm_value, compose, invert, ONE)
+    assert len(asked) == generator_items(w)
+
+
+def test_evaluate_folds_any_sequence_of_pairs():
+    items = [((ChainTwist(1), ChainTwist(2)), 3), ((IOTA,), -1)]
+
+    def value(block):
+        return evaluate(Word(2, tuple((gen, 1) for gen in block)), perm_value,
+                        compose, invert, ONE)
+
+    w = Word(2, ((Word(2, ((ChainTwist(1), 1), (ChainTwist(2), 1))), 3), (IOTA, -1)))
+    assert evaluate(items, value, compose, invert, ONE) == \
+        evaluate(w, perm_value, compose, invert, ONE)
+
+
+def brute_leading_power(keys):
+    """Oracle: (p, k) of the longest prefix that is a block repeated k >= 2
+    times, by trying every prefix length and period."""
+    for L in range(len(keys), 1, -1):
+        for p in range(1, L // 2 + 1):
+            if L % p == 0 and keys[:L] == keys[:p] * (L // p):
+                return p, L // p
+    return None
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=14),
+       st.lists(st.sampled_from("ab"), min_size=1, max_size=4), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_runs_are_the_longest_leading_and_trailing_powers(head, block, k):
+    keys = head + block * k if k % 2 else block * k + head
+    parts = runs(keys)
+    covered = []
+    for start, period, count in parts:
+        assert start == len(covered)
+        covered += keys[start:start + period] * count
+    assert covered == keys
+    lead = brute_leading_power(keys)
+    start = lead[0] * lead[1] if lead else 0
+    tail = brute_leading_power(keys[start:][::-1])
+    stop = len(keys) - (tail[0] * tail[1] if tail else 0)
+    assert parts == ([(0, *lead)] if lead else []) + \
+        ([(start, stop - start, 1)] if start < stop else []) + ([(stop, *tail)] if tail else [])
+
+
+class Counted:
+    """A key that counts the comparisons made on it."""
+    compared = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        Counted.compared += 1
+        return self.key == other.key
+
+
+def square_free_ternary(n):
+    """The first n letters of a ternary word with no square uu at all: the
+    number of 1s between consecutive 0s of the Thue-Morse word."""
+    thue_morse = [bin(i).count("1") % 2 for i in range(4 * n + 8)]
+    zeros = [i for i, x in enumerate(thue_morse) if x == 0]
+    return [b - a - 1 for a, b in zip(zeros, zeros[1:])][:n]
+
+
+def test_runs_compare_linearly_many_keys():
+    n = 10 ** 4
+    keys = [Counted(x) for x in square_free_ternary(n)]
+    assert len(keys) == n and {k.key for k in keys} == {0, 1, 2}
+    Counted.compared = 0
+    assert runs(keys) == [(0, n, 1)]
+    assert Counted.compared <= 4 * n

@@ -15,6 +15,8 @@ Prints one JSON object with the time, in seconds, of
   g = 2, 4, 6, 8, 10, 20, 30, 50;
 - ``meyer_path``: ``fibration.signature_meyer_path`` on the same specs at
   g = 10, 20, 30, 50, vanishing classes included;
+- ``meyer_path_n4``: the same on ``mgn`` at n = 4, g = 10, 20, whose
+  Hurwitz system is one block of 4g data repeated eight times;
 - ``h_word``: ``locsig.h_word`` of ``t1^5 t3``, parsed at g, for a type I
   cycle at g = 10^3 and 10^6, where the word is short and the genus is not.
 
@@ -40,6 +42,7 @@ from pathlib import Path
 
 GENERA = (6, 10, 20, 50, 100)
 FAMILY_GENERA = (10, 20, 30, 50)
+REPEATED_BLOCK_GENERA = (10, 20)
 VALIDATE_GENERA = (2, 4, 6, 8) + FAMILY_GENERA
 H_WORD_GENERA = (10 ** 3, 10 ** 6)
 BUDGET_S = 20.0
@@ -58,8 +61,8 @@ def cell(kind: str, g: int) -> float:
     if kind == "word_matrix":
         def call():
             return [surface.word_matrix(w) for w in words]
-    elif kind in ("validate", "meyer_path"):
-        spec = fibration.family_spec("mgn", g, 1)
+    elif kind in ("validate", "meyer_path", "meyer_path_n4"):
+        spec = fibration.family_spec("mgn", g, 4 if kind == "meyer_path_n4" else 1)
         run = fibration.validate if kind == "validate" else fibration.signature_meyer_path
 
         def call():
@@ -131,6 +134,7 @@ def main(argv=None) -> int:
              for kind, genera in (("word_matrix", GENERA), ("tau", GENERA),
                                   ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
                                   ("validate", VALIDATE_GENERA), ("meyer_path", FAMILY_GENERA),
+                                  ("meyer_path_n4", REPEATED_BLOCK_GENERA),
                                   ("h_word", H_WORD_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
