@@ -29,17 +29,21 @@ conjugator except for a nested power, and kept per distinct datum.
 
 The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k) for the Hurwitz
 product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v), with the closing
-term tau(H, H^-1) identically 0, so it needs at most one cocycle
-evaluation per Lefschetz fiber instead of one per letter of the Hurwitz
-word.  ``compute_report`` folds the Hurwitz system once, in ``meyer``'s
+term tau(H, H^-1) identically 0, so it needs no phi of a letter.
+``compute_report`` folds the Hurwitz system once, in ``meyer``'s
 tau-corrected states (c, P): ``validate`` folds the data it accepts, reads
 the Hurwitz product H from the fold and keeps the fold in its report, and
 the Meyer path reads c = -sum_k tau(P_{k-1}, D_k) from it.  The fold
-builds each distinct datum transvection once and raises a leading or
-trailing block of repeated data by squaring (``meyer.sequence_state``), so
-``mgn``(g, n), one block of 4g data repeated 2n times, costs 4g - 1 +
-O(log n) cocycle evaluations.  The localized formula is evaluated on the
-words themselves, so the two routes stay independent.
+builds each distinct datum transvection once, raises a leading or trailing
+block of repeated data by squaring (``meyer.sequence_state``), and folds
+each window of 2g consecutive type I data as the signature of one form on
+the relations among their vanishing classes, with the sign convention
+L_kl = -<v_k, v_l> for k < l (Ozbagci's form; see ``meyer``), instead of
+one cocycle evaluation per datum.  So ``mgn``(g, n), one block of 4g data
+repeated 2n times, costs 1 + O(log n) cocycle evaluations: the join of the
+block's two windows and the squaring.  A type II datum has the identity
+matrix and is folded by the law.  The localized formula is evaluated on
+the words themselves, so the two routes stay independent.
 
 Validation is homological (the symplectic representation cannot
 distinguish a mapping class from its product with the involution, hence
@@ -409,7 +413,8 @@ def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
     that validation compares, and c = -Sum_k tau(P_{k-1}, D_k), the
     Meyer-path sum; (0, 1) for no data.  Each distinct datum transvection is
     built once, and ``meyer.sequence_state`` raises a repeated block of
-    data by squaring."""
+    data by squaring and folds windows of 2g transvections as one form
+    each."""
     return meyer.sequence_state(_datum_matrices(data)) or (0, surface.sp_identity(g))
 
 

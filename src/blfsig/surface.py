@@ -39,6 +39,9 @@ of one, differs from the identity in at most two rows and two columns, and
 a product with it on either side costs O(g^2) instead of O(g^3).  The
 matrix -1 of iota has no unit row or column, so ``mat_mul`` tests for it
 and negates the other factor, also in O(g^2).
+``times_transvection`` gives M t_c^e without the matrix of the twist: it
+adds a multiple of (J c)^T to each row of M that c does not annihilate,
+so for a chain class it touches two columns, in O(g) per row.
 
 ``is_symplectic`` checks M J M^T = J, which holds exactly when M^T J M = J,
 as pairings of rows: <M_i, M_j> = J_ij for i < j (the pairing is
@@ -115,18 +118,31 @@ def _chain_support(i: int, g: int) -> tuple[int, ...]:
 def transvection(c, e: int = 1) -> Matrix:
     """The e-th power x -> x + e <x, c> c of the transvection of the
     right-handed twist along the integer class c, as a tuple matrix:
-    1 - e c c^T J, whose (i, j) entry is delta_ij + e s(j) c_i c_{j^1}.  Row
-    i is the unit row where c_i = 0, so a null class gives the identity."""
+    1 - e c c^T J, whose (i, j) entry is delta_ij + e s(j) c_i c_{j^1}: the
+    identity times t_c^e (``times_transvection``).  Row i is the unit row
+    where c_i = 0, so a null class gives the identity."""
     c = tuple(map(int, c))
-    n = len(c)
-    row = [e * c[j ^ 1] if j % 2 == 0 else -e * c[j ^ 1] for j in range(n)]
+    return times_transvection(sp_identity(len(c) // 2), c, e)
+
+
+def times_transvection(M: Matrix, c, e: int = 1) -> Matrix:
+    """The product M t_c^e for a tuple matrix M and an integer class c, with
+    no matrix of the twist: t_c^e = 1 + e c (J c)^T, so row i of M gains
+    e (M_i . c) (J c)^T, which moves only the columns p^1 for c_p != 0 and
+    only the rows with M_i . c != 0 (the others stay shared).  O(g) per
+    row for a chain class, against O(g^2) per call for ``mat_mul``."""
+    support = [(p, x) for p, x in enumerate(c) if x]
+    # (J c)_j = s(j) c_{j^1}: column p^1 gains e s(p^1) c_p per unit of M_i . c
+    moved = [(p ^ 1, e * x if p % 2 else -e * x) for p, x in support]
     out = []
-    for i, (ci, unit) in enumerate(zip(c, sp_identity(n // 2))):
-        if ci:
-            unit = [ci * r for r in row]
-            unit[i] += 1
-            unit = tuple(unit)
-        out.append(unit)
+    for row in M:
+        t = sum(row[p] * x for p, x in support)
+        if t:
+            row = list(row)
+            for j, r in moved:
+                row[j] += t * r
+            row = tuple(row)
+        out.append(row)
     return tuple(out)
 
 

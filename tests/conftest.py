@@ -16,7 +16,8 @@ the public functions read as sequences of rows.
 ``bounded_power_base`` draws words whose powers have matrix entries linear
 in the exponent, so the word folds can be checked at exponents near 10^12.
 ``plain_fold`` is the per-datum left fold of a Hurwitz system that
-``meyer.sequence_state`` replaces by folding runs of a block by squaring.
+``meyer.sequence_state`` replaces by folding runs of a block by squaring
+and windows of 2g transvections as one form each.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blfsig import fibration as fib
-from blfsig import locsig, meyer, surface
+from blfsig import locsig, meyer, surface, verify
 from blfsig.fibration import (
     ConsistencyError, FibrationSpec, LefschetzDatum, RoundRegion,
     chain_twist_datum, family_spec,
@@ -361,6 +362,19 @@ class TestHurwitzFold:
         meyer._tau_cached.cache_clear()
         assert fib.compute_report(family_spec("mgn", 2, 8)).two_paths_agree
         assert meyer._tau_cached.cache_info().misses <= 8 + 2 * (16).bit_length()
+
+    def test_the_two_path_check_folds_each_spec_once(self, monkeypatch):
+        folded = []
+        fold = meyer.sequence_state
+
+        def recording(mats):
+            folded.append(len(mats))
+            return fold(mats)
+
+        monkeypatch.setattr(meyer, "sequence_state", recording)
+        result = verify.check_two_paths(random.Random(3), 12, 3)
+        assert result.passed
+        assert len(folded) == int(result.detail.split()[0])  # "N fibrations, ..."
 
     def test_rejected_data_never_reach_the_fold(self, monkeypatch):
         folded = []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -171,8 +172,9 @@ class TestReducedForm:
                     assert meyer.tau(X, Y) == oracle_tau(X, Y)
 
     def test_squaring_chain_of_phi_matches_the_full_space_form(self, monkeypatch):
-        # phi of a chain-run power at g = 5 evaluates tau on the repeated
-        # squares of the run and on the accumulated products
+        # phi of two chain-run powers at g = 5 evaluates tau on the repeated
+        # squares of each run and on the accumulated products (a run of 2g
+        # letters is one window and asks for none)
         g = 5
         calls = []
         cached = meyer._tau_cached
@@ -183,7 +185,8 @@ class TestReducedForm:
             return value
 
         monkeypatch.setattr(meyer, "_tau_cached", recording)
-        meyer.phi(chain_word(g, range(1, 2 * g + 1), 4 * g + 2) * gen_word(g, IOTA))
+        meyer.phi(chain_word(g, range(1, 2 * g + 1), 4 * g + 2)
+                  * chain_word(g, range(2, 2 * g + 2), 2 * g + 1) * gen_word(g, IOTA))
         assert len(calls) > 10
         for At, Bt, value in calls:
             assert value == oracle_tau(At, Bt)
@@ -284,7 +287,11 @@ class TestSpecialForms:
     def test_phi_pairs_with_iota_at_genus_6(self, monkeypatch):
         g = 6
         rng = random.Random(12)
-        w = random_word(rng, g, 6) * gen_word(g, IOTA) * random_word(rng, g, 5)  # 12 letters
+        # a flat 12-letter word at g = 6 is one window, so the powers of two
+        # of them and their joins ask for the cocycle
+        u = random_word(rng, g, 6) * gen_word(g, IOTA) * random_word(rng, g, 5)
+        v = random_word(rng, g, 12)
+        w = Word(g, ((u, 3), (v, -2), (IOTA, 1), (u, -2), (v, 3)))
         calls = []
         cached = meyer._tau_cached
 
@@ -483,7 +490,7 @@ class TestPhi:
                 for w in words:
                     product = product * w
                 mats = [surface.word_matrix(w) for w in words]
-                assert meyer.tau_prefix_sum(mats) == \
+                assert -meyer.sequence_state(mats)[0] == \
                     sum(meyer.phi(w) for w in words) - meyer.phi(product)
 
 
@@ -557,7 +564,11 @@ class TestSequenceState:
     def check(self, mats):
         c, P = meyer.sequence_state(mats)
         assert (c, arr(P).tolist()) == plain_fold(mats)
-        assert meyer.tau_prefix_sum(mats) == -c
+        # a cut anywhere moves the windows: the law joins the two halves
+        k = len(mats) // 3
+        if k:
+            assert meyer._combine(meyer.sequence_state(mats[:k]),
+                                  meyer.sequence_state(mats[k:])) == (c, P)
 
     def test_periodic_aperiodic_and_moved_blocks_match_the_plain_fold(self, rng):
         for g in (1, 2, 3):
@@ -581,15 +592,22 @@ class TestSequenceState:
 
         monkeypatch.setattr(meyer, "_tau_cached", counting)
         g = 3
-        block = [twist(i, g) for i in (1, 2, 3, 4, 5, 6, 7)]
+        # no member is a transvection, so each costs one call within the
+        # block; the block's product is (t1 ... t7) iota, of finite order
+        block = [surface.mat_mul(twist(i, g), twist(i + 1, g)) for i in (1, 3, 5)]
+        block.append(surface.mat_mul(twist(7, g), surface.iota_matrix(g)))
+        # seven twists are two windows, joined by one call
+        twists = [twist(i, g) for i in (1, 2, 3, 4, 5, 6, 7)]
         for k in (2, 16, 1000):
             calls.clear()
             meyer.sequence_state(block * k)
             assert len(calls) <= len(block) - 1 + 2 * k.bit_length()
+            calls.clear()
+            meyer.sequence_state(twists * k)
+            assert len(calls) <= 1 + 2 * k.bit_length()
 
     def test_empty_sequence(self):
         assert meyer.sequence_state([]) is None
-        assert meyer.tau_prefix_sum([]) == 0
 
 
 def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):
@@ -622,7 +640,9 @@ def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):
 
 
 def test_prefix_sum_requests_no_identity_first_argument(monkeypatch, rng):
-    # the fold starts from M_1, so it asks tau(P_{k-1}, M_k) for k >= 2 only
+    # the fold starts from M_1, so it asks tau(P_{k-1}, .) for k >= 2 only:
+    # at every member that is not a transvection, and at the first member of
+    # each window of 2g transvections in a stretch of them
     firsts = []
     cached = meyer._tau_cached
 
@@ -638,9 +658,114 @@ def test_prefix_sum_requests_no_identity_first_argument(monkeypatch, rng):
             prefixes = [arr(mats[0])]
             for M in mats[1:]:
                 prefixes.append(prefixes[-1] @ arr(M))
+            asked = []
+            stretch = 0
+            for k, M in enumerate(mats):
+                transvection = ratlin.rank(arr(M) - arr(eye(2 * g))) == 1
+                stretch = stretch + 1 if transvection else 0
+                if k and (stretch == 0 or stretch % (2 * g) == 1):
+                    asked.append(prefixes[k - 1].tolist())
             firsts.clear()
-            meyer.tau_prefix_sum(mats)
-            assert [arr(P).tolist() for P in firsts] == [P.tolist() for P in prefixes[:-1]]
+            meyer.sequence_state(mats)
+            assert [arr(P).tolist() for P in firsts] == asked
             if not any((P == arr(eye(2 * g))).all() for P in prefixes):
                 assert eye(2 * g) not in firsts
-    assert meyer.tau_prefix_sum([]) == 0
+    assert meyer.sequence_state([]) is None
+
+
+def letter_fold(mats):
+    """The fold of a nonempty sequence of matrices from (0, M_k) each, one
+    uncached cocycle call per factor and numpy products: (c, P) as an int
+    and nested lists."""
+    tau = meyer._tau_cached.__wrapped__
+    c, P = 0, arr(mats[0])
+    for M in mats[1:]:
+        c -= tau(tuple(map(tuple, P.tolist())), M)
+        P = P @ arr(M)
+    return c, P.tolist()
+
+
+class TestWindows:
+    """A run of transvection powers t_{v_k}^{e_k} folds in windows of at
+    most 2g factors, each the signature of one form on the relations among
+    the v_k, against the fold with one cocycle call per factor."""
+
+    @staticmethod
+    def factors(rng, g, n):
+        out = []
+        for _ in range(n):
+            kind = rng.randrange(3)
+            if kind == 0:
+                v = surface.chain_class(rng.randrange(1, 2 * g + 2), g)
+            else:
+                v = random_class(rng, g)
+                if kind == 2:  # not primitive
+                    v = tuple(rng.choice([2, -2, 3]) * x for x in v)
+            out.append((v, rng.choice([1, -1, 2, -2, 3, -3])))
+        return out
+
+    def test_windows_match_the_letter_fold(self, rng):
+        for g in (1, 2, 3, 4):
+            for n in (2 * g - 1, 2 * g, 2 * g + 1, 5 * g):
+                for _ in range(6):
+                    factors = self.factors(rng, g, n)
+                    mats = [surface.transvection(v, e) for v, e in factors]
+                    c, P = reduce(meyer._combine, meyer._windows(factors))
+                    assert (c, arr(P).tolist()) == letter_fold(mats), (g, factors)
+                    c, P = meyer.sequence_state(mats)
+                    assert (c, arr(P).tolist()) == letter_fold(mats), (g, factors)
+
+    def test_a_window_is_one_kernel_and_one_signature(self, monkeypatch, rng):
+        calls = []
+
+        def recording(name):
+            fn = getattr(ratlin, name)
+
+            def wrapper(M):
+                calls.append(name)
+                return fn(M)
+            return wrapper
+
+        for name in ("kernel_basis_int", "_signature_int"):
+            monkeypatch.setattr(ratlin, name, recording(name))
+        monkeypatch.setattr(meyer, "_tau_cached", None)  # no cocycle call at all
+        for g in (1, 2, 3, 4):
+            for _ in range(4):
+                factors = tuple(self.factors(rng, g, 2 * g))
+                calls.clear()
+                meyer._window_state.__wrapped__(factors)
+                assert calls.count("kernel_basis_int") == 1
+                assert calls.count("_signature_int") <= 1
+
+    def test_words_with_several_iotas_match_the_letter_fold(self, rng):
+        # iota is central, so a stretch moves its iotas to its end
+        for g in (1, 2, 3, 4):
+            for _ in range(12):
+                w = random_word(rng, g, rng.randrange(1, 6 * g))
+                for _ in range(rng.randrange(1, 4)):
+                    w = w * gen_word(g, IOTA, rng.choice([1, 2, -1]))
+                    w = w * random_word(rng, g, rng.randrange(0, 3 * g))
+                if rng.random() < 0.5:
+                    w = Word(g, ((w, rng.choice([-2, 2])), (IOTA, 1))) * random_word(rng, g, 3)
+                mats = [surface.generator_matrix(gen, g, e) for gen, e in w.letters()]
+                c, P = meyer._state(w)
+                assert (c, arr(P).tolist()) == letter_fold(mats), str(w)
+
+
+def test_a_flat_word_asks_one_cocycle_call_per_2g_letters(monkeypatch, rng):
+    calls = []
+    cached = meyer._tau_cached
+
+    def counting(At, Bt):
+        calls.append(1)
+        return cached(At, Bt)
+
+    monkeypatch.setattr(meyer, "_tau_cached", counting)
+    for g in (1, 2, 3, 4, 6):
+        for n in (2 * g - 1, 2 * g, 2 * g + 1, 5 * g, 40):
+            for _ in range(3):
+                w = random_word(rng, g, n)
+                iotas = sum(1 for gen, _ in w.items if gen == IOTA)
+                calls.clear()
+                meyer.phi(w)
+                assert len(calls) <= -(-n // (2 * g)) + iotas % 2, (g, str(w))

@@ -220,6 +220,20 @@ class TestSparseProducts:
     def test_genus_zero(self):
         assert surface.mat_mul((), ()) == ()
 
+    def test_times_transvection_matches_dense_product(self, rng):
+        # any class, primitive or not, any power; rows it does not move stay shared
+        for g in range(1, 7):
+            for A in sample_factors(rng, g):
+                for c in (tuple(rng.randint(-2, 2) for _ in range(2 * g)),
+                          surface.chain_class(rng.randint(1, 2 * g + 1), g)):
+                    e = rng.choice([1, -1, 2, -3])
+                    # x -> x + e <x, c> c is 1 + e c (J c)^T
+                    T = arr(eye(2 * g)) + e * np.outer(arr(c), numpy_j(g) @ arr(c))
+                    got = surface.times_transvection(A, c, e)
+                    assert got == dense_product(A, T.tolist())
+                    fixed = [i for i, row in enumerate(A) if not (arr(row) @ arr(c))]
+                    assert all(got[i] is A[i] for i in fixed)
+
     def test_twist_costs_quadratic_multiplications(self, rng, monkeypatch):
         calls = []
 

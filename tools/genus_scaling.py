@@ -18,7 +18,9 @@ Prints one JSON object with the time, in seconds, of
 - ``meyer_path_n4``: the same on ``mgn`` at n = 4, g = 10, 20, whose
   Hurwitz system is one block of 4g data repeated eight times;
 - ``h_word``: ``locsig.h_word`` of ``t1^5 t3``, parsed at g, for a type I
-  cycle at g = 10^3 and 10^6, where the word is short and the genus is not.
+  cycle at g = 10^3 and 10^6, where the word is short and the genus is not;
+- ``phi_flat``: ``meyer.phi`` of a flat 200-letter word drawn by
+  ``verify.random_word`` from ``random.Random(7)``, at g = 6, 20, 50.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -45,6 +47,7 @@ FAMILY_GENERA = (10, 20, 30, 50)
 REPEATED_BLOCK_GENERA = (10, 20)
 VALIDATE_GENERA = (2, 4, 6, 8) + FAMILY_GENERA
 H_WORD_GENERA = (10 ** 3, 10 ** 6)
+PHI_FLAT_GENERA = (6, 20, 50)
 BUDGET_S = 20.0
 MEMORY_MB = 2048
 
@@ -67,6 +70,11 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return run(spec)
+    elif kind == "phi_flat":
+        flat = verify.random_word(random.Random(7), g, 200)
+
+        def call():
+            return meyer.phi(flat)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -84,6 +92,7 @@ def cell(kind: str, g: int) -> float:
     # the caches a cell clears between runs; those a checkout lacks are skipped
     caches = [getattr(module, name, None) for module, name in
               ((surface, "word_matrix"), (meyer, "_tau_cached"), (meyer, "_image"),
+               (meyer, "_window_state"), (meyer, "_transvection_power"),
                (fibration, "_vanishing_class"))]
     best = float("inf")
     spent = 0.0
@@ -135,7 +144,7 @@ def main(argv=None) -> int:
                                   ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
                                   ("validate", VALIDATE_GENERA), ("meyer_path", FAMILY_GENERA),
                                   ("meyer_path_n4", REPEATED_BLOCK_GENERA),
-                                  ("h_word", H_WORD_GENERA))}
+                                  ("h_word", H_WORD_GENERA), ("phi_flat", PHI_FLAT_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
