@@ -34,16 +34,17 @@ term tau(H, H^-1) identically 0, so it needs no phi of a letter.
 tau-corrected states (c, P): ``validate`` folds the data it accepts, reads
 the Hurwitz product H from the fold and keeps the fold in its report, and
 the Meyer path reads c = -sum_k tau(P_{k-1}, D_k) from it.  The fold
-builds each distinct datum transvection once, raises a leading or trailing
-block of repeated data by squaring (``meyer.sequence_state``), and folds
-each window of 2g consecutive type I data as the signature of one form on
-the relations among their vanishing classes, with the sign convention
-L_kl = -<v_k, v_l> for k < l (Ozbagci's form; see ``meyer``), instead of
-one cocycle evaluation per datum.  So ``mgn``(g, n), one block of 4g data
-repeated 2n times, costs 1 + O(log n) cocycle evaluations: the join of the
-block's two windows and the squaring.  A type II datum has the identity
-matrix and is folded by the law.  The localized formula is evaluated on
-the words themselves, so the two routes stay independent.
+takes each datum as its vanishing class, never as a matrix, raises a
+leading or trailing block of repeated data by squaring
+(``meyer.sequence_state``), and folds each window of 2g consecutive type I
+data as the signature of one form on the relations among their vanishing
+classes, with the sign convention L_kl = -<v_k, v_l> for k < l (Ozbagci's
+form; see ``meyer``), instead of one cocycle evaluation per datum.  So
+``mgn``(g, n), one block of 4g data repeated 2n times, costs
+1 + O(log n) cocycle evaluations: the join of the block's two windows and
+the squaring.  A type II datum has class 0 and is no factor.  The
+localized formula is evaluated on the words themselves, so the two routes
+stay independent.
 
 Validation is homological (the symplectic representation cannot
 distinguish a mapping class from its product with the involution, hence
@@ -127,21 +128,6 @@ class LefschetzDatum:
         computed by acting on c with the conjugator's letters
         (``surface.word_action``) once per distinct datum."""
         return _vanishing_class(self)
-
-
-def _datum_matrices(data) -> list[surface.Matrix]:
-    """The image of ``d.word()`` for each datum, the transvection along
-    ``d.vector()`` (W t_c W^-1 = t_{Wc}), built once per distinct class, so
-    that repeated data share one tuple matrix and compare equal at once."""
-    built = {}
-    out = []
-    for d in data:
-        v = d.vector()
-        M = built.get(v)
-        if M is None:
-            M = built[v] = surface.transvection(v)
-        out.append(M)
-    return out
 
 
 @lru_cache(maxsize=1 << 12)
@@ -411,11 +397,14 @@ def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
     """The Hurwitz system of the data at genus g folded once in ``meyer``'s
     tau-corrected states: (c, H) with H = D_1 ... D_n, the Hurwitz product
     that validation compares, and c = -Sum_k tau(P_{k-1}, D_k), the
-    Meyer-path sum; (0, 1) for no data.  Each distinct datum transvection is
-    built once, and ``meyer.sequence_state`` raises a repeated block of
-    data by squaring and folds windows of 2g transvections as one form
-    each."""
-    return meyer.sequence_state(_datum_matrices(data)) or (0, surface.sp_identity(g))
+    Meyer-path sum; (0, 1) for no data.  Each datum enters the fold as
+    its vanishing class, the pair (v, 1) for t_v, and a datum of class 0
+    (type II) as no factor at all: its matrix is the identity, so it adds
+    tau(P, 1) = 0 and leaves P as it is.  ``meyer.sequence_state`` raises
+    a repeated block of data by squaring and folds windows of 2g classes as
+    one form each."""
+    factors = [(v, 1) for v in map(LefschetzDatum.vector, data) if any(v)]
+    return meyer.sequence_state(factors) or (0, surface.sp_identity(g))
 
 
 def signature_meyer_path(spec: FibrationSpec, hurwitz: tuple | None = None) -> int:

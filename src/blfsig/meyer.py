@@ -94,7 +94,8 @@ per factor on 133 of 600 random runs.  A null class is no factor (the form
 would count it -1).  ``_window_state`` takes at most 2g factors, so the
 form has at most 2g rows, like every other Meyer form, and costs one
 integer kernel of a 2g x n matrix and one signature; the windows of a run
-(``_windows``) are joined by the law.  So n factors cost about n/2g
+are joined by the law pairwise, as a balanced tree (``_run_state``), so
+that most joins multiply short products.  So n factors cost about n/2g
 cocycle evaluations and O(n g^2) work, where one unbounded form would cost
 O(n^3).
 
@@ -107,11 +108,12 @@ ceil(n/2g) cocycle evaluations, plus one for an odd number of iotas, and
 only a nested power is raised by squaring.  The same fold gives the two
 other tau sums of the package: a round piece's
 s(w) = sum s(gen) - c(w) + c(push w) (see ``locsig``), and the Meyer-path
-sum sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``sequence_state``, which
-factors the sequence into runs (``words.runs``), raises a repeated block
-by squaring and folds each stretch of transvections in windows: one block
-of m transvections repeated k times costs about m/2g + O(log k) cocycle
-evaluations.
+sum sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``sequence_state``.  That
+fold takes the Lefschetz data as their vanishing classes, the pairs
+(v_k, 1), never as matrices; it factors the sequence into runs
+(``words.runs``), folds each block as one run in windows and raises a
+repeated block by squaring: one block of m data repeated k times costs
+about m/2g + O(log k) cocycle evaluations.
 
 Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
 ``meyer_form`` also take any sequence of integer rows, normalise it to
@@ -122,9 +124,9 @@ that form and check that it is symplectic; the internal callers hold
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
-from math import gcd, lcm
+from math import lcm
 from operator import mul, neg
 
 from . import ratlin, surface
@@ -356,18 +358,24 @@ def _window_state(factors: tuple):
     return ratlin._signature_int([[sum(map(mul, x, Ly)) for Ly in LK] for x in K]), P
 
 
-def _windows(factors) -> list:
-    """The states of a run of transvection powers ((v_k, e_k), ...), cut
-    into windows of at most 2g consecutive factors (``_window_state``), for
-    the caller to join by the law."""
+def _run_state(factors):
+    """The state of a run of transvection powers ((v_k, e_k), ...), v_k != 0,
+    cut into windows of at most 2g consecutive factors (``_window_state``)
+    and joined pairwise by the law, as a balanced tree: k windows still cost
+    k - 1 joins, but most joins see the products of few windows, not the
+    whole accumulated product."""
     w = len(factors[0][0])  # 2g
-    return [_window_state(tuple(factors[k:k + w])) for k in range(0, len(factors), w)]
+    states = [_window_state(tuple(factors[k:k + w])) for k in range(0, len(factors), w)]
+    while len(states) > 1:
+        states = [_combine(*states[k:k + 2]) if k + 1 < len(states) else states[k]
+                  for k in range(0, len(states), 2)]
+    return states[0]
 
 
 def _stretch_state(letters: tuple, g: int):
     """The state of a stretch of generator letters (gen, e), each from its
     closed form (sign(e) - e, t_i^e) or (0, iota^e): the chain twists
-    folded as one run (``_windows``), their letter corrections added, and
+    folded as one run (``_run_state``), their letter corrections added, and
     the iotas moved to the end, where an odd number of them costs one
     tau(P, -1) and an even number nothing; exact because iota is central."""
     twists = [(surface.chain_class(gen.index, g), e)
@@ -376,7 +384,7 @@ def _stretch_state(letters: tuple, g: int):
     iotas = (0, surface.iota_matrix(g) if odd else surface.sp_identity(g))
     if not twists:
         return iotas
-    c, P = reduce(_combine, _windows(twists))
+    c, P = _run_state(twists)
     state = (c + sum((1 if e > 0 else -1) - e for _, e in twists), P)
     return _combine(state, iotas) if odd else state
 
@@ -414,48 +422,22 @@ def phi(w: Word) -> Fraction:
     return generator_sum(w) + correction(w)
 
 
-@lru_cache(maxsize=1 << 10)
-def _transvection_power(M: tuple):
-    """(v, e) with M = t_v^e and v primitive, for a transvection M; None for
-    the identity and every other matrix, once per matrix.  Column j of
-    M - 1, the column f that ``_rank_one_column`` finds, is e s(j) v_{j^1} v."""
-    if M == surface.sp_identity(len(M) // 2):
-        return None
-    found = _rank_one_column(M)
-    if found is None:
-        return None
-    j, f = found
-    d = gcd(*f)
-    v = tuple(x // d for x in f)
-    return v, (d if j % 2 == 0 else -d) // v[j ^ 1]
-
-
-def sequence_state(mats):
-    """The state (c, P) of a sequence of symplectic tuple matrices of one
-    size, folded under the tau-corrected law from (0, M_k) each: the product
-    P = M_1 ... M_n and c = -Sum_k tau(P_{k-1}, M_k), with P_k = M_1 ... M_k;
+def sequence_state(factors):
+    """The state (c, P) of a sequence of transvection powers
+    T_k = t_{v_k}^{e_k}, given as ((v_k, e_k), ...) with v_k != 0, folded
+    under the tau-corrected law from (0, T_k) each: the product
+    P = T_1 ... T_n and c = -Sum_k tau(P_{k-1}, T_k), with P_k = T_1 ... T_k;
     None for an empty sequence.  By phi(uv) = phi(u) + phi(v) - tau(u, v),
     -c is Sum_k phi(w_k) - phi(w_1 ... w_n) for any words w_k evaluating to
-    M_k (Endo, "Meyer's signature cocycle and hyperelliptic fibrations",
+    T_k (Endo, "Meyer's signature cocycle and hyperelliptic fibrations",
     Math. Ann. 316, 2000).
 
     The sequence is factored into runs (``words.runs``, which compares the
-    matrices with ``==``), and ``words.evaluate`` raises each run's block by
-    repeated squaring, which is exact because the law is associative.
-    Within a block, each maximal stretch of transvections is folded by
-    ``_windows``, about one cocycle evaluation per 2g of them, and every
-    other member by the law.  So a block of m transvections repeated k
-    times costs about m/2g + O(log k) cocycle evaluations instead of mk - 1.
+    pairs with ``==``), each run's block is folded by ``_run_state``, in
+    windows of 2g factors joined pairwise, and ``words.evaluate`` raises the
+    block by repeated squaring, which is exact because the law is
+    associative.  So a block of m factors repeated k times costs about
+    m/2g + O(log k) cocycle evaluations instead of mk - 1.
     """
-    def block(span):
-        states = []
-        powers = [(_transvection_power(mats[k]), k) for k in span]
-        for run, members in groupby(powers, lambda member: member[0] is not None):
-            if run:
-                states += _windows([power for power, _ in members])
-            else:
-                states.extend((0, mats[k]) for _, k in members)
-        return reduce(_combine, states)
-
-    parts = [(range(start, start + period), count) for start, period, count in runs(mats)]
-    return evaluate(parts, block, _combine, _invert, None)
+    parts = [(factors[start:start + period], count) for start, period, count in runs(factors)]
+    return evaluate(parts, _run_state, _combine, _invert, None)

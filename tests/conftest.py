@@ -15,9 +15,11 @@ the public functions read as sequences of rows.
 
 ``bounded_power_base`` draws words whose powers have matrix entries linear
 in the exponent, so the word folds can be checked at exponents near 10^12.
-``plain_fold`` is the per-datum left fold of a Hurwitz system that
-``meyer.sequence_state`` replaces by folding runs of a block by squaring
-and windows of 2g transvections as one form each.
+``plain_fold`` is the per-datum left fold of the matrices of a Hurwitz
+system, the identities of type II data included.  ``meyer.sequence_state``
+replaces it with a fold of the type I data's vanishing classes alone: in
+windows of 2g as one form each, joined pairwise, with a repeated block
+raised by squaring.
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ class TestLefschetzData:
         assert surface.word_to_matrix(d.word()) == eye(4)
 
     def test_matrix_is_the_matrix_of_the_datum_word(self, rng):
-        # _datum_matrices builds W t_c W^-1 as the transvection along v = W c,
-        # and vector() computes v by acting on c with the conjugator's letters
+        # W t_c W^-1 is the transvection along v = W c, and vector()
+        # computes v by acting on c with the conjugator's letters
         data = [d for _ in range(40) for d in random_valid_spec(rng, max_genus=4).lefschetz]
         for g in (1, 2, 3, 4):
             moved = list(family_spec("mgn", g, 1).lefschetz)
@@ -82,7 +82,7 @@ class TestLefschetzData:
             v = d.vector()
             assert all(type(x) is int for x in v)
             M = surface.transvection(v)
-            assert fib._datum_matrices([d]) == [M] and M == surface.word_matrix(d.word()), d
+            assert M == surface.word_matrix(d.word()), d
             W, c = surface.word_matrix(d.conjugator), surface.cycle_class(d.cycle, d.genus)
             assert list(v) == [sum(a * b for a, b in zip(row, c)) for row in W]
             if isinstance(d.cycle, TypeII):
@@ -353,9 +353,41 @@ class TestHurwitzFold:
                 for moves in (0, 1, 2):
                     spec = hurwitz_moved_family(rng, g, n, moves)
                     c, H = fib.validate(spec).hurwitz
-                    assert (c, arr(H).tolist()) == plain_fold(fib._datum_matrices(spec.lefschetz))
+                    mats = [surface.word_matrix(d.word()) for d in spec.lefschetz]
+                    assert (c, arr(H).tolist()) == plain_fold(mats)
                     rep = fib.compute_report(spec)
                     assert rep.meyer_path_signature == fib.signature_meyer_path(spec) == -4 * g * n
+
+    def test_separating_data_enter_the_fold_as_no_factor(self, monkeypatch, rng):
+        # an essential II_h datum has class 0 and the identity matrix, so it
+        # adds tau(P, 1) = 0 and leaves P as it is: the fold of the type I
+        # classes alone equals the plain fold of every datum's word matrix
+        received = []
+        fold = meyer.sequence_state
+
+        def recording(factors):
+            received.append(list(factors))
+            return fold(factors)
+
+        monkeypatch.setattr(meyer, "sequence_state", recording)
+        for g in (2, 3):
+            for n in (1, 2):
+                for _ in range(3):
+                    spec = family_spec("mgn", g, n)
+                    data = list(spec.lefschetz)
+                    for _ in range(rng.randrange(1, 4)):
+                        d = LefschetzDatum(TypeII(rng.randrange(1, g)),
+                                           random_conjugator(rng, g, rng.randrange(0, 6)))
+                        data.insert(rng.randrange(1, len(data)), d)
+                    received.clear()
+                    report = fib.validate(replace(spec, lefschetz=tuple(data)))
+                    assert report.ok, report.issues
+                    c, H = report.hurwitz
+                    assert (c, arr(H).tolist()) == \
+                        plain_fold([surface.word_matrix(d.word()) for d in data])
+                    [factors] = received
+                    assert len(factors) == len(spec.lefschetz)
+                    assert all(any(v) for v, _ in factors)
 
     def test_a_repeated_block_costs_one_block_plus_log_many_misses(self):
         # mgn(2, 8) is a block of 8 data repeated 16 times

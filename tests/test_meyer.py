@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -476,12 +475,19 @@ class TestPhi:
             assert meyer.phi(w) == phi_by_fraction_fold(w)
 
     def test_prefix_sum_telescopes_phi(self, rng):
-        # sum_k tau(P_{k-1}, M_k) = sum_k phi(w_k) - phi(w_1 ... w_n), with
-        # separating twists among the factors from genus 2 on
+        # sum_k tau(P_{k-1}, M_k) = sum_k phi(w_k) - phi(w_1 ... w_n) for
+        # conjugated twist powers u t_i^e u^-1, of class v = U c_i, with
+        # separating twists among the words from genus 2 on: their class is
+        # null and their matrix the identity, so they are no factor
         for g in (1, 2, 3):
             for _ in range(5):
-                words = [random_word(rng, g, rng.randrange(0, 5))
-                         for _ in range(rng.randrange(1, 6))]
+                words, factors = [], []
+                for _ in range(rng.randrange(1, 6)):
+                    u = random_word(rng, g, rng.randrange(0, 5))
+                    i, e = rng.randrange(1, 2 * g + 2), rng.choice([1, -1, 2])
+                    words.append(u * gen_word(g, ChainTwist(i), e) * u.inverse())
+                    v = arr(surface.word_matrix(u)) @ arr(surface.chain_class(i, g))
+                    factors.append((tuple(int(x) for x in v), e))
                 if g >= 2:
                     u = random_word(rng, g, 2)
                     words.insert(rng.randrange(len(words) + 1),
@@ -489,8 +495,7 @@ class TestPhi:
                 product = Word(g)
                 for w in words:
                     product = product * w
-                mats = [surface.word_matrix(w) for w in words]
-                assert -meyer.sequence_state(mats)[0] == \
+                assert -meyer.sequence_state(factors)[0] == \
                     sum(meyer.phi(w) for w in words) - meyer.phi(product)
 
 
@@ -553,26 +558,28 @@ def test_huge_letter_power_needs_no_product(monkeypatch):
 
 
 def hurwitz_moved(block, i):
-    """The block with the elementary Hurwitz move at i:
-    (D_i, D_{i+1}) -> (D_i D_{i+1} D_i^-1, D_i), which keeps the product."""
-    D, E = block[i], block[i + 1]
-    moved = surface.mat_mul(surface.mat_mul(D, E), surface.sp_inverse(D))
-    return block[:i] + [moved, D] + block[i + 2:]
+    """The block of transvection powers (v, e) with the elementary Hurwitz
+    move at i: (t_a^e, t_b^f) -> (t_a^e t_b^f t_a^-e, t_a^e), which keeps the
+    product, and t_a^e t_b^f t_a^-e is t_{t_a^e b}^f."""
+    (a, e), (b, f) = block[i], block[i + 1]
+    moved = tuple(int(x) for x in arr(surface.transvection(a, e)) @ arr(b))
+    return block[:i] + [(moved, f), (a, e)] + block[i + 2:]
 
 
 class TestSequenceState:
-    def check(self, mats):
-        c, P = meyer.sequence_state(mats)
-        assert (c, arr(P).tolist()) == plain_fold(mats)
+    def check(self, factors):
+        c, P = meyer.sequence_state(factors)
+        assert (c, arr(P).tolist()) == plain_fold([surface.transvection(v, e) for v, e in factors])
         # a cut anywhere moves the windows: the law joins the two halves
-        k = len(mats) // 3
+        k = len(factors) // 3
         if k:
-            assert meyer._combine(meyer.sequence_state(mats[:k]),
-                                  meyer.sequence_state(mats[k:])) == (c, P)
+            assert meyer._combine(meyer.sequence_state(factors[:k]),
+                                  meyer.sequence_state(factors[k:])) == (c, P)
 
     def test_periodic_aperiodic_and_moved_blocks_match_the_plain_fold(self, rng):
         for g in (1, 2, 3):
-            letters = [twist(i, g) for i in range(1, 2 * g + 2)]
+            letters = [(surface.chain_class(i, g), e)
+                       for i in range(1, 2 * g + 2) for e in (1, -1, 2)]
             for _ in range(6):
                 block = [rng.choice(letters) for _ in range(rng.randrange(1, 6))]
                 self.check(block * rng.randrange(2, 9))
@@ -592,16 +599,9 @@ class TestSequenceState:
 
         monkeypatch.setattr(meyer, "_tau_cached", counting)
         g = 3
-        # no member is a transvection, so each costs one call within the
-        # block; the block's product is (t1 ... t7) iota, of finite order
-        block = [surface.mat_mul(twist(i, g), twist(i + 1, g)) for i in (1, 3, 5)]
-        block.append(surface.mat_mul(twist(7, g), surface.iota_matrix(g)))
         # seven twists are two windows, joined by one call
-        twists = [twist(i, g) for i in (1, 2, 3, 4, 5, 6, 7)]
+        twists = [(surface.chain_class(i, g), 1) for i in (1, 2, 3, 4, 5, 6, 7)]
         for k in (2, 16, 1000):
-            calls.clear()
-            meyer.sequence_state(block * k)
-            assert len(calls) <= len(block) - 1 + 2 * k.bit_length()
             calls.clear()
             meyer.sequence_state(twists * k)
             assert len(calls) <= 1 + 2 * k.bit_length()
@@ -639,10 +639,24 @@ def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):
                 if surface.mat_mul(A, B) == surface.sp_identity(len(A) // 2)]
 
 
+def join_firsts(windows):
+    """The first arguments, as nested lists, of the cocycle calls that the
+    pairwise join of window products asks for, level by level: the product
+    of the left half of each join."""
+    asked = []
+    while len(windows) > 1:
+        joined = []
+        for k in range(0, len(windows) - 1, 2):
+            asked.append(windows[k].tolist())
+            joined.append(windows[k] @ windows[k + 1])
+        windows = joined + windows[len(joined) * 2:]
+    return asked
+
+
 def test_prefix_sum_requests_no_identity_first_argument(monkeypatch, rng):
-    # the fold starts from M_1, so it asks tau(P_{k-1}, .) for k >= 2 only:
-    # at every member that is not a transvection, and at the first member of
-    # each window of 2g transvections in a stretch of them
+    # the fold asks no tau inside a window of 2g factors, and joins the
+    # windows pairwise, as a balanced tree: each call's first argument is
+    # the product of the left half of a join, never the empty product
     firsts = []
     cached = meyer._tau_cached
 
@@ -653,24 +667,60 @@ def test_prefix_sum_requests_no_identity_first_argument(monkeypatch, rng):
     monkeypatch.setattr(meyer, "_tau_cached", recording)
     for g in (1, 2, 3):
         for _ in range(8):
-            mats = [surface.word_matrix(random_word(rng, g, rng.randrange(1, 5)))
-                    for _ in range(rng.randrange(1, 7))]
-            prefixes = [arr(mats[0])]
-            for M in mats[1:]:
-                prefixes.append(prefixes[-1] @ arr(M))
-            asked = []
-            stretch = 0
-            for k, M in enumerate(mats):
-                transvection = ratlin.rank(arr(M) - arr(eye(2 * g))) == 1
-                stretch = stretch + 1 if transvection else 0
-                if k and (stretch == 0 or stretch % (2 * g) == 1):
-                    asked.append(prefixes[k - 1].tolist())
+            # distinct factors, so that no block repeats and the sequence is
+            # one run
+            factors = []
+            for _ in range(rng.randrange(1, 10 * g)):
+                factor = (random_class(rng, g), rng.choice([1, -1, 2]))
+                if factor not in factors:
+                    factors.append(factor)
+            windows = []
+            for k in range(0, len(factors), 2 * g):
+                P = arr(eye(2 * g))
+                for v, e in factors[k:k + 2 * g]:
+                    P = P @ arr(surface.transvection(v, e))
+                windows.append(P)
+            asked = join_firsts(windows)
             firsts.clear()
-            meyer.sequence_state(mats)
+            meyer.sequence_state(factors)
             assert [arr(P).tolist() for P in firsts] == asked
-            if not any((P == arr(eye(2 * g))).all() for P in prefixes):
+            if arr(eye(2 * g)).tolist() not in asked:
                 assert eye(2 * g) not in firsts
     assert meyer.sequence_state([]) is None
+
+
+def test_a_flat_word_of_eight_windows_joins_at_most_four_windows(monkeypatch, rng):
+    # joined pairwise, no cocycle call of a flat word of eight windows of 2g
+    # letters has a first argument beyond the product of four windows; a
+    # left-to-right join would ask one with the product of seven
+    firsts = []
+    cached = meyer._tau_cached
+
+    def recording(At, Bt):
+        firsts.append(arr(At).tolist())
+        return cached(At, Bt)
+
+    monkeypatch.setattr(meyer, "_tau_cached", recording)
+    for g in (1, 2, 3):
+        for _ in range(3):
+            items = [(ChainTwist(rng.randrange(1, 2 * g + 2)), rng.choice([-2, -1, 1, 2]))
+                     for _ in range(16 * g)]
+            windows = []
+            for k in range(0, 16 * g, 2 * g):
+                P = arr(eye(2 * g))
+                for gen, e in items[k:k + 2 * g]:
+                    P = P @ arr(surface.generator_matrix(gen, g, e))
+                windows.append(P)
+            short = []
+            for a in range(8):
+                P = arr(eye(2 * g))
+                for b in range(a, min(a + 4, 8)):
+                    P = P @ windows[b]
+                    short.append(P.tolist())
+            firsts.clear()
+            meyer.phi(Word(g, tuple(items)))
+            assert len(firsts) == 7
+            assert all(P in short for P in firsts), g
 
 
 def letter_fold(mats):
@@ -706,14 +756,17 @@ class TestWindows:
 
     def test_windows_match_the_letter_fold(self, rng):
         for g in (1, 2, 3, 4):
-            for n in (2 * g - 1, 2 * g, 2 * g + 1, 5 * g):
-                for _ in range(6):
+            # eight and nine windows, so that the pairwise join has three and
+            # four levels, drawn fewer times, as their letter folds are long
+            for n, draws in ((2 * g - 1, 6), (2 * g, 6), (2 * g + 1, 6), (5 * g, 6),
+                             (16 * g, 2), (18 * g, 2)):
+                for _ in range(draws):
                     factors = self.factors(rng, g, n)
-                    mats = [surface.transvection(v, e) for v, e in factors]
-                    c, P = reduce(meyer._combine, meyer._windows(factors))
-                    assert (c, arr(P).tolist()) == letter_fold(mats), (g, factors)
-                    c, P = meyer.sequence_state(mats)
-                    assert (c, arr(P).tolist()) == letter_fold(mats), (g, factors)
+                    want = letter_fold([surface.transvection(v, e) for v, e in factors])
+                    c, P = meyer._run_state(factors)
+                    assert (c, arr(P).tolist()) == want, (g, factors)
+                    c, P = meyer.sequence_state(factors)
+                    assert (c, arr(P).tolist()) == want, (g, factors)
 
     def test_a_window_is_one_kernel_and_one_signature(self, monkeypatch, rng):
         calls = []

@@ -20,7 +20,11 @@ Prints one JSON object with the time, in seconds, of
 - ``h_word``: ``locsig.h_word`` of ``t1^5 t3``, parsed at g, for a type I
   cycle at g = 10^3 and 10^6, where the word is short and the genus is not;
 - ``phi_flat``: ``meyer.phi`` of a flat 200-letter word drawn by
-  ``verify.random_word`` from ``random.Random(7)``, at g = 6, 20, 50.
+  ``verify.random_word`` from ``random.Random(7)``, at g = 6, 20, 50;
+- ``phi_long``: ``meyer.phi`` at g = 6 of a flat word of 2,000 letters
+  ``t{randint(1, 13)}^{choice([-2, -1, 1, 2])}`` drawn from
+  ``random.Random(3)``, then ``iota``, parsed from its text as
+  ``blfsig phi`` parses it.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -48,6 +52,7 @@ REPEATED_BLOCK_GENERA = (10, 20)
 VALIDATE_GENERA = (2, 4, 6, 8) + FAMILY_GENERA
 H_WORD_GENERA = (10 ** 3, 10 ** 6)
 PHI_FLAT_GENERA = (6, 20, 50)
+PHI_LONG_GENERA = (6,)
 BUDGET_S = 20.0
 MEMORY_MB = 2048
 
@@ -75,6 +80,14 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return meyer.phi(flat)
+    elif kind == "phi_long":
+        draw = random.Random(3)
+        text = " ".join(f"t{draw.randint(1, 13)}^{draw.choice([-2, -1, 1, 2])}"
+                        for _ in range(2000))
+        long_word = parse_word(text + " iota", g)
+
+        def call():
+            return meyer.phi(long_word)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -144,7 +157,8 @@ def main(argv=None) -> int:
                                   ("tau_transvection", GENERA), ("tau_minus_one", GENERA),
                                   ("validate", VALIDATE_GENERA), ("meyer_path", FAMILY_GENERA),
                                   ("meyer_path_n4", REPEATED_BLOCK_GENERA),
-                                  ("h_word", H_WORD_GENERA), ("phi_flat", PHI_FLAT_GENERA))}
+                                  ("h_word", H_WORD_GENERA), ("phi_flat", PHI_FLAT_GENERA),
+                                  ("phi_long", PHI_LONG_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
