@@ -466,7 +466,6 @@ class HomeoReport:
     status: str                      # "ok" or "indeterminate"
     summands: tuple[tuple[int, str], ...] = ()
     display: str = ""
-    notes: tuple[str, ...] = ()
 
 
 def _format_summands(summands) -> str:
@@ -501,9 +500,7 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
     """Connected-sum decomposition of the homeomorphism type of a closed
     simply connected 4-manifold with the given invariants."""
     if not simply_connected:
-        return HomeoReport(status="indeterminate",
-                           notes=("homeomorphism type requires a simply "
-                                  "connected total space",))
+        return HomeoReport(status="indeterminate")
     b2 = euler - 2
     if b2 < 0 or (b2 + sig) % 2 or (b2 - sig) % 2:
         raise ConsistencyError(f"(sig, euler) = ({sig}, {euler}) admits no "
@@ -511,7 +508,6 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
     b2p, b2m = (b2 + sig) // 2, (b2 - sig) // 2
     if b2p < 0 or b2m < 0:
         raise ConsistencyError(f"negative b2+ or b2-: ({b2p}, {b2m})")
-    notes = ()
     if not spin:
         summands = []
         if b2p:
@@ -541,7 +537,7 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
         summands = tuple(summands)
     _recompose_check(summands, sig, euler)
     return HomeoReport(status="ok", summands=summands,
-                       display=_format_summands(summands), notes=notes)
+                       display=_format_summands(summands))
 
 
 # -- built-in families --------------------------------------------------------
@@ -560,29 +556,29 @@ def family_spec(family: str, g: int, n: int) -> FibrationSpec:
     name = family.replace("-", "_")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if name not in ("mgn", "mgn_tilde"):
+        raise ValueError(f"unknown family {family!r} (use mgn or mgn-tilde)")
+    # one datum per chain index, repeated: the data are frozen
+    datum = {i: chain_twist_datum(i, g) for i in range(1, 2 * g + 1)}
+    indices = list(range(2 * g, 0, -1)) + [1] + list(range(2, 2 * g + 1))
     if name == "mgn":
         if g < 1:
             raise ValueError(f"family mgn needs g >= 1, got {g}")
-        indices = list(range(2 * g, 0, -1)) + [1] + list(range(2, 2 * g + 1))
-        data = tuple(chain_twist_datum(i, g) for _ in range(2 * n) for i in indices)
+        data = tuple(datum[i] for _ in range(2 * n) for i in indices)
         mono = gen_word(g, ChainTwist(2 * g + 1), -4 * n)
         rounds = (RoundRegion(0, TypeI(), mono),)
         return FibrationSpec((g,), data, rounds,
                              spin=(g % 2 == 0 and n % 2 == 0), simply_connected=True)
-    if name == "mgn_tilde":
-        if g < 2:
-            raise ValueError(f"family mgn_tilde needs g >= 2, got {g}")
-        indices = list(range(2 * g, 0, -1)) + [1] + list(range(2, 2 * g + 1))
-        data = [chain_twist_datum(i, g) for _ in range(2 * n) for i in indices]
-        tail = list(range(1, 2 * g - 1))
-        data += [chain_twist_datum(i, g)
-                 for _ in range(2 * (2 * g - 1) * n) for i in tail]
-        mono = ((gen_word(g, ChainTwist(2 * g + 1), -2) * gen_word(g, IOTA)) ** (2 * n)
-                * chain_word(g, tail, 2 * (2 * g - 1) * n))
-        rounds = (RoundRegion(0, TypeI(), mono),)
-        return FibrationSpec((g,), tuple(data), rounds,
-                             spin=(g % 2 == 0), simply_connected=True)
-    raise ValueError(f"unknown family {family!r} (use mgn or mgn-tilde)")
+    if g < 2:
+        raise ValueError(f"family mgn_tilde needs g >= 2, got {g}")
+    data = [datum[i] for _ in range(2 * n) for i in indices]
+    tail = list(range(1, 2 * g - 1))
+    data += [datum[i] for _ in range(2 * (2 * g - 1) * n) for i in tail]
+    mono = ((gen_word(g, ChainTwist(2 * g + 1), -2) * gen_word(g, IOTA)) ** (2 * n)
+            * chain_word(g, tail, 2 * (2 * g - 1) * n))
+    rounds = (RoundRegion(0, TypeI(), mono),)
+    return FibrationSpec((g,), tuple(data), rounds,
+                         spin=(g % 2 == 0), simply_connected=True)
 
 
 # -- abelianization of the stabiliser -----------------------------------------

@@ -10,13 +10,22 @@ there is no floating point anywhere and no bound on entry size.  The
 integer kernels the cocycle code calls per evaluation, ``_signature_int``
 and ``column_reduce``, take lists of integer rows as they are.
 
-One integer column reduction serves the image, the kernel and the rank:
-``column_reduce`` eliminates row by row with unimodular column operations
-that it also applies to an identity tail, so each pivot column comes out
-with a preimage and each column that reduces to zero is a kernel vector.
-``kernel_basis_int`` is its kernel part; ``rank`` and ``kernel_basis``
-apply it to a rational matrix after scaling each row by the lcm of its
-denominators, which changes neither.
+One integer column reduction serves the image, the kernel, the rank and
+the Smith normal form: ``column_reduce`` eliminates row by row with
+unimodular column operations that it also applies to an identity tail, so
+each pivot column comes out with a preimage and each column that reduces
+to zero is a kernel vector.  ``kernel_basis_int`` is its kernel part;
+``rank`` and ``kernel_basis`` apply it to a rational matrix after scaling
+each row by the lcm of its denominators, which changes neither.
+
+``smith_normal_form`` alternates column passes on D and on its transpose
+until D is diagonal, then adds row i + 1 to row i wherever d_i does not
+divide d_{i+1}, and goes on.  It ends: after a column pass the top left
+entry is the gcd of its row, after a row pass that of its column, so it
+shrinks at every pass until its row and column are clear for good, and
+the trailing block follows.  Passes keep zero rows and columns last, and
+a divisibility step lowers d_i to a proper divisor, keeping d_1..d_{i-1},
+so the nonzero diagonal falls lexicographically.
 
 The signature routine diagonalises by symmetric (congruence) row/column
 elimination: the pivot is the first nonzero diagonal entry of the trailing
@@ -32,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Number
+from operator import mul
 
 
 class ShapeError(ValueError):
@@ -269,86 +279,36 @@ def smith_normal_form(A) -> tuple[tuple, tuple, tuple]:
                 raise ShapeError(f"Smith normal form needs integer entries, "
                                  f"got {x} at ({i}, {j})")
             row[j] = int(x)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        D[a], D[b] = D[b], D[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in D:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def add_row(dst, src, q):
-        # row_dst -= q * row_src
-        D[dst] = [a - q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in D:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    t = 0
+    m, n = len(D), len(D[0]) if D else 0
+    if not n:
+        U = [[int(i == j) for j in range(m)] for i in range(m)]
+        return tuple(tuple(map(tuple, X)) for X in (U, D, ()))
+    # U is kept transposed, so that both passes reduce columns
+    Ut = V = None  # the identities, until the first pass
     while True:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(D[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+        Dt, V = _column_pass(D, V)
+        D, Ut = _column_pass(Dt, Ut)
+        if any(x for i, row in enumerate(D) for j, x in enumerate(row) if i != j):
+            continue
+        d = [D[i][i] for i in range(min(m, n))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
             break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-
-        while True:
-            # euclidean descent on the pivot cross
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, q)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, q)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block
-            viol = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t]:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            add_row(t, viol, -1)
-
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-        if t == min(m, n):
-            break
-
+        D[i] = [a + b for a, b in zip(D[i], D[i + 1])]
+        for row in Ut:
+            row[i] += row[i + 1]
+    U = [list(row) for row in zip(*Ut)]
+    for i, di in enumerate(d):
+        if di < 0:
+            D[i] = [-x for x in D[i]]
+            U[i] = [-x for x in U[i]]
     return tuple(tuple(map(tuple, X)) for X in (U, D, V))
 
+
+def _column_pass(X, W):
+    """``column_reduce`` gives X T = [image | 0], T unimodular, the matrix of
+    its tails.  Returns [image | 0] transposed, and W T (T for W None)."""
+    image, pre, ker = column_reduce(X)
+    T = pre + ker  # the columns of T
+    WT = zip(*T) if W is None else ([sum(map(mul, row, t)) for t in T] for row in W)
+    return image + [[0] * len(X)] * len(ker), [list(row) for row in WT]

@@ -40,14 +40,14 @@ def random_symplectic(rng: random.Random, g: int, length: int = 8):
     return M
 
 
-def random_word(rng: random.Random, g: int, length: int,
-                iota_ok: bool = True, exponents=(-3, -2, -1, 1, 2, 3)) -> Word:
+def random_word(rng: random.Random, g: int, length: int) -> Word:
     items = []
     for _ in range(length):
-        if iota_ok and rng.random() < 0.12:
+        if rng.random() < 0.12:
             items.append((IOTA, 1))
         else:
-            items.append((ChainTwist(rng.randrange(1, 2 * g + 2)), rng.choice(exponents)))
+            i = rng.randrange(1, 2 * g + 2)
+            items.append((ChainTwist(i), rng.choice((-3, -2, -1, 1, 2, 3))))
     return Word(g, tuple(items))
 
 

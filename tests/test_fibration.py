@@ -166,6 +166,14 @@ class TestFamilies:
         assert fib.euler_characteristic(family_spec("mgn", 1, 1)) == 10
         assert fib.euler_characteristic(family_spec("mgn_tilde", 2, 1)) == 26
 
+    def test_data_shared_per_chain_index(self):
+        # one frozen datum object per chain index, not one per position
+        specs = [family_spec("mgn", g, n) for g in (1, 2, 3) for n in (1, 2, 3, 4)]
+        specs += [family_spec("mgn_tilde", g, n) for g in (2, 3) for n in (1, 2)]
+        for s in specs:
+            g = s.higher_fiber[0]
+            assert len({id(d) for d in s.lefschetz}) <= 4 * g + 1
+
 
 class TestValidation:
     def test_family_passes(self):

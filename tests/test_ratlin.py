@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from blfsig import ratlin
 from conftest import (
-    arr, eye, random_int_matrix, random_symmetric, random_unimodular, rank_oracle, rref,
-    signature_oracle,
+    arr, char_poly, eye, random_int_matrix, random_symmetric, random_unimodular, rank_oracle,
+    rref, signature_oracle,
 )
 
 
@@ -160,12 +162,47 @@ class TestSmithNormalForm:
             A = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             self.check(A)
 
-    @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
-                    min_size=1, max_size=4).filter(
+    @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=8),
+                    min_size=1, max_size=8).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
     @settings(max_examples=60, deadline=None)
     def test_recomposition_property(self, rows):
         self.check(rows)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 12, 24])
+    def test_no_blowup_on_larger_matrices(self, n):
+        # the 6 x 6 matrix from seed 3 and the 7 x 7 one from seed 1 did not
+        # finish under a min-pivot elimination, whose entries grew without
+        # bound
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            t = time.perf_counter()
+            ratlin.smith_normal_form(A)
+            assert time.perf_counter() - t < 1.0, (n, seed)
+            self.check(A)
+
+    def test_determinantal_divisors(self):
+        """d_1 ... d_k is the gcd of the k x k minors, each minor taken from
+        conftest's characteristic polynomial: det M = (-1)^k char_poly(M)[-1]."""
+        rng = random.Random(2024)
+        for trial in range(120):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            if trial % 3 == 0 and m > 1:
+                # rank-deficient: one row a multiple of another
+                a, c = rng.sample(range(m), 2)
+                k = rng.randint(-2, 2)
+                A[c] = [k * x for x in A[a]]
+            d = self.check(A)
+            prev = 1
+            for k in range(1, min(m, n) + 1):
+                minors = [(-1) ** k * char_poly([[A[i][j] for j in cols] for i in rows])[-1]
+                          for rows in combinations(range(m), k)
+                          for cols in combinations(range(n), k)]
+                Dk = gcd(*(int(x) for x in minors))
+                assert d[k - 1] == (Dk // prev if Dk else 0), (A, k)
+                prev = Dk or 1
 
 
 class TestKernel:
