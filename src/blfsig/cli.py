@@ -155,7 +155,14 @@ def cmd_verify(args) -> int:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("BLFSIG_SEED", verify.DEFAULT_SEED))
+        text = os.environ.get("BLFSIG_SEED")
+        if text is None:
+            seed = verify.DEFAULT_SEED
+        else:
+            try:
+                seed = int(text)
+            except ValueError:
+                raise UsageError(f"BLFSIG_SEED must be an integer, got {text!r}") from None
     results = verify.run_all(samples=args.samples, max_genus=args.max_genus,
                              seed=seed)
     ok = all(r.passed for r in results)

@@ -35,14 +35,15 @@ tau-corrected states (c, P): ``validate`` folds the data it accepts, reads
 the Hurwitz product H from the fold and keeps the fold in its report, and
 the Meyer path reads c = -sum_k tau(P_{k-1}, D_k) from it.  The fold
 takes each datum as its vanishing class, never as a matrix, raises a
-leading or trailing block of repeated data by squaring
+leading or trailing block of repeated data as one power
 (``meyer.sequence_state``), and folds each window of 2g consecutive type I
 data as the signature of one form on the relations among their vanishing
 classes, with the sign convention L_kl = -<v_k, v_l> for k < l (Ozbagci's
 form; see ``meyer``), instead of one cocycle evaluation per datum.  So
 ``mgn``(g, n), one block of 4g data repeated 2n times, costs
 1 + O(log n) cocycle evaluations: the join of the block's two windows and
-the squaring.  A type II datum has class 0 and is no factor.  The
+the squaring, and 3 once 2n > 2(4g+2), where the block is raised at its
+period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
@@ -401,7 +402,7 @@ def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
     its vanishing class, the pair (v, 1) for t_v, and a datum of class 0
     (type II) as no factor at all: its matrix is the identity, so it adds
     tau(P, 1) = 0 and leaves P as it is.  ``meyer.sequence_state`` raises
-    a repeated block of data by squaring and folds windows of 2g classes as
+    a repeated block of data as one power and folds windows of 2g classes as
     one form each."""
     factors = [(v, 1) for v in map(LefschetzDatum.vector, data) if any(v)]
     return meyer.sequence_state(factors) or (0, surface.sp_identity(g))

@@ -9,14 +9,16 @@ chain relation), so every word has a text form.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
 powers of subwords stay symbolic (the power of the empty word is the empty
 word), and ``evaluate`` folds a word into any group: a nested power in
-O(log exponent) operations by ``pow_by_squaring``, and a generator power
-by a caller's closed form when it has one (a transvection scaled by the
-exponent, an integer multiple), in O(1).  ``homomorphism`` is the additive
-case: a homomorphism to (Q, +) given by its generator values, folded in
-ints over their common denominator.  ``runs`` turns a flat sequence into
-such items the other way round: it finds a leading and a trailing power
-block^k in linear time, so a fold of a Hurwitz system whose data repeat a
-block raises that block by squaring.
+O(log exponent) operations by ``pow_by_squaring``, or by a caller's own
+routine when it knows more about the element (``meyer`` raises a state at
+its unipotent period), and a generator power by a caller's closed form when
+it has one (a transvection scaled by the exponent, an integer multiple), in
+O(1).  ``homomorphism`` is the additive case: a homomorphism to (Q, +)
+given by its generator values, folded in ints over their common
+denominator.  ``runs`` turns a flat sequence into such items the other way
+round: it finds a leading and a trailing power block^k in linear time, so a
+fold of a Hurwitz system whose data repeat a block raises that block as
+one power.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -180,24 +182,30 @@ def _checked_word(genus: int, items: tuple) -> Word:
 
 
 def evaluate(w, value: Callable, mul: Callable, inv: Callable, one,
-             power: Callable | None = None):
+             power: Callable | None = None, raise_value: Callable | None = None):
     """Fold a word into a group: the product of ``value(item) ** exp`` over
     the items, left to right.
 
     ``w`` is a Word or any sequence of (item, exponent) pairs.  ``value`` is
     called on nested words as on any other item, so a caller may cache
-    nested values or recurse through ``evaluate``, and their powers use
-    ``pow_by_squaring``.  The factor of every other item is
+    nested values or recurse through ``evaluate``.  The factor of a nested
+    word is ``raise_value(value(item), exp)`` when that is given, so a caller
+    may raise an element whose powers it knows in closed form more cheaply,
+    and ``pow_by_squaring`` otherwise.  The factor of every other item is
     ``power(item, exp)`` when that is given, so a caller may build a
-    generator's power in closed form, and ``pow_by_squaring`` of its value
-    otherwise.  The fold starts from the first factor: ``one`` is returned
-    for the empty word and is never passed to ``mul``.
+    generator's power in closed form, and is raised from its value like a
+    nested word's otherwise.  The fold starts from the first factor: ``one``
+    is returned for the empty word and is never passed to ``mul``.
     """
     items = w.items if isinstance(w, Word) else w
     acc = None
     for item, exp in items:
         if power is None or isinstance(item, Word):
-            factor = pow_by_squaring(value(item), exp, mul, inv)
+            x = value(item)
+            if raise_value is None:
+                factor = pow_by_squaring(x, exp, mul, inv)
+            else:
+                factor = raise_value(x, exp)
         else:
             factor = power(item, exp)
         acc = factor if acc is None else mul(acc, factor)

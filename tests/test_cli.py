@@ -285,6 +285,14 @@ def test_verify_seed_from_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 99
 
 
+@pytest.mark.parametrize("text", ["abc", "", "1.5", "0x10"])
+def test_verify_rejects_a_seed_from_env_that_is_not_an_integer(capsys, monkeypatch, text):
+    monkeypatch.setenv("BLFSIG_SEED", text)
+    code, out, err = run(capsys, "verify", "--samples", "2", "--max-genus", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: BLFSIG_SEED must be an integer, got {text!r}\n"
+
+
 def test_verify_rejects_nonpositive_samples(capsys):
     code, out, err = run(capsys, "verify", "--samples", "-1")
     assert code == 2 and "--samples" in err and out == ""

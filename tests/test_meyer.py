@@ -634,9 +634,180 @@ def test_folds_request_no_tau_of_inverse_pairs(monkeypatch):
                       Word(g, ((Word(g, ((inner, 2), (top, -1))), -e), (IOTA, 1)))):
                 meyer.phi(w)
                 locsig.s_word(w, ctx)
+        # periodic words raised at their period: the step M^(k-1) M = 1 that
+        # closes it asks for no tau either
+        for e in (10 ** 6 + 3, -(10 ** 6 + 3), 4 * (4 * g + 2) + 5):
+            meyer.phi(Word(g, ((chain_word(g, range(1, 2 * g + 1)), e),)))
+            meyer.phi(Word(g, ((chain_word(g, (1, 2)), e), (top, 1))))
+            if g > 1:
+                locsig.s_word(Word(g, ((chain_word(g, (1, 2)), e),)), ctx)
     assert pairs
     assert not [(A, B) for A, B in pairs
                 if surface.mat_mul(A, B) == surface.sp_identity(len(A) // 2)]
+
+
+def squaring(state, N):
+    return pow_by_squaring(state, N, meyer._combine, meyer._invert)
+
+
+def power_of(inner, N):
+    return Word(inner.genus, ((inner, N),))
+
+
+def chain_runs(g):
+    """The words t_a t_{a+1} ... t_{a+L-1} of 1 to 5 consecutive chain
+    twists at genus g, for a few starting points a."""
+    top = 2 * g + 1
+    for L in range(1, min(5, top) + 1):
+        for a in sorted({1, 2, top - L + 1}):
+            if a + L - 1 <= top:
+                yield chain_word(g, range(a, a + L))
+
+
+class TestPeriodPowers:
+    """A power s^N with |N| > 2(4g+2) is raised at the first k <= 4g+2 with
+    (M^k - 1)^2 = 0, as (s^k)^q s^r with (s^k)^q in closed form, against
+    ``pow_by_squaring`` of the same state."""
+
+    def test_chain_runs_match_squaring(self, rng):
+        for g in (1, 2, 3, 4, 5):
+            big = 2 * (4 * g + 2)
+            for inner in chain_runs(g):
+                s = meyer._state(inner)
+                exps = {big + 1, big + 2, 10 ** 6, 10 ** 6 + 3, rng.randint(big + 1, 10 ** 6)}
+                for N in exps | {-N for N in exps}:
+                    assert meyer._state(power_of(inner, N)) == squaring(s, N), (g, str(inner), N)
+
+    def test_multitwists_match_squaring(self, rng):
+        for g in (2, 3, 4, 5):
+            odd = range(1, 2 * g + 2, 2)
+            for _ in range(4):
+                inner = Word(g, tuple((ChainTwist(i), rng.choice([-3, -2, -1, 1, 2, 3]))
+                                      for i in odd if rng.random() < 0.7) or ((ChainTwist(1), 1),))
+                u = random_word(rng, g, rng.randrange(0, 4))
+                for w in (inner, u * inner * u.inverse()):
+                    s = meyer._state(w)
+                    for N in (10 ** 6 + 3, -(10 ** 6 + 3), 4 * (4 * g + 2) + 1, -999):
+                        assert meyer._state(power_of(w, N)) == squaring(s, N), (g, str(w), N)
+        s = meyer._state(chain_word(3, (1, 3, 5)))
+        assert meyer._state(power_of(chain_word(3, (1, 3, 5)), 10 ** 6 + 3)) == \
+            squaring(s, 10 ** 6 + 3)
+
+    def test_powers_among_prefixes_and_iotas_match_squaring(self, monkeypatch, rng):
+        # the powers of a word of infinite order grow exponentially, so those
+        # stay small
+        for g in (1, 2, 3):
+            inners = [(inner, [4 * g + 7, 777, 10 ** 6 + 3]) for inner in chain_runs(g)]
+            inners += [(random_word(rng, g, 3), [4 * g + 7, 40]) for _ in range(3)]
+            for inner, exps in inners:
+                N = rng.choice([-1, 1]) * rng.choice(exps)
+                w = random_word(rng, g, rng.randrange(0, 4)) * power_of(inner, N) * \
+                    gen_word(g, IOTA) * random_word(rng, g, rng.randrange(0, 4))
+                w = Word(g, ((w, rng.choice([-1, 1, 2])), (IOTA, -1)))
+                want = meyer._state(w)
+                with monkeypatch.context() as m:
+                    m.setattr(meyer, "_power", squaring)
+                    assert meyer._state(w) == want, str(w)
+                if abs(N) < 1000:
+                    assert meyer.phi(w) == phi_by_fraction_fold(w), str(w)
+
+    def test_random_words_match_squaring(self, rng):
+        # mostly of infinite order: the search gives up on |tr M^k| > 2g or at
+        # k = 4g + 2 and the power is raised by squaring after all
+        for g in (1, 2, 3):
+            for _ in range(10):
+                inner = random_word(rng, g, rng.randrange(2, 6))
+                s = meyer._state(inner)
+                for N in (rng.randint(4 * g + 5, 60), -rng.randint(4 * g + 5, 60)):
+                    assert meyer._state(power_of(inner, N)) == squaring(s, N), (g, str(inner), N)
+
+    def test_repeated_blocks_match_squaring(self, rng):
+        for g in (1, 2, 3):
+            for inner in chain_runs(g):
+                block = [(surface.chain_class(gen.index, g), e) for gen, e in inner.letters()]
+                for count in (4 * g + 7, rng.randint(20, 500), 10 ** 4 + 1):
+                    want = squaring(meyer._run_state(block), count)
+                    assert meyer.sequence_state(block * count) == want, (g, str(inner), count)
+        # one Hurwitz system of four million data: (t1 t2 t3 t4)^10 is the
+        # identity on homology
+        block = [(surface.chain_class(i, 3), 1) for i in (1, 2, 3, 4)]
+        assert meyer.sequence_state(block * 10 ** 6) == \
+            squaring(meyer._run_state(block), 10 ** 6)
+        block = [(random_class(rng, 2), rng.choice([1, -1])) for _ in range(3)]
+        assert meyer.sequence_state(block * 61) == squaring(meyer._run_state(block), 61)
+
+    def test_minus_one_is_not_a_period(self):
+        # (t1 t2)^3 = -1 at g = 1 and (t1 t2 t3 t4)^5 = -1 at g = 2, yet the
+        # period is 6 and 10: tau(-1, M^r) is not 0, so -1 cannot stand in
+        # for the identity when s^N is joined from its parts
+        for g, inner, half in ((1, chain_word(1, (1, 2)), 3), (2, chain_word(2, (1, 2, 3, 4)), 5)):
+            minus = surface.iota_matrix(g)
+            assert surface.word_matrix(power_of(inner, half)) == minus
+            assert any(meyer._tau_cached(minus, surface.word_matrix(power_of(inner, r)))
+                       for r in range(1, half))
+            s = meyer._state(inner)
+            for N in range(13, 201):
+                for e in (N, -N):
+                    assert meyer._state(power_of(inner, e)) == squaring(s, e), (g, e)
+
+    def test_tau_of_a_power_of_a_multitwist_with_it_is_its_self_value(self, rng):
+        # for (U - 1)^2 = 0 the Meyer pairing on V_{U^j, U} is
+        # -j(1 + j) x1^T J (U - 1) x2, so tau(U^j, U) = tau(U, U), j >= 1
+        for g in (1, 2, 3, 4):
+            for _ in range(4):
+                U = surface.sp_identity(g)
+                for i in range(1, 2 * g + 2, 2):
+                    if rng.random() < 0.7:
+                        e = rng.choice([-3, -2, -1, 1, 2, 3])
+                        U = surface.mat_mul(U, surface.transvection(surface.chain_class(i, g), e))
+                C = random_symplectic(rng, g, 6)
+                U = surface.mat_mul(surface.mat_mul(C, U), surface.sp_inverse(C))
+                N = arr(U) - arr(eye(2 * g))
+                assert not (N @ N).any()
+                P = U
+                for j in range(1, 13):
+                    assert meyer.tau(P, U) == meyer.tau(U, U), (g, j)
+                    if j in (1, 2, 7):
+                        assert oracle_tau(P, U) == meyer.tau(U, U), (g, j)
+                    P = surface.mat_mul(P, U)
+
+
+def recorded_calls(monkeypatch, fn, *args):
+    """The (A, B) pairs of the cocycle calls that fn(*args) asks for."""
+    pairs = []
+    cached = meyer._tau_cached
+
+    def recording(At, Bt):
+        pairs.append((At, Bt))
+        return cached(At, Bt)
+
+    with monkeypatch.context() as m:
+        m.setattr(meyer, "_tau_cached", recording)
+        fn(*args)
+    return pairs
+
+
+def test_a_periodic_power_costs_its_period_not_log_n(monkeypatch):
+    # (t1 t2 t3 t4)^10 is the twist along a separating curve, the identity on
+    # homology: s^2, ..., s^9 ask for one tau each and s^9 s, which closes
+    # the period, for none; (t1 t3 t5) is a multitwist, one tau(U, U)
+    N = 10 ** 6 + 3
+    for inner, most in ((chain_word(3, (1, 2, 3, 4)), 8), (chain_word(3, (1, 3, 5)), 1)):
+        assert len(recorded_calls(monkeypatch, meyer.phi, power_of(inner, N))) <= most
+        s = meyer._state(inner)
+        assert len(recorded_calls(monkeypatch, squaring, s, N)) == 27
+
+
+def test_small_powers_ask_for_exactly_the_squaring_calls(monkeypatch, rng):
+    for g in (1, 2, 3):
+        inners = list(chain_runs(g)) + [random_word(rng, g, 3) for _ in range(3)]
+        for inner in inners:
+            s = meyer._state(inner)
+            for N in range(1, 2 * (4 * g + 2) + 1):
+                for e in (N, -N):
+                    asked = recorded_calls(monkeypatch, meyer._power, s, e)
+                    assert asked == recorded_calls(monkeypatch, squaring, s, e), (g, str(inner), e)
+                    assert meyer._power(s, e) == squaring(s, e)
 
 
 def join_firsts(windows):

@@ -24,7 +24,11 @@ Prints one JSON object with the time, in seconds, of
 - ``phi_long``: ``meyer.phi`` at g = 6 of a flat word of 2,000 letters
   ``t{randint(1, 13)}^{choice([-2, -1, 1, 2])}`` drawn from
   ``random.Random(3)``, then ``iota``, parsed from its text as
-  ``blfsig phi`` parses it.
+  ``blfsig phi`` parses it;
+- ``phi_power_chain`` and ``phi_power_multitwist``: ``meyer.phi`` of
+  ``(t1 t2 t3 t4)^1000003`` and of ``(t1 t3 t5)^1000003``, parsed at
+  g = 6, 20, 50: a power whose tenth power is the identity on homology, and
+  a multitwist.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -53,6 +57,9 @@ VALIDATE_GENERA = (2, 4, 6, 8) + FAMILY_GENERA
 H_WORD_GENERA = (10 ** 3, 10 ** 6)
 PHI_FLAT_GENERA = (6, 20, 50)
 PHI_LONG_GENERA = (6,)
+PHI_POWER_GENERA = (6, 20, 50)
+PHI_POWER_WORDS = {"phi_power_chain": "(t1 t2 t3 t4)^1000003",
+                   "phi_power_multitwist": "(t1 t3 t5)^1000003"}
 BUDGET_S = 20.0
 MEMORY_MB = 2048
 
@@ -88,6 +95,11 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return meyer.phi(long_word)
+    elif kind in PHI_POWER_WORDS:
+        power = parse_word(PHI_POWER_WORDS[kind], g)
+
+        def call():
+            return meyer.phi(power)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -158,7 +170,9 @@ def main(argv=None) -> int:
                                   ("validate", VALIDATE_GENERA), ("meyer_path", FAMILY_GENERA),
                                   ("meyer_path_n4", REPEATED_BLOCK_GENERA),
                                   ("h_word", H_WORD_GENERA), ("phi_flat", PHI_FLAT_GENERA),
-                                  ("phi_long", PHI_LONG_GENERA))}
+                                  ("phi_long", PHI_LONG_GENERA),
+                                  ("phi_power_chain", PHI_POWER_GENERA),
+                                  ("phi_power_multitwist", PHI_POWER_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
