@@ -367,25 +367,29 @@ def _as_integer(x: Fraction, what: str) -> int:
 class SignatureBreakdown:
     sigma_terms: tuple[tuple[str, Fraction], ...]
     h_terms: tuple[tuple[str, Fraction], ...]
-
-    @property
-    def total(self) -> Fraction:
-        return (sum((v for _, v in self.sigma_terms), Fraction(0))
-                + sum((v for _, v in self.h_terms), Fraction(0)))
+    total: Fraction
 
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
     g = spec.active_genus()
     stages = component_stages(spec)
-    sigma_terms = tuple(
-        (f"sigma_loc[{j}]({d.cycle})", locsig.sigma_loc(d.cycle, g))
-        for j, d in enumerate(spec.lefschetz))
+    # sigma_loc and its label once per cycle type, the total from the counts
+    per_type: dict = {}
+    counts: dict = {}
+    for d in spec.lefschetz:
+        if d.cycle not in per_type:
+            per_type[d.cycle] = (str(d.cycle), locsig.sigma_loc(d.cycle, g))
+        counts[d.cycle] = counts.get(d.cycle, 0) + 1
+    sigma_terms = tuple((f"sigma_loc[{j}]({per_type[d.cycle][0]})", per_type[d.cycle][1])
+                        for j, d in enumerate(spec.lefschetz))
     h_terms = []
     for k, r in enumerate(spec.rounds):
         ctx = CycleContext(stages[k][r.component], r.cycle)
         h_terms.append((f"h[{k}](g={ctx.genus}, {r.cycle})",
                         locsig.h_word(r.monodromy, ctx)))
-    return SignatureBreakdown(sigma_terms, tuple(h_terms))
+    total = sum((k * per_type[c][1] for c, k in counts.items()), Fraction(0))
+    total += sum((v for _, v in h_terms), Fraction(0))
+    return SignatureBreakdown(sigma_terms, tuple(h_terms), total)
 
 
 def total_signature(spec: FibrationSpec) -> int:
@@ -401,10 +405,20 @@ def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
     Meyer-path sum; (0, 1) for no data.  Each datum enters the fold as
     its vanishing class, the pair (v, 1) for t_v, and a datum of class 0
     (type II) as no factor at all: its matrix is the identity, so it adds
-    tau(P, 1) = 0 and leaves P as it is.  ``meyer.sequence_state`` raises
+    tau(P, 1) = 0 and leaves P as it is.  Each distinct datum object reads
+    its class once, keyed by identity, so a spec that repeats its data (as
+    ``family_spec`` and ``spec_from_json`` build them) hashes no word per
+    datum.  ``meyer.sequence_state`` raises
     a repeated block of data as one power and folds windows of 2g classes as
     one form each."""
-    factors = [(v, 1) for v in map(LefschetzDatum.vector, data) if any(v)]
+    classes: dict = {}  # id(datum) -> class: a repeated datum is read once, unhashed
+    factors = []
+    for d in data:
+        v = classes.get(id(d))
+        if v is None:
+            v = classes[id(d)] = d.vector()
+        if any(v):
+            factors.append((v, 1))
     return meyer.sequence_state(factors) or (0, surface.sp_identity(g))
 
 
@@ -748,7 +762,9 @@ def spec_to_json(spec: FibrationSpec) -> dict:
 
 def spec_from_json(doc) -> FibrationSpec:
     """Build a spec from its JSON document.  A document of the wrong shape
-    raises ValueError naming the offending path, e.g. ``lefschetz[3].type``."""
+    raises ValueError naming the offending path, e.g. ``lefschetz[3].type``.
+    Every entry is checked, and the entries with one cycle type and one
+    conjugator text share one ``LefschetzDatum``, parsed once."""
     _json_value(doc, dict, "spec")
     version = doc.get("spec_version")
     if version != SPEC_VERSION:
@@ -768,11 +784,15 @@ def spec_from_json(doc) -> FibrationSpec:
         raise ValueError(f"active component {active} does not exist")
     g_active = higher[active]
     lefschetz = []
+    data: dict = {}  # one datum per distinct (cycle, conjugator text)
     for where, entry in _json_items(doc, "lefschetz"):
         cycle = _cycle_from_json(entry, where)
         text = _json_member(entry, "conjugator", str, where, "")
-        conj = _word_from_json(text, g_active, f"{where}.conjugator")
-        lefschetz.append(LefschetzDatum(cycle, conj))
+        d = data.get((cycle, text))
+        if d is None:
+            conj = _word_from_json(text, g_active, f"{where}.conjugator")
+            d = data[cycle, text] = LefschetzDatum(cycle, conj)
+        lefschetz.append(d)
     # genera evolve as rounds are applied; parse each monodromy at the genus
     # of its component at that stage
     genera = list(higher)

@@ -169,7 +169,7 @@ from operator import mul, neg
 
 from . import ratlin, surface
 from .words import (ChainTwist, Iota, Word, WordError, evaluate, homomorphism,
-                    pow_by_squaring, runs)
+                    pow_by_squaring, reduce_word, runs)
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -487,8 +487,8 @@ def _state(w: Word):
 def correction(w: Word) -> int:
     """phi(w) minus the sum of its generators' base values: the tau
     corrections of folding the word's letter matrices (see the module
-    docstring); 0 at genus 0."""
-    return _state(w)[0] if w.genus else 0
+    docstring), folded on ``words.reduce_word(w)``; 0 at genus 0."""
+    return _state(reduce_word(w))[0] if w.genus else 0
 
 
 def generator_sum(w: Word) -> Fraction:

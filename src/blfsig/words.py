@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -110,6 +111,8 @@ class Word:
             raise WordError(f"exponent must be an integer, got {e!r}")
         if e == 0 or not self.items:
             return _checked_word(self.genus, ())
+        if e == 1:
+            return self
         if len(self.items) == 1:
             item, exp = self.items[0]
             return _checked_word(self.genus, ((item, exp * e),))
@@ -276,17 +279,124 @@ def _leading_power(keys) -> tuple[int, int] | None:
 def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fraction:
     """The homomorphism to (Q, +) with generator values ``value(gen)``,
     evaluated on a word.  The word is folded in ints over the least common
-    denominator D of the values of its generators, so a power costs
-    O(log exponent) int additions, and one Fraction is built at the end."""
+    denominator D of the values of its generators, a power costs one int
+    multiplication, so the fold costs O(size as written), and one Fraction
+    is built at the end."""
     values = {gen: value(gen) for gen in w.generators()}
     D = math.lcm(1, *(v.denominator for v in values.values()))
     scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
 
     def part(item: Word) -> int:
         return evaluate(item, part, operator.add, operator.neg, 0,
-                        lambda gen, e: e * scaled[gen])
+                        lambda gen, e: e * scaled[gen], operator.mul)
 
     return Fraction(part(w), D)
+
+
+def reduce_word(w: Word) -> Word:
+    """A word for a conjugate of w with the same generator sum, found by
+    moves that keep both: equal neighbouring chain twists merge (cancel when
+    their exponents sum to 0), also across iota, which is central, and
+    across twists along disjoint chain curves (indices i, j with
+    |i - j| >= 2 commute); iota keeps only its parity, at the end of each
+    stretch of generators; a nested power whose reduced body is one letter
+    becomes a power of that letter (``(t5^-2 iota)^2`` is ``t5^-4``); and at
+    the top level only, a trailing chain twist moves cyclically to the
+    front when it merges there (inside a nested power that would conjugate
+    the one factor).  No other relation of the group is used, so for a
+    function of the conjugacy class that is additive on generators up to a
+    correction of the word, the correction is unchanged.  Linear in the
+    size of the word as written; each distinct nested word is reduced
+    once."""
+    items, odd = _reduce_items(w.items, w.genus, {})
+    items = _cyclic(items)
+    if odd:
+        items.append((IOTA, 1))
+    return _checked_word(w.genus, tuple(items))
+
+
+def _reduce_items(items, genus: int, memo: dict) -> tuple[list, int]:
+    """The items of one level with the merges of ``reduce_word``, every
+    stretch but the last closed by its iota when its parity is odd, and the
+    parity of the last stretch."""
+    out: list = []  # (item, exponent), None where a letter cancelled
+    last: dict = {}  # chain index -> positions in out of its live letters
+    barrier = -1  # position of the last nested item, which commutes with nothing
+    odd = 0
+
+    def push(gen, e):
+        here = last.setdefault(gen.index, [])
+        if here:
+            p = here[-1]
+            # the letters after p commute with gen when none is adjacent to it
+            if p > barrier and all(not last.get(j) or last[j][-1] < p
+                                   for j in (gen.index - 1, gen.index + 1)):
+                e += out[p][1]
+                if e:
+                    out[p] = (out[p][0], e)
+                else:
+                    out[p] = None
+                    here.pop()
+                return
+        here.append(len(out))
+        out.append((gen, e))
+
+    for item, exp in items:
+        if isinstance(item, Iota):
+            odd ^= exp & 1
+        elif isinstance(item, ChainTwist):
+            push(item, exp)
+        else:
+            if id(item) not in memo:
+                memo[id(item)] = _reduce_items(item.items, genus, memo)
+            body, body_odd = memo[id(item)]
+            if len(body) <= 1 and (not body or isinstance(body[0][0], ChainTwist)):
+                # (t^m iota^p)^e = t^(m e) iota^(p e), as iota is central
+                if body:
+                    push(body[0][0], body[0][1] * exp)
+                odd ^= body_odd & exp
+                continue
+            if odd:
+                out.append((IOTA, 1))
+                odd = 0
+            if len(body) == 1 and not body_odd:
+                sub, exp = body[0][0], body[0][1] * exp
+            else:
+                sub = _checked_word(genus, tuple(body) + (((IOTA, 1),) if body_odd else ()))
+            barrier = len(out)
+            out.append((sub, exp))
+    return [x for x in out if x is not None], odd
+
+
+def _cyclic(items: list) -> list:
+    """Move trailing chain twists cyclically to the front while each merges
+    with a letter of its index there, past letters that commute with it."""
+    front: dict = {}  # chain index -> positions of its letters before any nested item
+    for k, (item, _) in enumerate(items):
+        if isinstance(item, Word):
+            break
+        if isinstance(item, ChainTwist):
+            front.setdefault(item.index, deque()).append(k)
+    end = len(items)
+    while end > 1 and not isinstance(items[end - 1][0], Word):
+        gen, e = items[end - 1]
+        here = front[gen.index] if gen.index in front else ()
+        p = here[0] if here else end
+        if p >= end - 1 or any(front.get(j) and front[j][0] < p
+                               for j in (gen.index - 1, gen.index + 1)):
+            break
+        end -= 1
+        if here[-1] == end:
+            here.pop()
+        e += items[p][1]
+        if e:
+            items[p] = (items[p][0], e)
+        else:
+            items[p] = None
+            here.popleft()
+        while end and items[end - 1] is None:
+            end -= 1
+    return [x for x in items[:end] if x is not None]
 
 
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:

@@ -557,6 +557,36 @@ class TestJson:
         with pytest.raises(ValueError):
             fib.spec_from_json(doc)
 
+    def test_a_family_document_builds_one_datum_per_conjugator(self):
+        # the 2g chain conjugators, also when the whole spec is conjugated by
+        # a stabiliser word u, well within 4g + 1
+        cases = [(family, g, n, u) for family, g, n in
+                 (("mgn", 1, 2), ("mgn", 2, 2), ("mgn", 3, 1), ("mgn-tilde", 2, 2))
+                 for u in (None, ("t1 t3^-1", "t3 t1^-1") if g == 1 else ("t1 t2^-1", "t2 t1^-1"))]
+        for family, g, n, conjugator in cases:
+            doc = fib.spec_to_json(family_spec(family, g, n))
+            if conjugator:
+                u, inverse = conjugator
+                for entry in doc["lefschetz"]:
+                    entry["conjugator"] = f"{u} {entry.get('conjugator', '')}"
+                for entry in doc["rounds"]:
+                    entry["monodromy"] = f"{u} {entry['monodromy']} {inverse}"
+            spec = fib.spec_from_json(doc)
+            distinct = {id(d): d for d in spec.lefschetz}
+            assert len(distinct) <= 4 * g + 1
+            assert len(set(distinct.values())) == len(distinct)
+            fib._vanishing_class.cache_clear()
+            rep = fib.compute_report(spec)
+            assert fib._vanishing_class.cache_info().misses == len(distinct)
+            assert rep.two_paths_agree
+
+    def test_every_entry_is_checked_when_data_repeat(self):
+        doc = fib.spec_to_json(family_spec("mgn", 2, 1))
+        doc["lefschetz"][5]["typo"] = 1  # ignored, like any unknown key
+        doc["lefschetz"][6]["type"] = 2
+        with pytest.raises(ValueError, match=r"lefschetz\[6\]\.type"):
+            fib.spec_from_json(doc)
+
     def test_report_dict_json_round_trip(self):
         rep = fib.compute_report(family_spec("mgn", 1, 1))
         doc = rep.to_dict()

@@ -8,7 +8,7 @@ from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
 from blfsig.words import (IOTA, ChainTwist, Word, chain_word, evaluate, gen_word,
-                          pow_by_squaring)
+                          pow_by_squaring, reduce_word)
 from conftest import arr, bounded_power_base, eye, numpy_j, plain_fold
 
 
@@ -874,8 +874,14 @@ def test_a_flat_word_of_eight_windows_joins_at_most_four_windows(monkeypatch, rn
     monkeypatch.setattr(meyer, "_tau_cached", recording)
     for g in (1, 2, 3):
         for _ in range(3):
-            items = [(ChainTwist(rng.randrange(1, 2 * g + 2)), rng.choice([-2, -1, 1, 2]))
-                     for _ in range(16 * g)]
+            # neighbouring indices differ by one, so no two letters commute past
+            # each other and merge in ``words.reduce_word``, and the last index,
+            # an odd number of steps from the first, differs from it
+            index = rng.randrange(1, 2 * g + 2)
+            items = []
+            for _ in range(16 * g):
+                items.append((ChainTwist(index), rng.choice([-2, -1, 1, 2])))
+                index += -1 if index == 2 * g + 1 or (index > 1 and rng.random() < 0.5) else 1
             windows = []
             for k in range(0, 16 * g, 2 * g):
                 P = arr(eye(2 * g))
@@ -993,3 +999,86 @@ def test_a_flat_word_asks_one_cocycle_call_per_2g_letters(monkeypatch, rng):
                 calls.clear()
                 meyer.phi(w)
                 assert len(calls) <= -(-n // (2 * g)) + iotas % 2, (g, str(w))
+
+
+# -- words.reduce_word before the fold -----------------------------------------
+
+def unmergeable_letters(rng, g, n):
+    """n letters whose neighbouring indices differ by one: no two of them
+    commute past each other, so the reduction leaves them as they are."""
+    index = rng.randrange(1, 2 * g + 2)
+    out = []
+    for _ in range(n):
+        out.append((ChainTwist(index), rng.choice([-2, -1, 1, 2])))
+        index += -1 if index == 2 * g + 1 or (index > 1 and rng.random() < 0.5) else 1
+    return Word(g, tuple(out))
+
+
+def reducible_word(rng, g, depth=0):
+    """Letters drawn mostly from a few commuting indices, iota powers, nested
+    powers (some with one-letter bodies) and conjugates u x u^-1."""
+    pool = rng.sample(range(1, 2 * g + 2), min(3, 2 * g + 1))
+    items = []
+    for _ in range(rng.randrange(1, 7)):
+        r = rng.random()
+        if r < 0.15:
+            items.append((IOTA, rng.choice([-3, -2, -1, 1, 2, 3])))
+        elif r < 0.3 and depth < 2:
+            sub = reducible_word(rng, g, depth + 1)
+            if sub.items:
+                items.append((sub, rng.choice([-3, -2, -1, 2, 3, 7])))
+        else:
+            items.append((ChainTwist(rng.choice(pool)), rng.choice([-2, -1, 1, 2])))
+    w = Word(g, tuple(items))
+    if rng.random() < 0.4:
+        u = random_word(rng, g, rng.randrange(1, 4))
+        w = u * w * u.inverse() if rng.random() < 0.7 else u.inverse() * w * u
+    return w
+
+
+class TestReducedWords:
+    def test_correction_folds_the_reduced_word_exactly(self, rng):
+        # the reduction keeps the conjugacy class and the generator sum, so
+        # the correction of the reduced word is that of the word as written
+        for k in range(1200):
+            g = 1 + k % 4
+            w = reducible_word(rng, g)
+            r = reduce_word(w)
+            assert meyer.correction(w) == meyer._state(w)[0], str(w)
+            assert meyer.generator_sum(r) == meyer.generator_sum(w), str(w)
+            M, R = surface.word_matrix(w), surface.word_matrix(r)
+            assert sum(M[i][i] for i in range(2 * g)) == sum(R[i][i] for i in range(2 * g))
+
+    def test_without_a_cyclic_move_the_element_is_kept(self, rng):
+        # a word that ends in a nested power of non-commuting letters admits
+        # no cyclic move, and every other move is a relation of the group
+        for k in range(300):
+            g = 1 + k % 4
+            tail = Word(g, ((ChainTwist(1), 1), (ChainTwist(2), -1)))
+            w = reducible_word(rng, g) * Word(g, ((tail, 3),))
+            assert surface.word_matrix(reduce_word(w)) == surface.word_matrix(w), str(w)
+
+    def test_a_conjugate_asks_for_the_calls_of_the_word_it_conjugates(self, monkeypatch, rng):
+        for g in (1, 2, 3):
+            for _ in range(5):
+                x = (Word(g, ((unmergeable_letters(rng, g, 4), 3),)) * random_word(rng, g, 5)
+                     * Word(g, ((unmergeable_letters(rng, g, 3), -2),)))
+                u = unmergeable_letters(rng, g, 3)
+                meyer._tau_cached.cache_clear()
+                asked = recorded_calls(monkeypatch, meyer.phi, x)
+                meyer._tau_cached.cache_clear()
+                conjugated = recorded_calls(monkeypatch, meyer.phi, u * x * u.inverse())
+                assert conjugated == asked, (str(u), str(x))
+                assert meyer.phi(u * x * u.inverse()) == meyer.phi(x)
+
+    def test_s_of_a_conjugated_mgn_round_asks_for_no_cocycle(self, monkeypatch):
+        # u t_{2g+1}^-4n u^-1 reduces to the letter power, and its pushforward
+        # u u^-1 to the empty word
+        for g in (2, 3, 4):
+            ctx = locsig.CycleContext(g, TypeI())
+            for a in range(1, 2 * g - 1):
+                u = Word(g, ((ChainTwist(a), 1), (ChainTwist(a + 1), -1)))
+                w = u * gen_word(g, ChainTwist(2 * g + 1), -8) * u.inverse()
+                meyer._tau_cached.cache_clear()
+                assert recorded_calls(monkeypatch, locsig.s_word, w, ctx) == []
+                assert locsig.s_word(w, ctx) == locsig.s_word(u.inverse() * w * u, ctx)

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from blfsig.words import (
     IOTA, MAX_NESTING, ChainTwist, Word, WordError,
-    chain_word, evaluate, format_word, gen_word, parse_word, pow_by_squaring, runs,
+    chain_word, evaluate, format_word, gen_word, parse_word, pow_by_squaring, reduce_word,
+    runs,
 )
 
 
@@ -172,6 +173,30 @@ def random_words(draw, genus=2):
 @settings(max_examples=80, deadline=None)
 def test_roundtrip_property(w):
     assert parse_word(format_word(w), w.genus) == w
+
+
+def test_first_power_is_the_word_itself():
+    w = parse_word("t1 t2^-1 ( t3 iota )^2", 2)
+    assert w ** 1 is w
+    assert chain_word(3, [1, 2]).items == ((ChainTwist(1), 1), (ChainTwist(2), 1))
+    assert format_word(chain_word(3, [1, 2])) == "t1 t2"
+
+
+@pytest.mark.parametrize("text, genus, reduced", [
+    ("( t5^-2 iota )^2", 2, "t5^-4"),
+    ("( t5^-2 iota )^3 t1", 2, "t5^-6 t1 iota"),
+    ("t1 t3 t1 iota t3^-1 iota iota", 2, "t1^2 iota"),
+    ("t1 t2^-1 t5^-8 t2 t1^-1", 2, "t5^-8"),
+    ("t1 t2 t1^-1", 1, "t2"),
+    ("t1 t2 t1^-1 t2^-1", 1, "t1 t2 t1^-1 t2^-1"),
+    ("( ( t1 t2 )^3 )^2 t1", 2, "( t1 t2 )^6 t1"),
+    ("t1 iota ( t1 t2 )^2 iota t3 t1^-1", 2, "iota ( t1 t2 )^2 t3 iota"),
+    # no cyclic move inside a nested power: it would conjugate that factor
+    ("( t1 t2 t1^-1 )^3 t2", 1, "( t1 t2 t1^-1 )^3 t2"),
+    ("t1 t1^-1 iota^2", 1, ""),
+])
+def test_reduce_word_examples(text, genus, reduced):
+    assert format_word(reduce_word(parse_word(text, genus))) == reduced
 
 
 def test_chain_word_builder():
