@@ -56,6 +56,7 @@ impossible input is caught by the integrality of the total signature.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -373,21 +374,17 @@ class SignatureBreakdown:
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
     g = spec.active_genus()
     stages = component_stages(spec)
-    # sigma_loc and its label once per cycle type, the total from the counts
-    per_type: dict = {}
-    counts: dict = {}
-    for d in spec.lefschetz:
-        if d.cycle not in per_type:
-            per_type[d.cycle] = (str(d.cycle), locsig.sigma_loc(d.cycle, g))
-        counts[d.cycle] = counts.get(d.cycle, 0) + 1
-    sigma_terms = tuple((f"sigma_loc[{j}]({per_type[d.cycle][0]})", per_type[d.cycle][1])
+    # sigma_loc once per cycle type, and their total from the counts
+    counts = Counter(d.cycle for d in spec.lefschetz)
+    sigma = {cycle: locsig.sigma_loc(cycle, g) for cycle in counts}
+    sigma_terms = tuple((f"sigma_loc[{j}]({d.cycle})", sigma[d.cycle])
                         for j, d in enumerate(spec.lefschetz))
     h_terms = []
     for k, r in enumerate(spec.rounds):
         ctx = CycleContext(stages[k][r.component], r.cycle)
         h_terms.append((f"h[{k}](g={ctx.genus}, {r.cycle})",
                         locsig.h_word(r.monodromy, ctx)))
-    total = sum((k * per_type[c][1] for c, k in counts.items()), Fraction(0))
+    total = sum((k * sigma[cycle] for cycle, k in counts.items()), Fraction(0))
     total += sum((v for _, v in h_terms), Fraction(0))
     return SignatureBreakdown(sigma_terms, tuple(h_terms), total)
 

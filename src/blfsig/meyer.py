@@ -99,8 +99,23 @@ that most joins multiply short products.  So n factors cost about n/2g
 cocycle evaluations and O(n g^2) work, where one unbounded form would cost
 O(n^3).
 
-``correction`` folds each maximal stretch of generator letters of a word
-so: the chain twists as one run, plus their letter corrections
+``correction`` folds the word that ``words.reduce_word`` makes of w.  The
+reduction merges equal neighbouring chain twists, also across iota, which
+is central, and across twists along disjoint chain curves (|i - j| >= 2);
+keeps only iota's parity, at the end of each stretch of generators; turns a
+nested power whose reduced body is one letter into a power of that letter,
+so (t5^-2 iota)^2 becomes t5^-4; and cancels or merges the two ends
+cyclically, at the top level only, since inside a nested power that would
+conjugate the one factor.  Each move keeps the element's conjugacy class
+and the generator sum, so c(w) = phi(w) - (generator sum) is unchanged, phi
+being a class function.  No other relation of the group may be used: the
+generator sum is not a homomorphism on the hyperelliptic mapping class
+group, since iota = (t_1 ... t_{2g+1})(t_{2g+1} ... t_1) has sum 0 on the
+left and 2g + 2 times (g+1)/(2g+1) on the right, so c depends on the word
+and not only on the element.  A round monodromy written u x u^-1, as a
+global conjugation of the fibration writes it, so costs what x costs.
+
+The fold takes each maximal stretch of generator letters of a word so: the chain twists as one run, plus their letter corrections
 sign(e) - e, with the stretch's iotas moved to its end, which is exact
 because iota is central; an odd number of them costs one tau(P, -1) and an
 even number nothing.  A flat word of n letters thus asks for at most

@@ -15,7 +15,11 @@ its unipotent period), and a generator power by a caller's closed form when
 it has one (a transvection scaled by the exponent, an integer multiple), in
 O(1).  ``homomorphism`` is the additive case: a homomorphism to (Q, +)
 given by its generator values, folded in ints over their common
-denominator.  ``runs`` turns a flat sequence into such items the other way
+denominator, a power by one multiplication.  ``reduce_word`` shortens a
+word by moves that keep its conjugacy class and its generator sum (merges
+of commuting twists, iota's parity, one-letter nested powers, and cyclic
+merges of the two ends), which ``meyer`` folds in place of the word.
+``runs`` turns a flat sequence into such items the other way
 round: it finds a leading and a trailing power block^k in linear time, so a
 fold of a Hurwitz system whose data repeat a block raises that block as
 one power.
@@ -380,7 +384,7 @@ def _cyclic(items: list) -> list:
     end = len(items)
     while end > 1 and not isinstance(items[end - 1][0], Word):
         gen, e = items[end - 1]
-        here = front[gen.index] if gen.index in front else ()
+        here = front.get(gen.index) or ()
         p = here[0] if here else end
         if p >= end - 1 or any(front.get(j) and front[j][0] < p
                                for j in (gen.index - 1, gen.index + 1)):

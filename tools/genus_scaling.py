@@ -28,7 +28,10 @@ Prints one JSON object with the time, in seconds, of
 - ``phi_power_chain`` and ``phi_power_multitwist``: ``meyer.phi`` of
   ``(t1 t2 t3 t4)^1000003`` and of ``(t1 t3 t5)^1000003``, parsed at
   g = 6, 20, 50: a power whose tenth power is the identity on homology, and
-  a multitwist.
+  a multitwist;
+- ``report_conjugated``: ``fibration.compute_report`` on ``mgn``(g, 1) with
+  every datum's conjugator and the fold monodromy conjugated by
+  ``t1 t2^-1``, a stabiliser word, at g = 10, 20.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -58,6 +61,7 @@ H_WORD_GENERA = (10 ** 3, 10 ** 6)
 PHI_FLAT_GENERA = (6, 20, 50)
 PHI_LONG_GENERA = (6,)
 PHI_POWER_GENERA = (6, 20, 50)
+REPORT_GENERA = (10, 20)
 PHI_POWER_WORDS = {"phi_power_chain": "(t1 t2 t3 t4)^1000003",
                    "phi_power_multitwist": "(t1 t3 t5)^1000003"}
 BUDGET_S = 20.0
@@ -100,6 +104,20 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return meyer.phi(power)
+    elif kind == "report_conjugated":
+        spec = fibration.family_spec("mgn", g, 1)
+        u = parse_word("t1 t2^-1", g)
+        data = {}  # the family repeats its data; so does the conjugated spec
+        for d in spec.lefschetz:
+            data.setdefault(id(d), fibration.LefschetzDatum(d.cycle, u * d.conjugator))
+        r = spec.rounds[0]
+        spec = fibration.FibrationSpec(
+            spec.higher_fiber, tuple(data[id(d)] for d in spec.lefschetz),
+            (fibration.RoundRegion(r.component, r.cycle, u * r.monodromy * u.inverse()),),
+            spec.spin, spec.simply_connected)
+
+        def call():
+            return fibration.compute_report(spec)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -172,7 +190,8 @@ def main(argv=None) -> int:
                                   ("h_word", H_WORD_GENERA), ("phi_flat", PHI_FLAT_GENERA),
                                   ("phi_long", PHI_LONG_GENERA),
                                   ("phi_power_chain", PHI_POWER_GENERA),
-                                  ("phi_power_multitwist", PHI_POWER_GENERA))}
+                                  ("phi_power_multitwist", PHI_POWER_GENERA),
+                                  ("report_conjugated", REPORT_GENERA))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
