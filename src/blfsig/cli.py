@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from . import fibration, locsig, meyer, surface, verify
+from . import fibration, locsig, meyer, surface
 from .locsig import CycleContext
 from .surface import TypeI, TypeII
 from .words import WordError, parse_word
@@ -150,6 +150,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command needs the suites
+
     for flag, value in (("--samples", args.samples), ("--max-genus", args.max_genus)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")

@@ -57,15 +57,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import locsig, meyer, ratlin, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import (IOTA, ChainTwist, Word, WordError, chain_word, format_word,
-                    gen_word, parse_word)
+from .words import (IOTA, ChainTwist, Frozen, Word, WordError, chain_word,
+                    format_word, gen_word, parse_word)
 
 SPEC_VERSION = 1
 
@@ -97,12 +96,22 @@ def chain_twist_conjugator(i: int, g: int) -> Word:
     return Word(g, tuple(items))
 
 
-@dataclass(frozen=True)
-class LefschetzDatum:
+class LefschetzDatum(Frozen):
     """One Lefschetz singularity: the twist w t w^-1 along a conjugate of
     the standard vanishing cycle of the given type."""
-    cycle: CurveDescriptor
-    conjugator: Word
+    __slots__ = ("cycle", "conjugator")
+
+    def __init__(self, cycle: CurveDescriptor, conjugator: Word):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "conjugator", conjugator)
+
+    def __eq__(self, other):
+        if other.__class__ is not LefschetzDatum:
+            return NotImplemented
+        return self.cycle == other.cycle and self.conjugator == other.conjugator
+
+    def __hash__(self):
+        return hash((self.cycle, self.conjugator))
 
     @property
     def genus(self) -> int:
@@ -143,22 +152,50 @@ def chain_twist_datum(i: int, g: int) -> LefschetzDatum:
     return LefschetzDatum(TypeI(), chain_twist_conjugator(i, g))
 
 
-@dataclass(frozen=True)
-class RoundRegion:
+class RoundRegion(Frozen):
     """A fold circle: which higher-side component it lives on, the type of
     its vanishing cycle, and the monodromy along the north boundary."""
-    component: int
-    cycle: CurveDescriptor
-    monodromy: Word
+    __slots__ = ("component", "cycle", "monodromy")
+
+    def __init__(self, component: int, cycle: CurveDescriptor, monodromy: Word):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "monodromy", monodromy)
+
+    def __eq__(self, other):
+        if other.__class__ is not RoundRegion:
+            return NotImplemented
+        return (self.component == other.component and self.cycle == other.cycle
+                and self.monodromy == other.monodromy)
+
+    def __hash__(self):
+        return hash((self.component, self.cycle, self.monodromy))
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
-    higher_fiber: tuple[int, ...]
-    lefschetz: tuple[LefschetzDatum, ...] = ()
-    rounds: tuple[RoundRegion, ...] = ()
-    spin: bool = False
-    simply_connected: bool = False
+class FibrationSpec(Frozen):
+    __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected")
+
+    def __init__(self, higher_fiber: tuple[int, ...],
+                 lefschetz: tuple[LefschetzDatum, ...] = (),
+                 rounds: tuple[RoundRegion, ...] = (), spin: bool = False,
+                 simply_connected: bool = False):
+        object.__setattr__(self, "higher_fiber", higher_fiber)
+        object.__setattr__(self, "lefschetz", lefschetz)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "simply_connected", simply_connected)
+
+    def __eq__(self, other):
+        if other.__class__ is not FibrationSpec:
+            return NotImplemented
+        return (self.higher_fiber == other.higher_fiber
+                and self.lefschetz == other.lefschetz and self.rounds == other.rounds
+                and self.spin == other.spin
+                and self.simply_connected == other.simply_connected)
+
+    def __hash__(self):
+        return hash((self.higher_fiber, self.lefschetz, self.rounds, self.spin,
+                     self.simply_connected))
 
     def active_component(self) -> int:
         """The component carrying the Lefschetz data (and the first fold)."""
@@ -213,23 +250,28 @@ def hurwitz_word(spec: FibrationSpec) -> Word:
 
 # -- validation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ValidationIssue:
-    where: str
-    message: str
+    __slots__ = ("where", "message")
+
+    def __init__(self, where: str, message: str):
+        self.where = where
+        self.message = message
 
     def __str__(self):
         return f"{self.where}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    # the Hurwitz system folded once (``_hurwitz_state`` of the data that
-    # passed), which ``signature_meyer_path`` reads; None when validation
-    # stopped before the fold or the active genus is 0
-    hurwitz: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("issues", "notes", "hurwitz")
+
+    def __init__(self, issues: list[ValidationIssue] | None = None,
+                 notes: list[str] | None = None, hurwitz: tuple | None = None):
+        self.issues = [] if issues is None else issues
+        self.notes = [] if notes is None else notes
+        # the Hurwitz system folded once (``_hurwitz_state`` of the data that
+        # passed), which ``signature_meyer_path`` reads; None when validation
+        # stopped before the fold or the active genus is 0
+        self.hurwitz = hurwitz
 
     @property
     def ok(self) -> bool:
@@ -364,11 +406,14 @@ def _as_integer(x: Fraction, what: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
 class SignatureBreakdown:
-    sigma_terms: tuple[tuple[str, Fraction], ...]
-    h_terms: tuple[tuple[str, Fraction], ...]
-    total: Fraction
+    __slots__ = ("sigma_terms", "h_terms", "total")
+
+    def __init__(self, sigma_terms: tuple[tuple[str, Fraction], ...],
+                 h_terms: tuple[tuple[str, Fraction], ...], total: Fraction):
+        self.sigma_terms = sigma_terms
+        self.h_terms = h_terms
+        self.total = total
 
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
@@ -473,11 +518,14 @@ _B2 = {"CP2": (1, 0), "CP2bar": (0, 1), "S2xS2": (1, 1), "E2": (3, 19)}
 _PAREN_IN_SUMS = {"S2xS2"}
 
 
-@dataclass(frozen=True)
 class HomeoReport:
-    status: str                      # "ok" or "indeterminate"
-    summands: tuple[tuple[int, str], ...] = ()
-    display: str = ""
+    __slots__ = ("status", "summands", "display")
+
+    def __init__(self, status: str, summands: tuple[tuple[int, str], ...] = (),
+                 display: str = ""):
+        self.status = status  # "ok" or "indeterminate"
+        self.summands = summands
+        self.display = display
 
 
 def _format_summands(summands) -> str:
@@ -619,17 +667,23 @@ def abelianization(g: int, cycle: CurveDescriptor) -> str:
 
 # -- full report --------------------------------------------------------------
 
-@dataclass
 class InvariantReport:
-    spec: FibrationSpec
-    validation: ValidationReport
-    signature: int
-    euler: int
-    breakdown: SignatureBreakdown
-    meyer_path_signature: int
-    two_paths_agree: bool
-    homeomorphism: HomeoReport
-    notes: tuple[str, ...] = ()
+    __slots__ = ("spec", "validation", "signature", "euler", "breakdown",
+                 "meyer_path_signature", "two_paths_agree", "homeomorphism", "notes")
+
+    def __init__(self, spec: FibrationSpec, validation: ValidationReport, signature: int,
+                 euler: int, breakdown: SignatureBreakdown, meyer_path_signature: int,
+                 two_paths_agree: bool, homeomorphism: HomeoReport,
+                 notes: tuple[str, ...] = ()):
+        self.spec = spec
+        self.validation = validation
+        self.signature = signature
+        self.euler = euler
+        self.breakdown = breakdown
+        self.meyer_path_signature = meyer_path_signature
+        self.two_paths_agree = two_paths_agree
+        self.homeomorphism = homeomorphism
+        self.notes = notes
 
     def to_dict(self) -> dict:
         return {

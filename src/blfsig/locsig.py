@@ -32,28 +32,35 @@ chain index, O(1) at every genus, that every other function here reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import IOTA, ChainTwist, Iota, Word, homomorphism
+from .words import IOTA, ChainTwist, Frozen, Iota, Word, homomorphism
 
 
 class ContextError(ValueError):
     """A generator outside the generating set of the curve stabiliser."""
 
 
-@dataclass(frozen=True)
-class CycleContext:
+class CycleContext(Frozen):
     """A vanishing-cycle type together with the ambient genus."""
-    genus: int
-    cycle: CurveDescriptor
+    __slots__ = ("genus", "cycle")
 
-    def __post_init__(self):
-        surface.check_genus(self.genus)
-        if isinstance(self.cycle, TypeII) and not 0 <= self.cycle.h <= self.genus:
-            raise ValueError(f"II_{self.cycle.h} invalid at genus {self.genus}")
+    def __init__(self, genus: int, cycle: CurveDescriptor):
+        surface.check_genus(genus)
+        if isinstance(cycle, TypeII) and not 0 <= cycle.h <= genus:
+            raise ValueError(f"II_{cycle.h} invalid at genus {genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cycle", cycle)
+
+    def __eq__(self, other):
+        if other.__class__ is not CycleContext:
+            return NotImplemented
+        return self.genus == other.genus and self.cycle == other.cycle
+
+    def __hash__(self):
+        return hash((self.genus, self.cycle))
 
     def __str__(self):
         return f"(g={self.genus}, {self.cycle})"
@@ -187,14 +194,17 @@ def _s_value(w: Word, ctx: CycleContext, c: int, c_push: int) -> int:
     return int(homomorphism(w, lambda gen: s_generator(gen, ctx))) - c + c_push
 
 
-@dataclass(frozen=True)
 class DecompositionReport:
     """Both sides of the identity h = s + phi - (pushforward phi)."""
-    context: CycleContext
-    homomorphism: Fraction
-    s_term: int
-    phi_term: Fraction
-    pushed_phi_term: Fraction
+    __slots__ = ("context", "homomorphism", "s_term", "phi_term", "pushed_phi_term")
+
+    def __init__(self, context: CycleContext, homomorphism: Fraction, s_term: int,
+                 phi_term: Fraction, pushed_phi_term: Fraction):
+        self.context = context
+        self.homomorphism = homomorphism
+        self.s_term = s_term
+        self.phi_term = phi_term
+        self.pushed_phi_term = pushed_phi_term
 
     @property
     def assembled(self) -> Fraction:

@@ -51,26 +51,43 @@ J M_j built once: about half the work of the product M^-1 M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, neg
 
 from . import ratlin
-from .words import ChainTwist, Iota, Word, WordError, evaluate
+from .words import ChainTwist, Frozen, Iota, Word, WordError, evaluate
 
 
-@dataclass(frozen=True)
-class TypeI:
+class TypeI(Frozen):
     """A non-separating simple closed curve."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not TypeI:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
 
     def __str__(self):
         return "I"
 
 
-@dataclass(frozen=True)
-class TypeII:
+class TypeII(Frozen):
     """A separating curve bounding subsurfaces of genus h and g-h."""
-    h: int
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        object.__setattr__(self, "h", h)
+
+    def __eq__(self, other):
+        if other.__class__ is not TypeII:
+            return NotImplemented
+        return self.h == other.h
+
+    def __hash__(self):
+        return hash((self.h,))
 
     def __str__(self):
         return f"II_{self.h}"

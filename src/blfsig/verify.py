@@ -13,9 +13,7 @@ the test suite with larger sample counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import fibration, locsig, meyer, surface
 from .fibration import FibrationSpec, LefschetzDatum, RoundRegion
@@ -131,11 +129,13 @@ def random_valid_spec(rng: random.Random, max_genus: int = 3) -> FibrationSpec:
 
 # -- checks -------------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def __str__(self):
         mark = "ok  " if self.passed else "FAIL"
@@ -157,9 +157,19 @@ def check_cocycle_identity(rng, samples: int, max_genus: int) -> CheckResult:
                        f"{total} random symplectic triples, {bad} violations")
 
 
+def _phi_as_written(w: Word) -> Fraction:
+    """phi(w) with the correction folded on w as written.  ``meyer.phi``
+    folds ``words.reduce_word(w)`` instead, whose cyclic merges cancel the
+    conjugator of a conjugate u t u^-1."""
+    return meyer.generator_sum(w) + meyer._state(w)[0]
+
+
 def check_calibration(rng, samples: int, max_genus: int) -> CheckResult:
-    """phi of the top chain twist, and of random conjugates of it; this
-    pins the sign convention of the cocycle."""
+    """phi of the top chain twist, and of random conjugates of it, both by
+    ``meyer.phi`` and folded as written.  The fold as written joins the
+    window forms of the conjugate's letters by cocycle evaluations, so a
+    cocycle of the wrong sign misses the value; this pins the sign
+    convention of the cocycle."""
     bad = []
     for g in range(1, max_genus + 1):
         want = Fraction(g + 1, 2 * g + 1)
@@ -168,7 +178,7 @@ def check_calibration(rng, samples: int, max_genus: int) -> CheckResult:
         for _ in range(samples):
             u = random_word(rng, g, rng.randrange(1, 7))
             w = u * gen_word(g, ChainTwist(2 * g + 1)) * u.inverse()
-            if meyer.phi(w) != want:
+            if meyer.phi(w) != want or _phi_as_written(w) != want:
                 bad.append(f"conjugate at g={g}")
                 break
     return CheckResult("cobounding calibration", not bad,

@@ -35,7 +35,10 @@ genus 0 holds no chain twist, as a sphere has no chain curves.  Parentheses
 nest at most MAX_NESTING deep, which bounds the recursion of every
 evaluator that walks a parsed word.  ``parse_word`` keeps the words of
 recent texts: a Word is immutable, so a text repeated across a spec file
-is parsed once.
+is parsed once.  For the same reason a Word caches its hash when first
+hashed, so a word that holds a nested word many times (as words built
+through the API may) hashes in time linear in its size as written, not in
+its number of occurrences of that nested word.
 """
 
 from __future__ import annotations
@@ -44,30 +47,68 @@ import math
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ChainTwist:
+class Frozen:
+    """Base of the immutable value classes of the package: assigning or
+    deleting an attribute raises AttributeError, and the repr lists the
+    public slots, ``ChainTwist(index=3)``.  Each subclass writes out its
+    ``__init__`` (setting its slots with ``object.__setattr__``),
+    ``__eq__`` and ``__hash__``."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+class ChainTwist(Frozen):
     """Right-handed Dehn twist along the index-th chain curve."""
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not ChainTwist:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __str__(self):
         return f"t{self.index}"
 
 
-@dataclass(frozen=True)
-class Iota:
+class Iota(Frozen):
     """The hyperelliptic involution."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not Iota:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
 
     def __str__(self):
         return "iota"
 
 
-Generator = Union[ChainTwist, Iota]
+Generator = ChainTwist | Iota
 IOTA = Iota()
 MAX_NESTING = 100
 
@@ -76,34 +117,49 @@ class WordError(ValueError):
     """Malformed word: bad index, zero exponent, or genus mismatch."""
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A word in the generators at a fixed genus.
 
     ``items`` is a tuple of (item, exponent) pairs; an item is a generator
     or a nested Word of the same genus, and exponents are nonzero ints.
+    The hash is computed on first use and kept, so hashing a word whose
+    nested words are hashed already costs O(len(items)).
     """
-    genus: int
-    items: tuple = ()
+    __slots__ = ("genus", "items", "_hash")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise WordError(f"genus must be >= 0, got {self.genus}")
-        for item, exp in self.items:
+    def __init__(self, genus: int, items: tuple = ()):
+        if genus < 0:
+            raise WordError(f"genus must be >= 0, got {genus}")
+        for item, exp in items:
             if not isinstance(exp, int) or exp == 0:
                 raise WordError(f"exponent must be a nonzero integer, got {exp!r}")
             if isinstance(item, Word):
-                if item.genus != self.genus:
+                if item.genus != genus:
                     raise WordError("nested word has mismatched genus")
             elif isinstance(item, ChainTwist):
-                if not self.genus:
+                if not genus:
                     raise WordError(f"t{item.index} at genus 0: a sphere has no chain curves")
-                if not 1 <= item.index <= 2 * self.genus + 1:
+                if not 1 <= item.index <= 2 * genus + 1:
                     raise WordError(
-                        f"t{item.index} out of range for genus {self.genus} "
-                        f"(max index {2 * self.genus + 1})")
+                        f"t{item.index} out of range for genus {genus} "
+                        f"(max index {2 * genus + 1})")
             elif not isinstance(item, Iota):
                 raise WordError(f"unknown generator {item!r}")
+        _set(self, "genus", genus)
+        _set(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.genus == other.genus and self.items == other.items
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.genus, self.items))
+            _set(self, "_hash", h)
+            return h
 
     def __mul__(self, other: "Word") -> "Word":
         if self.genus != other.genus:
@@ -181,10 +237,11 @@ class Word:
 
 def _checked_word(genus: int, items: tuple) -> Word:
     """A Word built from items that are already valid at this genus (taken
-    from checked words), without running ``Word.__post_init__`` again."""
+    from checked words), without running the checks of ``Word.__init__``
+    again."""
     w = object.__new__(Word)
-    object.__setattr__(w, "genus", genus)
-    object.__setattr__(w, "items", items)
+    _set(w, "genus", genus)
+    _set(w, "items", items)
     return w
 
 

@@ -11,13 +11,16 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
 from blfsig import fibration as fib
 from blfsig import locsig, meyer, ratlin, surface
 from blfsig.fibration import family_spec
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import (
-    random_context_word, random_symplectic, random_valid_spec, random_word,
+    DEFAULT_SEED, check_calibration, random_context_word, random_symplectic,
+    random_valid_spec, random_word,
 )
 from blfsig.words import IOTA, ChainTwist, chain_word, gen_word
 from conftest import arr, random_int_matrix, random_symmetric, signature_oracle
@@ -142,8 +145,18 @@ def test_criterion_06_meyer_calibration():
             u = random_word(rng, g, rng.randrange(1, 8))
             w = u * gen_word(g, ChainTwist(2 * g + 1)) * u.inverse()
             assert meyer.phi(w) == want
+            # folded as written, so that the reduction cancels no conjugator
+            assert meyer.generator_sum(w) + meyer._state(w)[0] == want
     _ok(6, "phi(top twist) = (g+1)/(2g+1) on 50 random conjugates per genus, "
-           "g = 1..3")
+           "g = 1..3, reduced and as written")
+
+
+def test_calibration_fails_when_the_cocycle_changes_sign(monkeypatch):
+    tau = meyer._tau_cached
+    monkeypatch.setattr(meyer, "_tau_cached", lambda A, B: -tau(A, B))
+    with pytest.raises(AssertionError):
+        test_criterion_06_meyer_calibration()
+    assert not check_calibration(random.Random(DEFAULT_SEED), 30, 3).passed
 
 
 def test_criterion_07_cocycle_identity():

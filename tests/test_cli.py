@@ -3,7 +3,6 @@ import copy
 import io
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -248,7 +247,9 @@ def test_data_that_validation_rejects_exit_one(capsys, tmp_path, monkeypatch):
     assert code == 1 and err == "validation: lefschetz[16]: II_7 is not essential at genus 2\n"
     # a spec file cannot hold a datum of another genus, so hand one to compute
     spec = fibration.family_spec("mgn", 2, 1)
-    bad = replace(spec, lefschetz=spec.lefschetz + (fibration.chain_twist_datum(1, 1),))
+    bad = fibration.FibrationSpec(
+        spec.higher_fiber, spec.lefschetz + (fibration.chain_twist_datum(1, 1),),
+        spec.rounds, spec.spin, spec.simply_connected)
     monkeypatch.setattr(fibration, "load_spec", lambda path: bad)
     code, _, err = run(capsys, "compute", str(path))
     assert code == 1 and err == "validation: lefschetz[16]: word genus 1 != fiber genus 2\n"

@@ -1,4 +1,4 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and loads little of it.
 
 numpy stays a test-only dependency (the oracles use it as an independent
 matrix product), so each check runs in a fresh interpreter.
@@ -34,3 +34,22 @@ def test_cli_and_report_need_no_numpy(block):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+IMPORT_GRAPH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+unwanted = ("dataclasses", "inspect", "typing", "blfsig.verify")
+import blfsig
+print(*[m for m in unwanted if m in sys.modules])
+import blfsig.cli
+print(*[m for m in unwanted if m in sys.modules])
+"""
+
+
+def test_import_loads_no_dataclasses_typing_or_verify():
+    # -S: no site, whose start-up may load typing itself
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_GRAPH, str(ROOT / "src")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n\n"

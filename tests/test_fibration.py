@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,12 @@ from blfsig.verify import random_valid_spec, random_word
 from blfsig.words import (IOTA, ChainTwist, Word, WordError, chain_word, format_word,
                           gen_word, parse_word)
 from conftest import arr, eye, plain_fold
+
+
+def with_data(spec, data):
+    """The spec with its Lefschetz data replaced by ``data``."""
+    return FibrationSpec(spec.higher_fiber, tuple(data), spec.rounds, spec.spin,
+                         spec.simply_connected)
 
 
 def random_conjugator(rng, g, length):
@@ -316,7 +321,7 @@ class TestTelescopedMeyerPath:
             p = rng.randrange(len(data) - 1)
             a, b = data[p], data[p + 1]
             data[p:p + 2] = LefschetzDatum(b.cycle, a.word() * b.conjugator), a
-        spec = replace(family_spec("mgn", 2, 2), lefschetz=tuple(data))
+        spec = with_data(family_spec("mgn", 2, 2), data)
         assert all(isinstance(item, ChainTwist) for d in data for item, _ in d.conjugator.items)
         assert len(set(data)) < len(data)
         act, evaluate = surface.word_action, surface.word_matrix
@@ -351,7 +356,7 @@ def hurwitz_moved_family(rng, g, n, moves):
         p = 4 * g * r + rng.randrange(4 * g - 1)
         a, b = data[p], data[p + 1]
         data[p:p + 2] = LefschetzDatum(b.cycle, a.word() * b.conjugator), a
-    return replace(spec, lefschetz=tuple(data))
+    return with_data(spec, data)
 
 
 class TestHurwitzFold:
@@ -388,7 +393,7 @@ class TestHurwitzFold:
                                            random_conjugator(rng, g, rng.randrange(0, 6)))
                         data.insert(rng.randrange(1, len(data)), d)
                     received.clear()
-                    report = fib.validate(replace(spec, lefschetz=tuple(data)))
+                    report = fib.validate(with_data(spec, data))
                     assert report.ok, report.issues
                     c, H = report.hurwitz
                     assert (c, arr(H).tolist()) == \
@@ -428,7 +433,7 @@ class TestHurwitzFold:
         data = list(family_spec("mgn", 2, 1).lefschetz)
         for bad in (LefschetzDatum(TypeII(7), Word(2)), chain_twist_datum(1, 1)):
             folded.clear()
-            spec = replace(family_spec("mgn", 2, 1), lefschetz=tuple(data + [bad]))
+            spec = with_data(family_spec("mgn", 2, 1), data + [bad])
             with pytest.raises(fib.ValidationError):
                 fib.compute_report(spec)
             assert folded in ([], [len(data)])

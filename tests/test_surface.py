@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,19 @@ class TestWordToMatrix:
             for _ in range(abs(e)):
                 flat = flat * (inner if e > 0 else inner.inverse())
             assert surface.word_to_matrix(inner ** e) == surface.word_to_matrix(flat)
+
+    def test_a_shared_nested_word_costs_its_depth(self):
+        # w_{k+1} = (w_k) t3 (w_k)^-1 shares w_k twice, so it has 2^depth
+        # occurrences of w_0 but 3 items per level; its matrix is the
+        # transvection along M_k c_3, M_k the matrix of w_k
+        w, M = parse_word("t1 t2", 2), surface.mat_mul(twist(1, 2), twist(2, 2))
+        for _ in range(40):
+            w = Word(2, ((w, 1), (ChainTwist(3), 1), (w, -1)))
+            M = surface.mat_mul(surface.mat_mul(M, twist(3, 2)), surface.sp_inverse(M))
+        surface.word_matrix.cache_clear()
+        t = time.perf_counter()
+        assert surface.word_matrix(w) == M
+        assert time.perf_counter() - t < 1.0
 
 
 def nested_random_word(rng, g):

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blfsig.fibration import FibrationSpec, LefschetzDatum, RoundRegion
+from blfsig.locsig import CycleContext
+from blfsig.surface import TypeI, TypeII
 from blfsig.words import (
-    IOTA, MAX_NESTING, ChainTwist, Word, WordError,
+    IOTA, MAX_NESTING, ChainTwist, Iota, Word, WordError,
     chain_word, evaluate, format_word, gen_word, parse_word, pow_by_squaring, reduce_word,
     runs,
 )
@@ -113,10 +116,10 @@ def test_products_of_checked_words_are_not_rechecked(monkeypatch):
     u, v = parse_word("t1 (t2 t3)^2", 2), parse_word("t5^-1 iota", 2)
     other_genus = gen_word(3, ChainTwist(1))
 
-    def recheck(self):
+    def recheck(self, genus, items=()):
         raise AssertionError("items re-validated")
 
-    monkeypatch.setattr(Word, "__post_init__", recheck)
+    monkeypatch.setattr(Word, "__init__", recheck)
     w = (u * v) ** 3 * u.inverse() * v ** 0
     assert list(w.letters()) == (list(u.letters()) + list(v.letters())) * 3 + \
         list(u.inverse().letters())
@@ -124,6 +127,70 @@ def test_products_of_checked_words_are_not_rechecked(monkeypatch):
         u * other_genus
     with pytest.raises(WordError):
         u ** 1.5
+
+
+T1 = ((ChainTwist(1), 2),)
+# (build, fields as (name, value, a different value), repr text) per value class
+VALUE_CLASSES = [
+    (ChainTwist, [("index", 3, 4)], "ChainTwist(index=3)"),
+    (Iota, [], "Iota()"),
+    (Word, [("genus", 2, 3), ("items", T1, ())],
+     "Word(genus=2, items=((ChainTwist(index=1), 2),))"),
+    (TypeI, [], "TypeI()"),
+    (TypeII, [("h", 1, 2)], "TypeII(h=1)"),
+    (CycleContext, [("genus", 2, 3), ("cycle", TypeII(1), TypeI())],
+     "CycleContext(genus=2, cycle=TypeII(h=1))"),
+    (LefschetzDatum, [("cycle", TypeI(), TypeII(0)), ("conjugator", Word(1, T1), Word(1))],
+     "LefschetzDatum(cycle=TypeI(), conjugator=Word(genus=1, items=((ChainTwist(index=1), 2),)))"),
+    (RoundRegion, [("component", 0, 1), ("cycle", TypeI(), TypeII(1)),
+                   ("monodromy", Word(2), Word(2, T1))],
+     "RoundRegion(component=0, cycle=TypeI(), monodromy=Word(genus=2, items=()))"),
+    (FibrationSpec, [("higher_fiber", (2,), (3,)),
+                     ("lefschetz", (), (LefschetzDatum(TypeI(), Word(2)),)),
+                     ("rounds", (), (RoundRegion(0, TypeI(), Word(2)),)),
+                     ("spin", False, True), ("simply_connected", False, True)],
+     "FibrationSpec(higher_fiber=(2,), lefschetz=(), rounds=(), spin=False, "
+     "simply_connected=False)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_CLASSES,
+                         ids=[case[0].__name__ for case in VALUE_CLASSES])
+def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, text):
+    values = [value for _, value, _ in fields]
+    a = cls(*values)
+    assert a == cls(*values) == cls(**{name: value for name, value, _ in fields})
+    # the hash of the tuple of fields, as a frozen dataclass hashes
+    assert hash(a) == hash(cls(*values)) == hash(tuple(values))
+    assert repr(a) == text
+    assert a != object() and not a == object()
+    assert all(a != other for other in (TypeI(), IOTA, Word(2)) if type(other) is not cls)
+    for k, (name, _, changed) in enumerate(fields):
+        b = cls(*values[:k], changed, *values[k + 1:])
+        assert a != b and getattr(b, name) == changed
+    for name in [name for name, _, _ in fields] + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    for name, value, _ in fields:
+        assert getattr(a, name) == value
+
+
+def test_a_word_hashes_its_items_once(monkeypatch):
+    hashed = []
+
+    def counting(self):
+        hashed.append(self.index)
+        return hash((self.index,))
+
+    u = parse_word("t1 t2^-1 (t3 t1)^2", 2)
+    monkeypatch.setattr(ChainTwist, "__hash__", counting)
+    for w in (u, u * u.inverse(), Word(2, ((u, 3), (ChainTwist(4), 1)))):
+        hashed.clear()
+        h = hash(w)
+        assert hashed  # the first hash reads the items
+        hashed.clear()
+        assert hash(w) == h and not hashed
+        assert h == hash((w.genus, w.items))
 
 
 def test_power_of_the_empty_word_is_empty():
