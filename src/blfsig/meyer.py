@@ -30,28 +30,14 @@ solutions with alpha != 0.  Their images E alpha span W (rarely with a
 dependent one, which only adds radical), so the Gram matrix has at most 2g
 rows, the kernel has dimension at most 2g instead of up to 4g, and tau
 with an identity argument builds no form at all.  E and Y depend on B
-alone and are cached per matrix (``_image``).  For a transvection B they
-are read off B with no reduction: B - 1 has rank one, so a nonzero column
-f = (B - 1) e_j spans its image, with E = (f,) and Y = (e_j,); B = 1 has
-empty E and Y, and any other B is column-reduced once per process.
+alone, so ``_image`` column-reduces B - 1 once per matrix; B = 1 has
+empty E and Y.
 
-Three kinds of argument get a smaller form.  Each is exact because the
-form on V and the form it induces on W have one signature.
-
-- B a transvection, Im(B - 1) = Q e with (B - 1) y = e: W is Q e or 0.
-  One solution (x, alpha) with alpha != 0 spans it, and with u = x + alpha y
-  the Gram matrix is the single number -alpha <u, e>, so
-  tau = sign(alpha <u, e>).
-- A a transvection too: a symplectic A with rank(A - 1) = 1 fixes its
-  image, so for a nonzero column f = (A - 1) e_j, (A^-1 - 1) e_j =
-  -A^-1 f = -f and Im(A^-1 - 1) = Q f.  W != 0 exactly when e is parallel
-  to f, and then x = e_p e_j, alpha = f_p solve the system with no kernel,
-  e_p being the first nonzero entry of e.
-- B = -1: B - 1 = -2 is invertible, so V = {(x, (A^-1 - 1) x / 2)},
-  W = Im(A^-1 - 1), and the pairing is x1^T (J A^-1 - A^-T J) x2 / 2.  On
-  the vectors (2A e_i, (1 - A) e_i) its Gram matrix is 2(A^T J - J A), with
-  no reduction and no kernel: tau(A, -1) = -sig(A^T J - J A), the form
-  x -> <Ax, x> on Q^2g.
+B = -1 takes a form of its own, on V itself: B - 1 = -2 is invertible, so
+V = {(x, (A^-1 - 1) x / 2)}, W = Im(A^-1 - 1), and the pairing is
+x1^T (J A^-1 - A^-T J) x2 / 2.  On the vectors (2A e_i, (1 - A) e_i) its
+Gram matrix is 2(A^T J - J A), with no reduction and no kernel:
+tau(A, -1) = -sig(A^T J - J A), the form x -> <Ax, x> on Q^2g.
 
 The cobounding function phi obeys phi(uv) = phi(u) + phi(v) - tau(u, v)
 and has the base values
@@ -130,17 +116,28 @@ fold takes the Lefschetz data as their vanishing classes, the pairs
 A nested power s^N (a power of a subword, or a repeated block of data) is
 raised by ``_power``.  When |N| <= 2(4g+2) that is repeated squaring, about
 1.5 log2 |N| cocycle evaluations.  A larger power is raised at its period
-when it has one.  Fold s, s^2, ..., s^k, for k up to 4g + 2 (Wiman's bound
-on the order of a periodic mapping class), and stop at the first k with
-(U - 1)^2 = 0, U = M^k.  Such a U is the identity, a transvection power or
-a multitwist along pairwise orthogonal classes.  Then
+when it has one.  Multiply M, M^2, ..., M^k, for k up to 4g + 2 (Wiman's
+bound on the order of a periodic mapping class), and stop at the first k
+with (U - 1)^2 = 0, U = M^k.  Such a U is the identity, a transvection
+power or a multitwist along pairwise orthogonal classes.  Only then fold
+s, s^2, ..., s^k, from c_(j+1) = c_j + c_1 - tau(M^j, M), and take
 
     s^N = (s^k)^q s^r,   q = N div k, r = N mod k,
     (c_k, U)^q = (q c_k - (q - 1) tau(U, U), 1 + q (U - 1)),
 
-which costs the k - 1 steps of the search, one tau(U, U) and one join, and
-nothing past the search when U = 1.  The step that closes a period,
-M^(k-1) M = 1, asks for no tau, as tau(M^-1, M) = 0.  The closed form
+which costs the k - 1 steps of the fold, one tau(U, U) and one join, and
+nothing past the fold when U = 1.  When U = 1, half of the steps are read
+off the other half.  tau(u, v) = phi(u) + phi(v) - phi(uv), with
+phi(w^-1) = -phi(w) and phi(uv) = phi(vu), gives tau(A^-1, B^-1) =
+-tau(A, B) on word matrices; and the cocycle identity at (M^j, M^-1, M),
+tau(M^j, M^-1) + tau(M^(j-1), M) = tau(M^j, 1) + tau(M^-1, M) = 0, gives
+tau(M^j, M^-1) = -tau(M^(j-1), M).  So for M^k = 1
+
+    tau(M^(k-j), M) = tau(M^-j, M) = -tau(M^j, M^-1) = tau(M^(j-1), M),
+
+and the steps M^j M with 1 <= j <= (k - 1)/2 are the only ones that ask
+for the cocycle: floor((k - 1)/2) evaluations.  The step that closes the
+period, j = k - 1, asks for none, as tau(1, M) = 0.  The closed form
 follows by induction on q from tau(U^j, U) = tau(U, U) for j >= 1, and
 U^q = 1 + q(U - 1).  Proof of the lemma: write N = U - 1 and A = U^j =
 1 + jN, so A^-1 - 1 = -jN and V_{A,U} = {(x, y) : N(y - jx) = 0}, that is
@@ -155,8 +152,9 @@ because ker N is omega-orthogonal to Im N, as above.  So the form is
 does not depend on j >= 1.  The search gives up, for squaring, as soon as
 |tr M^k| > 2g, since some eigenvalue of M is then off the unit circle and
 no power of M is unipotent, or when k reaches 4g + 2 with no period found;
-(U - 1)^2 = 0 is tested, as U^2 = 2U - 1 with the sparse products of
-``surface``, only when tr U = 2g.
+having asked for no tau, it spends none before squaring.  (U - 1)^2 = 0 is
+tested, as U^2 = 2U - 1 with the sparse products of ``surface``, only when
+tr U = 2g.
 
 M^k = -1 is no period.  The powers of (c_k, -1) are (q c_k, +-1), as
 tau(-1, -1) = 0, but joining s^r then asks for tau(-1, M^r) =
@@ -165,8 +163,8 @@ central element that costs nothing, like 1, gave a wrong phi on 110 of
 4,500 random powers, all at g <= 2.  (U - 1)^2 = 4 rules it out, and the
 search goes on to M^2k = 1.  So a periodic power, such as
 (t1 t2 t3 t4)^N with its tenth power the identity on homology, costs at
-most 4g + 1 cocycle evaluations whatever N, and a multitwist such as
-(t1 t3 t5)^N costs one.
+most floor((4g + 1)/2) = 2g cocycle evaluations whatever N (four for that
+one), and a multitwist such as (t1 t3 t5)^N costs one.
 
 Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
 ``meyer_form`` also take any sequence of integer rows, normalise it to
@@ -224,8 +222,6 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
     E, Y = _image(B)
     if not E:
         return []
-    if len(E) == 1:
-        return _gram_line(A, E[0], Y[0])
     us = []
     zs = []
     for v in ratlin.kernel_basis_int(_kernel_rows(A, E)):
@@ -252,18 +248,12 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
 
 @lru_cache(maxsize=1 << 10)
 def _image(B: tuple) -> tuple[tuple, tuple]:
-    """(E, Y): a basis E of Im(B - 1), as columns, and preimages with
-    (B - 1) Y[k] = E[k], once per matrix B.  Empty for B = 1; for a
-    transvection the column f = (B - 1) e_j that ``_rank_one_column`` finds
-    and e_j, read off B with no reduction; otherwise a lattice basis from
-    one column reduction."""
+    """(E, Y): a lattice basis E of Im(B - 1), as columns, and preimages
+    with (B - 1) Y[k] = E[k], from one column reduction per matrix B;
+    empty for B = 1."""
     n = len(B)
     if B == surface.sp_identity(n // 2):
         return (), ()
-    found = _rank_one_column(B)
-    if found is not None:
-        j, f = found
-        return (tuple(f),), (tuple(int(k == j) for k in range(n)),)
     E, Y, _ = ratlin.column_reduce([[B[i][j] - (i == j) for j in range(n)]
                                     for i in range(n)])
     return tuple(map(tuple, E)), tuple(map(tuple, Y))
@@ -288,50 +278,6 @@ def _kernel_rows(A: tuple, E) -> list[list[int]]:
         row += tail
         K.append(row)
     return K
-
-
-def _gram_line(A: tuple, e: tuple, y: tuple) -> list[list[int]]:
-    """The form when Im(B - 1) = Q e, with (B - 1) y = e: W is Q e or 0,
-    and the Gram matrix is the 1 x 1 value -alpha <u, e> of one vector
-    (x, alpha y) of V with alpha != 0, where u = x + alpha y."""
-    n = len(A)
-    found = _rank_one_column(A)
-    if found is None:
-        x = next((v for v in ratlin.kernel_basis_int(_kernel_rows(A, (e,))) if v[n]), None)
-        if x is None:
-            return []  # e is not in Im(A^-1 - 1)
-        alpha = x[n]
-        u = [p + alpha * q for p, q in zip(x, y)]
-    else:
-        # A is a transvection, fixing f = (A - 1) e_j, so (A^-1 - 1) e_j = -f
-        j, f = found
-        p = next(i for i, x in enumerate(e) if x)
-        ep, alpha = e[p], f[p]
-        if any(alpha * a != ep * b for a, b in zip(e, f)):
-            return []  # Q e ∩ Q f = 0
-        # x = e_p e_j: (A^-1 - 1) x = -e_p f = -f_p e
-        u = [alpha * q for q in y]
-        u[j] += ep
-    return [[-alpha * surface.pairing(u, e)]]
-
-
-def _rank_one_column(A: tuple):
-    """(j, (A - 1) e_j) for a nonzero column j if A - 1 has rank one, else
-    None, for A != 1; stops at the first row of A - 1 that is not a
-    multiple of the first nonzero one."""
-    units = surface.sp_identity(len(A) // 2)
-    R = None
-    for row, unit in zip(A, units):
-        if row == unit:
-            continue
-        d = [a - b for a, b in zip(row, unit)]
-        if R is None:
-            R = d
-            j = next(k for k, x in enumerate(d) if x)
-            Rj = R[j]
-        elif any(Rj * a != d[j] * b for a, b in zip(d, R)):
-            return None
-    return j, [row[j] - unit[j] for row, unit in zip(A, units)]
 
 
 def _gram_minus_one(A: tuple) -> list[list[int]]:
@@ -386,11 +332,14 @@ def _invert(s):
 
 def _power(s, N: int):
     """s ** N for a state s = (c, M) and a nonzero int N.  For |N| > 2(4g+2)
-    it folds s, s^2, ..., s^k until U = M^k satisfies (U - 1)^2 = 0, with k
-    at most 4g + 2, and then s^N = (s^k)^q s^r, q = N div k and r = N mod k,
-    with (s^k)^q in closed form (see the module docstring).  It falls back to
-    squaring once |tr M^k| > 2g, as no power of M is then unipotent, or when
-    k would pass 4g + 2.  Every other power is ``pow_by_squaring``."""
+    it finds the first k <= 4g + 2 with (U - 1)^2 = 0, U = M^k, by matrix
+    products alone, then folds s, s^2, ..., s^k and returns s^N =
+    (s^k)^q s^r, q = N div k and r = N mod k, with (s^k)^q in closed form
+    (see the module docstring); when U = 1, half of the fold's cocycle
+    values are read off the other half.  It falls back to squaring, with no
+    cocycle call spent, once |tr M^k| > 2g, as no power of M is then
+    unipotent, or when k would pass 4g + 2.  Every other power is
+    ``pow_by_squaring``."""
     n = len(s[1])
     bound = 2 * n + 2  # 4g + 2, Wiman's bound on the order of a periodic class
     if abs(N) <= 2 * bound:
@@ -398,28 +347,28 @@ def _power(s, N: int):
     if N < 0:
         s, N = _invert(s), -N
     c, M = s
-    one = surface.sp_identity(n // 2)
-    powers = [s]  # powers[j] = s^(j + 1)
-    ck, U = s
+    Ms = [surface.sp_identity(n // 2), M]  # Ms[j] = M^j
     for k in range(1, bound + 1):
+        U = Ms[k]
         trace = sum(U[i][i] for i in range(n))
-        if abs(trace) > n:
-            break
         # (U - 1)^2 = 0 as U^2 = 2U - 1, tested only when tr U = 2g
         if trace == n and surface.mat_mul(U, U) == _affine(U, 2):
-            q, r = divmod(N, k)
-            if U == one:  # s^N = (q c_k + c_r, M^r), no cocycle call
-                cr, R = powers[r - 1] if r else (0, one)
-                return (q * ck + cr, R)
-            state = (q * ck - (q - 1) * _tau_cached(U, U), _affine(U, q))
-            return _combine(state, powers[r - 1]) if r else state
-        if k == bound:
             break
-        P = surface.mat_mul(U, M)
-        # the step that closes a period asks for no tau: tau(M^-1, M) = 0
-        ck, U = ck + c - (0 if P == one else _tau_cached(U, M)), P
-        powers.append((ck, U))
-    return pow_by_squaring(s, N, _combine, _invert)
+        if abs(trace) > n or k == bound:
+            return pow_by_squaring(s, N, _combine, _invert)
+        Ms.append(surface.mat_mul(U, M))
+    periodic = U == Ms[0]
+    taus = [0] * k  # taus[j] = tau(M^j, M), and tau(1, M) = 0
+    cs = [0, c]  # cs[j] = c_j, the correction of s^j
+    for j in range(1, k):
+        # when M^k = 1, tau(M^j, M) = tau(M^(k-1-j), M)
+        taus[j] = taus[k - 1 - j] if periodic and 2 * j >= k else _tau_cached(Ms[j], M)
+        cs.append(cs[-1] + c - taus[j])
+    q, r = divmod(N, k)
+    if periodic:  # s^N = (q c_k + c_r, M^r), no further cocycle call
+        return (q * cs[k] + cs[r], Ms[r])
+    state = (q * cs[k] - (q - 1) * _tau_cached(U, U), _affine(U, q))
+    return _combine(state, (cs[r], Ms[r])) if r else state
 
 
 def _affine(U: tuple, q: int) -> tuple:

@@ -123,7 +123,10 @@ class Word(Frozen):
     ``items`` is a tuple of (item, exponent) pairs; an item is a generator
     or a nested Word of the same genus, and exponents are nonzero ints.
     The hash is computed on first use and kept, so hashing a word whose
-    nested words are hashed already costs O(len(items)).
+    nested words are hashed already costs O(len(items)).  ``==`` walks each
+    pair of nested words once (``_same_word``), so two separately built
+    copies of a word that shares its nested words compare in the size as
+    written.
     """
     __slots__ = ("genus", "items", "_hash")
 
@@ -151,7 +154,7 @@ class Word(Frozen):
     def __eq__(self, other):
         if other.__class__ is not Word:
             return NotImplemented
-        return self.genus == other.genus and self.items == other.items
+        return _same_word(self, other, set())
 
     def __hash__(self):
         try:
@@ -233,6 +236,26 @@ class Word(Frozen):
 
     def __str__(self):
         return format_word(self)
+
+
+def _same_word(u: Word, v: Word, same: set) -> bool:
+    """u == v, with ``same`` the id pairs of nested words already found
+    equal within this comparison: each pair is compared once, and unequal
+    hashes decide at once."""
+    if u is v or (id(u), id(v)) in same:
+        return True
+    if hash(u) != hash(v) or u.genus != v.genus or len(u.items) != len(v.items):
+        return False
+    for (a, e), (b, f) in zip(u.items, v.items):
+        if e != f:
+            return False
+        if a.__class__ is Word and b.__class__ is Word:
+            if not _same_word(a, b, same):
+                return False
+        elif a != b:
+            return False
+    same.add((id(u), id(v)))
+    return True
 
 
 def _checked_word(genus: int, items: tuple) -> Word:

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blfsig import surface
 from blfsig.fibration import FibrationSpec, LefschetzDatum, RoundRegion
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
@@ -191,6 +194,30 @@ def test_a_word_hashes_its_items_once(monkeypatch):
         hashed.clear()
         assert hash(w) == h and not hashed
         assert h == hash((w.genus, w.items))
+
+
+def test_copies_of_a_deep_shared_word_compare_in_its_size():
+    # w_{k+1} = (w_k) t3 (w_k)^-1 shares w_k twice: 2^40 occurrences of w_0,
+    # 3 items per level; each build is a separate set of objects
+    def shared(depth, last):
+        w = Word(2, ((ChainTwist(1), 1), (ChainTwist(last), 1)))
+        for _ in range(depth):
+            w = Word(2, ((w, 1), (ChainTwist(3), 1), (w, -1)))
+        return w
+
+    a, b, c = shared(40, 2), shared(40, 2), shared(40, 4)
+    t = time.perf_counter()
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert time.perf_counter() - t < 1.0
+    surface.word_matrix.cache_clear()
+    M = surface.word_matrix(a)
+    before = surface.word_matrix.cache_info()
+    t = time.perf_counter()
+    assert surface.word_matrix(shared(40, 2)) is M
+    assert time.perf_counter() - t < 1.0
+    after = surface.word_matrix.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_power_of_the_empty_word_is_empty():
