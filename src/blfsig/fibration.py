@@ -99,19 +99,12 @@ def chain_twist_conjugator(i: int, g: int) -> Word:
 class LefschetzDatum(Frozen):
     """One Lefschetz singularity: the twist w t w^-1 along a conjugate of
     the standard vanishing cycle of the given type."""
-    __slots__ = ("cycle", "conjugator")
+    __slots__ = ("cycle", "conjugator", "_key")
 
     def __init__(self, cycle: CurveDescriptor, conjugator: Word):
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "conjugator", conjugator)
-
-    def __eq__(self, other):
-        if other.__class__ is not LefschetzDatum:
-            return NotImplemented
-        return self.cycle == other.cycle and self.conjugator == other.conjugator
-
-    def __hash__(self):
-        return hash((self.cycle, self.conjugator))
+        object.__setattr__(self, "_key", (cycle, conjugator))
 
     @property
     def genus(self) -> int:
@@ -155,25 +148,17 @@ def chain_twist_datum(i: int, g: int) -> LefschetzDatum:
 class RoundRegion(Frozen):
     """A fold circle: which higher-side component it lives on, the type of
     its vanishing cycle, and the monodromy along the north boundary."""
-    __slots__ = ("component", "cycle", "monodromy")
+    __slots__ = ("component", "cycle", "monodromy", "_key")
 
     def __init__(self, component: int, cycle: CurveDescriptor, monodromy: Word):
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "monodromy", monodromy)
-
-    def __eq__(self, other):
-        if other.__class__ is not RoundRegion:
-            return NotImplemented
-        return (self.component == other.component and self.cycle == other.cycle
-                and self.monodromy == other.monodromy)
-
-    def __hash__(self):
-        return hash((self.component, self.cycle, self.monodromy))
+        object.__setattr__(self, "_key", (component, cycle, monodromy))
 
 
 class FibrationSpec(Frozen):
-    __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected")
+    __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected", "_key")
 
     def __init__(self, higher_fiber: tuple[int, ...],
                  lefschetz: tuple[LefschetzDatum, ...] = (),
@@ -184,18 +169,8 @@ class FibrationSpec(Frozen):
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "spin", spin)
         object.__setattr__(self, "simply_connected", simply_connected)
-
-    def __eq__(self, other):
-        if other.__class__ is not FibrationSpec:
-            return NotImplemented
-        return (self.higher_fiber == other.higher_fiber
-                and self.lefschetz == other.lefschetz and self.rounds == other.rounds
-                and self.spin == other.spin
-                and self.simply_connected == other.simply_connected)
-
-    def __hash__(self):
-        return hash((self.higher_fiber, self.lefschetz, self.rounds, self.spin,
-                     self.simply_connected))
+        object.__setattr__(self, "_key", (higher_fiber, lefschetz, rounds, spin,
+                                          simply_connected))
 
     def active_component(self) -> int:
         """The component carrying the Lefschetz data (and the first fold)."""

@@ -45,7 +45,7 @@ class ContextError(ValueError):
 
 class CycleContext(Frozen):
     """A vanishing-cycle type together with the ambient genus."""
-    __slots__ = ("genus", "cycle")
+    __slots__ = ("genus", "cycle", "_key")
 
     def __init__(self, genus: int, cycle: CurveDescriptor):
         surface.check_genus(genus)
@@ -53,14 +53,7 @@ class CycleContext(Frozen):
             raise ValueError(f"II_{cycle.h} invalid at genus {genus}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cycle", cycle)
-
-    def __eq__(self, other):
-        if other.__class__ is not CycleContext:
-            return NotImplemented
-        return self.genus == other.genus and self.cycle == other.cycle
-
-    def __hash__(self):
-        return hash((self.genus, self.cycle))
+        object.__setattr__(self, "_key", (genus, cycle))
 
     def __str__(self):
         return f"(g={self.genus}, {self.cycle})"

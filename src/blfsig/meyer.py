@@ -101,12 +101,14 @@ left and 2g + 2 times (g+1)/(2g+1) on the right, so c depends on the word
 and not only on the element.  A round monodromy written u x u^-1, as a
 global conjugation of the fibration writes it, so costs what x costs.
 
-The fold takes each maximal stretch of generator letters of a word so: the chain twists as one run, plus their letter corrections
-sign(e) - e, with the stretch's iotas moved to its end, which is exact
-because iota is central; an odd number of them costs one tau(P, -1) and an
-even number nothing.  A flat word of n letters thus asks for at most
-ceil(n/2g) cocycle evaluations, plus one for an odd number of iotas.  The
-same fold gives the two other tau sums of the package: a round piece's
+The fold takes each maximal stretch of generator letters of a word
+(``words.stretches``, which ``surface.word_matrix`` folds too) so: the
+chain twists as one run, plus their letter corrections sign(e) - e, with
+the stretch's iotas moved to its end, which is exact because iota is
+central; an odd number of them costs one tau(P, -1) and an even number
+nothing.  A flat word of n letters thus asks for at most ceil(n/2g)
+cocycle evaluations, plus one for an odd number of iotas.  The same fold
+gives the two other tau sums of the package: a round piece's
 s(w) = sum s(gen) - c(w) + c(push w) (see ``locsig``), and the Meyer-path
 sum sum_k tau(P_{k-1}, D_k) = -c(D_1 ... D_n) of ``sequence_state``.  That
 fold takes the Lefschetz data as their vanishing classes, the pairs
@@ -176,13 +178,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import lcm
 from operator import mul, neg
 
 from . import ratlin, surface
 from .words import (ChainTwist, Iota, Word, WordError, evaluate, homomorphism,
-                    pow_by_squaring, reduce_word, runs)
+                    pow_by_squaring, reduce_word, runs, stretches)
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -437,15 +438,19 @@ def _stretch_state(letters: tuple, g: int):
 
 
 def _state(w: Word):
+    """The state (c(w), matrix of w) of w as written; a nested word shared
+    by several items (``reduce_word`` keeps it shared) is folded once."""
     g = w.genus
-    parts = []
-    for nested, items in groupby(w.items, lambda item: isinstance(item[0], Word)):
-        if nested:
-            parts.extend(items)
-        else:
-            parts.append((tuple(items), 1))
-    return evaluate(parts, _state, _combine, _invert, (0, surface.sp_identity(g)),
-                    lambda letters, _: _stretch_state(letters, g), _power)
+    one = (0, surface.sp_identity(g))
+    states: dict = {}  # id of a word -> its state
+
+    def state(u: Word):
+        if id(u) not in states:
+            states[id(u)] = evaluate(stretches(u), state, _combine, _invert, one,
+                                     lambda letters, _: _stretch_state(letters, g), _power)
+        return states[id(u)]
+
+    return state(w)
 
 
 def correction(w: Word) -> int:

@@ -24,9 +24,12 @@ M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
-A generator power needs no product at all: t_i^e is the transvection
-x -> x + e <x, c_i> c_i, and iota^e is -1 or 1 (``generator_matrix``), so
-only a nested power (u)^N is raised by repeated squaring.
+``word_matrix`` folds the stretches of letters of a word
+(``words.stretches``), as ``meyer`` does: a stretch is built from the
+identity by row updates, ``times_transvection`` for each t_i^e and a
+negation for an odd power of iota, so a letter needs no product;
+``mat_mul`` joins stretches and nested words, and only a nested power
+(u)^N is raised by repeated squaring.
 ``word_action`` gives W c for a class c without the matrix W: it acts on
 c with the word's letters from right to left, in O(1) per chain-twist
 power, and only a nested power (u)^N goes through ``word_matrix``.
@@ -55,20 +58,12 @@ from functools import lru_cache
 from operator import mul, neg
 
 from . import ratlin
-from .words import ChainTwist, Frozen, Iota, Word, WordError, evaluate
+from .words import ChainTwist, Frozen, Iota, Word, evaluate, stretches
 
 
 class TypeI(Frozen):
     """A non-separating simple closed curve."""
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not TypeI:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
     def __str__(self):
         return "I"
@@ -76,18 +71,11 @@ class TypeI(Frozen):
 
 class TypeII(Frozen):
     """A separating curve bounding subsurfaces of genus h and g-h."""
-    __slots__ = ("h",)
+    __slots__ = ("h", "_key")
 
     def __init__(self, h: int):
         object.__setattr__(self, "h", h)
-
-    def __eq__(self, other):
-        if other.__class__ is not TypeII:
-            return NotImplemented
-        return self.h == other.h
-
-    def __hash__(self):
-        return hash((self.h,))
+        object.__setattr__(self, "_key", (h,))
 
     def __str__(self):
         return f"II_{self.h}"
@@ -153,7 +141,9 @@ def times_transvection(M: Matrix, c, e: int = 1) -> Matrix:
     moved = [(p ^ 1, e * x if p % 2 else -e * x) for p, x in support]
     out = []
     for row in M:
-        t = sum(row[p] * x for p, x in support)
+        t = 0
+        for p, x in support:  # a loop: faster than sum() over one or two terms
+            t += row[p] * x
         if t:
             row = list(row)
             for j, r in moved:
@@ -229,26 +219,26 @@ def sp_inverse(A: Matrix) -> Matrix:
 
 
 @lru_cache(maxsize=1 << 12)
-def generator_matrix(gen, g: int, e: int = 1) -> Matrix:
-    """Tuple matrix of the power gen^e of a single generator at genus g, in
-    closed form: t_i^e is the transvection along c_i scaled by e, and
-    iota^e is -1 or 1 by the parity of e."""
-    if isinstance(gen, ChainTwist):
-        return transvection(chain_class(gen.index, g), e)
-    if isinstance(gen, Iota):
-        return iota_matrix(g) if e % 2 else sp_identity(g)
-    raise WordError(f"unknown generator {gen!r}")
-
-
-@lru_cache(maxsize=1 << 12)
 def word_matrix(w: Word) -> Matrix:
     """Product of generator matrices, left to right in word order, as a
-    tuple matrix, folded by ``words.evaluate``: a generator power is one
-    closed-form matrix, a nested power goes by repeated squaring, and
-    nested words are cached too."""
+    tuple matrix, folded by ``words.evaluate`` over ``words.stretches(w)``
+    (see the module docstring); nested words are cached too."""
     g = check_genus(w.genus)
-    return evaluate(w, word_matrix, mat_mul, sp_inverse, sp_identity(g),
-                    lambda gen, e: generator_matrix(gen, g, e))
+    return evaluate(stretches(w), word_matrix, mat_mul, sp_inverse, sp_identity(g),
+                    lambda letters, _: _stretch_matrix(letters, g))
+
+
+def _stretch_matrix(letters, g: int) -> Matrix:
+    """The matrix of a stretch of letters (gen, e), by row updates of the
+    identity; iota is central, so its odd powers negate the product."""
+    M = sp_identity(g)
+    odd = 0
+    for gen, e in letters:
+        if isinstance(gen, ChainTwist):
+            M = times_transvection(M, chain_class(gen.index, g), e)
+        else:
+            odd ^= e & 1
+    return tuple(tuple(map(neg, row)) for row in M) if odd else M
 
 
 def word_action(w: Word, c) -> tuple[int, ...]:

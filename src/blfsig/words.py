@@ -11,18 +11,20 @@ powers of subwords stay symbolic (the power of the empty word is the empty
 word), and ``evaluate`` folds a word into any group: a nested power in
 O(log exponent) operations by ``pow_by_squaring``, or by a caller's own
 routine when it knows more about the element (``meyer`` raises a state at
-its unipotent period), and a generator power by a caller's closed form when
-it has one (a transvection scaled by the exponent, an integer multiple), in
-O(1).  ``homomorphism`` is the additive case: a homomorphism to (Q, +)
-given by its generator values, folded in ints over their common
-denominator, a power by one multiplication.  ``reduce_word`` shortens a
-word by moves that keep its conjugacy class and its generator sum (merges
-of commuting twists, iota's parity, one-letter nested powers, and cyclic
-merges of the two ends), which ``meyer`` folds in place of the word.
-``runs`` turns a flat sequence into such items the other way
-round: it finds a leading and a trailing power block^k in linear time, so a
-fold of a Hurwitz system whose data repeat a block raises that block as
-one power.
+its unipotent period), and a generator power, or a stretch of letters
+(``stretches``), by a caller's routine when it has one (an integer
+multiple; a matrix by row updates).  ``homomorphism`` is the additive
+case: a homomorphism to (Q, +) given by its generator values, folded in
+ints over their common denominator, a power by one multiplication.
+``reduce_word`` shortens a word by moves that keep its conjugacy class
+and its generator sum (merges of commuting twists, iota's parity,
+one-letter nested powers, and cyclic merges of the two ends), which
+``meyer`` folds in place of the word.  Those two and ``Word.substitute``
+take a nested word shared by several items once per call, so they cost
+the size of the word as written, not its number of letters.  ``runs``
+turns a flat sequence into such items the other way round: it finds a
+leading and a trailing power block^k in linear time, so a fold of a
+Hurwitz system whose data repeat a block raises that block as one power.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -31,9 +33,9 @@ The text grammar (used by the command line and the spec file format) is
     atom := 't' index | 'iota' | '(' word ')'
 
 with whitespace between terms and chain indices in 1..2g+1.  A word at
-genus 0 holds no chain twist, as a sphere has no chain curves.  Parentheses
-nest at most MAX_NESTING deep, which bounds the recursion of every
-evaluator that walks a parsed word.  ``parse_word`` keeps the words of
+genus 0 holds no chain twist, as a sphere has no chain curves.  Words,
+parsed or built, nest at most MAX_NESTING deep, which bounds the recursion
+of every evaluator that walks a word.  ``parse_word`` keeps the words of
 recent texts: a Word is immutable, so a text repeated across a spec file
 is parsed once.  For the same reason a Word caches its hash when first
 hashed, so a word that holds a nested word many times (as words built
@@ -49,6 +51,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 _set = object.__setattr__
 
@@ -57,9 +60,21 @@ class Frozen:
     """Base of the immutable value classes of the package: assigning or
     deleting an attribute raises AttributeError, and the repr lists the
     public slots, ``ChainTwist(index=3)``.  Each subclass writes out its
-    ``__init__`` (setting its slots with ``object.__setattr__``),
-    ``__eq__`` and ``__hash__``."""
+    ``__init__``, which sets its slots with ``object.__setattr__`` and
+    keeps its fields, in slot order, as the tuple ``_key`` (a class with no
+    field keeps the class-level ``()``): two values are equal when they are
+    of one class with equal keys, and hash as their key.  ``Word`` keeps
+    its own ``__eq__`` and its cached hash."""
     __slots__ = ()
+    _key = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -75,18 +90,11 @@ class Frozen:
 
 class ChainTwist(Frozen):
     """Right-handed Dehn twist along the index-th chain curve."""
-    __slots__ = ("index",)
+    __slots__ = ("index", "_key")
 
     def __init__(self, index: int):
         _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not ChainTwist:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
+        _set(self, "_key", (index,))
 
     def __str__(self):
         return f"t{self.index}"
@@ -95,14 +103,6 @@ class ChainTwist(Frozen):
 class Iota(Frozen):
     """The hyperelliptic involution."""
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not Iota:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
     def __str__(self):
         return "iota"
@@ -128,7 +128,7 @@ class Word(Frozen):
     copies of a word that shares its nested words compare in the size as
     written.
     """
-    __slots__ = ("genus", "items", "_hash")
+    __slots__ = ("genus", "items", "_hash", "_depth")
 
     def __init__(self, genus: int, items: tuple = ()):
         if genus < 0:
@@ -150,6 +150,7 @@ class Word(Frozen):
                 raise WordError(f"unknown generator {item!r}")
         _set(self, "genus", genus)
         _set(self, "items", items)
+        _set(self, "_depth", _depth_of(items))
 
     def __eq__(self, other):
         if other.__class__ is not Word:
@@ -198,41 +199,40 @@ class Word(Frozen):
 
     def generators(self) -> list[Generator]:
         """The distinct generators, in order of first appearance as written.
-
-        Walks the word tree once per item (a nested word shared by several
-        items is walked once), so the cost does not grow with exponents.
-        """
+        A nested word shared by several items is walked once, so the cost is
+        the size of the word as written, whatever its exponents."""
         found: dict = {}
-        walked = {id(self)}
-        stack = [iter(self.items)]
-        while stack:
-            for item, _ in stack[-1]:
-                if isinstance(item, Word):
-                    if id(item) not in walked:
-                        walked.add(id(item))
-                        stack.append(iter(item.items))
-                        break
-                else:
+        walked: set = set()  # ids of the nested words walked
+
+        def walk(w: Word) -> None:
+            for item, _ in w.items:
+                if not isinstance(item, Word):
                     found.setdefault(item, None)
-            else:
-                stack.pop()
+                elif id(item) not in walked:
+                    walked.add(id(item))
+                    walk(item)
+
+        walk(self)
         return list(found)
 
     def substitute(self, fn: Callable[[Generator], Generator | None],
                    genus: int) -> "Word":
         """Map each generator through ``fn`` (None drops it), re-rooted at
-        the given genus; word structure and exponents are preserved."""
-        out = []
-        for item, exp in self.items:
-            if isinstance(item, Word):
-                sub = item.substitute(fn, genus)
-                if sub.items:
-                    out.append((sub, exp))
-            else:
-                image = fn(item)
-                if image is not None:
-                    out.append((image, exp))
-        return Word(genus, tuple(out))
+        the given genus; word structure and exponents are preserved, and a
+        nested word shared by several items is mapped once, to one image."""
+        images: dict = {}  # id of a word -> its image
+
+        def image(w: Word) -> Word:
+            if id(w) not in images:
+                out = []
+                for item, exp in w.items:
+                    x = image(item) if isinstance(item, Word) else fn(item)
+                    if x is not None and (not isinstance(x, Word) or x.items):
+                        out.append((x, exp))
+                images[id(w)] = Word(genus, tuple(out))
+            return images[id(w)]
+
+        return image(self)
 
     def __str__(self):
         return format_word(self)
@@ -265,7 +265,34 @@ def _checked_word(genus: int, items: tuple) -> Word:
     w = object.__new__(Word)
     _set(w, "genus", genus)
     _set(w, "items", items)
+    _set(w, "_depth", _depth_of(items))
     return w
+
+
+def _depth_of(items) -> int:
+    """How deep nested words go in a word of these items, 0 for a flat
+    word; WordError past MAX_NESTING."""
+    depth = 0
+    for item, _ in items:
+        if item.__class__ is Word and item._depth >= depth:
+            depth = item._depth + 1
+    if depth > MAX_NESTING:
+        raise WordError(f"words nest deeper than {MAX_NESTING}")
+    return depth
+
+
+def stretches(w: Word) -> list:
+    """The items of w with each maximal stretch of generator items gathered
+    into one item (letters, 1), letters the tuple of its (generator,
+    exponent) pairs, for a fold by ``evaluate`` whose ``power`` builds a
+    stretch's factor in one go; nested items are kept as they are."""
+    parts = []
+    for nested, items in groupby(w.items, lambda item: isinstance(item[0], Word)):
+        if nested:
+            parts.extend(items)
+        else:
+            parts.append((tuple(items), 1))
+    return parts
 
 
 def evaluate(w, value: Callable, mul: Callable, inv: Callable, one,
@@ -364,15 +391,18 @@ def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fract
     """The homomorphism to (Q, +) with generator values ``value(gen)``,
     evaluated on a word.  The word is folded in ints over the least common
     denominator D of the values of its generators, a power costs one int
-    multiplication, so the fold costs O(size as written), and one Fraction
-    is built at the end."""
+    multiplication, and a nested word shared by several items is folded
+    once, so the fold costs O(size as written); one Fraction is built."""
     values = {gen: value(gen) for gen in w.generators()}
     D = math.lcm(1, *(v.denominator for v in values.values()))
     scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
+    parts: dict = {}  # id of a word -> its value
 
     def part(item: Word) -> int:
-        return evaluate(item, part, operator.add, operator.neg, 0,
-                        lambda gen, e: e * scaled[gen], operator.mul)
+        if id(item) not in parts:
+            parts[id(item)] = evaluate(item, part, operator.add, operator.neg, 0,
+                                       lambda gen, e: e * scaled[gen], operator.mul)
+        return parts[id(item)]
 
     return Fraction(part(w), D)
 
@@ -391,7 +421,7 @@ def reduce_word(w: Word) -> Word:
     function of the conjugacy class that is additive on generators up to a
     correction of the word, the correction is unchanged.  Linear in the
     size of the word as written; each distinct nested word is reduced
-    once."""
+    once, into one word that every item holding it shares."""
     items, odd = _reduce_items(w.items, w.genus, {})
     items = _cyclic(items)
     if odd:
@@ -432,23 +462,26 @@ def _reduce_items(items, genus: int, memo: dict) -> tuple[list, int]:
             push(item, exp)
         else:
             if id(item) not in memo:
-                memo[id(item)] = _reduce_items(item.items, genus, memo)
-            body, body_odd = memo[id(item)]
-            if len(body) <= 1 and (not body or isinstance(body[0][0], ChainTwist)):
+                # (sub, m, p): the item is sub^m iota^p, with sub a letter,
+                # a reduced word, or None
+                body, p = _reduce_items(item.items, genus, memo)
+                if len(body) == 1 and (isinstance(body[0][0], ChainTwist) or not p):
+                    memo[id(item)] = *body[0], p
+                else:
+                    memo[id(item)] = ((_checked_word(genus, tuple(body) + ((IOTA, 1),) * p), 1, 0)
+                                      if body else (None, 0, p))
+            sub, m, sub_odd = memo[id(item)]
+            if not isinstance(sub, Word):
                 # (t^m iota^p)^e = t^(m e) iota^(p e), as iota is central
-                if body:
-                    push(body[0][0], body[0][1] * exp)
-                odd ^= body_odd & exp
+                if sub is not None:
+                    push(sub, m * exp)
+                odd ^= sub_odd & exp
                 continue
             if odd:
                 out.append((IOTA, 1))
                 odd = 0
-            if len(body) == 1 and not body_odd:
-                sub, exp = body[0][0], body[0][1] * exp
-            else:
-                sub = _checked_word(genus, tuple(body) + (((IOTA, 1),) if body_odd else ()))
             barrier = len(out)
-            out.append((sub, exp))
+            out.append((sub, m * exp))
     return [x for x in out if x is not None], odd
 
 

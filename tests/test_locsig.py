@@ -188,13 +188,13 @@ def cut_sides(gen, ctx):
     if isinstance(ctx.cycle, TypeI):
         if g == 1 or gen == ChainTwist(2 * g + 1):
             return ((g - 1, surface.sp_identity(g - 1)),)
-        return ((g - 1, surface.generator_matrix(gen, g - 1)),)
+        return ((g - 1, surface.word_matrix(gen_word(g - 1, gen))),)
     h = ctx.cycle.h
     if h in (0, g):
-        return ((g, surface.generator_matrix(gen, g)),)
+        return ((g, surface.word_matrix(gen_word(g, gen))),)
     if gen.index <= 2 * h:
-        return ((h, surface.generator_matrix(gen, h)), (g - h, surface.sp_identity(g - h)))
-    side = surface.generator_matrix(ChainTwist(gen.index - 2 * h - 1), g - h)
+        return ((h, surface.word_matrix(gen_word(h, gen))), (g - h, surface.sp_identity(g - h)))
+    side = surface.word_matrix(gen_word(g - h, ChainTwist(gen.index - 2 * h - 1)))
     return ((h, surface.sp_identity(h)), (g - h, side))
 
 
@@ -222,7 +222,7 @@ def s_by_triple_fold(w, ctx):
         if isinstance(item, Word):
             return evaluate(item, value, combine, invert, None)
         s = locsig.s_generator(item, ctx) if isinstance(ctx.cycle, TypeI) else 0
-        return (s, surface.generator_matrix(item, g),
+        return (s, surface.word_matrix(gen_word(g, item)),
                 tuple(N for _, N in cut_sides(item, ctx)))
 
     return evaluate(w, value, combine, invert, (0,))[0]

@@ -57,7 +57,7 @@ def phi_by_fraction_fold(w: Word) -> F:
     def value(item):
         if isinstance(item, Word):
             return evaluate(item, value, combine, invert, (F(0), surface.sp_identity(g)))
-        return (meyer.phi_base(item, g), surface.generator_matrix(item, g))
+        return (meyer.phi_base(item, g), surface.word_matrix(gen_word(g, item)))
 
     return evaluate(w, value, combine, invert, (F(0), None))[0]
 
@@ -521,7 +521,7 @@ def test_letter_power_corrections_match_the_squaring_fold():
     # power, as the fold of e single-letter states by squaring gives them
     for g in (1, 2, 3, 4):
         for gen in (ChainTwist(1), ChainTwist(2), ChainTwist(2 * g + 1), IOTA):
-            state = (0, surface.generator_matrix(gen, g))
+            state = (0, surface.word_matrix(gen_word(g, gen)))
             for e in [e for e in range(-64, 65) if e]:
                 want = pow_by_squaring(state, e, meyer._combine, meyer._invert)
                 w = gen_word(g, gen, e)
@@ -874,7 +874,7 @@ def test_a_flat_word_of_eight_windows_joins_at_most_four_windows(monkeypatch, rn
             for k in range(0, 16 * g, 2 * g):
                 P = arr(eye(2 * g))
                 for gen, e in items[k:k + 2 * g]:
-                    P = P @ arr(surface.generator_matrix(gen, g, e))
+                    P = P @ arr(surface.word_matrix(gen_word(g, gen, e)))
                 windows.append(P)
             short = []
             for a in range(8):
@@ -965,7 +965,7 @@ class TestWindows:
                     w = w * random_word(rng, g, rng.randrange(0, 3 * g))
                 if rng.random() < 0.5:
                     w = Word(g, ((w, rng.choice([-2, 2])), (IOTA, 1))) * random_word(rng, g, 3)
-                mats = [surface.generator_matrix(gen, g, e) for gen, e in w.letters()]
+                mats = [surface.word_matrix(gen_word(g, gen, e)) for gen, e in w.letters()]
                 c, P = meyer._state(w)
                 assert (c, arr(P).tolist()) == letter_fold(mats), str(w)
 

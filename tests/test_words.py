@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blfsig import surface
+from blfsig import locsig, meyer, surface
 from blfsig.fibration import FibrationSpec, LefschetzDatum, RoundRegion
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
@@ -59,6 +59,32 @@ def test_nesting_depth_is_capped():
         parse_word(nested(MAX_NESTING + 1), 1)
     with pytest.raises(WordError, match="nest deeper"):
         parse_word(nested(3000), 1)
+
+
+def test_built_words_nest_at_most_max_nesting_deep():
+    # w_{k+1} = (w_k)^2 t3 to depth 3000 overflowed the stack of every
+    # recursive walk of a word: hash, phi, the matrix and the text
+    w = gen_word(2, ChainTwist(1))
+    depth = 0
+    with pytest.raises(WordError, match="nest deeper"):
+        for depth in range(3000):
+            w = Word(2, ((w, 2), (ChainTwist(3), 1)))
+    assert depth == MAX_NESTING
+    # at the cap a word still builds, compares, hashes and evaluates, and
+    # its power, which would nest one level deeper, raises
+    w = shared(MAX_NESTING, 2)
+    assert w == shared(MAX_NESTING, 2) and hash(w) == hash(shared(MAX_NESTING, 2))
+    assert w * w.inverse() == Word(2, w.items + w.inverse().items)
+    with pytest.raises(WordError, match="nest deeper"):
+        w ** 2
+    with pytest.raises(WordError, match="nest deeper"):
+        Word(2, ((w, 1),))
+    # w is a conjugate of t3: phi is phi(t3), the matrix a transvection
+    # along the image of c_3 under the conjugator
+    assert meyer.phi(w) == meyer.phi(gen_word(2, ChainTwist(3)))
+    conjugator = w.items[0][0]
+    v = surface.word_action(conjugator, surface.chain_class(3, 2))
+    assert surface.word_matrix(w) == surface.transvection(v)
 
 
 def test_generators_walk_the_structure():
@@ -166,8 +192,14 @@ def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, text)
     # the hash of the tuple of fields, as a frozen dataclass hashes
     assert hash(a) == hash(cls(*values)) == hash(tuple(values))
     assert repr(a) == text
+    assert hash(a) == hash(tuple(getattr(a, name) for name in cls.__slots__ if name[0] != "_"))
     assert a != object() and not a == object()
-    assert all(a != other for other in (TypeI(), IOTA, Word(2)) if type(other) is not cls)
+    others = [TypeI(), IOTA, Word(2), ChainTwist(3), TypeII(3), object()]
+    for other in [other for other in others if type(other) is not cls]:
+        assert a != other and not a == other
+        assert a.__eq__(other) is NotImplemented
+    # values of different classes differ even where their fields agree
+    assert TypeI() != Iota() and ChainTwist(1) != TypeII(1)
     for k, (name, _, changed) in enumerate(fields):
         b = cls(*values[:k], changed, *values[k + 1:])
         assert a != b and getattr(b, name) == changed
@@ -196,15 +228,17 @@ def test_a_word_hashes_its_items_once(monkeypatch):
         assert h == hash((w.genus, w.items))
 
 
-def test_copies_of_a_deep_shared_word_compare_in_its_size():
-    # w_{k+1} = (w_k) t3 (w_k)^-1 shares w_k twice: 2^40 occurrences of w_0,
-    # 3 items per level; each build is a separate set of objects
-    def shared(depth, last):
-        w = Word(2, ((ChainTwist(1), 1), (ChainTwist(last), 1)))
-        for _ in range(depth):
-            w = Word(2, ((w, 1), (ChainTwist(3), 1), (w, -1)))
-        return w
+def shared(depth, last):
+    """w_{k+1} = (w_k) t3 (w_k)^-1 from w_0 = t1 t_last, at genus 2: w_k
+    shares w_{k-1} twice, so it holds 2^k occurrences of w_0 in 3 items per
+    level; each call builds a separate set of objects."""
+    w = Word(2, ((ChainTwist(1), 1), (ChainTwist(last), 1)))
+    for _ in range(depth):
+        w = Word(2, ((w, 1), (ChainTwist(3), 1), (w, -1)))
+    return w
 
+
+def test_copies_of_a_deep_shared_word_compare_in_its_size():
     a, b, c = shared(40, 2), shared(40, 2), shared(40, 4)
     t = time.perf_counter()
     assert a == b and not a != b
@@ -218,6 +252,37 @@ def test_copies_of_a_deep_shared_word_compare_in_its_size():
     assert time.perf_counter() - t < 1.0
     after = surface.word_matrix.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_shared_nested_word_is_folded_once_per_call(monkeypatch):
+    # each fold of a word sees each distinct nested word once: at depth 40
+    # the word holds 2^40 occurrences of w_0, and a fold per occurrence
+    # doubled its cost per level
+    ctx = CycleContext(2, TypeI())
+    combine = meyer._combine
+    joins = []
+    monkeypatch.setattr(meyer, "_combine", lambda a, b: joins.append(1) or combine(a, b))
+    folds = {
+        "correction": meyer.correction,
+        "word_matrix": surface.word_matrix,
+        "h_word": lambda w: locsig.h_word(w, ctx),
+        "s_word": lambda w: locsig.s_word(w, ctx),
+    }
+    counts = {}
+    for depth in (10, 20, 40):
+        w = shared(depth, 2)
+        surface.word_matrix.cache_clear()
+        for name, fold in folds.items():
+            joins.clear()
+            t = time.perf_counter()
+            fold(w)
+            assert time.perf_counter() - t < 1.0, (depth, name)
+            if name == "correction":
+                counts[depth] = len(joins)
+        # w_k is a conjugate of t3, which s and h see through their folds
+        assert locsig.s_word(w, ctx) == locsig.s_word(gen_word(2, ChainTwist(3)), ctx)
+        assert locsig.h_word(w, ctx) == locsig.h_word(gen_word(2, ChainTwist(3)), ctx)
+    assert counts[40] - counts[20] == 2 * (counts[20] - counts[10]) > 0
 
 
 def test_power_of_the_empty_word_is_empty():

@@ -31,7 +31,11 @@ Prints one JSON object with the time, in seconds, of
   a multitwist;
 - ``report_conjugated``: ``fibration.compute_report`` on ``mgn``(g, 1) with
   every datum's conjugator and the fold monodromy conjugated by
-  ``t1 t2^-1``, a stabiliser word, at g = 10, 20.
+  ``t1 t2^-1``, a stabiliser word, at g = 10, 20;
+- ``phi_shared``: ``meyer.phi`` at g = 2 of w_d, with w_0 = ``t1 t2`` and
+  w_{k+1} = ``Word(2, ((w_k, 1), (t3, 1), (w_k, -1)))``, which holds 2^d
+  occurrences of w_0 in 3d + 2 items, at depth d = 10, 20, 40: this
+  column is keyed by d, not by the genus.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -62,6 +66,7 @@ PHI_FLAT_GENERA = (6, 20, 50)
 PHI_LONG_GENERA = (6,)
 PHI_POWER_GENERA = (6, 20, 50)
 REPORT_GENERA = (10, 20)
+SHARED_DEPTHS = (10, 20, 40)
 PHI_POWER_WORDS = {"phi_power_chain": "(t1 t2 t3 t4)^1000003",
                    "phi_power_multitwist": "(t1 t3 t5)^1000003"}
 BUDGET_S = 20.0
@@ -73,7 +78,7 @@ def cell(kind: str, g: int) -> float:
     import random
 
     from blfsig import fibration, locsig, meyer, surface, verify
-    from blfsig.words import ChainTwist, gen_word, parse_word
+    from blfsig.words import ChainTwist, Word, gen_word, parse_word
 
     rng = random.Random(5)
     words = [verify.random_word(rng, g, 40) for _ in range(2)]
@@ -118,6 +123,13 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return fibration.compute_report(spec)
+    elif kind == "phi_shared":
+        shared = parse_word("t1 t2", 2)
+        for _ in range(g):  # g is the depth here
+            shared = Word(2, ((shared, 1), (ChainTwist(3), 1), (shared, -1)))
+
+        def call():
+            return meyer.phi(shared)
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -191,7 +203,8 @@ def main(argv=None) -> int:
                                   ("phi_long", PHI_LONG_GENERA),
                                   ("phi_power_chain", PHI_POWER_GENERA),
                                   ("phi_power_multitwist", PHI_POWER_GENERA),
-                                  ("report_conjugated", REPORT_GENERA))}
+                                  ("report_conjugated", REPORT_GENERA),
+                                  ("phi_shared", SHARED_DEPTHS))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
