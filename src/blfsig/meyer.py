@@ -90,9 +90,10 @@ reduction merges equal neighbouring chain twists, also across iota, which
 is central, and across twists along disjoint chain curves (|i - j| >= 2);
 keeps only iota's parity, at the end of each stretch of generators; turns a
 nested power whose reduced body is one letter into a power of that letter,
-so (t5^-2 iota)^2 becomes t5^-4; and cancels or merges the two ends
-cyclically, at the top level only, since inside a nested power that would
-conjugate the one factor.  Each move keeps the element's conjugacy class
+so (t5^-2 iota)^2 becomes t5^-4; and, at the top level only (inside a
+nested power that would conjugate the one factor), merges the last item
+into the first while both are powers of one chain twist, going on while
+they cancel.  Each move keeps the element's conjugacy class
 and the generator sum, so c(w) = phi(w) - (generator sum) is unchanged, phi
 being a class function.  No other relation of the group may be used: the
 generator sum is not a homomorphism on the hyperelliptic mapping class

@@ -18,13 +18,15 @@ case: a homomorphism to (Q, +) given by its generator values, folded in
 ints over their common denominator, a power by one multiplication.
 ``reduce_word`` shortens a word by moves that keep its conjugacy class
 and its generator sum (merges of commuting twists, iota's parity,
-one-letter nested powers, and cyclic merges of the two ends), which
-``meyer`` folds in place of the word.  Those two and ``Word.substitute``
-take a nested word shared by several items once per call, so they cost
-the size of the word as written, not its number of letters.  ``runs``
-turns a flat sequence into such items the other way round: it finds a
-leading and a trailing power block^k in linear time, so a fold of a
-Hurwitz system whose data repeat a block raises that block as one power.
+one-letter nested powers, and the peeling of the two ends), and ``meyer``
+folds it in place of the word; the peeling merges the last item into the
+first while both are powers of one chain twist, going on while they
+cancel.  Those two and ``Word.substitute`` take a nested word shared by
+several items once per call, so they cost the size of the word as
+written, not its number of letters.  ``runs`` turns a flat sequence into
+such items the other way round: it finds a leading and a trailing power
+block^k in linear time, so a fold of a Hurwitz system whose data repeat a
+block raises that block as one power.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -35,7 +37,9 @@ The text grammar (used by the command line and the spec file format) is
 with whitespace between terms and chain indices in 1..2g+1.  A word at
 genus 0 holds no chain twist, as a sphere has no chain curves.  Words,
 parsed or built, nest at most MAX_NESTING deep, which bounds the recursion
-of every evaluator that walks a word.  ``parse_word`` keeps the words of
+of every evaluator that walks a word.  ``format_word`` writes a shared
+nested word out at each occurrence, so it sizes the text first and refuses
+one longer than MAX_TEXT characters.  ``parse_word`` keeps the words of
 recent texts: a Word is immutable, so a text repeated across a spec file
 is parsed once.  For the same reason a Word caches its hash when first
 hashed, so a word that holds a nested word many times (as words built
@@ -48,7 +52,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -111,6 +114,7 @@ class Iota(Frozen):
 Generator = ChainTwist | Iota
 IOTA = Iota()
 MAX_NESTING = 100
+MAX_TEXT = 10 ** 7  # characters of the text form of a word
 
 
 class WordError(ValueError):
@@ -415,9 +419,10 @@ def reduce_word(w: Word) -> Word:
     |i - j| >= 2 commute); iota keeps only its parity, at the end of each
     stretch of generators; a nested power whose reduced body is one letter
     becomes a power of that letter (``(t5^-2 iota)^2`` is ``t5^-4``); and at
-    the top level only, a trailing chain twist moves cyclically to the
-    front when it merges there (inside a nested power that would conjugate
-    the one factor).  No other relation of the group is used, so for a
+    the top level only (inside a nested power it would conjugate the one
+    factor), the last item merges cyclically into the first while both are
+    powers of one chain twist, going on while they cancel, so u x u^-1
+    peels to x.  No other relation of the group is used, so for a
     function of the conjugacy class that is additive on generators up to a
     correction of the word, the correction is unchanged.  Linear in the
     size of the word as written; each distinct nested word is reduced
@@ -486,34 +491,18 @@ def _reduce_items(items, genus: int, memo: dict) -> tuple[list, int]:
 
 
 def _cyclic(items: list) -> list:
-    """Move trailing chain twists cyclically to the front while each merges
-    with a letter of its index there, past letters that commute with it."""
-    front: dict = {}  # chain index -> positions of its letters before any nested item
-    for k, (item, _) in enumerate(items):
-        if isinstance(item, Word):
-            break
-        if isinstance(item, ChainTwist):
-            front.setdefault(item.index, deque()).append(k)
-    end = len(items)
-    while end > 1 and not isinstance(items[end - 1][0], Word):
-        gen, e = items[end - 1]
-        here = front.get(gen.index) or ()
-        p = here[0] if here else end
-        if p >= end - 1 or any(front.get(j) and front[j][0] < p
-                               for j in (gen.index - 1, gen.index + 1)):
-            break
-        end -= 1
-        if here[-1] == end:
-            here.pop()
-        e += items[p][1]
+    """Peel the two ends: while the first and last items are powers of one
+    chain twist, merge the last into the first, going on only when they
+    cancel."""
+    i, j = 0, len(items) - 1
+    while i < j and items[i][0].__class__ is ChainTwist and items[i][0] == items[j][0]:
+        e = items[i][1] + items[j][1]
+        j -= 1
         if e:
-            items[p] = (items[p][0], e)
-        else:
-            items[p] = None
-            here.popleft()
-        while end and items[end - 1] is None:
-            end -= 1
-    return [x for x in items[:end] if x is not None]
+            items[i] = (items[i][0], e)
+            break
+        i += 1
+    return items[i:j + 1]
 
 
 def gen_word(genus: int, gen: Generator, exp: int = 1) -> Word:
@@ -597,12 +586,43 @@ def parse_word(text: str, genus: int) -> Word:
 
 
 def format_word(w: Word) -> str:
-    """Inverse of parse_word on the parsed structure."""
-    parts = []
+    """Inverse of parse_word on the parsed structure.  The text writes a
+    nested word out at every item that holds it, so its length is found
+    first, by a walk that takes each distinct nested word once, and a text
+    longer than MAX_TEXT characters raises WordError.  Each distinct nested
+    word is formatted once."""
+    size = _text_length(w, {})
+    if size > MAX_TEXT:
+        raise WordError(f"the text of this word would have {size:,} characters, "
+                        f"more than {MAX_TEXT:,}")
+    texts: dict = {}  # id of a nested word -> its text in parentheses
+
+    def text(w: Word) -> str:
+        parts = []
+        for item, exp in w.items:
+            if item.__class__ is Word:
+                if id(item) not in texts:
+                    texts[id(item)] = f"( {text(item)} )"
+                atom = texts[id(item)]
+            else:
+                atom = str(item)
+            parts.append(atom if exp == 1 else f"{atom}^{exp}")
+        return " ".join(parts)
+
+    return text(w)
+
+
+def _text_length(w: Word, lengths: dict) -> int:
+    """len(format_word(w)), with ``lengths`` the lengths of the nested
+    words measured already, in parentheses, by id."""
+    n = max(len(w.items) - 1, 0)
     for item, exp in w.items:
-        if isinstance(item, Word):
-            atom = f"( {format_word(item)} )"
+        if item.__class__ is Word:
+            if id(item) not in lengths:
+                lengths[id(item)] = _text_length(item, lengths) + 4
+            n += lengths[id(item)]
         else:
-            atom = str(item)
-        parts.append(atom if exp == 1 else f"{atom}^{exp}")
-    return " ".join(parts)
+            n += len(str(item))
+        if exp != 1:
+            n += 1 + len(str(exp))
+    return n

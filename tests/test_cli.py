@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blfsig import cli, fibration, meyer, surface
+from blfsig import cli, fibration, locsig, meyer, surface, verify
+from blfsig.surface import TypeII
 from blfsig.verify import random_word
 from blfsig.words import format_word
 
@@ -147,6 +148,7 @@ UNREALIZABLE = {  # a II_1 fold whose h term is -4/5: not an integer signature
      "error: total signature came out -4/5, not an integer: the input data is not "
      "realizable by a fibration"),
     (["family", "mgn", "-g", "1", "-n", "1"], 0, ""),
+    (["family", "mgn", "-g", "1", "-n", "0"], 2, "error: need n >= 1, got 0"),
 ])
 def test_error_line_and_exit_code(capsys, tmp_path, argv, code, err):
     # each command leaves its errors to run(), which prints one line
@@ -276,6 +278,23 @@ def test_verify_small(capsys):
     assert doc["passed"] is True
     assert {c["name"] for c in doc["checks"]} >= {"cocycle identity",
                                                   "cobounding calibration"}
+
+
+def test_verify_beyond_genus_one_reaches_the_separating_contexts(monkeypatch):
+    # the command's default --max-genus is 2; at 3 the decomposition suite
+    # also checks the separating contexts II_1 and II_2 of genus 3
+    contexts = set()
+    check = locsig.decomposition_check
+
+    def recording(w, ctx):
+        contexts.add(ctx)
+        return check(w, ctx)
+
+    monkeypatch.setattr(locsig, "decomposition_check", recording)
+    results = verify.run_all(samples=3, max_genus=3, seed=7)
+    assert len(results) == len(verify.ALL_CHECKS)
+    assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
+    assert {locsig.CycleContext(3, TypeII(1)), locsig.CycleContext(3, TypeII(2))} <= contexts
 
 
 def test_verify_seed_from_env(capsys, monkeypatch):

@@ -217,6 +217,21 @@ class TestValidation:
         rep = fib.validate(bad)
         assert any("essential" in str(i) for i in rep.issues)
 
+    def test_a_round_on_a_missing_component(self):
+        spec = FibrationSpec((1,), (), (RoundRegion(0, TypeI(), Word(1)),
+                                        RoundRegion(5, TypeI(), Word(0))))
+        with pytest.raises(ConsistencyError) as err:
+            fib.component_stages(spec)
+        assert str(err.value) == "round 1: component 5 does not exist"
+        assert [str(i) for i in fib.validate(spec).issues] == [
+            "components: round 1: component 5 does not exist"]
+
+    def test_data_on_a_genus_zero_active_component(self):
+        spec = FibrationSpec((0,), (LefschetzDatum(TypeI(), Word(0)),), ())
+        assert [str(i) for i in fib.validate(spec).issues] == [
+            "components: active component must have genus >= 1"]
+        assert fib.validate(FibrationSpec((0, 2), (), ())).ok
+
     def test_fold_on_genus_zero_component(self):
         # the first fold drops component 0 to genus 0, the second cannot apply
         bad = FibrationSpec((1,), (), (
@@ -500,6 +515,18 @@ class TestHomeomorphismReport:
         with pytest.raises(ConsistencyError):
             fib.homeomorphism_report(-6, 6, False, True)
 
+    def test_positive_spin_signature_is_not_modelled(self):
+        with pytest.raises(ConsistencyError) as err:
+            fib.homeomorphism_report(16, 20, True, True)
+        assert str(err.value) == "positive-signature spin decompositions are not modelled"
+
+    def test_spin_euler_that_fits_no_e2_count(self):
+        # one E(2) summand has chi = 24, so chi = 22 leaves -2 for the S2xS2 blocks
+        with pytest.raises(ConsistencyError) as err:
+            fib.homeomorphism_report(-16, 22, True, True)
+        assert str(err.value) == \
+            "no spin decomposition: euler 22 incompatible with 1 E(2) summands"
+
     def test_recomposition(self):
         for sig, euler, spin in [(-4, 10, False), (-16, 30, True), (0, 4, True),
                                  (-8, 12, False), (-36, 46, False)]:
@@ -584,6 +611,13 @@ class TestJson:
             rep = fib.compute_report(spec)
             assert fib._vanishing_class.cache_info().misses == len(distinct)
             assert rep.two_paths_agree
+
+    def test_a_round_on_a_missing_component_names_its_path(self):
+        doc = fib.spec_to_json(family_spec("mgn", 1, 1))
+        doc["rounds"].append({"component": 5, "cycle": {"type": "I"}, "monodromy": ""})
+        with pytest.raises(ValueError) as err:
+            fib.spec_from_json(doc)
+        assert str(err.value) == "rounds[1].component: component 5 does not exist"
 
     def test_every_entry_is_checked_when_data_repeat(self):
         doc = fib.spec_to_json(family_spec("mgn", 2, 1))

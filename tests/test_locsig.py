@@ -151,6 +151,11 @@ class TestGeneratingSets:
         assert h_disagreements == 2 * sum(g - 1 for g in range(1, 7))
         assert s_disagreements > 0
 
+    def test_a_word_of_another_genus(self):
+        with pytest.raises(ContextError) as err:
+            locsig.validate_word(gen_word(1, ChainTwist(1)), CycleContext(2, TypeI()))
+        assert str(err.value) == "word genus 1 != context genus 2"
+
     def test_derived_sets(self):
         for ctx in self.contexts():
             g = ctx.genus

@@ -7,7 +7,7 @@ import pytest
 from blfsig import locsig, meyer, ratlin, surface
 from blfsig.surface import TypeI
 from blfsig.verify import random_symplectic, random_word
-from blfsig.words import (IOTA, ChainTwist, Word, chain_word, evaluate, gen_word,
+from blfsig.words import (IOTA, ChainTwist, Word, WordError, chain_word, evaluate, gen_word,
                           pow_by_squaring, reduce_word)
 from conftest import arr, bounded_power_base, eye, numpy_j, plain_fold
 
@@ -361,6 +361,15 @@ class TestSpecialForms:
 class TestPhi:
     def test_empty_word(self):
         assert meyer.phi(Word(2)) == 0
+
+    def test_phi_base_refuses_what_is_no_generator_at_the_genus(self):
+        assert meyer.phi_base(ChainTwist(5), 2) == F(3, 5)
+        with pytest.raises(WordError) as err:
+            meyer.phi_base(ChainTwist(6), 2)
+        assert str(err.value) == "t6 out of range for genus 2"
+        with pytest.raises(WordError) as err:
+            meyer.phi_base("t1", 2)
+        assert str(err.value) == "unknown generator 't1'"
 
     def test_top_twist_anchor(self):
         for g in (1, 2, 3):

@@ -325,6 +325,10 @@ class TestMatrixArguments:
             assert len({ratlin.kernel_basis(X) for X in forms}) == 1
             assert len({ratlin.det(X) for X in forms}) == 1
 
+    def test_singular_determinant_is_zero(self):
+        assert ratlin.det([[1, 2], [2, 4]]) == 0
+        assert ratlin.det([[0, 0, 1], [0, 3, 5], [0, 7, 2]]) == 0
+
     def test_tuple_results(self):
         U, D, V = ratlin.smith_normal_form([[4, 0], [0, 6]])
         assert D == ((2, 0), (0, 12))

@@ -338,6 +338,17 @@ class TestCurveAction:
         assert surface.cycle_class(TypeI(), 2) == surface.chain_class(5, 2)
         assert surface.cycle_class(TypeII(1), 2) == (0, 0, 0, 0)
 
+    def test_cycle_class_refuses_h_out_of_range(self):
+        for h in (-1, 3):
+            with pytest.raises(ValueError) as err:
+                surface.cycle_class(TypeII(h), 2)
+            assert str(err.value) == f"type II_h needs 0 <= h <= 2, got {h}"
+
+    def test_word_action_refuses_a_class_of_the_wrong_length(self):
+        with pytest.raises(ValueError) as err:
+            surface.word_action(parse_word("t1", 2), (1, 0, 0))
+        assert str(err.value) == "class of length 3 at genus 2"
+
 
 class TestIsSymplectic:
     def test_word_matrices_and_generators(self, rng):

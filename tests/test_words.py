@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -254,6 +255,18 @@ def test_copies_of_a_deep_shared_word_compare_in_its_size():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+def test_a_shared_word_too_long_to_print_is_refused_at_once():
+    # the text writes w_{k-1} out twice per level, so its length doubles:
+    # 20,465 characters at depth 10, 20,971,505 at depth 20
+    w = shared(10, 2)
+    assert len(format_word(w)) == 20465 and parse_word(str(w), 2) == w
+    for depth, size in ((20, "20,971,505"), (40, "21,990,232,555,505")):
+        t = time.perf_counter()
+        with pytest.raises(WordError, match=f"would have {size} characters, more than 10,000,000"):
+            str(shared(depth, 2))
+        assert time.perf_counter() - t < 1.0
+
+
 def test_a_shared_nested_word_is_folded_once_per_call(monkeypatch):
     # each fold of a word sees each distinct nested word once: at depth 40
     # the word holds 2^40 occurrences of w_0, and a fold per occurrence
@@ -353,9 +366,19 @@ def test_first_power_is_the_word_itself():
     # no cyclic move inside a nested power: it would conjugate that factor
     ("( t1 t2 t1^-1 )^3 t2", 1, "( t1 t2 t1^-1 )^3 t2"),
     ("t1 t1^-1 iota^2", 1, ""),
+    # only the two ends merge cyclically: t1^-1 does not move past t3 to the front
+    ("t3 t1 t2 t1^-1", 2, "t3 t1 t2 t1^-1"),
+    # a conjugate peels pairwise from its two ends
+    ("t2 t4 t1 t3 t5 t3^-1 t1^-1 t4^-1 t2^-1", 2, "t5"),
 ])
 def test_reduce_word_examples(text, genus, reduced):
     assert format_word(reduce_word(parse_word(text, genus))) == reduced
+
+
+def test_a_word_left_unreduced_keeps_its_phi():
+    # t3 t1 t2 t1^-1 is conjugate to t3 t2, so both have the same phi
+    assert meyer.phi(parse_word("t3 t1 t2 t1^-1", 2)) == Fraction(6, 5)
+    assert meyer.phi(parse_word("t3 t2", 2)) == Fraction(6, 5)
 
 
 def test_chain_word_builder():

@@ -35,7 +35,10 @@ Prints one JSON object with the time, in seconds, of
 - ``phi_shared``: ``meyer.phi`` at g = 2 of w_d, with w_0 = ``t1 t2`` and
   w_{k+1} = ``Word(2, ((w_k, 1), (t3, 1), (w_k, -1)))``, which holds 2^d
   occurrences of w_0 in 3d + 2 items, at depth d = 10, 20, 40: this
-  column is keyed by d, not by the genus.
+  column is keyed by d, not by the genus;
+- ``text_shared``: ``words.format_word`` of the same w_d, keyed by d; its
+  text has 20 * 2^d - 15 characters, so past ``words.MAX_TEXT`` (from
+  d = 20 on) the cell times the ``WordError`` that refuses it.
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
@@ -78,7 +81,7 @@ def cell(kind: str, g: int) -> float:
     import random
 
     from blfsig import fibration, locsig, meyer, surface, verify
-    from blfsig.words import ChainTwist, Word, gen_word, parse_word
+    from blfsig.words import ChainTwist, Word, WordError, format_word, gen_word, parse_word
 
     rng = random.Random(5)
     words = [verify.random_word(rng, g, 40) for _ in range(2)]
@@ -123,13 +126,18 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return fibration.compute_report(spec)
-    elif kind == "phi_shared":
+    elif kind in ("phi_shared", "text_shared"):
         shared = parse_word("t1 t2", 2)
         for _ in range(g):  # g is the depth here
             shared = Word(2, ((shared, 1), (ChainTwist(3), 1), (shared, -1)))
 
         def call():
-            return meyer.phi(shared)
+            if kind == "phi_shared":
+                return meyer.phi(shared)
+            try:
+                return format_word(shared)
+            except WordError:  # longer than words.MAX_TEXT
+                return None
     elif kind == "h_word":
         ctx = locsig.CycleContext(g, surface.TypeI())
 
@@ -204,7 +212,8 @@ def main(argv=None) -> int:
                                   ("phi_power_chain", PHI_POWER_GENERA),
                                   ("phi_power_multitwist", PHI_POWER_GENERA),
                                   ("report_conjugated", REPORT_GENERA),
-                                  ("phi_shared", SHARED_DEPTHS))}
+                                  ("phi_shared", SHARED_DEPTHS),
+                                  ("text_shared", SHARED_DEPTHS))}
     print(json.dumps({"python": platform.python_version(), "budget_s": BUDGET_S,
                       "memory_mb": MEMORY_MB, "seconds": table}, indent=1))
     return 0
