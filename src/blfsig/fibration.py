@@ -47,10 +47,12 @@ period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
-Validation is homological (the symplectic representation cannot
-distinguish a mapping class from its product with the involution, hence
-the mod -1 comparisons); combinatorially consistent but geometrically
-impossible input is caught by the integrality of the total signature.
+Validation is homological: monodromies are compared as symplectic
+matrices, exactly, and iota is -1 there, so a mapping class and its
+product with iota differ.  At genus 1 this decides equality in the
+mapping class group, SL(2, Z); from genus 2 on the Torelli group is
+invisible.  Combinatorially consistent but geometrically impossible input
+may still be caught by the integrality of the total signature.
 """
 
 from __future__ import annotations
@@ -256,15 +258,6 @@ class ValidationReport:
         self.issues.append(ValidationIssue(where, message))
 
 
-def _matches_mod_sign(A: surface.Matrix, B: surface.Matrix) -> str | None:
-    """'+' if A == B, '-' if A == -B, None otherwise (tuple matrices)."""
-    if A == B:
-        return "+"
-    if A == tuple(tuple(-x for x in row) for row in B):
-        return "-"
-    return None
-
-
 def validate(spec: FibrationSpec) -> ValidationReport:
     """Homological consistency checks; every failure is itemized."""
     report = ValidationReport()
@@ -326,8 +319,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
                 "action check); orientation preservation is enforced by the "
                 "generating set")
 
-    # (c)+(d) boundary monodromies match across the base decomposition,
-    # modulo the involution (+-identity on homology)
+    # (c)+(d) boundary monodromies match across the base decomposition
     tracked: dict[int, surface.Matrix] = {}
     if g_active >= 1:
         report.hurwitz = _hurwitz_state(essential, g_active)
@@ -335,13 +327,9 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         expected = tracked.pop(r.component, surface.sp_identity(ctx.genus))
-        sign = _matches_mod_sign(monodromies[k], expected)
-        if sign is None:
+        if monodromies[k] != expected:
             report.add(where, "monodromy does not match the incoming boundary "
-                              "monodromy on homology (even mod the involution)")
-        elif sign == "-":
-            report.notes.append(f"{where}: matches incoming monodromy only up to "
-                                "the involution; homology cannot resolve the sign")
+                              "monodromy on homology")
         pushed = locsig.push_forward(r.monodromy, ctx)
         if isinstance(r.cycle, TypeI):
             if ctx.genus - 1 >= 1:
@@ -358,14 +346,10 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         g_low = stages[-1][comp] if comp < len(stages[-1]) else None
         if g_low is None or g_low < 1:
             continue
-        sign = _matches_mod_sign(M, surface.sp_identity(g_low))
-        if sign is None:
+        if M != surface.sp_identity(g_low):
             report.add("south disk",
                        f"component {comp}: residual monodromy is not homologically "
                        "trivial, the south-side bundle cannot be trivial")
-        elif sign == "-":
-            report.notes.append(f"south disk: component {comp} trivial only up to "
-                                "the involution")
     report.notes.append("membership checks are homological (necessary conditions); "
                         "geometric isotopy is the caller's responsibility")
     return report

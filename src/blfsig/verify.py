@@ -74,7 +74,7 @@ def random_valid_spec(rng: random.Random, max_genus: int = 3) -> FibrationSpec:
     """A fibration spec that is valid at the group level, so both signature
     pipelines apply.  Mixes mutated built-in families (Hurwitz moves and
     stabiliser conjugation preserve everything), chained fold regions with
-    trivial or involution monodromy, and separating folds."""
+    trivial monodromy, and separating folds."""
     kind = rng.randrange(3) if max_genus >= 2 else 0
     if kind == 0:
         # mutated family
@@ -99,20 +99,13 @@ def random_valid_spec(rng: random.Random, max_genus: int = 3) -> FibrationSpec:
         return FibrationSpec((g,), tuple(data), tuple(rounds),
                              spin=spec.spin, simply_connected=True)
     if kind == 1:
-        # no Lefschetz part: fold chain with identity/involution monodromies
+        # no Lefschetz part: a fold chain with identity monodromies, as the
+        # bundle over a disk with no critical value is trivial
         g = rng.randrange(2, max_genus + 1)
-        use_iota = rng.random() < 0.5
-        ctx1 = CycleContext(g, TypeI())
-        mono1 = _trivial_context_word(rng, ctx1)
-        if use_iota:
-            mono1 = mono1 * gen_word(g, IOTA)
-        rounds = [RoundRegion(0, TypeI(), mono1)]
-        if g >= 2 and rng.random() < 0.7:
-            ctx2 = CycleContext(g - 1, TypeI())
-            mono2 = _trivial_context_word(rng, ctx2)
-            if use_iota:
-                mono2 = mono2 * gen_word(g - 1, IOTA)
-            rounds.append(RoundRegion(0, TypeI(), mono2))
+        ctx1, ctx2 = CycleContext(g, TypeI()), CycleContext(g - 1, TypeI())
+        rounds = [RoundRegion(0, TypeI(), _trivial_context_word(rng, ctx1))]
+        if rng.random() < 0.7:
+            rounds.append(RoundRegion(0, TypeI(), _trivial_context_word(rng, ctx2)))
         return FibrationSpec((g,), (), tuple(rounds), simply_connected=False)
     # separating fold whose monodromy is a boundary-chain identity
     g = rng.randrange(2, max_genus + 1)

@@ -39,12 +39,14 @@ genus 0 holds no chain twist, as a sphere has no chain curves.  Words,
 parsed or built, nest at most MAX_NESTING deep, which bounds the recursion
 of every evaluator that walks a word.  ``format_word`` writes a shared
 nested word out at each occurrence, so it sizes the text first and refuses
-one longer than MAX_TEXT characters.  ``parse_word`` keeps the words of
-recent texts: a Word is immutable, so a text repeated across a spec file
-is parsed once.  For the same reason a Word caches its hash when first
-hashed, so a word that holds a nested word many times (as words built
-through the API may) hashes in time linear in its size as written, not in
-its number of occurrences of that nested word.
+one longer than MAX_TEXT characters, and ``repr`` shows that text or the
+refusal.  A number in a text, or an exponent written out, longer than
+Python converts (``sys.get_int_max_str_digits``) is a WordError.
+``parse_word`` keeps the words of recent texts: a Word is immutable, so a
+text repeated across a spec file is parsed once.  For the same reason a
+Word caches its hash when first hashed, so a word that holds a nested word
+many times (as words built through the API may) hashes in time linear in
+its size as written, not in its number of occurrences of that nested word.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -67,7 +70,7 @@ class Frozen:
     keeps its fields, in slot order, as the tuple ``_key`` (a class with no
     field keeps the class-level ``()``): two values are equal when they are
     of one class with equal keys, and hash as their key.  ``Word`` keeps
-    its own ``__eq__`` and its cached hash."""
+    its own ``__eq__``, its cached hash, and a repr of its text form."""
     __slots__ = ()
     _key = ()
 
@@ -240,6 +243,15 @@ class Word(Frozen):
 
     def __str__(self):
         return format_word(self)
+
+    def __repr__(self):
+        # the text form, sized first by format_word, so a repr never raises
+        # and costs the size of the word as written
+        try:
+            text = repr(format_word(self))
+        except WordError as e:
+            text = f"<{e}>"
+        return f"Word(genus={self.genus}, text={text})"
 
 
 def _same_word(u: Word, v: Word, same: set) -> bool:
@@ -523,7 +535,7 @@ def _tokenize(text: str) -> list:
     for m in _TOKEN.finditer(text):
         tok = m.group(0)
         if m.group(1) is not None:
-            tokens.append(("gen", int(m.group(1))))
+            tokens.append(("gen", _int(m.group(1), tok)))
         elif tok == "iota":
             tokens.append(("iota", None))
         elif tok == "(":
@@ -531,10 +543,20 @@ def _tokenize(text: str) -> list:
         elif tok == ")":
             tokens.append(("close", None))
         elif m.group(2) is not None:
-            tokens.append(("pow", int(m.group(2))))
+            tokens.append(("pow", _int(m.group(2), tok)))
         else:
             raise WordError(f"unexpected token {tok!r}")
     return tokens
+
+
+def _int(digits: str, tok: str) -> int:
+    """int(digits), or a WordError naming the token when the number is
+    longer than Python converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise WordError(f"{tok[:20]}...: a number of {len(digits):,} characters, "
+                        f"over the limit of {sys.get_int_max_str_digits():,} digits") from None
 
 
 @lru_cache(maxsize=1 << 12)
@@ -624,5 +646,9 @@ def _text_length(w: Word, lengths: dict) -> int:
         else:
             n += len(str(item))
         if exp != 1:
-            n += 1 + len(str(exp))
+            try:
+                n += 1 + len(str(exp))
+            except ValueError:
+                raise WordError(f"an exponent of {exp.bit_length():,} bits has more than "
+                                f"{sys.get_int_max_str_digits():,} digits") from None
     return n

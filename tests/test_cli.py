@@ -257,6 +257,43 @@ def test_data_that_validation_rejects_exit_one(capsys, tmp_path, monkeypatch):
     assert code == 1 and err == "validation: lefschetz[16]: word genus 1 != fiber genus 2\n"
 
 
+SOUTH_DISK = ("validation: south disk: component 0: residual monodromy is not homologically "
+              "trivial, the south-side bundle cannot be trivial")
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_a_half_chain_is_refused_at_the_south_disk(capsys, tmp_path, g):
+    # (t_1 ... t_{2g})^{2g+1} multiplies to iota, which is -1 on homology, so
+    # the bundle over the south disk would not be trivial: no fibration
+    data = [fibration.chain_twist_datum(i, g) for i in range(1, 2 * g + 1)] * (2 * g + 1)
+    path = tmp_path / "half-chain.json"
+    path.write_text(json.dumps(fibration.spec_to_json(fibration.FibrationSpec((g,), tuple(data)))))
+    assert run(capsys, "compute", str(path)) == (1, "", SOUTH_DISK + "\n")
+
+
+@pytest.mark.parametrize("g", range(1, 4))
+def test_a_fold_monodromy_times_iota_is_refused(capsys, tmp_path, g):
+    # the fold monodromy of mgn(g, 1) times iota no longer matches the
+    # Hurwitz product; from genus 2 on the fold pushes iota forward to the
+    # south disk, which then reports it too
+    doc = fibration.spec_to_json(fibration.family_spec("mgn", g, 1))
+    doc["rounds"][0]["monodromy"] += " iota"
+    path = tmp_path / "mgn-iota.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compute", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "validation: rounds[0]: monodromy does not match the incoming boundary monodromy "
+        "on homology"] + ([SOUTH_DISK] if g >= 2 else [])
+
+
+def test_an_exponent_too_long_to_convert_exits_two(capsys):
+    for text in ("t1^" + "9" * 5000, "t" + "1" * 5000):
+        code, out, err = run(capsys, "phi", "-g", "2", text)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        assert "over the limit of 4,300 digits" in err and "Traceback" not in err
+
+
 def test_compute_validates_once(capsys, monkeypatch):
     calls = []
     validate = fibration.validate

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import random
 from collections import Counter
@@ -255,6 +257,28 @@ class TestValidation:
         spec = FibrationSpec((1,), (chain_twist_datum(1, 1),), ())
         with pytest.raises(ConsistencyError):
             fib.total_signature(spec)
+
+    def test_genus_one_census(self):
+        # Mod(T^2) = SL(2, Z), so at genus 1 the matrices decide: of the
+        # positive words in t1, t2, the 8 of length 6 that multiply to
+        # iota = -1 are refused at the south disk, and the 196 of length 12
+        # that multiply to 1 all give E(1), (sigma, chi) = (-8, 12)
+        t = {i: surface.word_matrix(gen_word(1, ChainTwist(i))) for i in (1, 2)}
+        for length, product, count in ((6, surface.iota_matrix(1), 8),
+                                       (6, surface.sp_identity(1), 0),
+                                       (12, surface.sp_identity(1), 196)):
+            words = [w for w in itertools.product((1, 2), repeat=length)
+                     if functools.reduce(surface.mat_mul, (t[i] for i in w)) == product]
+            assert len(words) == count
+            for w in words:
+                spec = FibrationSpec((1,), tuple(chain_twist_datum(i, 1) for i in w), ())
+                rep = fib.validate(spec)
+                if length == 6:
+                    assert [i.where for i in rep.issues] == ["south disk"], w
+                    continue
+                assert rep.ok, w
+                assert fib.total_signature(spec) == -8 and fib.euler_characteristic(spec) == 12
+                assert fib.signature_meyer_path(spec, rep.hurwitz) == -8
 
 
 class TestMeyerPath:

@@ -165,16 +165,16 @@ VALUE_CLASSES = [
     (ChainTwist, [("index", 3, 4)], "ChainTwist(index=3)"),
     (Iota, [], "Iota()"),
     (Word, [("genus", 2, 3), ("items", T1, ())],
-     "Word(genus=2, items=((ChainTwist(index=1), 2),))"),
+     "Word(genus=2, text='t1^2')"),
     (TypeI, [], "TypeI()"),
     (TypeII, [("h", 1, 2)], "TypeII(h=1)"),
     (CycleContext, [("genus", 2, 3), ("cycle", TypeII(1), TypeI())],
      "CycleContext(genus=2, cycle=TypeII(h=1))"),
     (LefschetzDatum, [("cycle", TypeI(), TypeII(0)), ("conjugator", Word(1, T1), Word(1))],
-     "LefschetzDatum(cycle=TypeI(), conjugator=Word(genus=1, items=((ChainTwist(index=1), 2),)))"),
+     "LefschetzDatum(cycle=TypeI(), conjugator=Word(genus=1, text='t1^2'))"),
     (RoundRegion, [("component", 0, 1), ("cycle", TypeI(), TypeII(1)),
                    ("monodromy", Word(2), Word(2, T1))],
-     "RoundRegion(component=0, cycle=TypeI(), monodromy=Word(genus=2, items=()))"),
+     "RoundRegion(component=0, cycle=TypeI(), monodromy=Word(genus=2, text=''))"),
     (FibrationSpec, [("higher_fiber", (2,), (3,)),
                      ("lefschetz", (), (LefschetzDatum(TypeI(), Word(2)),)),
                      ("rounds", (), (RoundRegion(0, TypeI(), Word(2)),)),
@@ -265,6 +265,28 @@ def test_a_shared_word_too_long_to_print_is_refused_at_once():
         with pytest.raises(WordError, match=f"would have {size} characters, more than 10,000,000"):
             str(shared(depth, 2))
         assert time.perf_counter() - t < 1.0
+
+
+def test_the_repr_of_a_word_is_its_bounded_text():
+    w = parse_word("( t1 t2 )^3 iota t5^-2", 2)
+    assert repr(w) == "Word(genus=2, text='( t1 t2 )^3 iota t5^-2')"
+    t = time.perf_counter()
+    assert repr(shared(40, 2)) == ("Word(genus=2, text=<the text of this word would have "
+                                   "21,990,232,555,505 characters, more than 10,000,000>)")
+    assert time.perf_counter() - t < 0.1
+    huge = Word(2, ((ChainTwist(1), 10 ** 5000),))
+    with pytest.raises(WordError, match="an exponent of 16,610 bits has more than 4,300 digits"):
+        format_word(huge)
+    assert repr(huge) == ("Word(genus=2, text=<an exponent of 16,610 bits has more than "
+                          "4,300 digits>)")
+
+
+def test_a_number_too_long_to_convert_is_a_word_error():
+    for text, message in (("t1^" + "9" * 5000, r"\^9{19}\.\.\.: a number of 5,000 characters"),
+                          ("t1^-" + "9" * 4301, r"\^-9{18}\.\.\.: a number of 4,302 characters"),
+                          ("t" + "1" * 5000, r"t1{19}\.\.\.: a number of 5,000 characters")):
+        with pytest.raises(WordError, match=message + ", over the limit of 4,300 digits"):
+            parse_word(text, 2)
 
 
 def test_a_shared_nested_word_is_folded_once_per_call(monkeypatch):
