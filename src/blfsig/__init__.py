@@ -52,7 +52,6 @@ from .surface import (
     TypeI,
     TypeII,
     chain_class,
-    curve_action,
     word_to_matrix,
 )
 from .words import (

@@ -47,7 +47,11 @@ period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
-Validation is homological: monodromies are compared as symplectic
+Validation (``validate``) checks that each fold monodromy is a word in its
+stabiliser's generators, so that it fixes its vanishing cycle up to sign;
+that it equals the incoming monodromy of its component exactly on
+homology; and that the south disk is trivial on homology.  A faulty fold
+ends the checks on its component.  Monodromies are compared as symplectic
 matrices, exactly, and iota is -1 there, so a mapping class and its
 product with iota differ.  At genus 1 this decides equality in the
 mapping class group, SL(2, Z); from genus 2 on the Torelli group is
@@ -259,7 +263,12 @@ class ValidationReport:
 
 
 def validate(spec: FibrationSpec) -> ValidationReport:
-    """Homological consistency checks; every failure is itemized."""
+    """Homological consistency checks, every failure itemized: the Lefschetz
+    data are essential twists at the active genus; (a) each fold monodromy
+    is a word in its stabiliser's generators, so it fixes its cycle up to
+    sign; (b) it equals its component's incoming monodromy exactly on
+    homology; (c) the south disk is trivial on homology.  A fold that fails
+    (b) ends the checks on its component (on both sides of a II_h fold)."""
     report = ValidationReport()
     try:
         stages = component_stages(spec)
@@ -302,51 +311,39 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add(where, str(e))
             return report  # later checks need well-formed contexts
     if genus_mismatch:
-        return report  # check (c) needs the whole Hurwitz product
+        return report  # check (b) needs the whole Hurwitz product
 
-    # (b) homological action on the vanishing cycle
-    monodromies = [surface.word_matrix(r.monodromy) for r in spec.rounds]
-    for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
-        where = f"rounds[{k}]"
-        cls = surface.cycle_class(r.cycle, ctx.genus)
-        act = surface.curve_action(monodromies[k], cls)
-        if isinstance(r.cycle, TypeI):
-            if act == 0:
-                report.add(where, "monodromy does not preserve the vanishing cycle class")
-        else:
-            report.notes.append(
-                f"{where}: separating cycle is invisible to homology (vacuous "
-                "action check); orientation preservation is enforced by the "
-                "generating set")
-
-    # (c)+(d) boundary monodromies match across the base decomposition
-    tracked: dict[int, surface.Matrix] = {}
+    # (b) one walk over the folds: match each against its component's
+    # incoming monodromy, then push forward; a fold that does not match
+    # leaves its sides unknown (None), which no later check reads
+    tracked: dict[int, surface.Matrix | None] = {}
     if g_active >= 1:
         report.hurwitz = _hurwitz_state(essential, g_active)
         tracked[spec.active_component()] = report.hurwitz[1]
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
+        if isinstance(r.cycle, TypeII):
+            report.notes.append(
+                f"{where}: separating cycle is invisible to homology (vacuous "
+                "action check); orientation preservation is enforced by the "
+                "generating set")
         expected = tracked.pop(r.component, surface.sp_identity(ctx.genus))
-        if monodromies[k] != expected:
+        if expected is not None and surface.word_matrix(r.monodromy) != expected:
             report.add(where, "monodromy does not match the incoming boundary "
                               "monodromy on homology")
+            expected = None
         pushed = locsig.push_forward(r.monodromy, ctx)
-        if isinstance(r.cycle, TypeI):
-            if ctx.genus - 1 >= 1:
-                tracked[r.component] = surface.word_matrix(pushed)
-        else:
-            side1, side2 = pushed
-            if side1.genus >= 1:
-                tracked[r.component] = surface.word_matrix(side1)
-            if side2.genus >= 1:
-                tracked[len(stages[k])] = surface.word_matrix(side2)  # new component
-    # south disk: whatever monodromy survives must bound a trivial bundle
-    # (for a pure Lefschetz fibration this is the Hurwitz product itself)
+        # II_h keeps side 0 on the component and puts side 1 on a new one
+        sides = ((r.component, pushed),) if isinstance(r.cycle, TypeI) else \
+            zip((r.component, len(stages[k])), pushed)
+        for comp, w in sides:
+            if w.genus >= 1:
+                tracked[comp] = None if expected is None else surface.word_matrix(w)
+    # (c) south disk: whatever monodromy survives must bound a trivial
+    # bundle (for a pure Lefschetz fibration this is the Hurwitz product
+    # itself); every tracked side has genus >= 1 here
     for comp, M in tracked.items():
-        g_low = stages[-1][comp] if comp < len(stages[-1]) else None
-        if g_low is None or g_low < 1:
-            continue
-        if M != surface.sp_identity(g_low):
+        if M is not None and M != surface.sp_identity(stages[-1][comp]):
             report.add("south disk",
                        f"component {comp}: residual monodromy is not homologically "
                        "trivial, the south-side bundle cannot be trivial")

@@ -273,22 +273,6 @@ def word_to_matrix(w: Word) -> Matrix:
     return word_matrix(w)
 
 
-def curve_action(M, c) -> int:
-    """+1 if M c = c, -1 if M c = -c, 0 otherwise, for a matrix M given as
-    any sequence of rows.
-
-    A zero class returns +1; homology cannot see separating curves, so the
-    caller should flag that case as vacuous.
-    """
-    c = [int(x) for x in c]
-    img = [sum(map(mul, row, c)) for row in M]
-    if img == c:
-        return 1
-    if img == [-x for x in c]:
-        return -1
-    return 0
-
-
 def cycle_class(cycle: CurveDescriptor, g: int) -> tuple[int, ...]:
     """Homology class of the standard curve of the given type: the top
     chain curve (class a_g) for type I, zero for separating types."""

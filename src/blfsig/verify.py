@@ -234,19 +234,22 @@ def _contexts(max_genus: int) -> list[CycleContext]:
 
 
 def check_decomposition(rng, samples: int, max_genus: int) -> CheckResult:
+    """h = s + phi - pushforward phi on each generator of each context, and
+    on random words for the II_h contexts only.  For type I the corrections
+    of w and of its pushforward enter s and the two phi terms with opposite
+    signs and cancel, so both sides are additive and the generators decide
+    the identity; for II_h, s = 0 and the corrections must agree."""
     bad = 0
     total = 0
     for ctx in _contexts(max_genus):
         gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
         if locsig.iota_allowed(ctx):
             gens.append(IOTA)
-        for gen in gens:
+        ws = [gen_word(ctx.genus, gen) for gen in gens]
+        if isinstance(ctx.cycle, TypeII):
+            ws += [random_context_word(rng, ctx, rng.randrange(1, 12)) for _ in range(samples)]
+        for w in ws:
             total += 1
-            if not locsig.decomposition_check(gen_word(ctx.genus, gen), ctx).agrees:
-                bad += 1
-        for _ in range(samples):
-            total += 1
-            w = random_context_word(rng, ctx, rng.randrange(1, 12))
             if not locsig.decomposition_check(w, ctx).agrees:
                 bad += 1
     return CheckResult("decomposition h = s + phi - pushforward phi", bad == 0,
@@ -254,15 +257,26 @@ def check_decomposition(rng, samples: int, max_genus: int) -> CheckResult:
 
 
 def check_two_paths(rng, samples: int, max_genus: int) -> CheckResult:
+    """The two pipelines on the built-in families, on the pure chain systems
+    (t_1 ... t_{2g+1})^{2g+2} = 1 rotated by 2g data, and on random valid
+    specs.  The Meyer path folds each window of 2g data as one form on the
+    relations among their vanishing classes.  The families' windows hold
+    independent classes, so every such form is empty; the rotation puts
+    dependent classes in the chain systems' windows, so a wrong window form
+    shows there."""
     bad = 0
     total = 0
+    specs = []
     for g in range(1, min(max_genus, 3) + 1):
         for n in (1, 2):
             for fam in ("mgn",) + (("mgn_tilde",) if g >= 2 else ()):
-                spec = fibration.family_spec(fam, g, n)
-                total += 1
-                if fibration.total_signature(spec) != fibration.signature_meyer_path(spec):
-                    bad += 1
+                specs.append(fibration.family_spec(fam, g, n))
+        data = [fibration.chain_twist_datum(i, g) for i in range(1, 2 * g + 2)] * (2 * g + 2)
+        specs.append(FibrationSpec((g,), tuple(data[2 * g:] + data[:2 * g])))
+    for spec in specs:
+        total += 1
+        if fibration.total_signature(spec) != fibration.signature_meyer_path(spec):
+            bad += 1
     for _ in range(samples):
         spec = random_valid_spec(rng, max_genus)
         total += 1

@@ -271,20 +271,47 @@ def test_a_half_chain_is_refused_at_the_south_disk(capsys, tmp_path, g):
     assert run(capsys, "compute", str(path)) == (1, "", SOUTH_DISK + "\n")
 
 
-@pytest.mark.parametrize("g", range(1, 4))
-def test_a_fold_monodromy_times_iota_is_refused(capsys, tmp_path, g):
-    # the fold monodromy of mgn(g, 1) times iota no longer matches the
-    # Hurwitz product; from genus 2 on the fold pushes iota forward to the
-    # south disk, which then reports it too
+def fold_mismatch(k):
+    return (f"validation: rounds[{k}]: monodromy does not match the incoming boundary "
+            "monodromy on homology")
+
+
+def mgn_with_iota_on_its_fold(g):
     doc = fibration.spec_to_json(fibration.family_spec("mgn", g, 1))
     doc["rounds"][0]["monodromy"] += " iota"
-    path = tmp_path / "mgn-iota.json"
+    return doc
+
+
+def compute_doc(capsys, tmp_path, doc):
+    path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "compute", str(path))
     assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        "validation: rounds[0]: monodromy does not match the incoming boundary monodromy "
-        "on homology"] + ([SOUTH_DISK] if g >= 2 else [])
+    return err.splitlines()
+
+
+@pytest.mark.parametrize("g", range(1, 4))
+def test_a_fold_monodromy_times_iota_is_refused(capsys, tmp_path, g):
+    # the fold monodromy of mgn(g, 1) times iota no longer matches the
+    # Hurwitz product; the fold's side is then unknown, so the south disk,
+    # which would see iota pushed forward, reports nothing more
+    assert compute_doc(capsys, tmp_path, mgn_with_iota_on_its_fold(g)) == [fold_mismatch(0)]
+
+
+def test_a_faulty_fold_ends_the_checks_on_its_component(capsys, tmp_path):
+    # the second fold's monodromy is the identity, which does not match the
+    # iota that the faulty first fold would push forward: no second issue
+    doc = mgn_with_iota_on_its_fold(2)
+    doc["rounds"].append({"component": 0, "cycle": {"type": "I"}, "monodromy": "t1 t1^-1"})
+    assert compute_doc(capsys, tmp_path, doc) == [fold_mismatch(0)]
+
+
+def test_a_faulty_separating_fold_leaves_both_sides_unchecked(capsys, tmp_path):
+    # t1 is not the trivial incoming monodromy, and it would reach the south
+    # disk on side 0 of the II_1 fold
+    doc = fibration.spec_to_json(fibration.FibrationSpec(
+        (2,), (), (fibration.RoundRegion(0, TypeII(1), fibration.parse_word("t1", 2)),)))
+    assert compute_doc(capsys, tmp_path, doc) == [fold_mismatch(0)]
 
 
 def test_an_exponent_too_long_to_convert_exits_two(capsys):

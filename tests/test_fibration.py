@@ -460,6 +460,21 @@ class TestHurwitzFold:
         assert result.passed
         assert len(folded) == int(result.detail.split()[0])  # "N fibrations, ..."
 
+    def test_the_two_path_check_sees_the_window_forms(self, monkeypatch):
+        # with every window sum negated, the families still agree, as their
+        # windows hold independent classes; the rotated chain systems do not
+        assert str(verify.check_two_paths(random.Random(3), 0, 3)) == \
+            "ok   two signature pipelines agree: 13 fibrations, 0 disagreements"
+        window = meyer._window_state
+
+        def negated(factors):
+            c, P = window(factors)
+            return -c, P
+
+        monkeypatch.setattr(meyer, "_window_state", negated)
+        assert str(verify.check_two_paths(random.Random(3), 0, 3)) == \
+            "FAIL two signature pipelines agree: 13 fibrations, 3 disagreements"
+
     def test_rejected_data_never_reach_the_fold(self, monkeypatch):
         folded = []
         fold = meyer.sequence_state

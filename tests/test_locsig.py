@@ -1,9 +1,10 @@
 import tracemalloc
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
-from blfsig import locsig, meyer, surface, words
+from blfsig import locsig, meyer, surface, verify, words
 from blfsig.locsig import ContextError, CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_context_word
@@ -162,6 +163,36 @@ class TestGeneratingSets:
             assert locsig.allowed_chain_indices(ctx) == {
                 i for i in range(1, 2 * g + 2) if former_member(ChainTwist(i), ctx)}
             assert locsig.iota_allowed(ctx) == former_member(IOTA, ctx)
+
+    def type_i_generators_moving_the_cycle(self, g):
+        """The generators that the type I table admits at genus g and that
+        do not map the class of the cycle to +- itself."""
+        ctx = CycleContext(g, TypeI())
+        c = surface.cycle_class(TypeI(), g)
+        gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
+        gens += [IOTA] if locsig.iota_allowed(ctx) else []
+        moved = []
+        for gen in gens:
+            image = tuple(sum(map(mul, row, c)) for row in surface.word_matrix(gen_word(g, gen)))
+            if image not in (c, tuple(-x for x in c)):
+                moved.append(gen)
+        return moved
+
+    def test_type_i_generators_fix_the_cycle_up_to_sign(self, monkeypatch):
+        # a word that validate_word admits fixes the cycle up to sign on
+        # homology, so validation needs no action check of its own
+        for g in range(1, 9):
+            assert self.type_i_generators_moving_the_cycle(g) == [], g
+        generator = locsig._generator
+
+        def admits_t_2g(gen, ctx):
+            if isinstance(ctx.cycle, TypeI) and gen == ChainTwist(2 * ctx.genus):
+                return F(0), 0, (0, gen)
+            return generator(gen, ctx)
+
+        monkeypatch.setattr(locsig, "_generator", admits_t_2g)
+        for g in range(1, 9):
+            assert self.type_i_generators_moving_the_cycle(g) == [ChainTwist(2 * g)], g
 
     def test_index_past_the_chain_at_a_separating_cycle(self):
         with pytest.raises(ContextError):
@@ -472,6 +503,21 @@ class TestDecomposition:
                 assert rep.s_term == locsig.s_word(w, ctx)
                 assert rep.phi_term == meyer.phi(w)
                 assert rep.pushed_phi_term == sum(meyer.phi(x) for x in sides)
+
+    def test_the_verify_check_fails_on_a_wrong_correction(self, rng, monkeypatch):
+        # the corrections cancel from the type I identity, so only the random
+        # II_h words can see them, and the check draws no type I word
+        assert verify.check_decomposition(rng, 20, 3).passed
+        correction = meyer.correction
+        monkeypatch.setattr(meyer, "correction", lambda w: correction(w) + 7 * len(str(w)) + 3)
+        assert verify.check_decomposition(rng, 20, 1).passed
+        assert not verify.check_decomposition(rng, 20, 3).passed
+
+    def test_the_verify_check_fails_on_a_wrong_h_value(self, rng, monkeypatch):
+        assert verify.check_decomposition(rng, 0, 1).passed
+        h_generator = locsig.h_generator
+        monkeypatch.setattr(locsig, "h_generator", lambda gen, ctx: h_generator(gen, ctx) + 1)
+        assert not verify.check_decomposition(rng, 0, 1).passed  # type I only
 
     def test_each_correction_is_folded_once(self, monkeypatch):
         calls = []

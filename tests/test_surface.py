@@ -321,19 +321,6 @@ class TestGeneratorPowers:
 
 
 class TestCurveAction:
-    def test_identity_fixes(self):
-        c = surface.chain_class(5, 2)
-        assert surface.curve_action(eye(4), c) == 1
-
-    def test_iota_negates(self):
-        c = (0, 0, 1, 0)  # a_2
-        assert surface.curve_action(surface.iota_matrix(2), c) == -1
-
-    def test_transverse_twist_moves(self):
-        # the twist along b_2 sends a_2 to a_2 + b_2
-        M = surface.transvection((0, 0, 0, 1))
-        assert surface.curve_action(M, (0, 0, 1, 0)) == 0
-
     def test_cycle_class(self):
         assert surface.cycle_class(TypeI(), 2) == surface.chain_class(5, 2)
         assert surface.cycle_class(TypeII(1), 2) == (0, 0, 0, 0)
