@@ -12,8 +12,13 @@ Subcommands:
     verify [--samples K] [--max-genus G] [--seed S]
 
 Exit codes: 0 success, 1 validation/consistency failure, 2 usage or parse
-errors.  With ``--format json`` all rationals are rendered exactly as
-"p/q" strings, never as floats.
+errors.  A reader that closes the output early (``blfsig ... | head``)
+ends the command quietly with exit code 1.  With ``--format json`` all
+rationals are rendered exactly as "p/q" strings, never as floats.
+
+The word-level commands (``phi``, ``tau``, ``h``, ``sigma-loc``) never load
+``fibration``: the commands that need it import it when they run, as
+``cmd_verify`` imports ``verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import os
 import sys
 
-from . import fibration, locsig, meyer, surface
+from . import locsig, meyer, surface
 from .locsig import CycleContext
 from .surface import TypeI, TypeII
 from .words import WordError, parse_word
@@ -90,13 +95,16 @@ def cmd_sigma_loc(args) -> int:
 
 
 def cmd_abelianization(args) -> int:
+    from . import fibration
+
     text = fibration.abelianization(args.genus, _parse_cycle(args.cycle))
     _emit({"genus": args.genus, "cycle": args.cycle, "abelianization": text},
           args.format, [text])
     return EXIT_OK
 
 
-def _report_lines(rep: fibration.InvariantReport) -> list[str]:
+def _report_lines(rep) -> list[str]:
+    """The text form of a ``fibration.InvariantReport``."""
     lines = [
         f"signature              {rep.signature}",
         f"euler characteristic   {rep.euler}",
@@ -118,6 +126,8 @@ def _report_lines(rep: fibration.InvariantReport) -> list[str]:
 
 
 def _compute_and_emit(spec, fmt: str) -> int:
+    from . import fibration
+
     try:
         rep = fibration.compute_report(spec)
     except fibration.ValidationError as e:
@@ -129,6 +139,8 @@ def _compute_and_emit(spec, fmt: str) -> int:
 
 
 def cmd_compute(args) -> int:
+    from . import fibration
+
     try:
         spec = fibration.load_spec(args.spec_file)
     except (OSError, json.JSONDecodeError, ValueError, WordError) as e:
@@ -138,6 +150,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import fibration
+
     try:
         spec = fibration.family_spec(args.family, args.genus, args.n)
     except ValueError as e:
@@ -265,7 +279,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -463,14 +463,13 @@ def euler_characteristic(spec: FibrationSpec) -> int:
 
 # -- homeomorphism type -------------------------------------------------------
 
-# standard building blocks and their (b2+, b2-)
+# display names of the standard building blocks
 _DISPLAY = {
     "CP2": "CP²",
     "CP2bar": "CP̄²",
     "S2xS2": "S²×S²",
     "E2": "E(2)",
 }
-_B2 = {"CP2": (1, 0), "CP2bar": (0, 1), "S2xS2": (1, 1), "E2": (3, 19)}
 _PAREN_IN_SUMS = {"S2xS2"}
 
 
@@ -498,17 +497,6 @@ def _format_summands(summands) -> str:
     if summands[0][0] > 1:
         text = "#" + text
     return text
-
-
-def _recompose_check(summands, sig: int, euler: int) -> None:
-    b2p = sum(k * _B2[b][0] for k, b in summands)
-    b2m = sum(k * _B2[b][1] for k, b in summands)
-    count = sum(k for k, _ in summands)
-    chi = 2 + b2p + b2m  # connected sum of count blocks: chi = sum chi_i - 2(count-1)
-    if b2p - b2m != sig or chi != euler:
-        raise ConsistencyError(
-            f"decomposition recomposes to (sig, chi) = ({b2p - b2m}, {chi}), "
-            f"wanted ({sig}, {euler})")
 
 
 def homeomorphism_report(sig: int, euler: int, spin: bool,
@@ -551,7 +539,6 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
         if b:
             summands.append((b, "S2xS2"))
         summands = tuple(summands)
-    _recompose_check(summands, sig, euler)
     return HomeoReport(status="ok", summands=summands,
                        display=_format_summands(summands))
 

@@ -2,7 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +323,26 @@ def test_an_exponent_too_long_to_convert_exits_two(capsys):
         code, out, err = run(capsys, "phi", "-g", "2", text)
         assert (code, out) == (2, "") and len(err.splitlines()) == 1
         assert "over the limit of 4,300 digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(unbuffered):
+    # about 480 kB of JSON, far more than a pipe holds, so the writer is still
+    # writing when the reader goes
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blfsig.cli", "family", "mgn", "--emit-spec",
+         "-g", "40", "-n", "4"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == cli.EXIT_INVALID
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) <= 1
 
 
 def test_compute_validates_once(capsys, monkeypatch):

@@ -1,15 +1,20 @@
 """The package runs on the standard library alone, and loads little of it.
 
 numpy stays a test-only dependency (the oracles use it as an independent
-matrix product), so each check runs in a fresh interpreter.
+matrix product), and ``fibration`` loads only for the commands and names
+that need it, so each check runs in a fresh interpreter.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import blfsig
+from blfsig import fibration
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +44,7 @@ def test_cli_and_report_need_no_numpy(block):
 IMPORT_GRAPH = """
 import sys
 sys.path.insert(0, sys.argv[1])
-unwanted = ("dataclasses", "inspect", "typing", "blfsig.verify")
+unwanted = ("dataclasses", "inspect", "typing", "blfsig.verify", "blfsig.fibration")
 import blfsig
 print(*[m for m in unwanted if m in sys.modules])
 import blfsig.cli
@@ -53,3 +58,79 @@ def test_import_loads_no_dataclasses_typing_or_verify():
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n\n"
+
+
+COMMAND = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import blfsig.cli
+code = blfsig.cli.run(sys.argv[2:])
+print(code, "blfsig.fibration" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["phi", "-g", "2", "t1 t2^3 iota"], False),
+    (["tau", "-g", "2", "t1 t2", "t3"], False),
+    (["h", "-g", "2", "--cycle", "I", "t1 t3"], False),
+    (["sigma-loc", "-g", "2", "--cycle", "II:1"], False),
+    (["compute", "SPEC"], True),
+    (["family", "mgn", "-g", "1", "-n", "1"], True),
+    (["abelianization", "-g", "2", "--cycle", "I"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_only_the_spec_commands_load_fibration(tmp_path, argv, loads):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fibration.spec_to_json(fibration.family_spec("mgn", 1, 1))))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", COMMAND, str(ROOT / "src"), *argv],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+
+
+# blfsig.__all__ as it was when the package imported fibration eagerly
+ALL = [
+    "ChainTwist", "ConsistencyError", "ContextError", "CycleContext", "FibrationSpec",
+    "IOTA", "Iota", "LefschetzDatum", "RoundRegion", "ShapeError", "TypeI", "TypeII",
+    "ValidationError", "Word", "WordError", "abelianization", "chain_class",
+    "chain_twist_datum", "chain_word", "compute_report", "decomposition_check",
+    "euler_characteristic", "family_spec", "fibration", "format_word", "gen_word",
+    "h_generator", "h_word", "homeomorphism_report", "kernel_basis", "load_spec",
+    "locsig", "meyer", "meyer_form", "parse_word", "phi", "phi_base", "rank", "ratlin",
+    "s_generator", "s_word", "separating_torsion", "sigma_loc", "signature_meyer_path",
+    "signature_of_symmetric", "smith_normal_form", "spec_from_json", "spec_to_json",
+    "surface", "tau", "total_signature", "validate", "word_to_matrix", "words",
+]
+
+LAZY = ["ConsistencyError", "FibrationSpec", "LefschetzDatum", "RoundRegion",
+        "ValidationError", "abelianization", "chain_twist_datum", "compute_report",
+        "euler_characteristic", "family_spec", "homeomorphism_report", "load_spec",
+        "separating_torsion", "signature_meyer_path", "spec_from_json", "spec_to_json",
+        "total_signature", "validate"]
+
+
+def test_all_is_unchanged():
+    assert blfsig.__all__ == ALL
+
+
+@pytest.mark.parametrize("name", LAZY)
+def test_a_lazy_name_is_the_fibration_attribute(name):
+    assert getattr(blfsig, name) is getattr(fibration, name)
+    assert blfsig.fibration is fibration
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'blfsig' has no attribute 'no_such_name'"):
+        blfsig.no_such_name
+    assert not hasattr(blfsig, "InvariantReport")
+
+
+def test_import_time_tool_smoke():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "import_time.py"),
+                           "--runs", "1"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["runs"] == 1 and result["median_s"] == result["min_s"] > 0
+    assert "blfsig.cli" in result["modules"]
+    assert "blfsig.fibration" not in result["modules"]

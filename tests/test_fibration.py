@@ -567,15 +567,25 @@ class TestHomeomorphismReport:
             "no spin decomposition: euler 22 incompatible with 1 E(2) summands"
 
     def test_recomposition(self):
-        for sig, euler, spin in [(-4, 10, False), (-16, 30, True), (0, 4, True),
-                                 (-8, 12, False), (-36, 46, False)]:
-            rep = fib.homeomorphism_report(sig, euler, spin, True)
-            b2p = sum(k * {"CP2": 1, "CP2bar": 0, "S2xS2": 1, "E2": 3}[b]
-                      for k, b in rep.summands)
-            b2m = sum(k * {"CP2": 0, "CP2bar": 1, "S2xS2": 1, "E2": 19}[b]
-                      for k, b in rep.summands)
-            assert b2p + b2m == euler - 2
-            assert b2p - b2m == sig
+        # every decomposition accepted on the grid |sig| <= 200, chi < 400
+        # recomposes from the blocks' (b2+, b2-): a connected sum adds them,
+        # and chi = 2 + b2
+        b2 = {"CP2": (1, 0), "CP2bar": (0, 1), "S2xS2": (1, 1), "E2": (3, 19)}
+        accepted = Counter()
+        for sig in range(-200, 201):
+            for euler in range(400):
+                for spin in (False, True):
+                    try:
+                        rep = fib.homeomorphism_report(sig, euler, spin, True)
+                    except ConsistencyError:
+                        continue
+                    accepted[spin] += 1
+                    b2p = sum(k * b2[b][0] for k, b in rep.summands)
+                    b2m = sum(k * b2[b][1] for k, b in rep.summands)
+                    assert (b2p - b2m, 2 + b2p + b2m) == (sig, euler), rep.summands
+                    blocks = {b for _, b in rep.summands}
+                    assert blocks <= ({"S2xS2", "E2"} if spin else {"CP2", "CP2bar"})
+        assert sum(accepted.values()) == 61528 and accepted[True] > 0
 
 
 class TestAbelianization:
