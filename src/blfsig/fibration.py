@@ -30,11 +30,11 @@ conjugator except for a nested power, and kept per distinct datum.
 The cocycle sum telescopes -phi(H^-1) - sum_k phi(D_k) for the Hurwitz
 product H = P_n by phi(uv) = phi(u) + phi(v) - tau(u, v), with the closing
 term tau(H, H^-1) identically 0, so it needs no phi of a letter.
-``compute_report`` folds the Hurwitz system once, in ``meyer``'s
-tau-corrected states (c, P): ``validate`` folds the data it accepts, reads
-the Hurwitz product H from the fold and keeps the fold in its report, and
-the Meyer path reads c = -sum_k tau(P_{k-1}, D_k) from it.  The fold
-takes each datum as its vanishing class, never as a matrix, raises a
+A spec's Hurwitz system is folded once, in ``meyer``'s tau-corrected
+states (c, P), by ``_hurwitz_state``, which keeps the fold on the spec:
+``validate`` reads the Hurwitz product H from it and the Meyer path reads
+c = -sum_k tau(P_{k-1}, D_k), so a report folds once.  The fold
+takes each type I datum as its vanishing class, never as a matrix, raises a
 leading or trailing block of repeated data as one power
 (``meyer.sequence_state``), and folds each window of 2g consecutive type I
 data as the signature of one form on the relations among their vanishing
@@ -164,7 +164,10 @@ class RoundRegion(Frozen):
 
 
 class FibrationSpec(Frozen):
-    __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected", "_key")
+    """The fibration data.  ``_fold``, the fold of the Hurwitz system, is
+    kept on the object on first use (``_hurwitz_state``) and is no field."""
+    __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected", "_key",
+                 "_fold")
 
     def __init__(self, higher_fiber: tuple[int, ...],
                  lefschetz: tuple[LefschetzDatum, ...] = (),
@@ -243,16 +246,12 @@ class ValidationIssue:
 
 
 class ValidationReport:
-    __slots__ = ("issues", "notes", "hurwitz")
+    __slots__ = ("issues", "notes")
 
     def __init__(self, issues: list[ValidationIssue] | None = None,
-                 notes: list[str] | None = None, hurwitz: tuple | None = None):
+                 notes: list[str] | None = None):
         self.issues = [] if issues is None else issues
         self.notes = [] if notes is None else notes
-        # the Hurwitz system folded once (``_hurwitz_state`` of the data that
-        # passed), which ``signature_meyer_path`` reads; None when validation
-        # stopped before the fold or the active genus is 0
-        self.hurwitz = hurwitz
 
     @property
     def ok(self) -> bool:
@@ -282,21 +281,16 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add("components", "active component must have genus >= 1")
             return report
 
-    # (a') Lefschetz data are essential twists at the active genus; their
-    # product is the incoming monodromy of the active component
-    essential = []
+    # (a') Lefschetz data are essential twists at the active genus
     genus_mismatch = False
     for j, d in enumerate(spec.lefschetz):
         where = f"lefschetz[{j}]"
         if d.genus != g_active:
             report.add(where, f"word genus {d.genus} != fiber genus {g_active}")
             genus_mismatch = True
-            continue
-        if isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g_active - 1:
+        elif isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g_active - 1:
             # II_0 and II_g twists act trivially: the product is unaffected
             report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
-            continue
-        essential.append(d)
 
     # (a) round monodromies are words in the stabiliser generators
     contexts = []
@@ -314,12 +308,12 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         return report  # check (b) needs the whole Hurwitz product
 
     # (b) one walk over the folds: match each against its component's
-    # incoming monodromy, then push forward; a fold that does not match
-    # leaves its sides unknown (None), which no later check reads
+    # incoming monodromy, the Hurwitz product for the active one, then push
+    # forward; a fold that does not match leaves its sides unknown (None),
+    # which no later check reads
     tracked: dict[int, surface.Matrix | None] = {}
     if g_active >= 1:
-        report.hurwitz = _hurwitz_state(essential, g_active)
-        tracked[spec.active_component()] = report.hurwitz[1]
+        tracked[spec.active_component()] = _hurwitz_state(spec)[1]
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         if isinstance(r.cycle, TypeII):
@@ -396,37 +390,43 @@ def total_signature(spec: FibrationSpec) -> int:
     return _as_integer(signature_breakdown(spec).total, "total signature")
 
 
-def _hurwitz_state(data, g: int) -> tuple[int, surface.Matrix]:
-    """The Hurwitz system of the data at genus g folded once in ``meyer``'s
-    tau-corrected states: (c, H) with H = D_1 ... D_n, the Hurwitz product
-    that validation compares, and c = -Sum_k tau(P_{k-1}, D_k), the
-    Meyer-path sum; (0, 1) for no data.  Each datum enters the fold as
-    its vanishing class, the pair (v, 1) for t_v, and a datum of class 0
-    (type II) as no factor at all: its matrix is the identity, so it adds
-    tau(P, 1) = 0 and leaves P as it is.  Each distinct datum object reads
-    its class once, keyed by identity, so a spec that repeats its data (as
-    ``family_spec`` and ``spec_from_json`` build them) hashes no word per
-    datum.  ``meyer.sequence_state`` raises
-    a repeated block of data as one power and folds windows of 2g classes as
-    one form each."""
+def _hurwitz_state(spec: FibrationSpec) -> tuple[int, surface.Matrix]:
+    """The spec's Hurwitz system folded in ``meyer``'s tau-corrected
+    states: (c, H) with H = D_1 ... D_n, the Hurwitz product that
+    validation compares, and c = -Sum_k tau(P_{k-1}, D_k), the Meyer-path
+    sum; (0, 1) for no data.  The fold is computed on first use and kept on
+    the spec object, so validation and the Meyer path share it.  Each type I
+    datum enters the fold as its vanishing class, the pair (v, 1) for t_v;
+    a type II datum has class 0 and the identity matrix, so it would add
+    tau(P, 1) = 0 and leave P as it is, and is no factor.  Each distinct
+    datum object reads its class once, keyed by identity, so a spec that
+    repeats its data (as ``family_spec`` and ``spec_from_json`` build them)
+    hashes no word per datum.  ``meyer.sequence_state`` raises a repeated
+    block of data as one power and folds windows of 2g classes as one form
+    each."""
+    try:
+        return spec._fold
+    except AttributeError:
+        pass
     classes: dict = {}  # id(datum) -> class: a repeated datum is read once, unhashed
     factors = []
-    for d in data:
-        v = classes.get(id(d))
-        if v is None:
-            v = classes[id(d)] = d.vector()
-        if any(v):
+    for d in spec.lefschetz:
+        if isinstance(d.cycle, TypeI):
+            v = classes.get(id(d))
+            if v is None:
+                v = classes[id(d)] = d.vector()
             factors.append((v, 1))
-    return meyer.sequence_state(factors) or (0, surface.sp_identity(g))
+    fold = meyer.sequence_state(factors) or (0, surface.sp_identity(spec.active_genus()))
+    object.__setattr__(spec, "_fold", fold)
+    return fold
 
 
-def signature_meyer_path(spec: FibrationSpec, hurwitz: tuple | None = None) -> int:
+def signature_meyer_path(spec: FibrationSpec) -> int:
     """Signature assembled from the Meyer cocycle, the round-cobordism
     signatures, and the fiber-neighborhood signatures (0 for type I, -1 for
     type II); an independent route that must agree with total_signature.
-    ``hurwitz`` is the fold of the Hurwitz system that ``validate`` kept
-    (``ValidationReport.hurwitz``), when the caller has one; without it the
-    data are folded here.
+    The Lefschetz part is read off the spec's Hurwitz fold
+    (``_hurwitz_state``), which a validated spec already holds.
 
     With D_k the symplectic image of Lefschetz datum k and
     P_k = D_1 ... D_k (Endo, Math. Ann. 316, 2000):
@@ -443,11 +443,8 @@ def signature_meyer_path(spec: FibrationSpec, hurwitz: tuple | None = None) -> i
     for k, r in enumerate(spec.rounds):
         ctx = CycleContext(stages[k][r.component], r.cycle)
         total += locsig.s_word(r.monodromy, ctx)
-    g = spec.active_genus()
-    if g >= 1:
-        if hurwitz is None:
-            hurwitz = _hurwitz_state(spec.lefschetz, g)
-        total += hurwitz[0]  # c = -Sum_k tau(P_{k-1}, D_k)
+    if spec.active_genus() >= 1:
+        total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
     total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
     return _as_integer(total, "Meyer-path signature")
 
@@ -659,7 +656,7 @@ def compute_report(spec: FibrationSpec) -> InvariantReport:
     breakdown = signature_breakdown(spec)
     sig = _as_integer(breakdown.total, "total signature")
     euler = euler_characteristic(spec)
-    meyer_sig = signature_meyer_path(spec, validation.hurwitz)
+    meyer_sig = signature_meyer_path(spec)
     homeo = homeomorphism_report(sig, euler, spec.spin, spec.simply_connected)
     notes = []
     if (sig - euler) % 2:

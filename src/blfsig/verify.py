@@ -235,10 +235,11 @@ def _contexts(max_genus: int) -> list[CycleContext]:
 
 def check_decomposition(rng, samples: int, max_genus: int) -> CheckResult:
     """h = s + phi - pushforward phi on each generator of each context, and
-    on random words for the II_h contexts only.  For type I the corrections
-    of w and of its pushforward enter s and the two phi terms with opposite
-    signs and cancel, so both sides are additive and the generators decide
-    the identity; for II_h, s = 0 and the corrections must agree."""
+    on random words.  For type I the corrections of w and of its
+    pushforward enter s and the two phi terms with opposite signs and
+    cancel, so the generators decide the identity given s; the words check
+    s's pushforward term, which is 0 on a single generator.  For II_h,
+    s = 0 and the corrections must agree."""
     bad = 0
     total = 0
     for ctx in _contexts(max_genus):
@@ -246,8 +247,7 @@ def check_decomposition(rng, samples: int, max_genus: int) -> CheckResult:
         if locsig.iota_allowed(ctx):
             gens.append(IOTA)
         ws = [gen_word(ctx.genus, gen) for gen in gens]
-        if isinstance(ctx.cycle, TypeII):
-            ws += [random_context_word(rng, ctx, rng.randrange(1, 12)) for _ in range(samples)]
+        ws += [random_context_word(rng, ctx, rng.randrange(1, 12)) for _ in range(samples)]
         for w in ws:
             total += 1
             if not locsig.decomposition_check(w, ctx).agrees:
@@ -280,10 +280,9 @@ def check_two_paths(rng, samples: int, max_genus: int) -> CheckResult:
     for _ in range(samples):
         spec = random_valid_spec(rng, max_genus)
         total += 1
-        report = fibration.validate(spec)  # its fold serves the Meyer path too
-        if not report.ok:
+        if not fibration.validate(spec).ok:
             bad += 1
-        if fibration.total_signature(spec) != fibration.signature_meyer_path(spec, report.hurwitz):
+        if fibration.total_signature(spec) != fibration.signature_meyer_path(spec):
             bad += 1
     return CheckResult("two signature pipelines agree", bad == 0,
                        f"{total} fibrations, {bad} disagreements")

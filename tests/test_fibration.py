@@ -278,7 +278,7 @@ class TestValidation:
                     continue
                 assert rep.ok, w
                 assert fib.total_signature(spec) == -8 and fib.euler_characteristic(spec) == 12
-                assert fib.signature_meyer_path(spec, rep.hurwitz) == -8
+                assert fib.signature_meyer_path(spec) == -8
 
 
 class TestMeyerPath:
@@ -302,6 +302,20 @@ class TestMeyerPath:
         assert fib.euler_characteristic(spec) == 12
         homeo = fib.homeomorphism_report(-8, 12, False, True)
         assert homeo.summands == ((1, "CP2"), (9, "CP2bar"))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chain", ["odd", "even"])
+    def test_chain_relations(self, g, chain):
+        # the pure Lefschetz fibrations of the odd chain (t_1 ... t_{2g+1})^{2g+2}
+        # and the even chain (t_1 ... t_{2g})^{4g+2}, with Endo's closed forms
+        # sigma = -2(g+1)^2 and -4g(g+1); chi = 4 - 4g + #data
+        length, power, sigma = (2 * g + 1, 2 * g + 2, -2 * (g + 1) ** 2) if chain == "odd" \
+            else (2 * g, 4 * g + 2, -4 * g * (g + 1))
+        data = tuple(chain_twist_datum(i, g) for i in range(1, length + 1)) * power
+        spec = FibrationSpec((g,), data, ())
+        assert fib.validate(spec).ok
+        assert fib.total_signature(spec) == fib.signature_meyer_path(spec) == sigma
+        assert fib.euler_characteristic(spec) == 4 - 4 * g + length * power
 
     def test_random_specs_agree(self, rng):
         for _ in range(15):
@@ -404,7 +418,7 @@ class TestHurwitzFold:
             for n in (1, 2, 3):
                 for moves in (0, 1, 2):
                     spec = hurwitz_moved_family(rng, g, n, moves)
-                    c, H = fib.validate(spec).hurwitz
+                    c, H = fib._hurwitz_state(spec)
                     mats = [surface.word_matrix(d.word()) for d in spec.lefschetz]
                     assert (c, arr(H).tolist()) == plain_fold(mats)
                     rep = fib.compute_report(spec)
@@ -432,14 +446,37 @@ class TestHurwitzFold:
                                            random_conjugator(rng, g, rng.randrange(0, 6)))
                         data.insert(rng.randrange(1, len(data)), d)
                     received.clear()
-                    report = fib.validate(with_data(spec, data))
+                    moved = with_data(spec, data)
+                    report = fib.validate(moved)
                     assert report.ok, report.issues
-                    c, H = report.hurwitz
+                    c, H = fib._hurwitz_state(moved)
                     assert (c, arr(H).tolist()) == \
                         plain_fold([surface.word_matrix(d.word()) for d in data])
                     [factors] = received
                     assert len(factors) == len(spec.lefschetz)
                     assert all(any(v) for v, _ in factors)
+
+    def test_one_fold_per_spec_object(self, monkeypatch):
+        # validation and the Meyer path share the fold kept on the spec
+        # object; an equal spec built separately folds again
+        folded = []
+        fold = meyer.sequence_state
+
+        def recording(factors):
+            folded.append(len(factors))
+            return fold(factors)
+
+        monkeypatch.setattr(meyer, "sequence_state", recording)
+        assert fib.compute_report(family_spec("mgn", 2, 1)).two_paths_agree
+        assert len(folded) == 1
+        spec = family_spec("mgn", 2, 1)
+        assert fib.validate(spec).ok
+        assert fib.signature_meyer_path(spec) == -8
+        assert len(folded) == 2
+        again = family_spec("mgn", 2, 1)
+        assert again == spec and again is not spec
+        assert fib.signature_meyer_path(again) == -8
+        assert len(folded) == 3
 
     def test_a_repeated_block_costs_one_block_plus_log_many_misses(self):
         # mgn(2, 8) is a block of 8 data repeated 16 times

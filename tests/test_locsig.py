@@ -506,7 +506,7 @@ class TestDecomposition:
 
     def test_the_verify_check_fails_on_a_wrong_correction(self, rng, monkeypatch):
         # the corrections cancel from the type I identity, so only the random
-        # II_h words can see them, and the check draws no type I word
+        # II_h words can see them
         assert verify.check_decomposition(rng, 20, 3).passed
         correction = meyer.correction
         monkeypatch.setattr(meyer, "correction", lambda w: correction(w) + 7 * len(str(w)) + 3)
