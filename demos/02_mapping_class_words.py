@@ -20,7 +20,7 @@ print([[surface.pairing(surface.chain_class(i, g), surface.chain_class(j, g))
 # %% twists are transvections; iota is -identity
 T1 = surface.transvection(surface.chain_class(1, g))
 print("\ntwist along [c_1]:\n", T1)
-print("symplectic:", surface.is_symplectic(T1, g))
+print("symplectic:", len(T1) == 2 * g and surface.is_symplectic(T1))
 
 # %% words: parse, multiply, invert, evaluate
 w = parse_word("(t4 t3 t2 t1^2 t2 t3 t4)^2", g)

@@ -29,8 +29,6 @@ from .locsig import (
 from .meyer import meyer_form, phi, phi_base, tau
 from .ratlin import (
     ShapeError,
-    kernel_basis,
-    rank,
     signature_of_symmetric,
     smith_normal_form,
 )

@@ -47,10 +47,12 @@ period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
-Validation (``validate``) checks that each fold monodromy is a word in its
-stabiliser's generators, so that it fixes its vanishing cycle up to sign;
-that it equals the incoming monodromy of its component exactly on
-homology; and that the south disk is trivial on homology.  A faulty fold
+Validation (``validate``) checks that each Lefschetz datum is an essential
+twist at the active genus, a rule both pipelines enforce as well (they
+raise ConsistencyError naming the datum); that each fold monodromy is a
+word in its stabiliser's generators, so that it fixes its vanishing cycle
+up to sign; that it equals the incoming monodromy of its component exactly
+on homology; and that the south disk is trivial on homology.  A faulty fold
 ends the checks on its component.  Monodromies are compared as symplectic
 matrices, exactly, and iota is -1 there, so a mapping class and its
 product with iota differ.  At genus 1 this decides equality in the
@@ -234,6 +236,33 @@ def hurwitz_word(spec: FibrationSpec) -> Word:
 
 # -- validation ---------------------------------------------------------------
 
+def _data_issues(spec: FibrationSpec) -> list[tuple[int, str]]:
+    """Rule (a') on the Lefschetz data, as (j, message) for each datum j that
+    breaks it, in order: a datum has the active genus g, and a II_h datum
+    has 1 <= h <= g - 1 (II_0 and II_g twists act trivially, so they are no
+    singular fibers).  ``validate`` reports these and both signature
+    pipelines refuse them.  Each distinct datum object is checked once, so
+    a spec that repeats its data pays one pass of identity lookups."""
+    g = spec.active_genus()
+    bad = {}
+    for key, d in {id(d): d for d in spec.lefschetz}.items():
+        if d.genus != g:
+            bad[key] = f"word genus {d.genus} != fiber genus {g}"
+        elif isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g - 1:
+            bad[key] = f"II_{d.cycle.h} is not essential at genus {g}"
+    if not bad:
+        return []
+    return [(j, bad[id(d)]) for j, d in enumerate(spec.lefschetz) if id(d) in bad]
+
+
+def _refuse_bad_data(spec: FibrationSpec) -> None:
+    """ConsistencyError naming the first datum that ``validate`` refuses."""
+    issues = _data_issues(spec)
+    if issues:
+        j, message = issues[0]
+        raise ConsistencyError(f"lefschetz[{j}]: {message}")
+
+
 class ValidationIssue:
     __slots__ = ("where", "message")
 
@@ -262,12 +291,14 @@ class ValidationReport:
 
 
 def validate(spec: FibrationSpec) -> ValidationReport:
-    """Homological consistency checks, every failure itemized: the Lefschetz
-    data are essential twists at the active genus; (a) each fold monodromy
-    is a word in its stabiliser's generators, so it fixes its cycle up to
-    sign; (b) it equals its component's incoming monodromy exactly on
-    homology; (c) the south disk is trivial on homology.  A fold that fails
-    (b) ends the checks on its component (on both sides of a II_h fold)."""
+    """Homological consistency checks, every failure itemized: (a') the
+    Lefschetz data are essential twists at the active genus
+    (``_data_issues``, which both signature pipelines enforce too); (a) each
+    fold monodromy is a word in its stabiliser's generators, so it fixes its
+    cycle up to sign; (b) it equals its component's incoming monodromy
+    exactly on homology; (c) the south disk is trivial on homology.  A fold
+    that fails (b) ends the checks on its component (on both sides of a II_h
+    fold)."""
     report = ValidationReport()
     try:
         stages = component_stages(spec)
@@ -282,15 +313,10 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             return report
 
     # (a') Lefschetz data are essential twists at the active genus
-    genus_mismatch = False
-    for j, d in enumerate(spec.lefschetz):
-        where = f"lefschetz[{j}]"
-        if d.genus != g_active:
-            report.add(where, f"word genus {d.genus} != fiber genus {g_active}")
-            genus_mismatch = True
-        elif isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g_active - 1:
-            # II_0 and II_g twists act trivially: the product is unaffected
-            report.add(where, f"II_{d.cycle.h} is not essential at genus {g_active}")
+    data_issues = _data_issues(spec)
+    for j, message in data_issues:
+        report.add(f"lefschetz[{j}]", message)
+    genus_mismatch = any(spec.lefschetz[j].genus != g_active for j, _ in data_issues)
 
     # (a) round monodromies are words in the stabiliser generators
     contexts = []
@@ -367,8 +393,11 @@ class SignatureBreakdown:
 
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
+    """The localized formula term by term; ConsistencyError for data that
+    ``validate`` refuses (rule (a'))."""
     g = spec.active_genus()
     stages = component_stages(spec)
+    _refuse_bad_data(spec)
     # sigma_loc once per cycle type, and their total from the counts
     counts = Counter(d.cycle for d in spec.lefschetz)
     sigma = {cycle: locsig.sigma_loc(cycle, g) for cycle in counts}
@@ -436,17 +465,18 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     which is the cobounding-function assembly
     sum s(rounds) - phi(H^-1) - sum_k phi(D_k) - #II for H = P_n telescoped
     exactly: phi(H^-1) = tau(H, H^-1) - phi(H), and tau(A, A^-1) = 0 for
-    every symplectic A.
+    every symplectic A.  Every term is an integer.  Data that ``validate``
+    refuses (rule (a')) raise ConsistencyError before the fold.
     """
     stages = component_stages(spec)
-    total = Fraction(0)
+    _refuse_bad_data(spec)
+    total = 0
     for k, r in enumerate(spec.rounds):
         ctx = CycleContext(stages[k][r.component], r.cycle)
         total += locsig.s_word(r.monodromy, ctx)
     if spec.active_genus() >= 1:
         total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
-    total -= sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
-    return _as_integer(total, "Meyer-path signature")
+    return total - sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
 
 
 def euler_characteristic(spec: FibrationSpec) -> int:

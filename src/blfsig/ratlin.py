@@ -4,19 +4,18 @@ Every computation in this package reduces to small dense exact problems:
 signatures of symmetric bilinear forms, Smith normal forms of presentation
 matrices, and integer kernels.  The public functions take any sequence of
 rows of ints or ``fractions.Fraction``, read by plain iteration, raise
-``ShapeError`` unless it is 2-d and rectangular, and return matrices and
-vectors as tuples of Python ints (the tuple matrices of ``surface``), so
-there is no floating point anywhere and no bound on entry size.  The
-integer kernels the cocycle code calls per evaluation, ``_signature_int``
-and ``column_reduce``, take lists of integer rows as they are.
+``ShapeError`` unless it is 2-d and rectangular, and return matrices as
+tuples of Python ints (the tuple matrices of ``surface``), so there is no
+floating point anywhere and no bound on entry size.  The integer kernels
+the cocycle code calls per evaluation, ``_signature_int`` and
+``column_reduce``, take lists of integer rows as they are.
 
-One integer column reduction serves the image, the kernel, the rank and
-the Smith normal form: ``column_reduce`` eliminates row by row with
-unimodular column operations that it also applies to an identity tail, so
-each pivot column comes out with a preimage and each column that reduces
-to zero is a kernel vector.  ``kernel_basis_int`` is its kernel part;
-``rank`` and ``kernel_basis`` apply it to a rational matrix after scaling
-each row by the lcm of its denominators, which changes neither.
+One integer column reduction serves the image, the kernel and the Smith
+normal form: ``column_reduce`` eliminates row by row with unimodular
+column operations that it also applies to an identity tail, so each pivot
+column comes out with a preimage and each column that reduces to zero is
+a kernel vector.  ``kernel_basis_int`` is its kernel part, and the rank
+is the number of its image columns.
 
 ``smith_normal_form`` alternates column passes on D and on its transpose
 until D is diagonal, then adds row i + 1 to row i wherever d_i does not
@@ -61,17 +60,6 @@ def _rows(M) -> list[list]:
         if not all(isinstance(x, Number) for x in row):
             raise ShapeError("expected a 2-d matrix of numbers")
     return rows
-
-
-def _integer_rows(M) -> list[list[int]]:
-    """The rows of a rational matrix, each scaled by the lcm of its
-    denominators: the same rank and the same kernel."""
-    out = []
-    for row in _rows(M):
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
 
 
 def is_symmetric(M) -> bool:
@@ -179,18 +167,6 @@ def signature_of_symmetric(M) -> int:
     return _signature_int([[int(x * L) for x in row] for row in rows])
 
 
-def rank(M) -> int:
-    """Rank of a rational matrix: the size of its integer image."""
-    return len(column_reduce(_integer_rows(M))[0])
-
-
-def kernel_basis(M) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of the right null space of a rational matrix, as a
-    tuple of vectors; empty exactly when the matrix is injective (or has
-    no rows, whose width a sequence of rows cannot tell)."""
-    return tuple(map(tuple, column_reduce(_integer_rows(M))[2]))
-
-
 def column_reduce(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Integer column reduction of an m x n integer matrix.
 
@@ -236,33 +212,6 @@ def kernel_basis_int(M) -> list[list[int]]:
     kernel part of ``column_reduce`` (used by the cocycle code, which wants
     integer Gram matrices)."""
     return column_reduce(M)[2]
-
-
-def det(M):
-    """Exact determinant via fraction elimination."""
-    rows = [[Fraction(x) for x in row] for row in _rows(M)]
-    r = len(rows)
-    if any(len(row) != r for row in rows):
-        raise ShapeError("determinant needs a square matrix")
-    d = Fraction(1)
-    for k in range(r):
-        pr = next((i for i in range(k, r) if rows[i][k] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
-            d = -d
-        d *= rows[k][k]
-        inv = 1 / rows[k][k]
-        for i in range(k + 1, r):
-            if rows[i][k] != 0:
-                f = rows[i][k] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return d
-
-
-def is_unimodular(M) -> bool:
-    return abs(det(M)) == 1
 
 
 def smith_normal_form(A) -> tuple[tuple, tuple, tuple]:

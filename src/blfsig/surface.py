@@ -159,14 +159,12 @@ def iota_matrix(g: int) -> Matrix:
     return tuple(tuple(map(neg, row)) for row in sp_identity(g))
 
 
-def is_symplectic(M, g: int | None = None) -> bool:
+def is_symplectic(M) -> bool:
     """True if M, a square sequence of rows of even size (ShapeError
-    otherwise), is symplectic, and of size 2g when g is given."""
+    otherwise), is symplectic."""
     n = len(M)
     if n % 2 or any(len(row) != n for row in M):
         raise ratlin.ShapeError(f"expected a square matrix of even size, got {n} rows")
-    if g is not None and n != 2 * g:
-        return False
     # J M_j: entry k is s(k) M_j[k^1]
     JM = [[-row[k ^ 1] if k % 2 else row[k ^ 1] for k in range(n)] for row in M]
     return all(sum(map(mul, M[i], JM[j])) == (j == i + 1 and i % 2 == 0)

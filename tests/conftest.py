@@ -3,10 +3,11 @@
 The signature oracle goes through the characteristic polynomial (exact
 Faddeev-LeVerrier over Fractions) and Descartes' rule of signs, which
 counts roots exactly for real-rooted polynomials; it shares no code with
-the congruence-diagonalisation implementation it checks.  The rank and
-kernel oracle is a reduced row echelon form over the rationals, which
-shares no code with the integer column reduction behind ``ratlin.rank``
-and ``ratlin.kernel_basis``.
+the congruence-diagonalisation implementation it checks; the same
+polynomial gives the determinant oracle.  The rank and kernel oracle is a
+reduced row echelon form over the rationals, which shares no code with
+the integer column reduction behind ``ratlin.column_reduce`` and
+``ratlin.kernel_basis_int``.
 
 The package returns tuple matrices; numpy, a test-only dependency, gives
 the oracles and the tests an independent matrix product.  ``arr`` converts
@@ -69,6 +70,11 @@ def char_poly(M) -> list[Fraction]:
         c = Fraction(-sum(A[i, i] for i in range(n)), k)
         coeffs.append(c)
     return coeffs
+
+
+def det_oracle(M) -> Fraction:
+    """det M = (-1)^n char_poly(M)[-1] for an n x n matrix M."""
+    return (-1) ** len(M) * char_poly(M)[-1]
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

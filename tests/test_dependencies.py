@@ -88,15 +88,15 @@ def test_only_the_spec_commands_load_fibration(tmp_path, argv, loads):
     assert proc.stdout.splitlines()[-1] == f"0 {loads}"
 
 
-# blfsig.__all__ as it was when the package imported fibration eagerly
+# blfsig.__all__ spelled out, so that a public name added or dropped shows here
 ALL = [
     "ChainTwist", "ConsistencyError", "ContextError", "CycleContext", "FibrationSpec",
     "IOTA", "Iota", "LefschetzDatum", "RoundRegion", "ShapeError", "TypeI", "TypeII",
     "ValidationError", "Word", "WordError", "abelianization", "chain_class",
     "chain_twist_datum", "chain_word", "compute_report", "decomposition_check",
     "euler_characteristic", "family_spec", "fibration", "format_word", "gen_word",
-    "h_generator", "h_word", "homeomorphism_report", "kernel_basis", "load_spec",
-    "locsig", "meyer", "meyer_form", "parse_word", "phi", "phi_base", "rank", "ratlin",
+    "h_generator", "h_word", "homeomorphism_report", "load_spec", "locsig",
+    "meyer", "meyer_form", "parse_word", "phi", "phi_base", "ratlin",
     "s_generator", "s_word", "separating_torsion", "sigma_loc", "signature_meyer_path",
     "signature_of_symmetric", "smith_normal_form", "spec_from_json", "spec_to_json",
     "surface", "tau", "total_signature", "validate", "word_to_matrix", "words",
@@ -134,3 +134,13 @@ def test_import_time_tool_smoke():
     assert result["runs"] == 1 and result["median_s"] == result["min_s"] > 0
     assert "blfsig.cli" in result["modules"]
     assert "blfsig.fibration" not in result["modules"]
+
+
+@pytest.mark.parametrize("kind, genus", [("word_matrix", "6"), ("validate", "2")])
+def test_genus_scaling_tool_smoke(kind, genus):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "genus_scaling.py"),
+                           "--cell", kind, genus], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert float(line) > 0

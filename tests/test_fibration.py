@@ -219,6 +219,34 @@ class TestValidation:
         rep = fib.validate(bad)
         assert any("essential" in str(i) for i in rep.issues)
 
+    @pytest.mark.parametrize("bad", [
+        [chain_twist_datum(1, 1) for _ in range(5)],
+        [LefschetzDatum(TypeII(7), Word(2))],
+        [LefschetzDatum(TypeII(0), Word(2)), LefschetzDatum(TypeII(2), Word(2))],
+    ], ids=["five-of-genus-1", "II_7", "II_0-and-II_2"])
+    def test_both_pipelines_refuse_what_validation_refuses(self, bad):
+        base = family_spec("mgn", 2, 1)
+        spec = with_data(base, base.lefschetz + tuple(bad))
+        issues = [str(i) for i in fib.validate(spec).issues]
+        assert [i.split(":")[0] for i in issues] == \
+            [f"lefschetz[{16 + j}]" for j in range(len(bad))]
+        for pipeline in (fib.total_signature, fib.signature_meyer_path,
+                         fib.signature_breakdown):
+            with pytest.raises(ConsistencyError) as err:
+                pipeline(spec)
+            assert str(err.value) == issues[0]
+        with pytest.raises(fib.ValidationError):
+            fib.compute_report(spec)
+
+    def test_each_distinct_datum_is_checked_once(self, monkeypatch):
+        spec = family_spec("mgn", 2, 2)  # 32 data, 4 distinct objects
+        reads = []
+        genus = LefschetzDatum.genus
+        monkeypatch.setattr(LefschetzDatum, "genus",
+                            property(lambda d: reads.append(d) or genus.fget(d)))
+        assert fib._data_issues(spec) == []
+        assert len(reads) == len({id(d) for d in spec.lefschetz}) == 4
+
     def test_a_round_on_a_missing_component(self):
         spec = FibrationSpec((1,), (), (RoundRegion(0, TypeI(), Word(1)),
                                         RoundRegion(5, TypeI(), Word(0))))

@@ -34,13 +34,38 @@ def drop_pushforward_term(monkeypatch):
     monkeypatch.setattr(locsig, "_s_value", lambda w, ctx, c, c_push: s_value(w, ctx, c, 0))
 
 
+def negate_cocycle(monkeypatch):
+    tau = meyer._tau_cached
+    monkeypatch.setattr(meyer, "_tau_cached", lambda A, B: -tau(A, B))
+
+
+def negate_window_sums(monkeypatch):
+    window = meyer._window_state
+
+    def negated(factors):
+        c, P = window(factors)
+        return -c, P
+
+    monkeypatch.setattr(meyer, "_window_state", negated)
+
+
+def shift_h_value(monkeypatch):
+    h_generator = locsig.h_generator
+    monkeypatch.setattr(locsig, "h_generator", lambda gen, ctx: h_generator(gen, ctx) + 1)
+
+
 @pytest.mark.parametrize("mutate, failing", [
     (None, set()),
     (flip_letter_correction, {"relations", "antisymmetry", "decomposition", "two-paths"}),
     # on a single generator the pushforward's correction is 0, so only the
     # random type I words of the decomposition suite see this mutant
     (drop_pushforward_term, {"decomposition", "two-paths"}),
-], ids=["none", "flipped_letter_correction", "dropped_pushforward_term"])
+    # the cocycle identity is linear in tau, so it survives a sign flip
+    (negate_cocycle, {"calibration", "relations", "antisymmetry", "decomposition", "two-paths"}),
+    (negate_window_sums, {"calibration", "antisymmetry", "decomposition", "two-paths"}),
+    (shift_h_value, {"decomposition", "two-paths"}),
+], ids=["none", "flipped_letter_correction", "dropped_pushforward_term", "negated_cocycle",
+        "negated_window_sums", "shifted_h_value"])
 def test_the_suites_that_reach_a_mutant_fail(monkeypatch, mutate, failing):
     if mutate is not None:
         mutate(monkeypatch)
