@@ -26,7 +26,7 @@ from .locsig import (
     s_word,
     sigma_loc,
 )
-from .meyer import meyer_form, phi, phi_base, tau
+from .meyer import phi, phi_base, tau
 from .ratlin import (
     ShapeError,
     signature_of_symmetric,

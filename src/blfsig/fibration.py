@@ -47,6 +47,10 @@ period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
+One walk over the folds (``_walk``) gives the component genera at each
+stage and each fold's ``CycleContext``; every consumer reads from it, and it
+refuses an impossible fold with one ConsistencyError for all of them.
+
 Validation (``validate``) checks that each Lefschetz datum is an essential
 twist at the active genus, a rule both pipelines enforce as well (they
 raise ConsistencyError naming the datum); that each fold monodromy is a
@@ -67,8 +71,9 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from . import locsig, meyer, ratlin, surface
+from . import locsig, meyer, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
 from .words import (IOTA, ChainTwist, Frozen, Word, WordError, chain_word,
@@ -194,7 +199,7 @@ class FibrationSpec(Frozen):
 def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> None:
     """A fold on component ``comp``, applied to the genera in place: type I
     drops its genus g by one; II_h keeps genus h in place and appends g - h.
-    A fold that genus g does not admit (type I at g = 0, II_h outside
+    A fold that genus g does not admit (any fold at g = 0, II_h outside
     0..g) raises ValueError saying so, and leaves the genera as they were."""
     g = genera[comp]
     if isinstance(cycle, TypeI):
@@ -202,26 +207,37 @@ def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> None:
             raise ValueError("type I fold on a genus-0 component")
         genera[comp] -= 1
     else:
-        if not 0 <= cycle.h <= g:
+        if g < 1 or not 0 <= cycle.h <= g:
             raise ValueError(f"II_{cycle.h} fold on a genus-{g} component")
         genera.append(g - cycle.h)
         genera[comp] = cycle.h
 
 
-def component_stages(spec: FibrationSpec) -> list[list[int]]:
-    """Component genera before each round region and at the south disk
-    (see ``_fold_genera``)."""
+def _walk(spec: FibrationSpec) -> tuple[list[list[int]], list[CycleContext]]:
+    """The component genera before each round region and at the south disk,
+    and each fold's context at its stage genus (II_h in round k puts side 1
+    on component len(stages[k])).  A fold on a missing component, or one its
+    genus does not admit (``_fold_genera``), raises ConsistencyError naming
+    its round, so every context has genus >= 1."""
     genera = list(spec.higher_fiber)
     stages = [list(genera)]
+    contexts = []
     for k, r in enumerate(spec.rounds):
         if not 0 <= r.component < len(genera):
             raise ConsistencyError(f"round {k}: component {r.component} does not exist")
+        g = genera[r.component]
         try:
             _fold_genera(genera, r.component, r.cycle)
         except ValueError as e:
             raise ConsistencyError(f"round {k}: {e}") from None
+        contexts.append(CycleContext(g, r.cycle))
         stages.append(list(genera))
-    return stages
+    return stages, contexts
+
+
+def component_stages(spec: FibrationSpec) -> list[list[int]]:
+    """Component genera before each round region and at the south disk (``_walk``)."""
+    return _walk(spec)[0]
 
 
 def hurwitz_word(spec: FibrationSpec) -> Word:
@@ -301,16 +317,15 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     fold)."""
     report = ValidationReport()
     try:
-        stages = component_stages(spec)
+        stages, contexts = _walk(spec)
     except ConsistencyError as e:
         report.add("components", str(e))
         return report
 
     g_active = spec.active_genus()
-    if g_active < 1:
-        if spec.lefschetz or spec.rounds:
-            report.add("components", "active component must have genus >= 1")
-            return report
+    if g_active < 1 and spec.lefschetz:  # the walk refuses a fold there
+        report.add("components", "active component must have genus >= 1")
+        return report
 
     # (a') Lefschetz data are essential twists at the active genus
     data_issues = _data_issues(spec)
@@ -319,24 +334,18 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     genus_mismatch = any(spec.lefschetz[j].genus != g_active for j, _ in data_issues)
 
     # (a) round monodromies are words in the stabiliser generators
-    contexts = []
-    for k, r in enumerate(spec.rounds):
-        where = f"rounds[{k}]"
-        g_k = stages[k][r.component]
+    for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         try:
-            ctx = CycleContext(g_k, r.cycle)
             locsig.validate_word(r.monodromy, ctx)
-            contexts.append(ctx)
-        except (ValueError, locsig.ContextError) as e:
-            report.add(where, str(e))
-            return report  # later checks need well-formed contexts
+        except locsig.ContextError as e:
+            report.add(f"rounds[{k}]", str(e))
+            return report  # later checks need well-formed monodromies
     if genus_mismatch:
         return report  # check (b) needs the whole Hurwitz product
 
-    # (b) one walk over the folds: match each against its component's
-    # incoming monodromy, the Hurwitz product for the active one, then push
-    # forward; a fold that does not match leaves its sides unknown (None),
-    # which no later check reads
+    # (b) match each fold against its component's incoming monodromy, the
+    # Hurwitz product for the active one, then push forward; a fold that does
+    # not match leaves its sides unknown (None), which no later check reads
     tracked: dict[int, surface.Matrix | None] = {}
     if g_active >= 1:
         tracked[spec.active_component()] = _hurwitz_state(spec)[1]
@@ -396,18 +405,15 @@ def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
     """The localized formula term by term; ConsistencyError for data that
     ``validate`` refuses (rule (a'))."""
     g = spec.active_genus()
-    stages = component_stages(spec)
+    contexts = _walk(spec)[1]
     _refuse_bad_data(spec)
     # sigma_loc once per cycle type, and their total from the counts
     counts = Counter(d.cycle for d in spec.lefschetz)
     sigma = {cycle: locsig.sigma_loc(cycle, g) for cycle in counts}
     sigma_terms = tuple((f"sigma_loc[{j}]({d.cycle})", sigma[d.cycle])
                         for j, d in enumerate(spec.lefschetz))
-    h_terms = []
-    for k, r in enumerate(spec.rounds):
-        ctx = CycleContext(stages[k][r.component], r.cycle)
-        h_terms.append((f"h[{k}](g={ctx.genus}, {r.cycle})",
-                        locsig.h_word(r.monodromy, ctx)))
+    h_terms = [(f"h[{k}](g={ctx.genus}, {r.cycle})", locsig.h_word(r.monodromy, ctx))
+               for k, (r, ctx) in enumerate(zip(spec.rounds, contexts))]
     total = sum((k * sigma[cycle] for cycle, k in counts.items()), Fraction(0))
     total += sum((v for _, v in h_terms), Fraction(0))
     return SignatureBreakdown(sigma_terms, tuple(h_terms), total)
@@ -468,12 +474,9 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     every symplectic A.  Every term is an integer.  Data that ``validate``
     refuses (rule (a')) raise ConsistencyError before the fold.
     """
-    stages = component_stages(spec)
+    contexts = _walk(spec)[1]
     _refuse_bad_data(spec)
-    total = 0
-    for k, r in enumerate(spec.rounds):
-        ctx = CycleContext(stages[k][r.component], r.cycle)
-        total += locsig.s_word(r.monodromy, ctx)
+    total = sum(locsig.s_word(r.monodromy, ctx) for r, ctx in zip(spec.rounds, contexts))
     if spec.active_genus() >= 1:
         total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
     return total - sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
@@ -482,10 +485,8 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
 def euler_characteristic(spec: FibrationSpec) -> int:
     """chi = chi(north fiber) + #Lefschetz + chi(south fiber); round regions
     contribute zero."""
-    stages = component_stages(spec)
-    chi_top = sum(2 - 2 * n for n in stages[0])
-    chi_bottom = sum(2 - 2 * n for n in stages[-1])
-    return chi_top + len(spec.lefschetz) + chi_bottom
+    stages = _walk(spec)[0]
+    return sum(2 - 2 * n for n in stages[0] + stages[-1]) + len(spec.lefschetz)
 
 
 # -- homeomorphism type -------------------------------------------------------
@@ -614,14 +615,12 @@ def family_spec(family: str, g: int, n: int) -> FibrationSpec:
 # -- abelianization of the stabiliser -----------------------------------------
 
 def separating_torsion(g: int, h: int) -> int:
-    """Torsion order of H_1 of the stabiliser of a type II_h curve, computed
-    as the Smith normal form of the presentation
-    (Z + Z) / <(4h(2h+1), -4(g-h)(2(g-h)+1))>."""
+    """Torsion order of H_1 of the stabiliser of a type II_h curve: the
+    presentation (Z + Z) / <(4h(2h+1), -4(g-h)(2(g-h)+1))> is Z + Z/d, with
+    d the gcd of the relation's two entries."""
     if not (g >= 2 and 1 <= h <= g - 1):
         raise ValueError(f"type II_h abelianization needs g >= 2, 1 <= h <= g-1")
-    rel = [[4 * h * (2 * h + 1)], [-4 * (g - h) * (2 * (g - h) + 1)]]
-    _, D, _ = ratlin.smith_normal_form(rel)
-    return D[0][0]
+    return gcd(4 * h * (2 * h + 1), 4 * (g - h) * (2 * (g - h) + 1))
 
 
 def abelianization(g: int, cycle: CurveDescriptor) -> str:

@@ -169,10 +169,10 @@ search goes on to M^2k = 1.  So a periodic power, such as
 most floor((4g + 1)/2) = 2g cocycle evaluations whatever N (four for that
 one), and a multitwist such as (t1 t3 t5)^N costs one.
 
-Matrices are the tuple matrices of ``surface``.  The public ``tau`` and
-``meyer_form`` also take any sequence of integer rows, normalise it to
-that form and check that it is symplectic; the internal callers hold
-``surface.word_matrix`` values and call ``_tau_cached`` directly.
+Matrices are the tuple matrices of ``surface``.  The public ``tau`` also
+takes any sequence of integer rows, normalises it to that form and checks
+that it is symplectic; the internal callers hold ``surface.word_matrix``
+values and call ``_tau_cached`` directly.
 """
 
 from __future__ import annotations
@@ -204,14 +204,6 @@ def _symplectic_pair(A, B) -> tuple:
     if len(A) != len(B):
         raise ratlin.ShapeError(f"dimension mismatch: {len(A)} vs {len(B)}")
     return A, B
-
-
-def meyer_form(A, B) -> surface.Matrix:
-    """Integer Gram matrix of the Meyer pairing on vectors of V_{A,B}
-    whose images span W = Im(A^-1 - 1) ∩ Im(B - 1) (see the module
-    docstring); its signature is -tau(A, B).  It has at most 2g rows and
-    is () when A or B is the identity."""
-    return tuple(map(tuple, _gram(*_symplectic_pair(A, B))))
 
 
 def _gram(A: tuple, B: tuple) -> list[list[int]]:

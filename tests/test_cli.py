@@ -231,6 +231,9 @@ def spec_doc(higher, rounds, lefschetz=()):
      "rounds[1].cycle", "type I fold on a genus-0 component"),
     (spec_doc([2], [(0, {"type": "II", "h": -1}, "")]),
      "rounds[0].cycle", "II_-1 fold on a genus-2 component"),
+    # nor does a II_0 fold at genus 0
+    (spec_doc([1], [(0, {"type": "I"}, ""), (0, {"type": "II", "h": 0}, "")]),
+     "rounds[1].cycle", "II_0 fold on a genus-0 component"),
 ])
 def test_a_fold_the_genus_does_not_admit_names_its_round(capsys, tmp_path, doc, where, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(where)}: {re.escape(message)}$"):

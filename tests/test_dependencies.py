@@ -96,7 +96,7 @@ ALL = [
     "chain_twist_datum", "chain_word", "compute_report", "decomposition_check",
     "euler_characteristic", "family_spec", "fibration", "format_word", "gen_word",
     "h_generator", "h_word", "homeomorphism_report", "load_spec", "locsig",
-    "meyer", "meyer_form", "parse_word", "phi", "phi_base", "ratlin",
+    "meyer", "parse_word", "phi", "phi_base", "ratlin",
     "s_generator", "s_word", "separating_torsion", "sigma_loc", "signature_meyer_path",
     "signature_of_symmetric", "smith_normal_form", "spec_from_json", "spec_to_json",
     "surface", "tau", "total_signature", "validate", "word_to_matrix", "words",

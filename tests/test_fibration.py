@@ -263,13 +263,51 @@ class TestValidation:
         assert fib.validate(FibrationSpec((0, 2), (), ())).ok
 
     def test_fold_on_genus_zero_component(self):
-        # the first fold drops component 0 to genus 0, the second cannot apply
-        bad = FibrationSpec((1,), (), (
-            RoundRegion(0, TypeI(), Word(1)),
-            RoundRegion(0, TypeI(), Word(0)),
-        ))
-        rep = fib.validate(bad)
-        assert not rep.ok
+        # the first fold drops component 0 to genus 0, where no second fold
+        # applies; validation and both pipelines refuse it in the same words
+        for cycle, message in ((TypeI(), "round 1: type I fold on a genus-0 component"),
+                               (TypeII(0), "round 1: II_0 fold on a genus-0 component")):
+            bad = FibrationSpec((1,), (), (
+                RoundRegion(0, TypeI(), Word(1)),
+                RoundRegion(0, cycle, Word(0)),
+            ))
+            assert [str(i) for i in fib.validate(bad).issues] == [f"components: {message}"]
+            for pipeline in (fib.signature_breakdown, fib.signature_meyer_path):
+                with pytest.raises(ConsistencyError) as err:
+                    pipeline(bad)
+                assert str(err.value) == message
+
+    @pytest.mark.parametrize("g, h, stages, label, chi", [
+        (2, 1, [[2], [1, 1], [1, 0]], "h[1](g=1, I)", 0),
+        (3, 1, [[3], [1, 2], [1, 1]], "h[1](g=2, I)", -4),
+        (3, 2, [[3], [2, 1], [2, 0]], "h[1](g=1, I)", -4),
+    ])
+    def test_fold_on_the_component_a_separating_fold_splits_off(self, g, h, stages,
+                                                                 label, chi):
+        # II_h puts its genus g - h side on the new component 1, which carries
+        # the second fold; its incoming monodromy is the identity.  The
+        # separating twist passes validation but its h is no integer, as in
+        # test_unrealizable_input_caught_by_integrality
+        def spec(component, second):
+            return FibrationSpec((g,), (), (
+                RoundRegion(0, TypeII(h), chain_word(g, range(1, 2 * h + 1), 4 * h + 2)),
+                RoundRegion(component, TypeI(), second)))
+
+        good = spec(1, Word(g - h))
+        assert fib.validate(good).ok
+        assert fib.component_stages(good) == stages
+        assert fib.signature_breakdown(good).h_terms[-1] == (label, 0)
+        assert fib.signature_meyer_path(good) == 0
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            fib.total_signature(good)
+        assert fib.euler_characteristic(good) == chi
+        twisted = spec(1, gen_word(g - h, ChainTwist(1)))
+        assert [str(i) for i in fib.validate(twisted).issues] == [
+            "rounds[1]: monodromy does not match the incoming boundary monodromy "
+            "on homology"]
+        missing = spec(2, Word(g - h))
+        assert [str(i) for i in fib.validate(missing).issues] == [
+            "components: round 1: component 2 does not exist"]
 
     def test_unrealizable_input_caught_by_integrality(self):
         # passes homological validation (separating twists are invisible)
