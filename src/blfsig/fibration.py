@@ -48,8 +48,9 @@ localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
 One walk over the folds (``_walk``) gives the component genera at each
-stage and each fold's ``CycleContext``; every consumer reads from it, and it
-refuses an impossible fold with one ConsistencyError for all of them.
+stage and each fold's ``CycleContext``, from ``_fold_genera``; every
+consumer reads from it, and it refuses an impossible fold with one
+ConsistencyError for all of them.
 
 Validation (``validate``) checks that each Lefschetz datum is an essential
 twist at the active genus, a rule both pipelines enforce as well (they
@@ -196,21 +197,22 @@ class FibrationSpec(Frozen):
         return self.higher_fiber[self.active_component()]
 
 
-def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> None:
-    """A fold on component ``comp``, applied to the genera in place: type I
-    drops its genus g by one; II_h keeps genus h in place and appends g - h.
-    A fold that genus g does not admit (any fold at g = 0, II_h outside
-    0..g) raises ValueError saying so, and leaves the genera as they were."""
+def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> CycleContext:
+    """The context of a fold on component ``comp`` of genus g, whose cut
+    (``CycleContext.sides``) is applied to the genera in place: side 0 stays
+    on the component and a II_h fold's side 1 is appended.  A fold that
+    genus g does not admit (any fold at g = 0, II_h outside 0..g) raises
+    ValueError saying so, and leaves the genera as they were."""
     g = genera[comp]
     if isinstance(cycle, TypeI):
         if g < 1:
             raise ValueError("type I fold on a genus-0 component")
-        genera[comp] -= 1
-    else:
-        if g < 1 or not 0 <= cycle.h <= g:
-            raise ValueError(f"II_{cycle.h} fold on a genus-{g} component")
-        genera.append(g - cycle.h)
-        genera[comp] = cycle.h
+    elif g < 1 or not 0 <= cycle.h <= g:
+        raise ValueError(f"II_{cycle.h} fold on a genus-{g} component")
+    ctx = CycleContext(g, cycle)
+    genera[comp], *new = ctx.sides()
+    genera += new
+    return ctx
 
 
 def _walk(spec: FibrationSpec) -> tuple[list[list[int]], list[CycleContext]]:
@@ -225,12 +227,10 @@ def _walk(spec: FibrationSpec) -> tuple[list[list[int]], list[CycleContext]]:
     for k, r in enumerate(spec.rounds):
         if not 0 <= r.component < len(genera):
             raise ConsistencyError(f"round {k}: component {r.component} does not exist")
-        g = genera[r.component]
         try:
-            _fold_genera(genera, r.component, r.cycle)
+            contexts.append(_fold_genera(genera, r.component, r.cycle))
         except ValueError as e:
             raise ConsistencyError(f"round {k}: {e}") from None
-        contexts.append(CycleContext(g, r.cycle))
         stages.append(list(genera))
     return stages, contexts
 
@@ -252,14 +252,17 @@ def hurwitz_word(spec: FibrationSpec) -> Word:
 
 # -- validation ---------------------------------------------------------------
 
-def _data_issues(spec: FibrationSpec) -> list[tuple[int, str]]:
+def _data_issues(spec: FibrationSpec) -> list[tuple[int | None, str]]:
     """Rule (a') on the Lefschetz data, as (j, message) for each datum j that
     breaks it, in order: a datum has the active genus g, and a II_h datum
     has 1 <= h <= g - 1 (II_0 and II_g twists act trivially, so they are no
-    singular fibers).  ``validate`` reports these and both signature
-    pipelines refuse them.  Each distinct datum object is checked once, so
-    a spec that repeats its data pays one pass of identity lookups."""
+    singular fibers).  Data on a genus-0 active component are one issue,
+    with j None.  ``validate`` reports these and both signature pipelines
+    refuse them.  Each distinct datum object is checked once, so a spec
+    that repeats its data pays one pass of identity lookups."""
     g = spec.active_genus()
+    if g < 1 and spec.lefschetz:
+        return [(None, "active component must have genus >= 1")]
     bad = {}
     for key, d in {id(d): d for d in spec.lefschetz}.items():
         if d.genus != g:
@@ -276,7 +279,7 @@ def _refuse_bad_data(spec: FibrationSpec) -> None:
     issues = _data_issues(spec)
     if issues:
         j, message = issues[0]
-        raise ConsistencyError(f"lefschetz[{j}]: {message}")
+        raise ConsistencyError(message if j is None else f"lefschetz[{j}]: {message}")
 
 
 class ValidationIssue:
@@ -322,16 +325,12 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         report.add("components", str(e))
         return report
 
+    # (a') Lefschetz data are essential twists at the active genus, g >= 1
     g_active = spec.active_genus()
-    if g_active < 1 and spec.lefschetz:  # the walk refuses a fold there
-        report.add("components", "active component must have genus >= 1")
-        return report
-
-    # (a') Lefschetz data are essential twists at the active genus
     data_issues = _data_issues(spec)
     for j, message in data_issues:
-        report.add(f"lefschetz[{j}]", message)
-    genus_mismatch = any(spec.lefschetz[j].genus != g_active for j, _ in data_issues)
+        report.add("components" if j is None else f"lefschetz[{j}]", message)
+    bad_genus = any(j is None or spec.lefschetz[j].genus != g_active for j, _ in data_issues)
 
     # (a) round monodromies are words in the stabiliser generators
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
@@ -340,15 +339,13 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         except locsig.ContextError as e:
             report.add(f"rounds[{k}]", str(e))
             return report  # later checks need well-formed monodromies
-    if genus_mismatch:
+    if bad_genus:
         return report  # check (b) needs the whole Hurwitz product
 
     # (b) match each fold against its component's incoming monodromy, the
     # Hurwitz product for the active one, then push forward; a fold that does
     # not match leaves its sides unknown (None), which no later check reads
-    tracked: dict[int, surface.Matrix | None] = {}
-    if g_active >= 1:
-        tracked[spec.active_component()] = _hurwitz_state(spec)[1]
+    tracked = {spec.active_component(): _hurwitz_state(spec)[1]}
     for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
         where = f"rounds[{k}]"
         if isinstance(r.cycle, TypeII):
@@ -361,16 +358,14 @@ def validate(spec: FibrationSpec) -> ValidationReport:
             report.add(where, "monodromy does not match the incoming boundary "
                               "monodromy on homology")
             expected = None
-        pushed = locsig.push_forward(r.monodromy, ctx)
-        # II_h keeps side 0 on the component and puts side 1 on a new one
-        sides = ((r.component, pushed),) if isinstance(r.cycle, TypeI) else \
-            zip((r.component, len(stages[k])), pushed)
-        for comp, w in sides:
+        # side 0 stays on the component; a II_h fold's side 1 is a new one
+        for comp, w in zip((r.component, len(stages[k])),
+                           locsig.push_forward(r.monodromy, ctx)):
             if w.genus >= 1:
                 tracked[comp] = None if expected is None else surface.word_matrix(w)
     # (c) south disk: whatever monodromy survives must bound a trivial
     # bundle (for a pure Lefschetz fibration this is the Hurwitz product
-    # itself); every tracked side has genus >= 1 here
+    # itself)
     for comp, M in tracked.items():
         if M is not None and M != surface.sp_identity(stages[-1][comp]):
             report.add("south disk",
@@ -477,8 +472,7 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     contexts = _walk(spec)[1]
     _refuse_bad_data(spec)
     total = sum(locsig.s_word(r.monodromy, ctx) for r, ctx in zip(spec.rounds, contexts))
-    if spec.active_genus() >= 1:
-        total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
+    total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
     return total - sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
 
 
@@ -823,12 +817,11 @@ def spec_from_json(doc) -> FibrationSpec:
         cycle = _cycle_from_json(_json_member(entry, "cycle", dict, where),
                                  f"{where}.cycle")
         text = _json_member(entry, "monodromy", str, where)
-        genus = genera[comp]
         try:
-            _fold_genera(genera, comp, cycle)
+            ctx = _fold_genera(genera, comp, cycle)
         except ValueError as e:
             raise ValueError(f"{where}.cycle: {e}") from None
-        mono = _word_from_json(text, genus, f"{where}.monodromy")
+        mono = _word_from_json(text, ctx.genus, f"{where}.monodromy")
         rounds.append(RoundRegion(comp, cycle, mono))
     flags = _json_member(doc, "flags", dict, "", {})
     return FibrationSpec(tuple(higher), tuple(lefschetz), tuple(rounds),

@@ -28,6 +28,9 @@ The generators listed above are the whole generating set of each
 stabiliser.  ``_generator`` is its one description, with each generator's
 h and s values and its image on the cut surface: a case analysis on the
 chain index, O(1) at every genus, that every other function here reads.
+The cut itself, sides of genus g-1 for type I and h, g-h for II_h, is
+stated once, by ``CycleContext.sides``, which ``push_forward`` and
+``fibration``'s walk over the folds both read.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class CycleContext(Frozen):
 
     def __str__(self):
         return f"(g={self.genus}, {self.cycle})"
+
+    def sides(self) -> tuple[int, ...]:
+        """Genera of the sides of the cut surface: (g-1,) for I, (h, g-h) for II_h."""
+        g = self.genus
+        return (g - 1,) if isinstance(self.cycle, TypeI) else (self.cycle.h, g - self.cycle.h)
 
 
 def _generator(gen, ctx: CycleContext) -> tuple[Fraction, int, tuple | None]:
@@ -149,14 +157,14 @@ def s_generator(gen, ctx: CycleContext) -> int:
 
 # -- pushforward to the cut surface ------------------------------------------
 
-def push_forward(w: Word, ctx: CycleContext):
-    """Image of a stabiliser word under cutting along the cycle.
-
-    Type I: a word at genus g-1 (the top twist dies, and so does t_1 at
-    genus 1, where the cut surface is a sphere; iota survives).
-    Type II_h: a pair of words at genus h and g-h (for h in {0, g} the
-    nontrivial side is the word itself).
-    """
+def push_forward(w: Word, ctx: CycleContext) -> tuple[Word, ...]:
+    """Image of a stabiliser word under cutting along the cycle: one word per
+    side, at the genera ``ctx.sides()``.  Type I: (w',), where the top twist
+    dies, and so does t_1 at genus 1, where the cut surface is a sphere;
+    iota survives.  Type II_h: (w_0, w_1); for h in {0, g} the nontrivial
+    side is the word itself.  A word of another genus raises ContextError."""
+    if w.genus != ctx.genus:
+        raise ContextError(f"word genus {w.genus} != context genus {ctx.genus}")
     images = {gen: _generator(gen, ctx)[2] for gen in w.generators()}
 
     def side(k: int, genus: int) -> Word:
@@ -165,11 +173,7 @@ def push_forward(w: Word, ctx: CycleContext):
             return image[1] if image is not None and image[0] == k else None
         return w.substitute(fn, genus)
 
-    g = ctx.genus
-    if isinstance(ctx.cycle, TypeI):
-        return side(0, g - 1)
-    h = ctx.cycle.h
-    return side(0, h), side(1, g - h)
+    return tuple(side(k, genus) for k, genus in enumerate(ctx.sides()))
 
 
 def s_word(w: Word, ctx: CycleContext) -> int:
@@ -177,13 +181,15 @@ def s_word(w: Word, ctx: CycleContext) -> int:
     the Meyer cocycle upstairs and on the cut surface."""
     validate_word(w, ctx)
     if not isinstance(ctx.cycle, TypeI):
-        return 0
-    return _s_value(w, ctx, meyer.correction(w), meyer.correction(push_forward(w, ctx)))
+        return 0  # no correction to fold
+    return _s_value(w, ctx, meyer.correction(w), meyer.correction(push_forward(w, ctx)[0]))
 
 
 def _s_value(w: Word, ctx: CycleContext, c: int, c_push: int) -> int:
-    """s(w) of a type I context from the corrections of w and of its
-    pushforward."""
+    """s(w) from the corrections of w and of its pushforward's side 0: 0 for
+    II_h, where the correction space vanishes."""
+    if not isinstance(ctx.cycle, TypeI):
+        return 0
     return int(homomorphism(w, lambda gen: s_generator(gen, ctx))) - c + c_push
 
 
@@ -213,18 +219,15 @@ def decomposition_check(w: Word, ctx: CycleContext) -> DecompositionReport:
     pushforward and the cocycle correction of each distinct word are
     computed once and shared by s, phi and the pushed phi."""
     h = h_word(w, ctx)
-    image = push_forward(w, ctx)
-    sides = (image,) if isinstance(ctx.cycle, TypeI) else image
+    sides = push_forward(w, ctx)
     corrections = {}
     for x in (w, *sides):
         if x not in corrections:
             corrections[x] = meyer.correction(x)
-    s_term = _s_value(w, ctx, corrections[w], corrections[image]) \
-        if isinstance(ctx.cycle, TypeI) else 0
     return DecompositionReport(
         context=ctx,
         homomorphism=h,
-        s_term=s_term,
+        s_term=_s_value(w, ctx, corrections[w], corrections[sides[0]]),
         phi_term=meyer.generator_sum(w) + corrections[w],
         pushed_phi_term=sum((meyer.generator_sum(x) + corrections[x] for x in sides),
                             Fraction(0)),

@@ -260,7 +260,14 @@ class TestValidation:
         spec = FibrationSpec((0,), (LefschetzDatum(TypeI(), Word(0)),), ())
         assert [str(i) for i in fib.validate(spec).issues] == [
             "components: active component must have genus >= 1"]
-        assert fib.validate(FibrationSpec((0, 2), (), ())).ok
+        # both pipelines refuse it by the same rule, in the same words
+        for pipeline in (fib.total_signature, fib.signature_meyer_path):
+            with pytest.raises(ConsistencyError) as err:
+                pipeline(spec)
+            assert str(err.value) == "active component must have genus >= 1"
+        empty = FibrationSpec((0, 2), (), ())
+        assert fib.validate(empty).ok
+        assert fib.total_signature(empty) == fib.signature_meyer_path(empty) == 0
 
     def test_fold_on_genus_zero_component(self):
         # the first fold drops component 0 to genus 0, where no second fold
@@ -614,6 +621,31 @@ class TestSeparatingFold:
         assert stages[0] == [2]
         assert stages[-1] == [1, 1]
         assert fib.euler_characteristic(self.spec()) == -2
+
+
+def one_fold_contexts():
+    for g in range(1, 7):
+        yield CycleContext(g, TypeI())
+        yield from (CycleContext(g, TypeII(h)) for h in range(g + 1))
+
+
+@pytest.mark.parametrize("ctx", list(one_fold_contexts()), ids=str)
+def test_the_walk_and_the_pushforward_read_one_cut(ctx):
+    # one fold on component 1 of three: the walk keeps side 0 there and
+    # appends side 1, and the pushforward of a word holding every generator
+    # of the stabiliser gives one word per side at those genera
+    g = ctx.genus
+    sides = ctx.sides()
+    assert sides == ((g - 1,) if isinstance(ctx.cycle, TypeI) else
+                     (ctx.cycle.h, g - ctx.cycle.h))
+    spec = FibrationSpec((5, g, 3), (), (RoundRegion(1, ctx.cycle, Word(g)),))
+    stages, contexts = fib._walk(spec)
+    assert contexts == [ctx]
+    assert stages == [[5, g, 3], [5, sides[0], 3, *sides[1:]]]
+    gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
+    gens += [IOTA] * locsig.iota_allowed(ctx)
+    w = Word(g, tuple((gen, (-1) ** k * (k + 1)) for k, gen in enumerate(gens)))
+    assert tuple(x.genus for x in locsig.push_forward(w, ctx)) == sides
 
 
 class TestDisconnectedFiber:
