@@ -169,18 +169,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--samples", args.samples), ("--max-genus", args.max_genus)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("BLFSIG_SEED")
-        if text is None:
-            seed = verify.DEFAULT_SEED
-        else:
-            try:
-                seed = int(text)
-            except ValueError:
-                raise UsageError(f"BLFSIG_SEED must be an integer, got {text!r}") from None
-    results = verify.run_all(samples=args.samples, max_genus=args.max_genus,
-                             seed=seed)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_all(args.samples, args.max_genus, seed)
     ok = all(r.passed for r in results)
     doc = {"seed": seed, "samples": args.samples, "max_genus": args.max_genus,
            "passed": ok,
@@ -255,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--max-genus", type=int, default=2)
     sp.add_argument("--seed", type=int, default=None,
-                    help="default: BLFSIG_SEED env var or a fixed seed")
+                    help="default: 20240913")
     add_format(sp)
     sp.set_defaults(fn=cmd_verify)
 

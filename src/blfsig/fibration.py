@@ -535,12 +535,7 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
     if b2p < 0 or b2m < 0:
         raise ConsistencyError(f"negative b2+ or b2-: ({b2p}, {b2m})")
     if not spin:
-        summands = []
-        if b2p:
-            summands.append((b2p, "CP2"))
-        if b2m:
-            summands.append((b2m, "CP2bar"))
-        summands = tuple(summands)
+        blocks = ((b2p, "CP2"), (b2m, "CP2bar"))
     else:
         if sig % 16:
             raise ConsistencyError(
@@ -554,13 +549,8 @@ def homeomorphism_report(sig: int, euler: int, spin: bool,
         if rem < 0 or rem % 2:
             raise ConsistencyError(
                 f"no spin decomposition: euler {euler} incompatible with {a} E(2) summands")
-        b = rem // 2
-        summands = []
-        if a:
-            summands.append((a, "E2"))
-        if b:
-            summands.append((b, "S2xS2"))
-        summands = tuple(summands)
+        blocks = ((a, "E2"), (rem // 2, "S2xS2"))
+    summands = tuple((k, block) for k, block in blocks if k)
     return HomeoReport(status="ok", summands=summands,
                        display=_format_summands(summands))
 
@@ -711,11 +701,25 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", bool: "a boolean", float: "a number",
                type(None): "null"}
 _REQUIRED = object()
+# the keys each object of a spec document may have; "h" only on type II
+_SPEC_KEYS = frozenset({"spec_version", "higher_fiber", "lefschetz", "rounds", "flags"})
+_HIGHER_KEYS = frozenset({"genus"})
+_LEFSCHETZ_KEYS = frozenset({"type", "h", "conjugator"})
+_ROUND_KEYS = frozenset({"component", "cycle", "monodromy"})
+_CYCLE_KEYS = frozenset({"type", "h"})
+_FLAG_KEYS = frozenset({"spin", "simply_connected"})
 
 
 def _json_value(value, kind, path: str):
-    """value itself when it has the JSON type ``kind``; otherwise a
+    """value itself when it has the JSON type ``kind``, or, when ``kind`` is a
+    set of keys, when it is an object with no other key; otherwise a
     ValueError naming its path in the document."""
+    if isinstance(kind, frozenset):
+        unknown = _json_value(value, dict, path).keys() - kind
+        if unknown:
+            key = next(k for k in value if k in unknown)
+            raise ValueError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+        return value
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{path}: expected {_JSON_TYPES[kind]}, "
                          f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
@@ -731,15 +735,17 @@ def _json_member(doc: dict, key: str, kind, path: str, default=_REQUIRED):
     return _json_value(doc[key], kind, where)
 
 
-def _json_items(doc: dict, key: str):
+def _json_items(doc: dict, key: str, keys: frozenset):
     """(path, entry) for each object in the optional top-level array doc[key]."""
     for j, entry in enumerate(_json_member(doc, key, list, "", [])):
-        yield f"{key}[{j}]", _json_value(entry, dict, f"{key}[{j}]")
+        yield f"{key}[{j}]", _json_value(entry, keys, f"{key}[{j}]")
 
 
 def _cycle_from_json(doc: dict, path: str) -> CurveDescriptor:
     kind = _json_member(doc, "type", str, path)
     if kind == "I":
+        if "h" in doc:
+            raise ValueError(f"{path}.h: unknown key")
         return TypeI()
     if kind == "II":
         return TypeII(_json_member(doc, "h", int, path))
@@ -775,22 +781,24 @@ def spec_to_json(spec: FibrationSpec) -> dict:
 
 
 def spec_from_json(doc) -> FibrationSpec:
-    """Build a spec from its JSON document.  A document of the wrong shape
-    raises ValueError naming the offending path, e.g. ``lefschetz[3].type``.
-    Every entry is checked, and the entries with one cycle type and one
-    conjugator text share one ``LefschetzDatum``, parsed once."""
+    """Build a spec from its JSON document.  A document of the wrong shape,
+    or with a key the format does not define, raises ValueError naming the
+    offending path, e.g. ``lefschetz[3].type``.  Every entry is checked, and
+    the entries with one cycle type and one conjugator text share one
+    ``LefschetzDatum``, parsed once."""
     _json_value(doc, dict, "spec")
     version = doc.get("spec_version")
     if version != SPEC_VERSION:
         raise ValueError(f"unsupported spec_version {version!r}")
+    _json_value(doc, _SPEC_KEYS, "")
     higher = []
     for j, entry in enumerate(_json_member(doc, "higher_fiber", list, "")):
         where = f"higher_fiber[{j}]"
-        genus = _json_member(_json_value(entry, dict, where), "genus", int, where)
+        genus = _json_member(_json_value(entry, _HIGHER_KEYS, where), "genus", int, where)
         if genus < 0:
             raise ValueError(f"{where}.genus: must be >= 0, got {genus}")
         higher.append(genus)
-    rounds_doc = list(_json_items(doc, "rounds"))
+    rounds_doc = list(_json_items(doc, "rounds", _ROUND_KEYS))
     components = [_json_member(entry, "component", int, where)
                   for where, entry in rounds_doc]
     active = components[0] if components else 0
@@ -799,7 +807,7 @@ def spec_from_json(doc) -> FibrationSpec:
     g_active = higher[active]
     lefschetz = []
     data: dict = {}  # one datum per distinct (cycle, conjugator text)
-    for where, entry in _json_items(doc, "lefschetz"):
+    for where, entry in _json_items(doc, "lefschetz", _LEFSCHETZ_KEYS):
         cycle = _cycle_from_json(entry, where)
         text = _json_member(entry, "conjugator", str, where, "")
         d = data.get((cycle, text))
@@ -814,7 +822,7 @@ def spec_from_json(doc) -> FibrationSpec:
     for (where, entry), comp in zip(rounds_doc, components):
         if not 0 <= comp < len(genera):
             raise ValueError(f"{where}.component: component {comp} does not exist")
-        cycle = _cycle_from_json(_json_member(entry, "cycle", dict, where),
+        cycle = _cycle_from_json(_json_member(entry, "cycle", _CYCLE_KEYS, where),
                                  f"{where}.cycle")
         text = _json_member(entry, "monodromy", str, where)
         try:
@@ -823,7 +831,7 @@ def spec_from_json(doc) -> FibrationSpec:
             raise ValueError(f"{where}.cycle: {e}") from None
         mono = _word_from_json(text, ctx.genus, f"{where}.monodromy")
         rounds.append(RoundRegion(comp, cycle, mono))
-    flags = _json_member(doc, "flags", dict, "", {})
+    flags = _json_member(doc, "flags", _FLAG_KEYS, "", {})
     return FibrationSpec(tuple(higher), tuple(lefschetz), tuple(rounds),
                          spin=_json_member(flags, "spin", bool, "flags", False),
                          simply_connected=_json_member(flags, "simply_connected",

@@ -27,7 +27,8 @@ correction ``meyer.correction``, the same fold that evaluates phi.
 The generators listed above are the whole generating set of each
 stabiliser.  ``_generator`` is its one description, with each generator's
 h and s values and its image on the cut surface: a case analysis on the
-chain index, O(1) at every genus, that every other function here reads.
+chain index, O(1) at every genus, that every other function here reads;
+``generators`` lists the set in O(g).
 The cut itself, sides of genus g-1 for type I and h, g-h for II_h, is
 stated once, by ``CycleContext.sides``, which ``push_forward`` and
 ``fibration``'s walk over the folds both read.
@@ -101,21 +102,17 @@ def _generator(gen, ctx: CycleContext) -> tuple[Fraction, int, tuple | None]:
     raise ContextError(f"{gen} is not a generator of the stabiliser for {ctx}")
 
 
-def _admits(gen, ctx: CycleContext) -> bool:
-    try:
-        _generator(gen, ctx)
-    except ContextError:
-        return False
-    return True
-
-
-def allowed_chain_indices(ctx: CycleContext) -> frozenset[int]:
-    return frozenset(i for i in range(1, 2 * ctx.genus + 2)
-                     if _admits(ChainTwist(i), ctx))
-
-
-def iota_allowed(ctx: CycleContext) -> bool:
-    return _admits(IOTA, ctx)
+def generators(ctx: CycleContext) -> tuple:
+    """The stabiliser's generating set, read off ``_generator``: the admitted
+    chain twists in index order, then iota when it is admitted.  O(g)."""
+    out = []
+    for gen in (*map(ChainTwist, range(1, 2 * ctx.genus + 2)), IOTA):
+        try:
+            _generator(gen, ctx)
+        except ContextError:
+            continue
+        out.append(gen)
+    return tuple(out)
 
 
 def validate_word(w: Word, ctx: CycleContext) -> None:

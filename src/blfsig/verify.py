@@ -13,6 +13,7 @@ the test suite with larger sample counts.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import fibration, locsig, meyer, surface
@@ -50,13 +51,15 @@ def random_word(rng: random.Random, g: int, length: int) -> Word:
 
 
 def random_context_word(rng: random.Random, ctx: CycleContext, length: int) -> Word:
-    indices = sorted(locsig.allowed_chain_indices(ctx))
+    gens = locsig.generators(ctx)
+    iota = IOTA in gens
+    twists = gens[:-1] if iota else gens
     items = []
     for _ in range(length):
-        if locsig.iota_allowed(ctx) and rng.random() < 0.12:
+        if iota and rng.random() < 0.12:
             items.append((IOTA, 1))
         else:
-            items.append((ChainTwist(rng.choice(indices)), rng.choice([-2, -1, 1, 2])))
+            items.append((rng.choice(twists), rng.choice([-2, -1, 1, 2])))
     return Word(ctx.genus, tuple(items))
 
 
@@ -65,7 +68,7 @@ def _trivial_context_word(rng: random.Random, ctx: CycleContext) -> Word:
     braid rewriting of one half, so it is not freely reduced."""
     u = random_context_word(rng, ctx, rng.randrange(1, 5))
     w = u * u.inverse()
-    if locsig.iota_allowed(ctx) and rng.random() < 0.4:
+    if IOTA in locsig.generators(ctx) and rng.random() < 0.4:
         w = w * gen_word(ctx.genus, IOTA, 2)
     return w
 
@@ -243,10 +246,7 @@ def check_decomposition(rng, samples: int, max_genus: int) -> CheckResult:
     bad = 0
     total = 0
     for ctx in _contexts(max_genus):
-        gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
-        if locsig.iota_allowed(ctx):
-            gens.append(IOTA)
-        ws = [gen_word(ctx.genus, gen) for gen in gens]
+        ws = [gen_word(ctx.genus, gen) for gen in locsig.generators(ctx)]
         ws += [random_context_word(rng, ctx, rng.randrange(1, 12)) for _ in range(samples)]
         for w in ws:
             total += 1

@@ -55,6 +55,7 @@ import math
 import operator
 import re
 import sys
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby

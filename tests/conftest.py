@@ -159,9 +159,10 @@ def rng():
 def bounded_power_base(rng, ctx):
     """A stabiliser word whose powers have matrix entries linear in the
     exponent: a conjugated run of consecutive allowed chain twists, or iota."""
-    if locsig.iota_allowed(ctx) and rng.random() < 0.15:
+    gens = locsig.generators(ctx)
+    if IOTA in gens and rng.random() < 0.15:
         return gen_word(ctx.genus, IOTA)
-    indices = sorted(locsig.allowed_chain_indices(ctx))
+    indices = [gen.index for gen in gens if gen != IOTA]
     a = rng.randrange(len(indices))
     b = a
     while b + 1 < len(indices) and indices[b + 1] == indices[b] + 1 and rng.random() < 0.6:

@@ -195,10 +195,7 @@ def test_criterion_09_decomposition_identity():
     contexts += [CycleContext(g, TypeII(h)) for g in (2, 3) for h in range(1, g)]
     cases = 0
     for ctx in contexts:
-        gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
-        if locsig.iota_allowed(ctx):
-            gens.append(IOTA)
-        for gen in gens:
+        for gen in locsig.generators(ctx):
             rep = locsig.decomposition_check(gen_word(ctx.genus, gen), ctx)
             assert rep.agrees, (ctx, gen)
             cases += 1

@@ -207,12 +207,44 @@ def test_malformed_spec_exits_two(capsys, tmp_path):
 
 
 def test_malformed_entry_names_its_path(capsys, tmp_path):
-    doc = {"spec_version": 1, "higher_fiber": [{"genus": 1}],
-           "lefschetz": [{"type": "I"}] * 3 + [{"kind": "I"}]}
+    # an entry's keys are checked before its members are read
+    path = tmp_path / "bad.json"
+    for entry, message in (({"kind": "I"}, "lefschetz[3].kind: unknown key"),
+                           ({}, "lefschetz[3].type: required key is missing")):
+        doc = {"spec_version": 1, "higher_fiber": [{"genus": 1}],
+               "lefschetz": [{"type": "I"}] * 3 + [entry]}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "compute", str(path))
+        assert code == 2 and err == f"error reading {path}: {message}\n"
+
+
+UNKNOWN_KEYS = [
+    # (the object's place in an mgn(1, 1) document, the key added, its path)
+    ((), "round", "round"),
+    (("higher_fiber", 0), "genera", "higher_fiber[0].genera"),
+    (("lefschetz", 0), "conjugater", "lefschetz[0].conjugater"),
+    # h belongs to a type II cycle only
+    (("lefschetz", 1), "h", "lefschetz[1].h"),
+    (("rounds", 0), "componnet", "rounds[0].componnet"),
+    (("rounds", 0, "cycle"), "h", "rounds[0].cycle.h"),
+    (("rounds", 0, "cycle"), "conjugator", "rounds[0].cycle.conjugator"),
+    (("flags",), "simply_conected", "flags.simply_conected"),
+]
+
+
+@pytest.mark.parametrize("place, key, where", UNKNOWN_KEYS, ids=[w for *_, w in UNKNOWN_KEYS])
+def test_a_key_the_format_does_not_define_is_refused(capsys, tmp_path, place, key, where):
+    doc = fibration.spec_to_json(fibration.family_spec("mgn", 1, 1))
+    target = doc
+    for step in place:
+        target = target[step]
+    target[key] = 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(where)}: unknown key$"):
+        fibration.spec_from_json(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "compute", str(path))
-    assert code == 2 and "lefschetz[3].type" in err
+    assert run(capsys, "compute", str(path)) == (
+        2, "", f"error reading {path}: {where}: unknown key\n")
 
 
 def spec_doc(higher, rounds, lefschetz=()):
@@ -388,20 +420,31 @@ def test_verify_beyond_genus_one_reaches_the_separating_contexts(monkeypatch):
     assert {locsig.CycleContext(3, TypeII(1)), locsig.CycleContext(3, TypeII(2))} <= contexts
 
 
-def test_verify_seed_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("BLFSIG_SEED", "99")
-    code, out, _ = run(capsys, "verify", "--samples", "2", "--max-genus", "1",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["seed"] == 99
+class EveryVariableSet(dict):
+    """An environment in which every variable is set, to "99"."""
+
+    def __getitem__(self, key):
+        return "99"
+
+    def get(self, key, default=None):
+        return "99"
+
+    def __contains__(self, key):
+        return True
 
 
-@pytest.mark.parametrize("text", ["abc", "", "1.5", "0x10"])
-def test_verify_rejects_a_seed_from_env_that_is_not_an_integer(capsys, monkeypatch, text):
-    monkeypatch.setenv("BLFSIG_SEED", text)
-    code, out, err = run(capsys, "verify", "--samples", "2", "--max-genus", "1")
-    assert (code, out) == (2, "")
-    assert err == f"error: BLFSIG_SEED must be an integer, got {text!r}\n"
+def test_verify_takes_its_seed_from_the_option_alone(capsys, monkeypatch):
+    # no environment variable sets the seed: without --seed the command runs
+    # the default seed, which its --help states
+    monkeypatch.setattr(os, "environ", EveryVariableSet())
+    argv = ("verify", "--samples", "2", "--max-genus", "2", "--format", "json")
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--seed", "20240913")
+    assert default[0] == 0 and json.loads(default[1])["seed"] == verify.DEFAULT_SEED == 20240913
+    assert run(capsys, *argv, "--seed", "99")[1] != default[1]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0 and "default: 20240913" in " ".join(out.split())
 
 
 def test_verify_rejects_nonpositive_samples(capsys):

@@ -125,6 +125,43 @@ def test_an_unknown_attribute_raises_attribute_error():
     assert not hasattr(blfsig, "InvariantReport")
 
 
+def annotated_objects():
+    """Every blfsig module, and each function, class and method defined at
+    the top level of one."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    for info in pkgutil.iter_modules(blfsig.__path__):
+        module = importlib.import_module(f"blfsig.{info.name}")
+        yield module
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield obj
+                for member in vars(obj).values():
+                    # the function of a staticmethod, classmethod or property
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        yield member
+
+
+def test_every_annotation_names_what_it_uses():
+    # get_type_hints evaluates each annotation in its module, so a name that
+    # a module annotates with but does not import raises NameError
+    import typing
+
+    from blfsig import verify, words
+
+    objects = list(annotated_objects())
+    for obj in objects:
+        typing.get_type_hints(obj)
+    assert {verify, words.evaluate, words.Word, words.Word.substitute} <= set(objects)
+
+
 def test_import_time_tool_smoke():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "import_time.py"),
                            "--runs", "1"], cwd=ROOT, capture_output=True, text=True,

@@ -642,9 +642,8 @@ def test_the_walk_and_the_pushforward_read_one_cut(ctx):
     stages, contexts = fib._walk(spec)
     assert contexts == [ctx]
     assert stages == [[5, g, 3], [5, sides[0], 3, *sides[1:]]]
-    gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
-    gens += [IOTA] * locsig.iota_allowed(ctx)
-    w = Word(g, tuple((gen, (-1) ** k * (k + 1)) for k, gen in enumerate(gens)))
+    w = Word(g, tuple((gen, (-1) ** k * (k + 1))
+                      for k, gen in enumerate(locsig.generators(ctx))))
     assert tuple(x.genus for x in locsig.push_forward(w, ctx)) == sides
 
 
@@ -805,10 +804,27 @@ class TestJson:
 
     def test_every_entry_is_checked_when_data_repeat(self):
         doc = fib.spec_to_json(family_spec("mgn", 2, 1))
-        doc["lefschetz"][5]["typo"] = 1  # ignored, like any unknown key
+        doc["lefschetz"][5]["typo"] = 1
         doc["lefschetz"][6]["type"] = 2
+        with pytest.raises(ValueError, match=r"^lefschetz\[5\]\.typo: unknown key$"):
+            fib.spec_from_json(doc)
+        del doc["lefschetz"][5]["typo"]
         with pytest.raises(ValueError, match=r"lefschetz\[6\]\.type"):
             fib.spec_from_json(doc)
+
+    @pytest.mark.parametrize("family, g, n", [
+        ("mgn", g, n) for g in (1, 2, 3) for n in (1, 2)] + [
+        ("mgn-tilde", g, n) for g in (2, 3) for n in (1, 2)])
+    def test_every_family_document_loads(self, family, g, n):
+        # the writer's keys are the keys the reader defines
+        spec = family_spec(family, g, n)
+        assert fib.spec_from_json(json.loads(json.dumps(fib.spec_to_json(spec)))) == spec
+
+    def test_a_separating_datum_keeps_its_h_and_conjugator(self):
+        doc = fib.spec_to_json(family_spec("mgn", 2, 1))
+        doc["lefschetz"].append({"type": "II", "h": 1, "conjugator": "t1 t2"})
+        d = fib.spec_from_json(doc).lefschetz[-1]
+        assert (d.cycle, format_word(d.conjugator)) == (TypeII(1), "t1 t2")
 
     def test_report_dict_json_round_trip(self):
         rep = fib.compute_report(family_spec("mgn", 1, 1))

@@ -160,19 +160,17 @@ class TestGeneratingSets:
     def test_derived_sets(self):
         for ctx in self.contexts():
             g = ctx.genus
-            assert locsig.allowed_chain_indices(ctx) == {
-                i for i in range(1, 2 * g + 2) if former_member(ChainTwist(i), ctx)}
-            assert locsig.iota_allowed(ctx) == former_member(IOTA, ctx)
+            assert locsig.generators(ctx) == tuple(
+                gen for gen in (*map(ChainTwist, range(1, 2 * g + 2)), IOTA)
+                if former_member(gen, ctx))
 
     def type_i_generators_moving_the_cycle(self, g):
         """The generators that the type I table admits at genus g and that
         do not map the class of the cycle to +- itself."""
         ctx = CycleContext(g, TypeI())
         c = surface.cycle_class(TypeI(), g)
-        gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
-        gens += [IOTA] if locsig.iota_allowed(ctx) else []
         moved = []
-        for gen in gens:
+        for gen in locsig.generators(ctx):
             image = tuple(sum(map(mul, row, c)) for row in surface.word_matrix(gen_word(g, gen)))
             if image not in (c, tuple(-x for x in c)):
                 moved.append(gen)
@@ -471,10 +469,7 @@ class TestDecomposition:
 
     def test_every_generator(self):
         for ctx in self.contexts():
-            gens = [ChainTwist(i) for i in sorted(locsig.allowed_chain_indices(ctx))]
-            if locsig.iota_allowed(ctx):
-                gens.append(IOTA)
-            for gen in gens:
+            for gen in locsig.generators(ctx):
                 rep = locsig.decomposition_check(gen_word(ctx.genus, gen), ctx)
                 assert rep.agrees, (ctx, gen, rep)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from blfsig import locsig, meyer, verify
-from blfsig.words import ChainTwist
+from blfsig import locsig, meyer, verify, words
+from blfsig.words import ChainTwist, Word
 
 
 def flip_letter_correction(monkeypatch):
@@ -54,6 +54,18 @@ def shift_h_value(monkeypatch):
     monkeypatch.setattr(locsig, "h_generator", lambda gen, ctx: h_generator(gen, ctx) + 1)
 
 
+def drop_nested_exponent(monkeypatch):
+    # the text of a power of a nested word, ( u )^e, loses its exponent
+    format_word = words.format_word
+
+    def dropped(w):
+        return " ".join(f"( {dropped(item)} )" if isinstance(item, Word)
+                        else format_word(Word(w.genus, ((item, exp),)))
+                        for item, exp in w.items)
+
+    monkeypatch.setattr(words, "format_word", dropped)
+
+
 @pytest.mark.parametrize("mutate, failing", [
     (None, set()),
     (flip_letter_correction, {"relations", "antisymmetry", "decomposition", "two-paths"}),
@@ -64,8 +76,11 @@ def shift_h_value(monkeypatch):
     (negate_cocycle, {"calibration", "relations", "antisymmetry", "decomposition", "two-paths"}),
     (negate_window_sums, {"calibration", "antisymmetry", "decomposition", "two-paths"}),
     (shift_h_value, {"decomposition", "two-paths"}),
+    # the round trip imports format_word when it runs, and no other suite
+    # prints a word
+    (drop_nested_exponent, {"roundtrip"}),
 ], ids=["none", "flipped_letter_correction", "dropped_pushforward_term", "negated_cocycle",
-        "negated_window_sums", "shifted_h_value"])
+        "negated_window_sums", "shifted_h_value", "dropped_nested_exponent"])
 def test_the_suites_that_reach_a_mutant_fail(monkeypatch, mutate, failing):
     if mutate is not None:
         mutate(monkeypatch)
