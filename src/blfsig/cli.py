@@ -12,9 +12,10 @@ Subcommands:
     verify [--samples K] [--max-genus G] [--seed S]
 
 Exit codes: 0 success, 1 validation/consistency failure, 2 usage or parse
-errors.  A reader that closes the output early (``blfsig ... | head``)
-ends the command quietly with exit code 1.  With ``--format json`` all
-rationals are rendered exactly as "p/q" strings, never as floats.
+errors, a genus below 1 among them, in every subcommand that takes -g.  A
+reader that closes the output early (``blfsig ... | head``) ends the
+command quietly with exit code 1.  With ``--format json`` all rationals are
+rendered exactly as "p/q" strings, never as floats.
 
 The word-level commands (``phi``, ``tau``, ``h``, ``sigma-loc``) never load
 ``fibration``: the commands that need it import it when they run, as
@@ -259,6 +260,8 @@ def run(argv) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "genus", 1) < 1:
+            raise UsageError(f"mapping class operations need genus >= 1, got {args.genus}")
         return args.fn(args)
     except (WordError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

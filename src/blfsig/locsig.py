@@ -28,7 +28,11 @@ The generators listed above are the whole generating set of each
 stabiliser.  ``_generator`` is its one description, with each generator's
 h and s values and its image on the cut surface: a case analysis on the
 chain index, O(1) at every genus, that every other function here reads;
-``generators`` lists the set in O(g).
+``generators`` lists the set in O(g).  Its values are constants of the
+(generator, context) pair, so ``_generator`` keeps them in an ``lru_cache``
+of at most 2^12 pairs: a word query reads each generator's Fractions
+instead of building them again.  Exceptions are not cached, so a generator
+outside the stabiliser raises ContextError on every call.
 The cut itself, sides of genus g-1 for type I and h, g-h for II_h, is
 stated once, by ``CycleContext.sides``, which ``push_forward`` and
 ``fibration``'s walk over the folds both read.
@@ -37,6 +41,7 @@ stated once, by ``CycleContext.sides``, which ``push_forward`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import meyer, surface
 from .surface import CurveDescriptor, TypeI, TypeII
@@ -68,11 +73,13 @@ class CycleContext(Frozen):
         return (g - 1,) if isinstance(self.cycle, TypeI) else (self.cycle.h, g - self.cycle.h)
 
 
+@lru_cache(maxsize=1 << 12)
 def _generator(gen, ctx: CycleContext) -> tuple[Fraction, int, tuple | None]:
     """The one description of the stabiliser's generating set: for a
     generator of it, its h value, its s value and its image (side, generator)
     on the cut surface, None when it dies there.  Any other generator raises
-    ContextError.  A case analysis on the index, O(1) at every genus."""
+    ContextError.  A case analysis on the index, O(1) at every genus; the
+    values are cached per (generator, context), the errors are not."""
     g = ctx.genus
     i = gen.index if isinstance(gen, ChainTwist) else None
     if isinstance(ctx.cycle, TypeI):

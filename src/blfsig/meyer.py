@@ -49,7 +49,10 @@ on the two generator kinds.  The separating twist of genus h is the chain
 word (t_1 ... t_{2h})^{4h+2}, so its value -4h(g-h)/(2g+1) (Endo) follows
 from these two; the tests check it against that closed form.  phi(w) is
 the generator sum ``words.homomorphism(w, phi_base)`` plus the Z-valued
-correction c(w) of the word's letter matrices.  ``correction``
+correction c(w) of the word's letter matrices; ``phi_base`` keeps its
+Fractions in an ``lru_cache`` of at most 2^10 (generator, genus) pairs,
+keyed by type too, so a genus given as a float or a bool is not read as
+the int.  ``correction``
 folds a word by ``words.evaluate`` in the states (c, M), with
 
     (c1, M1)(c2, M2) = (c1 + c2 - tau(M1, M2), M1 M2),   (c, M)^-1 = (-c, M^-1),
@@ -171,8 +174,9 @@ one), and a multitwist such as (t1 t3 t5)^N costs one.
 
 Matrices are the tuple matrices of ``surface``.  The public ``tau`` also
 takes any sequence of integer rows, normalises it to that form and checks
-that it is symplectic; the internal callers hold ``surface.word_matrix``
-values and call ``_tau_cached`` directly.
+that it is symplectic (``ratlin._rows`` takes a row of plain ints without
+asking each entry whether it is a ``numbers.Number``); the internal callers
+hold ``surface.word_matrix`` values and call ``_tau_cached`` directly.
 """
 
 from __future__ import annotations
@@ -297,8 +301,10 @@ def tau(A, B) -> int:
 
 # -- the cobounding function -------------------------------------------------
 
+@lru_cache(maxsize=1 << 10, typed=True)
 def phi_base(gen, g: int) -> Fraction:
-    """Base value of the cobounding function on a single generator."""
+    """Base value of the cobounding function on a single generator, cached
+    per (generator, genus); an error is raised again on every call."""
     surface.check_genus(g)
     if isinstance(gen, ChainTwist):
         if not 1 <= gen.index <= 2 * g + 1:

@@ -57,7 +57,8 @@ def _rows(M) -> list[list]:
     for row in rows:
         if len(row) != width:
             raise ShapeError(f"ragged rows of lengths {width} and {len(row)}")
-        if not all(isinstance(x, Number) for x in row):
+        # a row of ints alone skips the ABC dispatch of isinstance(x, Number)
+        if not set(map(type, row)) <= {int} and not all(isinstance(x, Number) for x in row):
             raise ShapeError("expected a 2-d matrix of numbers")
     return rows
 

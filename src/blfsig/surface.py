@@ -15,7 +15,11 @@ word (t_1 ... t_{2h})^{4h+2}, has the identity matrix.
 
 A matrix is a tuple of row tuples of Python ints, and a homology class a
 tuple of ints: immutable, so a matrix serves as its own cache key and a
-cached value cannot be corrupted by a caller.  ``word_matrix`` folds a
+cached value cannot be corrupted by a caller.  ``chain_class`` keeps the
+class of each (index, genus) pair, keyed by type too, in an ``lru_cache``
+of at most 2^10 classes, as the folds of ``word_matrix`` and ``meyer`` ask
+for it once per letter; an index out of range raises on every call.
+``word_matrix`` folds a
 word into that form with ``words.evaluate`` and caches the result per
 word, so a word repeated across a Hurwitz system is converted once per
 process.  Inverses need no elimination: J is a signed permutation
@@ -100,8 +104,9 @@ def pairing(u, v) -> int:
     return total
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
 def chain_class(i: int, g: int) -> tuple[int, ...]:
-    """Homology class of the i-th chain curve, 1 <= i <= 2g+1."""
+    """Homology class of the i-th chain curve, 1 <= i <= 2g+1; cached."""
     check_genus(g)
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"chain index {i} out of range 1..{2 * g + 1}")

@@ -42,11 +42,16 @@ nested word out at each occurrence, so it sizes the text first and refuses
 one longer than MAX_TEXT characters, and ``repr`` shows that text or the
 refusal.  A number in a text, or an exponent written out, longer than
 Python converts (``sys.get_int_max_str_digits``) is a WordError.
-``parse_word`` keeps the words of recent texts: a Word is immutable, so a
-text repeated across a spec file is parsed once.  For the same reason a
+``parse_word`` keeps the words of recent texts (an ``lru_cache`` of 2^12
+(text, genus) pairs): a Word is immutable, so a text repeated across a spec
+file is parsed once.  For the same reason a
 Word caches its hash when first hashed, so a word that holds a nested word
 many times (as words built through the API may) hashes in time linear in
 its size as written, not in its number of occurrences of that nested word.
+The parser reads a text's tokens with one ``findall``, then parses them,
+so a bad token anywhere is found before a bad parenthesis; its chain twists
+come from ``_twist``, an ``lru_cache`` of 2^10 indices, so the words of all
+texts share one ChainTwist per index.
 """
 
 from __future__ import annotations
@@ -528,35 +533,42 @@ def chain_word(genus: int, indices, exp: int = 1) -> Word:
     return inner ** exp
 
 
-_TOKEN = re.compile(r"t(\d+)|iota|\(|\)|\^(-?\d+)|\S")
+_TOKEN = re.compile(r"t(\d+)|(iota|[()])|\^(-?\d+)|(\S)")
+_NAMED = {"iota": ("iota", None), "(": ("open", None), ")": ("close", None)}
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of a text, from one ``findall``: ("gen", twist) with the
+    shared ``_twist``, ("pow", exponent), or a named token.  The first
+    token that is none of these, or a number longer than Python converts,
+    raises WordError."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group(0)
-        if m.group(1) is not None:
-            tokens.append(("gen", _int(m.group(1), tok)))
-        elif tok == "iota":
-            tokens.append(("iota", None))
-        elif tok == "(":
-            tokens.append(("open", None))
-        elif tok == ")":
-            tokens.append(("close", None))
-        elif m.group(2) is not None:
-            tokens.append(("pow", _int(m.group(2), tok)))
+    for index, name, exp, other in _TOKEN.findall(text):
+        if index:
+            tokens.append(("gen", _twist(_int(index, "t"))))
+        elif name:
+            tokens.append(_NAMED[name])
+        elif exp:
+            tokens.append(("pow", _int(exp, "^")))
         else:
-            raise WordError(f"unexpected token {tok!r}")
+            raise WordError(f"unexpected token {other!r}")
     return tokens
 
 
-def _int(digits: str, tok: str) -> int:
-    """int(digits), or a WordError naming the token when the number is
-    longer than Python converts (``sys.get_int_max_str_digits``)."""
+@lru_cache(maxsize=1 << 10)
+def _twist(index: int) -> ChainTwist:
+    """The parser's one ChainTwist per index, its range unchecked (the word
+    checks it), so the words of many texts share their generators."""
+    return ChainTwist(index)
+
+
+def _int(digits: str, prefix: str) -> int:
+    """int(digits), or a WordError naming the token, prefix + digits, when the
+    number is longer than Python converts (``sys.get_int_max_str_digits``)."""
     try:
         return int(digits)
     except ValueError:
-        raise WordError(f"{tok[:20]}...: a number of {len(digits):,} characters, "
+        raise WordError(f"{(prefix + digits)[:20]}...: a number of {len(digits):,} characters, "
                         f"over the limit of {sys.get_int_max_str_digits():,} digits") from None
 
 
@@ -581,7 +593,7 @@ def parse_word(text: str, genus: int) -> Word:
                 break
             pos += 1
             if kind == "gen":
-                item = ChainTwist(val)
+                item = val
             elif kind == "iota":
                 item = IOTA
             elif kind == "open":

@@ -131,21 +131,21 @@ UNREALIZABLE = {  # a II_1 fold whose h term is -4/5: not an integer signature
     (["h", "-g", "3", "--cycle", "II:1", "t3"], 1,
      "error: t3 is not a generator of the stabiliser for (g=3, II_1)"),
     (["h", "-g", "2", "--cycle", "II:3", "t1"], 1, "error: II_3 invalid at genus 2"),
-    (["h", "-g", "0", "--cycle", "I", "t1"], 1,
+    (["h", "-g", "0", "--cycle", "I", "t1"], 2,
      "error: mapping class operations need genus >= 1, got 0"),
     (["h", "-g", "2", "--cycle", "II:x", "t1"], 2,
      "error: bad separating genus in cycle 'II:x'"),
     (["h", "-g", "2", "--cycle", "I", "t5^-4"], 0, ""),
     (["sigma-loc", "-g", "2", "--cycle", "II:2"], 1,
      "error: a Lefschetz vanishing cycle of type II needs 1 <= h <= g-1, got h=2"),
-    (["sigma-loc", "-g", "0", "--cycle", "I"], 1,
+    (["sigma-loc", "-g", "0", "--cycle", "I"], 2,
      "error: mapping class operations need genus >= 1, got 0"),
     (["sigma-loc", "-g", "2", "--cycle", "III"], 2,
      "error: cycle must be 'I' or 'II:h', got 'III'"),
     (["sigma-loc", "-g", "3", "--cycle", "II:1"], 0, ""),
     (["abelianization", "-g", "1", "--cycle", "II:1"], 1,
      "error: type II_h abelianization needs g >= 2, 1 <= h <= g-1"),
-    (["abelianization", "-g", "0", "--cycle", "I"], 1,
+    (["abelianization", "-g", "0", "--cycle", "I"], 2,
      "error: mapping class operations need genus >= 1, got 0"),
     (["abelianization", "-g", "2", "--cycle", "II:1"], 0, ""),
     (["compute", UNREALIZABLE], 1,
@@ -162,6 +162,19 @@ def test_error_line_and_exit_code(capsys, tmp_path, argv, code, err):
         argv = ["compute", str(path)]
     got, _, stderr = run(capsys, *argv)
     assert (got, stderr) == (code, err + "\n" if err else "")
+
+
+@pytest.mark.parametrize("genus", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["phi", "t1"], ["tau", "t1", "t1"], ["h", "--cycle", "I", "t1"],
+    ["sigma-loc", "--cycle", "I"], ["family", "mgn", "-n", "1"],
+    ["abelianization", "--cycle", "I"],
+])
+def test_a_genus_below_one_is_a_usage_error(capsys, argv, genus):
+    # every subcommand that takes -g refuses it the same way, before its own checks
+    code, out, err = run(capsys, argv[0], "-g", genus, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: mapping class operations need genus >= 1, "
+                                       f"got {genus}\n")
 
 
 def test_invalid_sigma_exit_code(capsys):

@@ -202,6 +202,22 @@ class TestGeneratingSets:
                 with pytest.raises(ContextError):
                     locsig.s_generator(gen, ctx)
 
+    def test_the_generator_table_stays_bounded(self):
+        # the values of many contexts fill the cache to its bound, not past it;
+        # an error is not kept, so it is raised again on every call
+        locsig._generator.cache_clear()
+        for g in range(1, 41):
+            locsig.generators(CycleContext(g, TypeI()))
+            for h in range(g + 1):
+                locsig.generators(CycleContext(g, TypeII(h)))
+        info = locsig._generator.cache_info()
+        assert info.currsize == info.maxsize
+        for _ in range(3):
+            with pytest.raises(ContextError, match="not a generator of the stabiliser"):
+                locsig.h_generator(ChainTwist(4), CTX_I2)
+        assert locsig._generator.cache_info().currsize == info.maxsize
+        assert locsig.h_generator(ChainTwist(1), CTX_I2) == F(-1, 15)
+
     def test_h_word_at_huge_genus_allocates_little(self):
         tracemalloc.start()
         try:

@@ -150,6 +150,44 @@ class TestTau:
         with pytest.raises(ratlin.ShapeError):
             meyer.tau(eye(3), eye(3))
 
+    T = [[1, 1], [0, 1]]
+    T4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+    @pytest.mark.parametrize("A, B, outcome", [
+        (T, T, -1),
+        (tuple(map(tuple, T)), ((1, 0), (-1, 1)), 0),
+        (np.array(T), np.array(T), -1),  # numpy ints are Numbers but not ints
+        ([[F(1), F(1)], [F(0), F(1)]], T, -1),
+        ([[1, F(1)], [0, True]], T, -1),
+        ([[True, True], [False, True]], T, -1),
+        ([[True, False], [False, True]], T, 0),
+        ([[1.0, 1.0], [0.0, 1.0]], T, -1),
+        (T4, T4, -1),
+        ([[-1, 0], [0, -1]], [[-1, 0], [0, -1]], 0),
+        ([[1, 10 ** 30], [0, 1]], [[1, 0], [-7, 1]], 0),
+        ([], [], 0),
+        ([[F(1, 2), 0], [0, 2]], T, "ValueError: first argument is not an integer matrix"),
+        ([[1.5, 0], [0, 1]], T, "ValueError: first argument is not an integer matrix"),
+        ([[1, 1], [0]], T, "ShapeError: ragged rows of lengths 2 and 1"),
+        (T, [[1], [0, 1]], "ShapeError: ragged rows of lengths 1 and 2"),
+        ([["1", "0"], ["0", "1"]], T, "ShapeError: expected a 2-d matrix of numbers"),
+        ([[1, None], [0, 1]], T, "ShapeError: expected a 2-d matrix of numbers"),
+        (None, T, "ShapeError: expected a 2-d matrix, a sequence of rows"),
+        ([1, 2], T, "ShapeError: expected a 2-d matrix, a sequence of rows"),
+        ([[2, 0], [0, 1]], T, "ValueError: first argument is not symplectic"),
+        (T, [[1, 2], [3, 4]], "ValueError: second argument is not symplectic"),
+        ([[1]], [[1]], "ShapeError: expected a square matrix of even size, got 1 rows"),
+        ([[1, 0, 0], [0, 1, 0]], T, "ShapeError: expected a square matrix of even size, got 2 rows"),
+        (T, T4, "ShapeError: dimension mismatch: 2 vs 4"),
+    ])
+    def test_every_argument_keeps_its_outcome(self, A, B, outcome):
+        # recorded before a row of plain ints skipped the Number check
+        try:
+            got = meyer.tau(A, B)
+        except ValueError as e:
+            got = f"{type(e).__name__}: {e}"
+        assert got == outcome
+
     def test_input_type_does_not_matter(self, rng):
         # a list of lists, a tuple matrix and a numpy array give one value
         for g in (1, 2, 3):
@@ -366,6 +404,21 @@ class TestSpecialForms:
 
 
 class TestPhi:
+    def test_phi_base_values_are_cached_within_a_bound(self):
+        meyer.phi_base.cache_clear()
+        for g in range(1, 120):
+            for gen in (IOTA, *map(ChainTwist, range(1, 2 * g + 2))):
+                meyer.phi_base(gen, g)
+        info = meyer.phi_base.cache_info()
+        assert info.currsize == info.maxsize
+        for _ in range(3):  # an error is not kept
+            with pytest.raises(WordError, match="t6 out of range for genus 2"):
+                meyer.phi_base(ChainTwist(6), 2)
+        # the key holds the genus's type: 1.0 is not read off the entry of 1
+        assert meyer.phi_base(ChainTwist(1), 1) == F(2, 3)
+        with pytest.raises(TypeError):
+            meyer.phi_base(ChainTwist(1), 1.0)
+
     def test_empty_word(self):
         assert meyer.phi(Word(2)) == 0
 

@@ -53,6 +53,21 @@ class TestChainClasses:
         with pytest.raises(ValueError):
             surface.chain_class(1, 0)
 
+    def test_the_class_table_stays_bounded(self):
+        surface.chain_class.cache_clear()
+        for g in range(1, 60):
+            for i in range(1, 2 * g + 2):
+                surface.chain_class(i, g)
+        info = surface.chain_class.cache_info()
+        assert info.currsize == info.maxsize
+        for _ in range(3):  # an error is not kept
+            with pytest.raises(ValueError, match="chain index 6 out of range 1..5"):
+                surface.chain_class(6, 2)
+        # the key holds the index's type: 1.0 is not read off the entry of 1
+        assert surface.chain_class(1, 1) == (1, 0)
+        with pytest.raises(TypeError):
+            surface.chain_class(1.0, 1)
+
 
 class TestTwistMatrices:
     def test_null_class_gives_identity(self):

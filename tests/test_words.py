@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blfsig import locsig, meyer, surface
+from blfsig import locsig, meyer, surface, words
 from blfsig.fibration import FibrationSpec, LefschetzDatum, RoundRegion
 from blfsig.locsig import CycleContext
 from blfsig.surface import TypeI, TypeII
@@ -287,6 +287,78 @@ def test_a_number_too_long_to_convert_is_a_word_error():
                           ("t" + "1" * 5000, r"t1{19}\.\.\.: a number of 5,000 characters")):
         with pytest.raises(WordError, match=message + ", over the limit of 4,300 digits"):
             parse_word(text, 2)
+
+
+BIG = "9" * 5000
+TOO_LONG = ", over the limit of 4,300 digits"
+# (text, its outcome at g = 1 and at g = 2): the text of the parsed word, or
+# the WordError's message; recorded before the tokenizer read a text with
+# one findall.  A text is tokenized in full before it is parsed, so a bad
+# token anywhere wins over an unbalanced parenthesis, and the first bad
+# token or number wins over a later one.
+PARSE_OUTCOMES = [
+    ("t1 )", "unbalanced ')'"),
+    ("(t1", "unbalanced '('"),
+    ("((t1)", "unbalanced '('"),
+    (")", "unbalanced ')'"),
+    ("(t1) )(", "unbalanced ')'"),
+    ("t1^0", "zero exponent"),
+    ("iota^0", "zero exponent"),
+    ("^2", "exponent without a preceding atom"),
+    ("t1^2^3", "exponent without a preceding atom"),
+    ("t", "unexpected token 't'"),
+    ("t-1", "unexpected token 't'"),
+    ("iota2", "unexpected token '2'"),
+    ("t1^", "unexpected token '^'"),
+    ("t1^+2", "unexpected token '^'"),
+    ("x", "unexpected token 'x'"),
+    ("t1 ) t0x", "unexpected token 'x'"),
+    ("t1 $ t9", "unexpected token '$'"),
+    ("t9 $", "unexpected token '$'"),
+    ("x t" + BIG, "unexpected token 'x'"),
+    ("t" + BIG, "t9999999999999999999...: a number of 5,000 characters" + TOO_LONG),
+    ("t" + BIG + " x", "t9999999999999999999...: a number of 5,000 characters" + TOO_LONG),
+    ("t1^" + BIG, "^9999999999999999999...: a number of 5,000 characters" + TOO_LONG),
+    ("t1^-" + BIG, "^-999999999999999999...: a number of 5,001 characters" + TOO_LONG),
+    ("(" * 101 + "t1" + ")" * 101, "parentheses nest deeper than 100"),
+    ("t0", ("t0 out of range for genus 1 (max index 3)",
+            "t0 out of range for genus 2 (max index 5)")),
+    ("t4", ("t4 out of range for genus 1 (max index 3)", "t4")),
+    ("t1t2", "t1 t2"),
+    ("t01", "t1"),
+    ("t1 ^2", "t1^2"),
+    ("( )^3", "(  )^3"),
+    ("", ""),
+    ("(t1 iota)^-2 t3", "( t1 iota )^-2 t3"),
+    ("t1 iota ( t2 t3^2 )^-5", "t1 iota ( t2 t3^2 )^-5"),
+]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_every_text_keeps_its_outcome(genus):
+    for text, outcome in PARSE_OUTCOMES:
+        if isinstance(outcome, tuple):
+            outcome = outcome[genus - 1]
+        try:
+            got = format_word(parse_word(text, genus))
+        except WordError as e:
+            got = str(e)
+        assert got == outcome, text[:40]
+
+
+def test_the_parser_tables_stay_bounded():
+    # each text names a new index out of range: a WordError, whose twist the
+    # shared table keeps within its bound all the same
+    for table in (words._twist, parse_word):
+        table.cache_clear()
+    for k in range(3000):
+        with pytest.raises(WordError, match="out of range"):
+            parse_word(f"t{k + 4}", 1)
+    twists = words._twist.cache_info()
+    assert twists.currsize == twists.maxsize
+    assert parse_word.cache_info().currsize == 0  # an error is not kept
+    # the parsed words of two texts share their twists
+    assert parse_word("t2 t1", 2).items[1][0] is parse_word("t1^3", 2).items[0][0]
 
 
 def test_a_shared_nested_word_is_folded_once_per_call(monkeypatch):

@@ -82,6 +82,7 @@ def cell(kind: str, g: int) -> float:
     import random
 
     from blfsig import fibration, locsig, meyer, surface, verify
+    from blfsig import words as word_module
     from blfsig.words import ChainTwist, Word, WordError, format_word, gen_word, parse_word
 
     rng = random.Random(5)
@@ -156,8 +157,9 @@ def cell(kind: str, g: int) -> float:
             return meyer._tau_cached(A, B)
     # the caches a cell clears between runs; those a checkout lacks are skipped
     caches = [getattr(module, name, None) for module, name in
-              ((surface, "word_matrix"), (meyer, "_tau_cached"), (meyer, "_image"),
-               (meyer, "_window_state"), (meyer, "_transvection_power"),
+              ((surface, "word_matrix"), (surface, "chain_class"), (meyer, "_tau_cached"),
+               (meyer, "_image"), (meyer, "_window_state"), (meyer, "_transvection_power"),
+               (meyer, "phi_base"), (locsig, "_generator"), (word_module, "_twist"),
                (fibration, "_vanishing_class"))]
     best = float("inf")
     spent = 0.0
