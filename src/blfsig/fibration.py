@@ -788,7 +788,7 @@ def spec_from_json(doc) -> FibrationSpec:
     ``LefschetzDatum``, parsed once."""
     _json_value(doc, dict, "spec")
     version = doc.get("spec_version")
-    if version != SPEC_VERSION:
+    if version.__class__ is not int or version != SPEC_VERSION:  # not true, not 1.0
         raise ValueError(f"unsupported spec_version {version!r}")
     _json_value(doc, _SPEC_KEYS, "")
     higher = []

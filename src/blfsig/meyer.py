@@ -106,11 +106,11 @@ and not only on the element.  A round monodromy written u x u^-1, as a
 global conjugation of the fibration writes it, so costs what x costs.
 
 The fold takes each maximal stretch of generator letters of a word
-(``words.stretches``, which ``surface.word_matrix`` folds too) so: the
-chain twists as one run, plus their letter corrections sign(e) - e, with
-the stretch's iotas moved to its end, which is exact because iota is
-central; an odd number of them costs one tau(P, -1) and an even number
-nothing.  A flat word of n letters thus asks for at most ceil(n/2g)
+(``words.evaluate`` hands it each one, as it does ``surface.word_matrix``)
+so: the chain twists as one run, plus their letter corrections
+sign(e) - e, with the stretch's iotas moved to its end, which is exact
+because iota is central; an odd number of them costs one tau(P, -1) and
+an even number nothing.  A flat word of n letters thus asks for at most ceil(n/2g)
 cocycle evaluations, plus one for an odd number of iotas.  The same fold
 gives the two other tau sums of the package: a round piece's
 s(w) = sum s(gen) - c(w) + c(push w) (see ``locsig``), and the Meyer-path
@@ -188,7 +188,7 @@ from operator import mul, neg
 
 from . import ratlin, surface
 from .words import (ChainTwist, Iota, Word, WordError, evaluate, homomorphism,
-                    pow_by_squaring, reduce_word, runs, stretches)
+                    pow_by_squaring, reduce_word, runs)
 
 
 def _symplectic_pair(A, B) -> tuple:
@@ -198,8 +198,11 @@ def _symplectic_pair(A, B) -> tuple:
     pair = []
     for M, name in ((A, "first"), (B, "second")):
         rows = ratlin._rows(M)
-        M = tuple(tuple(map(int, row)) for row in rows)
-        if list(map(list, M)) != rows:
+        try:
+            M = tuple(tuple(map(int, row)) for row in rows)
+        except TypeError:  # int() of a complex entry
+            M = None
+        if M is None or list(map(list, M)) != rows:
             raise ValueError(f"{name} argument is not an integer matrix")
         if not surface.is_symplectic(M):
             raise ValueError(f"{name} argument is not symplectic")
@@ -440,16 +443,8 @@ def _state(w: Word):
     """The state (c(w), matrix of w) of w as written; a nested word shared
     by several items (``reduce_word`` keeps it shared) is folded once."""
     g = w.genus
-    one = (0, surface.sp_identity(g))
-    states: dict = {}  # id of a word -> its state
-
-    def state(u: Word):
-        if id(u) not in states:
-            states[id(u)] = evaluate(stretches(u), state, _combine, _invert, one,
-                                     lambda letters, _: _stretch_state(letters, g), _power)
-        return states[id(u)]
-
-    return state(w)
+    return evaluate(w, lambda letters: _stretch_state(letters, g), _combine, _invert,
+                    (0, surface.sp_identity(g)), _power)
 
 
 def correction(w: Word) -> int:
@@ -485,12 +480,15 @@ def sequence_state(factors):
 
     The sequence is factored into runs (``words.runs``, which compares the
     pairs with ``==``), each run's block is folded by ``_run_state``, in
-    windows of 2g factors joined pairwise, and ``words.evaluate`` raises the
-    block by ``_power``, which is exact because the law is associative.  So
-    a block of m factors repeated k times costs about m/2g + O(log k)
-    cocycle evaluations instead of mk - 1, and about m/2g + p + 1 when
-    k > 2(4g+2) and the block's product has a period p <= 4g + 2 (see the
-    module docstring).
+    windows of 2g factors joined pairwise, raised by ``_power``, which is
+    exact because the law is associative, and the at most three runs are
+    joined by ``_combine``.  So a block of m factors repeated k times costs
+    about m/2g + O(log k) cocycle evaluations instead of mk - 1, and about
+    m/2g + p + 1 when k > 2(4g+2) and the block's product has a period
+    p <= 4g + 2 (see the module docstring).
     """
-    parts = [(factors[start:start + period], count) for start, period, count in runs(factors)]
-    return evaluate(parts, _run_state, _combine, _invert, None, raise_value=_power)
+    state = None
+    for start, period, count in runs(factors):
+        part = _power(_run_state(factors[start:start + period]), count)
+        state = part if state is None else _combine(state, part)
+    return state

@@ -19,21 +19,21 @@ cached value cannot be corrupted by a caller.  ``chain_class`` keeps the
 class of each (index, genus) pair, keyed by type too, in an ``lru_cache``
 of at most 2^10 classes, as the folds of ``word_matrix`` and ``meyer`` ask
 for it once per letter; an index out of range raises on every call.
-``word_matrix`` folds a
-word into that form with ``words.evaluate`` and caches the result per
-word, so a word repeated across a Hurwitz system is converted once per
-process.  Inverses need no elimination: J is a signed permutation
+``word_matrix`` folds a word into that form with ``words.evaluate`` and
+caches the result per word (an ``lru_cache`` of 2^12 words), so a word
+repeated across a Hurwitz system is converted once per process; a nested
+word is folded once per call, not cached.  Inverses need no elimination: J is a signed permutation
 (J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd i), so
 M^-1 = -J M^T J is the index shuffle
 
     M^-1[i][j] = s(i) s(j) M[j^1][i^1].
 
-``word_matrix`` folds the stretches of letters of a word
-(``words.stretches``), as ``meyer`` does: a stretch is built from the
-identity by row updates, ``times_transvection`` for each t_i^e and a
-negation for an odd power of iota, so a letter needs no product;
-``mat_mul`` joins stretches and nested words, and only a nested power
-(u)^N is raised by repeated squaring.
+``words.evaluate`` hands ``word_matrix`` each maximal stretch of letters
+of a word, as it hands ``meyer``: a stretch is built from the identity by
+row updates, ``times_transvection`` for each t_i^e and a negation for an
+odd power of iota, so a letter needs no product; ``mat_mul`` joins
+stretches and nested words, and only a nested power (u)^N is raised by
+repeated squaring.
 ``word_action`` gives W c for a class c without the matrix W: it acts on
 c with the word's letters from right to left, in O(1) per chain-twist
 power, and only a nested power (u)^N goes through ``word_matrix``.
@@ -62,7 +62,7 @@ from functools import lru_cache
 from operator import mul, neg
 
 from . import ratlin
-from .words import ChainTwist, Frozen, Iota, Word, evaluate, stretches
+from .words import ChainTwist, Frozen, Iota, Word, evaluate
 
 
 class TypeI(Frozen):
@@ -224,11 +224,11 @@ def sp_inverse(A: Matrix) -> Matrix:
 @lru_cache(maxsize=1 << 12)
 def word_matrix(w: Word) -> Matrix:
     """Product of generator matrices, left to right in word order, as a
-    tuple matrix, folded by ``words.evaluate`` over ``words.stretches(w)``
-    (see the module docstring); nested words are cached too."""
+    tuple matrix, folded by ``words.evaluate`` (see the module
+    docstring)."""
     g = check_genus(w.genus)
-    return evaluate(stretches(w), word_matrix, mat_mul, sp_inverse, sp_identity(g),
-                    lambda letters, _: _stretch_matrix(letters, g))
+    return evaluate(w, lambda letters: _stretch_matrix(letters, g), mat_mul, sp_inverse,
+                    sp_identity(g))
 
 
 def _stretch_matrix(letters, g: int) -> Matrix:

@@ -8,12 +8,12 @@ generator of its own: it is the chain word (t_1 ... t_{2h})^{4h+2} (the
 chain relation), so every word has a text form.  A word is a sequence of
 (item, exponent) pairs where an item is a generator or a nested word, so
 powers of subwords stay symbolic (the power of the empty word is the empty
-word), and ``evaluate`` folds a word into any group: a nested power in
-O(log exponent) operations by ``pow_by_squaring``, or by a caller's own
-routine when it knows more about the element (``meyer`` raises a state at
-its unipotent period), and a generator power, or a stretch of letters
-(``stretches``), by a caller's routine when it has one (an integer
-multiple; a matrix by row updates).  ``homomorphism`` is the additive
+word), and ``evaluate`` folds a word into any group: each maximal stretch
+of generator items by the caller's ``stretch`` routine (an integer sum; a
+matrix by row updates), and each distinct nested word once per call, its
+powers in O(log exponent) operations by ``pow_by_squaring``, or by a
+caller's own routine when it knows more about the element (``meyer``
+raises a state at its unipotent period).  ``homomorphism`` is the additive
 case: a homomorphism to (Q, +) given by its generator values, folded in
 ints over their common denominator, a power by one multiplication.
 ``reduce_word`` shortens a word by moves that keep its conjugacy class
@@ -21,12 +21,12 @@ and its generator sum (merges of commuting twists, iota's parity,
 one-letter nested powers, and the peeling of the two ends), and ``meyer``
 folds it in place of the word; the peeling merges the last item into the
 first while both are powers of one chain twist, going on while they
-cancel.  Those two and ``Word.substitute`` take a nested word shared by
-several items once per call, so they cost the size of the word as
-written, not its number of letters.  ``runs`` turns a flat sequence into
-such items the other way round: it finds a leading and a trailing power
-block^k in linear time, so a fold of a Hurwitz system whose data repeat a
-block raises that block as one power.
+cancel.  ``evaluate``, ``reduce_word`` and ``Word.substitute`` take a
+nested word shared by several items once per call, so they cost the size
+of the word as written, not its number of letters.  ``runs`` turns a flat
+sequence into such items the other way round: it finds a leading and a
+trailing power block^k in linear time, so a fold of a Hurwitz system whose
+data repeat a block raises that block as one power.
 
 The text grammar (used by the command line and the spec file format) is
 
@@ -43,9 +43,9 @@ one longer than MAX_TEXT characters, and ``repr`` shows that text or the
 refusal.  A number in a text, or an exponent written out, longer than
 Python converts (``sys.get_int_max_str_digits``) is a WordError.
 ``parse_word`` keeps the words of recent texts (an ``lru_cache`` of 2^12
-(text, genus) pairs): a Word is immutable, so a text repeated across a spec
-file is parsed once.  For the same reason a
-Word caches its hash when first hashed, so a word that holds a nested word
+(text, genus) pairs, keyed by type too): a Word is immutable, so a text
+repeated across a spec file is parsed once.  For the same reason a Word
+caches its hash when first hashed, so a word that holds a nested word
 many times (as words built through the API may) hashes in time linear in
 its size as written, not in its number of occurrences of that nested word.
 The parser reads a text's tokens with one ``findall``, then parses them,
@@ -63,7 +63,7 @@ import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, starmap
 
 _set = object.__setattr__
 
@@ -135,6 +135,8 @@ class Word(Frozen):
 
     ``items`` is a tuple of (item, exponent) pairs; an item is a generator
     or a nested Word of the same genus, and exponents are nonzero ints.
+    The genus, each chain index and each exponent must be an int that is
+    not a bool (``Word(1, ((ChainTwist(1.0), 1),))`` raises WordError).
     The hash is computed on first use and kept, so hashing a word whose
     nested words are hashed already costs O(len(items)).  ``==`` walks each
     pair of nested words once (``_same_word``), so two separately built
@@ -144,15 +146,19 @@ class Word(Frozen):
     __slots__ = ("genus", "items", "_hash", "_depth")
 
     def __init__(self, genus: int, items: tuple = ()):
+        if not _is_int(genus):
+            raise WordError(f"genus must be an integer, got {genus!r}")
         if genus < 0:
             raise WordError(f"genus must be >= 0, got {genus}")
         for item, exp in items:
-            if not isinstance(exp, int) or exp == 0:
+            if not _is_int(exp) or exp == 0:
                 raise WordError(f"exponent must be a nonzero integer, got {exp!r}")
             if isinstance(item, Word):
                 if item.genus != genus:
                     raise WordError("nested word has mismatched genus")
             elif isinstance(item, ChainTwist):
+                if not _is_int(item.index):
+                    raise WordError(f"chain index must be an integer, got {item.index!r}")
                 if not genus:
                     raise WordError(f"t{item.index} at genus 0: a sphere has no chain curves")
                 if not 1 <= item.index <= 2 * genus + 1:
@@ -184,7 +190,7 @@ class Word(Frozen):
         return _checked_word(self.genus, self.items + other.items)
 
     def __pow__(self, e: int) -> "Word":
-        if not isinstance(e, int):
+        if not _is_int(e):
             raise WordError(f"exponent must be an integer, got {e!r}")
         if e == 0 or not self.items:
             return _checked_word(self.genus, ())
@@ -260,6 +266,12 @@ class Word(Frozen):
         return f"Word(genus={self.genus}, text={text})"
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: the only genus, chain index and
+    exponent a word takes."""
+    return isinstance(x, int) and x.__class__ is not bool
+
+
 def _same_word(u: Word, v: Word, same: set) -> bool:
     """u == v, with ``same`` the id pairs of nested words already found
     equal within this comparison: each pair is compared once, and unequal
@@ -303,49 +315,38 @@ def _depth_of(items) -> int:
     return depth
 
 
-def stretches(w: Word) -> list:
-    """The items of w with each maximal stretch of generator items gathered
-    into one item (letters, 1), letters the tuple of its (generator,
-    exponent) pairs, for a fold by ``evaluate`` whose ``power`` builds a
-    stretch's factor in one go; nested items are kept as they are."""
-    parts = []
-    for nested, items in groupby(w.items, lambda item: isinstance(item[0], Word)):
-        if nested:
-            parts.extend(items)
-        else:
-            parts.append((tuple(items), 1))
-    return parts
+def evaluate(w: Word, stretch: Callable, mul: Callable, inv: Callable, one,
+             raise_value: Callable | None = None):
+    """Fold a word into a group: the product of its factors, left to right.
 
-
-def evaluate(w, value: Callable, mul: Callable, inv: Callable, one,
-             power: Callable | None = None, raise_value: Callable | None = None):
-    """Fold a word into a group: the product of ``value(item) ** exp`` over
-    the items, left to right.
-
-    ``w`` is a Word or any sequence of (item, exponent) pairs.  ``value`` is
-    called on nested words as on any other item, so a caller may cache
-    nested values or recurse through ``evaluate``.  The factor of a nested
-    word is ``raise_value(value(item), exp)`` when that is given, so a caller
-    may raise an element whose powers it knows in closed form more cheaply,
-    and ``pow_by_squaring`` otherwise.  The factor of every other item is
-    ``power(item, exp)`` when that is given, so a caller may build a
-    generator's power in closed form, and is raised from its value like a
-    nested word's otherwise.  The fold starts from the first factor: ``one``
-    is returned for the empty word and is never passed to ``mul``.
+    Each maximal stretch of generator items is one factor,
+    ``stretch(letters)`` with letters the tuple of its (generator, exponent)
+    pairs.  A nested word is folded once per call, however many items hold
+    it (keyed by identity), and its item's factor is
+    ``raise_value(value, exp)`` when that is given, so a caller may raise an
+    element whose powers it knows in closed form more cheaply, and
+    ``pow_by_squaring`` otherwise.  A fold starts from its first factor,
+    so ``one``, the value of an empty word, meets ``mul`` only when an
+    empty word is nested.
     """
-    items = w.items if isinstance(w, Word) else w
-    acc = None
-    for item, exp in items:
-        if power is None or isinstance(item, Word):
-            x = value(item)
-            if raise_value is None:
-                factor = pow_by_squaring(x, exp, mul, inv)
-            else:
-                factor = raise_value(x, exp)
-        else:
-            factor = power(item, exp)
-        acc = factor if acc is None else mul(acc, factor)
-    return one if acc is None else acc
+    values: dict = {}  # id of a nested word -> its value
+    if raise_value is None:
+        def raise_value(x, e):
+            return pow_by_squaring(x, e, mul, inv)
+
+    def factor(item: Word, exp: int):
+        if id(item) not in values:
+            values[id(item)] = fold(item)
+        return raise_value(values[id(item)], exp)
+
+    def fold(u: Word):
+        acc = None
+        for nested, items in groupby(u.items, lambda item: item[0].__class__ is Word):
+            for x in starmap(factor, items) if nested else (stretch(tuple(items)),):
+                acc = x if acc is None else mul(acc, x)
+        return one if acc is None else acc
+
+    return fold(w)
 
 
 def pow_by_squaring(x, e: int, mul: Callable, inv: Callable):
@@ -418,15 +419,8 @@ def homomorphism(w: Word, value: Callable[[Generator], Fraction | int]) -> Fract
     values = {gen: value(gen) for gen in w.generators()}
     D = math.lcm(1, *(v.denominator for v in values.values()))
     scaled = {gen: v.numerator * (D // v.denominator) for gen, v in values.items()}
-    parts: dict = {}  # id of a word -> its value
-
-    def part(item: Word) -> int:
-        if id(item) not in parts:
-            parts[id(item)] = evaluate(item, part, operator.add, operator.neg, 0,
-                                       lambda gen, e: e * scaled[gen], operator.mul)
-        return parts[id(item)]
-
-    return Fraction(part(w), D)
+    return Fraction(evaluate(w, lambda letters: sum(e * scaled[gen] for gen, e in letters),
+                             operator.add, operator.neg, 0, operator.mul), D)
 
 
 def reduce_word(w: Word) -> Word:
@@ -572,12 +566,14 @@ def _int(digits: str, prefix: str) -> int:
                         f"over the limit of {sys.get_int_max_str_digits():,} digits") from None
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12, typed=True)
 def parse_word(text: str, genus: int) -> Word:
     """Parse the text grammar into a Word at the given genus.  Parsed
-    texts are cached: a Word is immutable, so callers may share it, and a
-    malformed text raises on every call, as exceptions are not cached."""
-    if genus < 1:
+    texts are cached, keyed by type too, so a genus of True or 1.0 is not
+    read off the entry of 1 (the Word refuses it): a Word is immutable, so
+    callers may share it, and a malformed text raises on every call, as
+    exceptions are not cached."""
+    if _is_int(genus) and genus < 1:
         raise WordError("words need genus >= 1")
     tokens = _tokenize(text)
     pos = 0

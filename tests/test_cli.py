@@ -219,6 +219,17 @@ def test_malformed_spec_exits_two(capsys, tmp_path):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "\"1\""])
+def test_spec_version_must_be_the_integer_one(capsys, tmp_path, version):
+    # true and 1.0 compare equal to 1 in Python, and are refused all the same
+    text = json.dumps(fibration.spec_to_json(fibration.family_spec("mgn", 1, 1)))
+    path = tmp_path / "spec.json"
+    path.write_text(text.replace('"spec_version": 1', f'"spec_version": {version}'))
+    code, out, err = run(capsys, "compute", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error reading {path}: unsupported spec_version {json.loads(version)!r}\n"
+
+
 def test_malformed_entry_names_its_path(capsys, tmp_path):
     # an entry's keys are checked before its members are read
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 from operator import mul
 
 import pytest
@@ -8,7 +9,8 @@ from blfsig import locsig, meyer, surface, verify, words
 from blfsig.locsig import ContextError, CycleContext
 from blfsig.surface import TypeI, TypeII
 from blfsig.verify import random_context_word
-from blfsig.words import IOTA, ChainTwist, Iota, Word, chain_word, evaluate, gen_word
+from blfsig.words import (IOTA, ChainTwist, Iota, Word, chain_word, evaluate, gen_word,
+                          pow_by_squaring)
 from conftest import bounded_power_base
 
 
@@ -268,14 +270,16 @@ def s_by_triple_fold(w, ctx):
         Minv, Ninv = inv(M), tuple(map(inv, N))
         return (-s - tau(M, Minv) + sum(map(tau, N, Ninv)), Minv, Ninv)
 
-    def value(item):
-        if isinstance(item, Word):
-            return evaluate(item, value, combine, invert, None)
-        s = locsig.s_generator(item, ctx) if isinstance(ctx.cycle, TypeI) else 0
-        return (s, surface.word_matrix(gen_word(g, item)),
-                tuple(N for _, N in cut_sides(item, ctx)))
+    def value(gen):
+        s = locsig.s_generator(gen, ctx) if isinstance(ctx.cycle, TypeI) else 0
+        return (s, surface.word_matrix(gen_word(g, gen)),
+                tuple(N for _, N in cut_sides(gen, ctx)))
 
-    return evaluate(w, value, combine, invert, (0,))[0]
+    def stretch(letters):
+        return reduce(combine, (pow_by_squaring(value(gen), e, combine, invert)
+                                for gen, e in letters))
+
+    return evaluate(w, stretch, combine, invert, (0,))[0]
 
 
 class TestSigmaLoc:

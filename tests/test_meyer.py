@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -61,12 +62,14 @@ def phi_by_fraction_fold(w: Word) -> F:
         Minv = surface.sp_inverse(a[1])
         return (-a[0] + meyer._tau_cached(a[1], Minv), Minv)
 
-    def value(item):
-        if isinstance(item, Word):
-            return evaluate(item, value, combine, invert, (F(0), surface.sp_identity(g)))
-        return (meyer.phi_base(item, g), surface.word_matrix(gen_word(g, item)))
+    def value(gen):
+        return (meyer.phi_base(gen, g), surface.word_matrix(gen_word(g, gen)))
 
-    return evaluate(w, value, combine, invert, (F(0), None))[0]
+    def stretch(letters):
+        return reduce(combine, (pow_by_squaring(value(gen), e, combine, invert)
+                                for gen, e in letters))
+
+    return evaluate(w, stretch, combine, invert, (F(0), surface.sp_identity(g)))[0]
 
 
 class TestTau:
@@ -149,6 +152,15 @@ class TestTau:
             meyer.tau([[1, 0], [0]], eye(2))
         with pytest.raises(ratlin.ShapeError):
             meyer.tau(eye(3), eye(3))
+
+    @pytest.mark.parametrize("A, B, name", [
+        ([[1, 1j], [0, 1]], [[1, 0], [0, 1]], "first"),
+        ([[1 + 0j, 0], [0, 1]], [[1, 0], [0, 1]], "first"),
+        ([[1, 0], [0, 1]], [[1, 0], [complex(0, 2), 1]], "second"),
+    ])
+    def test_complex_entry_is_not_an_integer_matrix(self, A, B, name):
+        with pytest.raises(ValueError, match=rf"^{name} argument is not an integer matrix$"):
+            meyer.tau(A, B)
 
     T = [[1, 1], [0, 1]]
     T4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

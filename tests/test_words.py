@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +43,27 @@ def test_index_out_of_range():
 def test_zero_exponent_rejected():
     with pytest.raises(WordError):
         parse_word("t1^0", 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Word(1, ((ChainTwist(1.0), 1), (ChainTwist(True), 2))),
+     "chain index must be an integer, got 1.0"),
+    (lambda: Word(1, ((ChainTwist(True), 2),)), "chain index must be an integer, got True"),
+    (lambda: Word(1, ((ChainTwist("1"), 1),)), "chain index must be an integer, got '1'"),
+    (lambda: Word(1.0, ()), "genus must be an integer, got 1.0"),
+    (lambda: Word(True, ((IOTA, 1),)), "genus must be an integer, got True"),
+    (lambda: Word(1, ((ChainTwist(1), True),)), "exponent must be a nonzero integer, got True"),
+    (lambda: Word(1, ((ChainTwist(1), 2.0),)), "exponent must be a nonzero integer, got 2.0"),
+    (lambda: parse_word("t1", 1.5), "genus must be an integer, got 1.5"),
+    (lambda: parse_word("t1", True), "genus must be an integer, got True"),
+    (lambda: parse_word("t1 t2", 2) ** True, "exponent must be an integer, got True"),
+])
+def test_a_word_takes_only_int_genus_index_and_exponent(build, message):
+    # a bool or a float equal to an int is refused, as is a numeric string
+    parse_word("t1", 1)  # cached at genus 1, which True must not hit
+    with pytest.raises(WordError) as e:
+        build()
+    assert str(e.value) == message
 
 
 def test_unbalanced_parens():
@@ -503,10 +525,17 @@ def invert(p):
     return tuple(out)
 
 
-def perm_value(item):
-    if isinstance(item, Word):
-        return evaluate(item, perm_value, compose, invert, ONE)
-    return PERMS[item]
+def perm_stretch(letters):
+    return reduce(compose, (pow_by_squaring(PERMS[gen], e, compose, invert)
+                            for gen, e in letters))
+
+
+def flat_fold(w: Word):
+    """The permutation of w, one letter at a time."""
+    flat = IDENTITY
+    for gen, sign in w.letters():
+        flat = compose(flat, PERMS[gen] if sign > 0 else invert(PERMS[gen]))
+    return flat
 
 
 def letter_count(w: Word) -> int:
@@ -529,14 +558,11 @@ def nested_words(draw, depth=2):
 @settings(max_examples=100, deadline=None)
 def test_evaluate_matches_the_flat_fold(w):
     assume(letter_count(w) <= 20000)
-    flat = IDENTITY
-    for gen, sign in w.letters():
-        flat = compose(flat, PERMS[gen] if sign > 0 else invert(PERMS[gen]))
-    assert evaluate(w, perm_value, compose, invert, ONE) == flat
+    assert evaluate(w, perm_stretch, compose, invert, ONE) == flat_fold(w)
 
 
 def test_evaluate_empty_word_is_one():
-    assert evaluate(Word(2), perm_value, compose, invert, ONE) is ONE
+    assert evaluate(Word(2), perm_stretch, compose, invert, ONE) is ONE
 
 
 def test_evaluate_large_exponents_cost_log_many_products():
@@ -549,7 +575,9 @@ def test_evaluate_large_exponents_cost_log_many_products():
     t2 = PERMS[ChainTwist(2)]  # a 5-cycle
     for e in (10 ** 18 + 3, -(10 ** 18 + 3)):
         calls.clear()
-        got = evaluate(gen_word(2, ChainTwist(2), e), perm_value, counting, invert, ONE)
+        # a nested power, which evaluate raises itself
+        got = evaluate(Word(2, ((gen_word(2, ChainTwist(2)), e),)), perm_stretch, counting,
+                       invert, ONE)
         expected = IDENTITY
         for _ in range(e % 5):
             expected = compose(expected, t2)
@@ -557,43 +585,40 @@ def test_evaluate_large_exponents_cost_log_many_products():
         assert len(calls) <= 2 * (10 ** 18).bit_length()
 
 
-def generator_items(w: Word) -> int:
-    """Generator items of the word tree, each nested word counted once per
-    occurrence, as a fold that does not cache nested values visits them."""
-    return sum(generator_items(x) if isinstance(x, Word) else 1 for x, _ in w.items)
+def distinct_stretches(w: Word, seen: set) -> list:
+    """The maximal stretches of generator items of w and of each nested word
+    whose id is not in ``seen`` yet, in the order a fold first meets them."""
+    out, run = [], []
+    for x, e in w.items:
+        if isinstance(x, Word):
+            if run:
+                out.append(tuple(run))
+                run = []
+            if id(x) not in seen:
+                seen.add(id(x))
+                out += distinct_stretches(x, seen)
+        else:
+            run.append((x, e))
+    if run:
+        out.append(tuple(run))
+    return out
 
 
 @given(nested_words())
 @settings(max_examples=50, deadline=None)
 def test_evaluate_takes_generator_powers_from_the_hook(w):
-    # with ``power`` given, a generator's factor is power(gen, exp), and its
-    # value is never taken; nested words still go by squaring their values
-    assume(letter_count(w) <= 20000)
+    # ``stretch`` gets each maximal stretch of generator items, once for
+    # each distinct nested word however many items hold it
+    shared = Word(2, ((w, 2), (ChainTwist(1), 1), (IOTA, 1), (w, -1), (w, 3)))
+    assume(letter_count(shared) <= 20000)
     asked = []
 
-    def power(gen, e):
-        asked.append(gen)
-        return pow_by_squaring(PERMS[gen], e, compose, invert)
+    def stretch(letters):
+        asked.append(letters)
+        return perm_stretch(letters)
 
-    def value(item):
-        assert isinstance(item, Word), "took a generator's value despite the power hook"
-        return evaluate(item, value, compose, invert, ONE, power)
-
-    assert evaluate(w, value, compose, invert, ONE, power) == \
-        evaluate(w, perm_value, compose, invert, ONE)
-    assert len(asked) == generator_items(w)
-
-
-def test_evaluate_folds_any_sequence_of_pairs():
-    items = [((ChainTwist(1), ChainTwist(2)), 3), ((IOTA,), -1)]
-
-    def value(block):
-        return evaluate(Word(2, tuple((gen, 1) for gen in block)), perm_value,
-                        compose, invert, ONE)
-
-    w = Word(2, ((Word(2, ((ChainTwist(1), 1), (ChainTwist(2), 1))), 3), (IOTA, -1)))
-    assert evaluate(items, value, compose, invert, ONE) == \
-        evaluate(w, perm_value, compose, invert, ONE)
+    assert evaluate(shared, stretch, compose, invert, ONE) == flat_fold(shared)
+    assert asked == distinct_stretches(shared, set())
 
 
 def brute_leading_power(keys):
