@@ -69,7 +69,7 @@ may still be caught by the integrality of the total signature.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -77,7 +77,7 @@ from math import gcd
 from . import locsig, meyer, surface
 from .locsig import CycleContext
 from .surface import CurveDescriptor, TypeI, TypeII
-from .words import (IOTA, ChainTwist, Frozen, Word, WordError, chain_word,
+from .words import (IOTA, ChainTwist, Frozen, Word, WordError, _is_int, chain_word,
                     format_word, gen_word, parse_word)
 
 SPEC_VERSION = 1
@@ -282,18 +282,16 @@ def _refuse_bad_data(spec: FibrationSpec) -> None:
         raise ConsistencyError(message if j is None else f"lefschetz[{j}]: {message}")
 
 
-class ValidationIssue:
-    __slots__ = ("where", "message")
-
-    def __init__(self, where: str, message: str):
-        self.where = where
-        self.message = message
+class ValidationIssue(namedtuple("ValidationIssue", "where message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.where}: {self.message}"
 
 
 class ValidationReport:
+    """The itemised outcome of ``validate``, which grows its lists in place:
+    so a class, where the other result records are named tuples."""
     __slots__ = ("issues", "notes")
 
     def __init__(self, issues: list[ValidationIssue] | None = None,
@@ -386,14 +384,8 @@ def _as_integer(x: Fraction, what: str) -> int:
     return int(x)
 
 
-class SignatureBreakdown:
-    __slots__ = ("sigma_terms", "h_terms", "total")
-
-    def __init__(self, sigma_terms: tuple[tuple[str, Fraction], ...],
-                 h_terms: tuple[tuple[str, Fraction], ...], total: Fraction):
-        self.sigma_terms = sigma_terms
-        self.h_terms = h_terms
-        self.total = total
+# the localized formula's (label, value) terms and their total
+SignatureBreakdown = namedtuple("SignatureBreakdown", "sigma_terms h_terms total")
 
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
@@ -495,14 +487,8 @@ _DISPLAY = {
 _PAREN_IN_SUMS = {"S2xS2"}
 
 
-class HomeoReport:
-    __slots__ = ("status", "summands", "display")
-
-    def __init__(self, status: str, summands: tuple[tuple[int, str], ...] = (),
-                 display: str = ""):
-        self.status = status  # "ok" or "indeterminate"
-        self.summands = summands
-        self.display = display
+# status is "ok" or "indeterminate"; summands are (count, block) pairs
+HomeoReport = namedtuple("HomeoReport", "status summands display", defaults=((), ""))
 
 
 def _format_summands(summands) -> str:
@@ -569,6 +555,8 @@ def family_spec(family: str, g: int, n: int) -> FibrationSpec:
     signature -4g^2n, spin iff g is even.
     """
     name = family.replace("-", "_")
+    if not (_is_int(g) and _is_int(n)):
+        raise ValueError(f"g and n must be integers, got {g!r} and {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if name not in ("mgn", "mgn_tilde"):
@@ -620,23 +608,10 @@ def abelianization(g: int, cycle: CurveDescriptor) -> str:
 
 # -- full report --------------------------------------------------------------
 
-class InvariantReport:
-    __slots__ = ("spec", "validation", "signature", "euler", "breakdown",
-                 "meyer_path_signature", "two_paths_agree", "homeomorphism", "notes")
-
-    def __init__(self, spec: FibrationSpec, validation: ValidationReport, signature: int,
-                 euler: int, breakdown: SignatureBreakdown, meyer_path_signature: int,
-                 two_paths_agree: bool, homeomorphism: HomeoReport,
-                 notes: tuple[str, ...] = ()):
-        self.spec = spec
-        self.validation = validation
-        self.signature = signature
-        self.euler = euler
-        self.breakdown = breakdown
-        self.meyer_path_signature = meyer_path_signature
-        self.two_paths_agree = two_paths_agree
-        self.homeomorphism = homeomorphism
-        self.notes = notes
+class InvariantReport(namedtuple(
+        "InvariantReport", "spec validation signature euler breakdown meyer_path_signature "
+        "two_paths_agree homeomorphism notes", defaults=((),))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

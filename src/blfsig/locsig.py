@@ -40,6 +40,7 @@ stated once, by ``CycleContext.sides``, which ``push_forward`` and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -197,17 +198,10 @@ def _s_value(w: Word, ctx: CycleContext, c: int, c_push: int) -> int:
     return int(homomorphism(w, lambda gen: s_generator(gen, ctx))) - c + c_push
 
 
-class DecompositionReport:
+class DecompositionReport(namedtuple(
+        "DecompositionReport", "context homomorphism s_term phi_term pushed_phi_term")):
     """Both sides of the identity h = s + phi - (pushforward phi)."""
-    __slots__ = ("context", "homomorphism", "s_term", "phi_term", "pushed_phi_term")
-
-    def __init__(self, context: CycleContext, homomorphism: Fraction, s_term: int,
-                 phi_term: Fraction, pushed_phi_term: Fraction):
-        self.context = context
-        self.homomorphism = homomorphism
-        self.s_term = s_term
-        self.phi_term = phi_term
-        self.pushed_phi_term = pushed_phi_term
+    __slots__ = ()
 
     @property
     def assembled(self) -> Fraction:

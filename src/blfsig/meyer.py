@@ -197,13 +197,10 @@ def _symplectic_pair(A, B) -> tuple:
     size."""
     pair = []
     for M, name in ((A, "first"), (B, "second")):
-        rows = ratlin._rows(M)
-        try:
-            M = tuple(tuple(map(int, row)) for row in rows)
-        except TypeError:  # int() of a complex entry
-            M = None
-        if M is None or list(map(list, M)) != rows:
+        rows = [ratlin._integers(row) for row in ratlin._rows(M)]
+        if any(None in row for row in rows):
             raise ValueError(f"{name} argument is not an integer matrix")
+        M = tuple(map(tuple, rows))
         if not surface.is_symplectic(M):
             raise ValueError(f"{name} argument is not symplectic")
         pair.append(M)

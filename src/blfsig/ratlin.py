@@ -4,7 +4,9 @@ Every computation in this package reduces to small dense exact problems:
 signatures of symmetric bilinear forms, Smith normal forms of presentation
 matrices, and integer kernels.  The public functions take any sequence of
 rows of ints or ``fractions.Fraction``, read by plain iteration, raise
-``ShapeError`` unless it is 2-d and rectangular, and return matrices as
+``ShapeError`` unless it is 2-d and rectangular with finite real entries
+(integral ones, by ``_integer``, where integers are needed: a complex
+entry is refused even with a zero imaginary part), and return matrices as
 tuples of Python ints (the tuple matrices of ``surface``), so there is no
 floating point anywhere and no bound on entry size.  The integer kernels
 the cocycle code calls per evaluation, ``_signature_int`` and
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Number
+from numbers import Complex, Number, Real
 from operator import mul
 
 
@@ -61,6 +63,25 @@ def _rows(M) -> list[list]:
         if not set(map(type, row)) <= {int} and not all(isinstance(x, Number) for x in row):
             raise ShapeError("expected a 2-d matrix of numbers")
     return rows
+
+
+def _integer(x) -> int | None:
+    """x as an int if it is a real number of integral value (an int, a bool,
+    a Fraction, a float, a NumPy integer, ...), else None: a complex entry,
+    NumPy's included, an infinity or a NaN is not an integer."""
+    if isinstance(x, Complex) and not isinstance(x, Real):
+        return None
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
+def _integers(row: list) -> list:
+    """A row of ``_rows`` with each entry as ``_integer`` gives it; a row of
+    ints alone is returned as it is."""
+    return row if set(map(type, row)) <= {int} else [_integer(x) for x in row]
 
 
 def is_symmetric(M) -> bool:
@@ -156,7 +177,10 @@ def _divide_content(T: list[list[int]], k: int) -> None:
 def signature_of_symmetric(M) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric
     rational matrix, computed exactly by congruence diagonalisation."""
-    rows = [[Fraction(x) for x in row] for row in _rows(M)]
+    try:
+        rows = [[Fraction(x) for x in row] for row in _rows(M)]
+    except (TypeError, ValueError, OverflowError):  # complex, infinite or NaN
+        raise ShapeError("signature needs a matrix of finite real numbers") from None
     r = len(rows)
     c = len(rows[0]) if rows else 0
     if r != c:
@@ -222,13 +246,13 @@ def smith_normal_form(A) -> tuple[tuple, tuple, tuple]:
     non-negative entries satisfying d_i | d_{i+1}; all three are tuple
     matrices.  An entry that is not an integer raises ShapeError.
     """
-    D = _rows(A)
+    rows = _rows(A)
+    D = [_integers(row) for row in rows]
     for i, row in enumerate(D):
-        for j, x in enumerate(row):
-            if x != int(x):
-                raise ShapeError(f"Smith normal form needs integer entries, "
-                                 f"got {x} at ({i}, {j})")
-            row[j] = int(x)
+        if None in row:
+            j = row.index(None)
+            raise ShapeError(f"Smith normal form needs integer entries, "
+                             f"got {rows[i][j]} at ({i}, {j})")
     m, n = len(D), len(D[0]) if D else 0
     if not n:
         U = [[int(i == j) for j in range(m)] for i in range(m)]

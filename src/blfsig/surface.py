@@ -62,7 +62,7 @@ from functools import lru_cache
 from operator import mul, neg
 
 from . import ratlin
-from .words import ChainTwist, Frozen, Iota, Word, evaluate
+from .words import ChainTwist, Frozen, Iota, Word, _is_int, evaluate
 
 
 class TypeI(Frozen):
@@ -78,6 +78,8 @@ class TypeII(Frozen):
     __slots__ = ("h", "_key")
 
     def __init__(self, h: int):
+        if not _is_int(h):
+            raise ValueError(f"II_h needs an integer h, got {h!r}")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "_key", (h,))
 
@@ -90,6 +92,8 @@ Matrix = tuple  # tuple of row tuples of Python ints
 
 
 def check_genus(g: int) -> int:
+    if not _is_int(g):
+        raise ValueError(f"genus must be an integer, got {g!r}")
     if g < 1:
         raise ValueError(f"mapping class operations need genus >= 1, got {g}")
     return g

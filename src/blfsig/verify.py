@@ -13,6 +13,7 @@ the test suite with larger sample counts.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -125,13 +126,8 @@ def random_valid_spec(rng: random.Random, max_genus: int = 3) -> FibrationSpec:
 
 # -- checks -------------------------------------------------------------------
 
-class CheckResult:
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
     def __str__(self):
         mark = "ok  " if self.passed else "FAIL"

@@ -647,6 +647,26 @@ def test_the_walk_and_the_pushforward_read_one_cut(ctx):
     assert tuple(x.genus for x in locsig.push_forward(w, ctx)) == sides
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: locsig.generators(CycleContext(2.0, TypeI())), "genus must be an integer, got 2.0"),
+    (lambda: locsig.sigma_loc(TypeI(), 2.0), "genus must be an integer, got 2.0"),
+    (lambda: fib.abelianization(2.0, TypeII(1)), "genus must be an integer, got 2.0"),
+    (lambda: meyer.phi_base(ChainTwist(1), True), "genus must be an integer, got True"),
+    (lambda: TypeII(1.0), "II_h needs an integer h, got 1.0"),
+    (lambda: TypeII(True), "II_h needs an integer h, got True"),
+    (lambda: family_spec("mgn", 2, 1.5), "g and n must be integers, got 2 and 1.5"),
+    (lambda: family_spec("mgn", 2, True), "g and n must be integers, got 2 and True"),
+    (lambda: family_spec("mgn-tilde", 2.0, 1), "g and n must be integers, got 2.0 and 1"),
+])
+def test_a_genus_a_separating_index_and_n_take_only_ints(build, message):
+    # a float raised TypeError deep inside, and a bool passed as 1 (phi_base
+    # gave 2/3, TypeII(True) printed II_True, family_spec built a spec)
+    meyer.phi_base(ChainTwist(1), 1)  # cached at genus 1, which True must not hit
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
 class TestDisconnectedFiber:
     def test_untouched_component_only_shifts_euler(self):
         base = family_spec("mgn", 2, 1)

@@ -157,10 +157,22 @@ class TestTau:
         ([[1, 1j], [0, 1]], [[1, 0], [0, 1]], "first"),
         ([[1 + 0j, 0], [0, 1]], [[1, 0], [0, 1]], "first"),
         ([[1, 0], [0, 1]], [[1, 0], [complex(0, 2), 1]], "second"),
+        # int() of a NumPy complex drops a zero imaginary part, with a warning
+        (np.array([[1, 1], [0, 1]], dtype=complex), [[1, 1], [0, 1]], "first"),
+        ([[1, 0], [0, 1]], np.array([[1, 0], [0, 1]], dtype=np.complex64), "second"),
     ])
     def test_complex_entry_is_not_an_integer_matrix(self, A, B, name):
         with pytest.raises(ValueError, match=rf"^{name} argument is not an integer matrix$"):
             meyer.tau(A, B)
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"),
+                                   np.float64("inf"), np.float32("nan")])
+    def test_non_finite_entry_is_not_an_integer_matrix(self, x):
+        # int() raised OverflowError or "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=r"^first argument is not an integer matrix$"):
+            meyer.tau([[1, x], [0, 1]], eye(2))
+        with pytest.raises(ValueError, match=r"^second argument is not an integer matrix$"):
+            meyer.tau(eye(2), [[1, 0], [x, 1]])
 
     T = [[1, 1], [0, 1]]
     T4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -428,7 +440,7 @@ class TestPhi:
                 meyer.phi_base(ChainTwist(6), 2)
         # the key holds the genus's type: 1.0 is not read off the entry of 1
         assert meyer.phi_base(ChainTwist(1), 1) == F(2, 3)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^genus must be an integer, got 1\.0$"):
             meyer.phi_base(ChainTwist(1), 1.0)
 
     def test_empty_word(self):

@@ -70,6 +70,13 @@ class TestSignature:
         with pytest.raises(ratlin.ShapeError):
             ratlin.signature_of_symmetric([[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("x", [float("inf"), float("nan"), 1j, np.complex128(2)])
+    def test_rejects_complex_and_non_finite_entries(self, x):
+        # inf gave OverflowError and 1j TypeError from Fraction()
+        with pytest.raises(ratlin.ShapeError,
+                           match="^signature needs a matrix of finite real numbers$"):
+            ratlin.signature_of_symmetric([[1, 0], [0, x]])
+
     def test_congruence_invariance(self, rng):
         for _ in range(60):
             n = rng.randint(1, 8)
@@ -152,6 +159,16 @@ class TestSmithNormalForm:
             ratlin.smith_normal_form([[1.9]])
         with pytest.raises(ratlin.ShapeError, match=r"7/3 at \(1, 1\)"):
             ratlin.smith_normal_form([[1, 0], [0, F(7, 3)]])
+        # a complex or non-finite entry is no integer either: they raised
+        # TypeError, OverflowError and a bare ValueError, and a NumPy 2 + 0j
+        # passed as 2
+        for M, got in (([[1j]], "1j at (0, 0)"), ([[float("inf")]], "inf at (0, 0)"),
+                       ([[float("nan")]], "nan at (0, 0)"),
+                       (np.array([[2 + 0j]]), "(2+0j) at (0, 0)"),
+                       ([[1, 0], [0, -1j]], "(-0-1j) at (1, 1)")):
+            with pytest.raises(ratlin.ShapeError) as e:
+                ratlin.smith_normal_form(M)
+            assert str(e.value) == f"Smith normal form needs integer entries, got {got}"
         # integral entries of any number type still pass
         A = [[F(4), 2.0], [np.int64(6), 8]]
         assert ratlin.smith_normal_form(A)[1] == ((2, 0), (0, 10))
