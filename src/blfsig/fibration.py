@@ -102,6 +102,8 @@ def chain_twist_conjugator(i: int, g: int) -> Word:
     """Word w with w t_{2g+1} w^-1 = t_i, built from braid moves:
     t_j = (t_{j+1} t_j) t_{j+1} (t_{j+1} t_j)^-1 applied down the chain."""
     surface.check_genus(g)
+    if not _is_int(i):
+        raise ValueError(f"chain index must be an integer, got {i!r}")
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"chain index {i} out of range")
     items = []
@@ -348,9 +350,8 @@ def validate(spec: FibrationSpec) -> ValidationReport:
         where = f"rounds[{k}]"
         if isinstance(r.cycle, TypeII):
             report.notes.append(
-                f"{where}: separating cycle is invisible to homology (vacuous "
-                "action check); orientation preservation is enforced by the "
-                "generating set")
+                f"{where}: separating cycle is invisible to homology; orientation "
+                "preservation is enforced by the generating set")
         expected = tracked.pop(r.component, surface.sp_identity(ctx.genus))
         if expected is not None and surface.word_matrix(r.monodromy) != expected:
             report.add(where, "monodromy does not match the incoming boundary "
@@ -590,6 +591,8 @@ def separating_torsion(g: int, h: int) -> int:
     """Torsion order of H_1 of the stabiliser of a type II_h curve: the
     presentation (Z + Z) / <(4h(2h+1), -4(g-h)(2(g-h)+1))> is Z + Z/d, with
     d the gcd of the relation's two entries."""
+    if not (_is_int(g) and _is_int(h)):
+        raise ValueError(f"g and h must be integers, got {g!r} and {h!r}")
     if not (g >= 2 and 1 <= h <= g - 1):
         raise ValueError(f"type II_h abelianization needs g >= 2, 1 <= h <= g-1")
     return gcd(4 * h * (2 * h + 1), 4 * (g - h) * (2 * (g - h) + 1))

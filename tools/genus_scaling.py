@@ -155,18 +155,21 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return meyer._tau_cached(A, B)
-    # the caches a cell clears between runs; those a checkout lacks are skipped
-    caches = [getattr(module, name, None) for module, name in
-              ((surface, "word_matrix"), (surface, "chain_class"), (meyer, "_tau_cached"),
-               (meyer, "_image"), (meyer, "_window_state"), (meyer, "_transvection_power"),
-               (meyer, "phi_base"), (locsig, "_generator"), (word_module, "_twist"),
-               (fibration, "_vanishing_class"))]
+    # the caches a cell clears between runs; a name that a checkout lacks or
+    # keeps as a plain function is skipped (earlier checkouts cache
+    # ``word_matrix``, and a --root run of one must still start cold)
+    caches = [cache for cache in (getattr(module, name, None) for module, name in
+                                  ((surface, "word_matrix"), (surface, "chain_class"),
+                                   (meyer, "_tau_cached"), (meyer, "_image"),
+                                   (meyer, "_window_state"), (meyer, "phi_base"),
+                                   (locsig, "_generator"), (word_module, "_twist"),
+                                   (fibration, "_vanishing_class")))
+              if hasattr(cache, "cache_clear")]
     best = float("inf")
     spent = 0.0
     for _ in range(5):
         for cache in caches:
-            if cache is not None:
-                cache.cache_clear()
+            cache.cache_clear()
         if base is not None:  # untimed: a spec keeps its Hurwitz fold, a copy does not
             spec = fibration.FibrationSpec(base.higher_fiber, base.lefschetz, base.rounds,
                                            base.spin, base.simply_connected)
