@@ -47,10 +47,16 @@ period (``meyer._power``).  A type II datum has class 0 and is no factor.  The
 localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
-One walk over the folds (``_walk``) gives the component genera at each
-stage and each fold's ``CycleContext``, from ``_fold_genera``; every
-consumer reads from it, and it refuses an impossible fold with one
-ConsistencyError for all of them.
+One walk over the folds (``_walk``), kept on the spec beside the fold,
+gives the component genera at each stage, each fold's ``CycleContext``
+(from ``_fold_genera``), the issues of the Lefschetz data, and each fold's
+pushforward or the ContextError that refuses its monodromy.  Validation,
+both signature pipelines and the Euler characteristic read it, so a report
+walks once, checks each distinct datum once and pushes each fold forward
+once; it refuses an impossible fold with one ConsistencyError for all of
+them.  Work on the Lefschetz data is done per distinct datum object, read
+by identity, and the entries are only counted and mapped: a spec repeats
+its data objects, as ``family_spec`` and ``spec_from_json`` build them.
 
 Validation (``validate``) checks that each Lefschetz datum is an essential
 twist at the active genus, a rule both pipelines enforce as well (they
@@ -69,7 +75,7 @@ may still be caught by the integrality of the total signature.
 from __future__ import annotations
 
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -174,10 +180,12 @@ class RoundRegion(Frozen):
 
 
 class FibrationSpec(Frozen):
-    """The fibration data.  ``_fold``, the fold of the Hurwitz system, is
-    kept on the object on first use (``_hurwitz_state``) and is no field."""
+    """The fibration data.  Two values are kept on the object on first use
+    and are no fields: ``_fold``, the fold of the Hurwitz system
+    (``_hurwitz_state``), and ``_walk``, the walk over the folds
+    (``_walk``)."""
     __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected", "_key",
-                 "_fold")
+                 "_fold", "_walk")
 
     def __init__(self, higher_fiber: tuple[int, ...],
                  lefschetz: tuple[LefschetzDatum, ...] = (),
@@ -217,29 +225,59 @@ def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> CycleC
     return ctx
 
 
-def _walk(spec: FibrationSpec) -> tuple[list[list[int]], list[CycleContext]]:
-    """The component genera before each round region and at the south disk,
-    and each fold's context at its stage genus (II_h in round k puts side 1
-    on component len(stages[k])).  A fold on a missing component, or one its
-    genus does not admit (``_fold_genera``), raises ConsistencyError naming
-    its round, so every context has genus >= 1."""
+# the component genera before each round region and at the south disk, each
+# fold's context, the Lefschetz data's issues (``_data_issues``), and each
+# fold's pushforward or the ContextError that refused its monodromy, which
+# is the one ``locsig.validate_word`` raises
+Walk = namedtuple("Walk", "stages contexts data_issues pushes")
+
+
+def _walk(spec: FibrationSpec) -> Walk:
+    """The spec's ``Walk``, made on first use and kept on the spec object,
+    so that validation, both signature pipelines and the Euler
+    characteristic read one walk.  II_h in round k puts side 1 on component
+    len(stages[k]).  A fold on a missing component, or one its genus does
+    not admit (``_fold_genera``), raises ConsistencyError naming its round,
+    so every context has genus >= 1; a refused walk is not kept."""
+    try:
+        return spec._walk
+    except AttributeError:
+        pass
     genera = list(spec.higher_fiber)
-    stages = [list(genera)]
+    stages = [tuple(genera)]
     contexts = []
+    pushes = []
     for k, r in enumerate(spec.rounds):
         if not 0 <= r.component < len(genera):
             raise ConsistencyError(f"round {k}: component {r.component} does not exist")
         try:
-            contexts.append(_fold_genera(genera, r.component, r.cycle))
+            ctx = _fold_genera(genera, r.component, r.cycle)
         except ValueError as e:
             raise ConsistencyError(f"round {k}: {e}") from None
-        stages.append(list(genera))
-    return stages, contexts
+        contexts.append(ctx)
+        stages.append(tuple(genera))
+        try:
+            pushes.append(locsig.push_forward(r.monodromy, ctx))
+        except locsig.ContextError as e:  # raised by each consumer in turn
+            pushes.append(e.with_traceback(None))
+    if not spec.higher_fiber:  # no round names a component: the active one is 0
+        raise ConsistencyError("active component 0 does not exist")
+    walk = Walk(tuple(stages), tuple(contexts), _data_issues(spec), tuple(pushes))
+    object.__setattr__(spec, "_walk", walk)
+    return walk
 
 
 def component_stages(spec: FibrationSpec) -> list[list[int]]:
     """Component genera before each round region and at the south disk (``_walk``)."""
-    return _walk(spec)[0]
+    return [list(stage) for stage in _walk(spec).stages]
+
+
+def _distinct_data(lefschetz) -> dict:
+    """id(d) -> d for each distinct datum object of a Hurwitz system, in
+    order of first entry: a spec repeats its data objects (as
+    ``family_spec`` and ``spec_from_json`` build them), and this reads them
+    by identity, hashing no datum."""
+    return dict(zip(map(id, lefschetz), lefschetz))
 
 
 def hurwitz_word(spec: FibrationSpec) -> Word:
@@ -260,13 +298,14 @@ def _data_issues(spec: FibrationSpec) -> list[tuple[int | None, str]]:
     has 1 <= h <= g - 1 (II_0 and II_g twists act trivially, so they are no
     singular fibers).  Data on a genus-0 active component are one issue,
     with j None.  ``validate`` reports these and both signature pipelines
-    refuse them.  Each distinct datum object is checked once, so a spec
-    that repeats its data pays one pass of identity lookups."""
+    refuse them; each reads them off the spec's walk.  Each distinct datum
+    object is checked once (``_distinct_data``), and the entries are read
+    again only to place the data that fail."""
     g = spec.active_genus()
     if g < 1 and spec.lefschetz:
         return [(None, "active component must have genus >= 1")]
     bad = {}
-    for key, d in {id(d): d for d in spec.lefschetz}.items():
+    for key, d in _distinct_data(spec.lefschetz).items():
         if d.genus != g:
             bad[key] = f"word genus {d.genus} != fiber genus {g}"
         elif isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g - 1:
@@ -276,11 +315,10 @@ def _data_issues(spec: FibrationSpec) -> list[tuple[int | None, str]]:
     return [(j, bad[id(d)]) for j, d in enumerate(spec.lefschetz) if id(d) in bad]
 
 
-def _refuse_bad_data(spec: FibrationSpec) -> None:
+def _refuse_bad_data(walk: Walk) -> None:
     """ConsistencyError naming the first datum that ``validate`` refuses."""
-    issues = _data_issues(spec)
-    if issues:
-        j, message = issues[0]
+    if walk.data_issues:
+        j, message = walk.data_issues[0]
         raise ConsistencyError(message if j is None else f"lefschetz[{j}]: {message}")
 
 
@@ -320,24 +358,24 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     fold)."""
     report = ValidationReport()
     try:
-        stages, contexts = _walk(spec)
+        walk = _walk(spec)
     except ConsistencyError as e:
         report.add("components", str(e))
         return report
+    stages = walk.stages
 
     # (a') Lefschetz data are essential twists at the active genus, g >= 1
     g_active = spec.active_genus()
-    data_issues = _data_issues(spec)
-    for j, message in data_issues:
+    for j, message in walk.data_issues:
         report.add("components" if j is None else f"lefschetz[{j}]", message)
-    bad_genus = any(j is None or spec.lefschetz[j].genus != g_active for j, _ in data_issues)
+    bad_genus = any(j is None or spec.lefschetz[j].genus != g_active
+                    for j, _ in walk.data_issues)
 
-    # (a) round monodromies are words in the stabiliser generators
-    for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
-        try:
-            locsig.validate_word(r.monodromy, ctx)
-        except locsig.ContextError as e:
-            report.add(f"rounds[{k}]", str(e))
+    # (a) round monodromies are words in the stabiliser generators: the walk
+    # kept the error of each one that is not
+    for k, push in enumerate(walk.pushes):
+        if isinstance(push, locsig.ContextError):
+            report.add(f"rounds[{k}]", str(push))
             return report  # later checks need well-formed monodromies
     if bad_genus:
         return report  # check (b) needs the whole Hurwitz product
@@ -346,7 +384,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     # Hurwitz product for the active one, then push forward; a fold that does
     # not match leaves its sides unknown (None), which no later check reads
     tracked = {spec.active_component(): _hurwitz_state(spec)[1]}
-    for k, (r, ctx) in enumerate(zip(spec.rounds, contexts)):
+    for k, (r, ctx, push) in enumerate(zip(spec.rounds, walk.contexts, walk.pushes)):
         where = f"rounds[{k}]"
         if isinstance(r.cycle, TypeII):
             report.notes.append(
@@ -358,8 +396,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
                               "monodromy on homology")
             expected = None
         # side 0 stays on the component; a II_h fold's side 1 is a new one
-        for comp, w in zip((r.component, len(stages[k])),
-                           locsig.push_forward(r.monodromy, ctx)):
+        for comp, w in zip((r.component, len(stages[k])), push):
             if w.genus >= 1:
                 tracked[comp] = None if expected is None else surface.word_matrix(w)
     # (c) south disk: whatever monodromy survives must bound a trivial
@@ -391,20 +428,31 @@ SignatureBreakdown = namedtuple("SignatureBreakdown", "sigma_terms h_terms total
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
     """The localized formula term by term; ConsistencyError for data that
-    ``validate`` refuses (rule (a'))."""
+    ``validate`` refuses (rule (a')).  sigma_loc, its label and its count
+    are made once per distinct datum object, and the terms of one datum
+    share its value object."""
     g = spec.active_genus()
-    contexts = _walk(spec)[1]
-    _refuse_bad_data(spec)
-    # sigma_loc once per cycle type, and their total from the counts
-    counts = Counter(d.cycle for d in spec.lefschetz)
-    sigma = {cycle: locsig.sigma_loc(cycle, g) for cycle in counts}
-    sigma_terms = tuple((f"sigma_loc[{j}]({d.cycle})", sigma[d.cycle])
-                        for j, d in enumerate(spec.lefschetz))
+    walk = _walk(spec)
+    _refuse_bad_data(walk)
+    sigma = {}  # cycle -> sigma_loc, once per cycle type
+    data = {}  # id(datum) -> [cycle text, sigma_loc, cycle, number of entries]
+    sigma_terms = []
+    for j, d in enumerate(spec.lefschetz):
+        datum = data.get(id(d))
+        if datum is None:
+            if d.cycle not in sigma:
+                sigma[d.cycle] = locsig.sigma_loc(d.cycle, g)
+            datum = data[id(d)] = [str(d.cycle), sigma[d.cycle], d.cycle, 0]
+        datum[3] += 1
+        sigma_terms.append((f"sigma_loc[{j}]({datum[0]})", datum[1]))
+    counts = dict.fromkeys(sigma, 0)
+    for _, _, cycle, k in data.values():
+        counts[cycle] += k
     h_terms = [(f"h[{k}](g={ctx.genus}, {r.cycle})", locsig.h_word(r.monodromy, ctx))
-               for k, (r, ctx) in enumerate(zip(spec.rounds, contexts))]
+               for k, (r, ctx) in enumerate(zip(spec.rounds, walk.contexts))]
     total = sum((k * sigma[cycle] for cycle, k in counts.items()), Fraction(0))
     total += sum((v for _, v in h_terms), Fraction(0))
-    return SignatureBreakdown(sigma_terms, tuple(h_terms), total)
+    return SignatureBreakdown(tuple(sigma_terms), tuple(h_terms), total)
 
 
 def total_signature(spec: FibrationSpec) -> int:
@@ -422,23 +470,17 @@ def _hurwitz_state(spec: FibrationSpec) -> tuple[int, surface.Matrix]:
     datum enters the fold as its vanishing class, the pair (v, 1) for t_v;
     a type II datum has class 0 and the identity matrix, so it would add
     tau(P, 1) = 0 and leave P as it is, and is no factor.  Each distinct
-    datum object reads its class once, keyed by identity, so a spec that
-    repeats its data (as ``family_spec`` and ``spec_from_json`` build them)
-    hashes no word per datum.  ``meyer.sequence_state`` raises a repeated
-    block of data as one power and folds windows of 2g classes as one form
-    each."""
+    datum object reads its class once (``_distinct_data``), and the factors
+    are read off by identity, so a spec that repeats its data hashes no word
+    per datum.  ``meyer.sequence_state`` raises a repeated block of data as
+    one power and folds windows of 2g classes as one form each."""
     try:
         return spec._fold
     except AttributeError:
         pass
-    classes: dict = {}  # id(datum) -> class: a repeated datum is read once, unhashed
-    factors = []
-    for d in spec.lefschetz:
-        if isinstance(d.cycle, TypeI):
-            v = classes.get(id(d))
-            if v is None:
-                v = classes[id(d)] = d.vector()
-            factors.append((v, 1))
+    pairs = {key: (d.vector(), 1) for key, d in _distinct_data(spec.lefschetz).items()
+             if isinstance(d.cycle, TypeI)}
+    factors = list(filter(None, map(pairs.get, map(id, spec.lefschetz))))
     fold = meyer.sequence_state(factors) or (0, surface.sp_identity(spec.active_genus()))
     object.__setattr__(spec, "_fold", fold)
     return fold
@@ -460,19 +502,30 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     sum s(rounds) - phi(H^-1) - sum_k phi(D_k) - #II for H = P_n telescoped
     exactly: phi(H^-1) = tau(H, H^-1) - phi(H), and tau(A, A^-1) = 0 for
     every symplectic A.  Every term is an integer.  Data that ``validate``
-    refuses (rule (a')) raise ConsistencyError before the fold.
+    refuses (rule (a')) raise ConsistencyError before the fold.  s of a
+    round is ``locsig._s_value`` on the pushforward that the spec's walk
+    holds, as ``locsig.s_word`` would fold it, and a monodromy outside its
+    stabiliser raises the walk's ContextError.
     """
-    contexts = _walk(spec)[1]
-    _refuse_bad_data(spec)
-    total = sum(locsig.s_word(r.monodromy, ctx) for r, ctx in zip(spec.rounds, contexts))
+    walk = _walk(spec)
+    _refuse_bad_data(walk)
+    total = 0
+    for r, ctx, push in zip(spec.rounds, walk.contexts, walk.pushes):
+        if isinstance(push, locsig.ContextError):
+            raise push.with_traceback(None)
+        if isinstance(r.cycle, TypeI):  # s vanishes on a separating fold
+            total += locsig._s_value(r.monodromy, ctx, meyer.correction(r.monodromy),
+                                     meyer.correction(push[0]))
     total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
-    return total - sum(1 for d in spec.lefschetz if isinstance(d.cycle, TypeII))
+    separating = {key for key, d in _distinct_data(spec.lefschetz).items()
+                  if isinstance(d.cycle, TypeII)}
+    return total - sum(map(separating.__contains__, map(id, spec.lefschetz)))
 
 
 def euler_characteristic(spec: FibrationSpec) -> int:
     """chi = chi(north fiber) + #Lefschetz + chi(south fiber); round regions
     contribute zero."""
-    stages = _walk(spec)[0]
+    stages = _walk(spec).stages
     return sum(2 - 2 * n for n in stages[0] + stages[-1]) + len(spec.lefschetz)
 
 
@@ -611,6 +664,19 @@ def abelianization(g: int, cycle: CurveDescriptor) -> str:
 
 # -- full report --------------------------------------------------------------
 
+def _terms_to_json(terms) -> list[list[str]]:
+    """[label, str(value)] per term, with one str per distinct value object:
+    the sigma_loc terms of one datum share theirs (``signature_breakdown``)."""
+    text = {}  # id(value) -> str(value)
+    out = []
+    for label, value in terms:
+        s = text.get(id(value))
+        if s is None:
+            s = text[id(value)] = str(value)
+        out.append([label, s])
+    return out
+
+
 class InvariantReport(namedtuple(
         "InvariantReport", "spec validation signature euler breakdown meyer_path_signature "
         "two_paths_agree homeomorphism notes", defaults=((),))):
@@ -620,8 +686,8 @@ class InvariantReport(namedtuple(
         return {
             "signature": self.signature,
             "euler_characteristic": self.euler,
-            "sigma_terms": [[k, str(v)] for k, v in self.breakdown.sigma_terms],
-            "h_terms": [[k, str(v)] for k, v in self.breakdown.h_terms],
+            "sigma_terms": _terms_to_json(self.breakdown.sigma_terms),
+            "h_terms": _terms_to_json(self.breakdown.h_terms),
             "meyer_path_signature": self.meyer_path_signature,
             "two_paths_agree": self.two_paths_agree,
             "validation": {
@@ -761,9 +827,11 @@ def spec_to_json(spec: FibrationSpec) -> dict:
 def spec_from_json(doc) -> FibrationSpec:
     """Build a spec from its JSON document.  A document of the wrong shape,
     or with a key the format does not define, raises ValueError naming the
-    offending path, e.g. ``lefschetz[3].type``.  Every entry is checked, and
-    the entries with one cycle type and one conjugator text share one
-    ``LefschetzDatum``, parsed once."""
+    offending path, e.g. ``lefschetz[3].type``.  Each distinct Lefschetz
+    entry is checked once: an entry with the same keys, values and value
+    types as one that passed is read off it, and any other entry, one that
+    fails included, is checked in full.  The entries with one cycle type and
+    one conjugator text share one ``LefschetzDatum``, parsed once."""
     _json_value(doc, dict, "spec")
     version = doc.get("spec_version")
     if version.__class__ is not int or version != SPEC_VERSION:  # not true, not 1.0
@@ -785,13 +853,23 @@ def spec_from_json(doc) -> FibrationSpec:
     g_active = higher[active]
     lefschetz = []
     data: dict = {}  # one datum per distinct (cycle, conjugator text)
-    for where, entry in _json_items(doc, "lefschetz", _LEFSCHETZ_KEYS):
-        cycle = _cycle_from_json(entry, where)
-        text = _json_member(entry, "conjugator", str, where, "")
-        d = data.get((cycle, text))
+    checked: dict = {}  # (items, value types) of an entry that passed -> its datum
+    for j, entry in enumerate(_json_member(doc, "lefschetz", list, "", [])):
+        try:  # True == 1 == 1.0, so the key holds the values' types
+            key = (*entry.items(), *map(type, entry.values()))
+            d = checked.get(key)
+        except (AttributeError, TypeError):  # no object, or an unhashable value
+            key = d = None
         if d is None:
-            conj = _word_from_json(text, g_active, f"{where}.conjugator")
-            d = data[cycle, text] = LefschetzDatum(cycle, conj)
+            where = f"lefschetz[{j}]"
+            cycle = _cycle_from_json(_json_value(entry, _LEFSCHETZ_KEYS, where), where)
+            text = _json_member(entry, "conjugator", str, where, "")
+            d = data.get((cycle, text))
+            if d is None:
+                conj = _word_from_json(text, g_active, f"{where}.conjugator")
+                d = data[cycle, text] = LefschetzDatum(cycle, conj)
+            if key is not None:
+                checked[key] = d
         lefschetz.append(d)
     # genera evolve as rounds are applied; parse each monodromy at the genus
     # of its component at that stage
@@ -817,5 +895,11 @@ def spec_from_json(doc) -> FibrationSpec:
 
 
 def load_spec(path: str) -> FibrationSpec:
+    """The spec of a JSON file; ValueError for a document nested deeper than
+    the parser's recursion limit."""
     with open(path) as fh:
-        return spec_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    return spec_from_json(doc)

@@ -15,11 +15,12 @@ word (t_1 ... t_{2h})^{4h+2}, has the identity matrix.
 
 J is written out once, in ``j_times``: (J v)_i = s(i) v[i^1], with
 s(i) = +1 for even i and -1 for odd i, a signed permutation with
-J^T = J^-1 = -J.  ``pairing``, ``is_symplectic``, ``sp_inverse`` and
-``meyer``'s forms apply it; ``times_transvection`` and ``word_action``
-apply its sparse case, to the support of one class.  Inverses need no
-elimination: M^-1 = -J M^T J for a symplectic M, the index shuffle
-M^-1[i][j] = s(i) s(j) M[j^1][i^1].
+J^T = J^-1 = -J.  ``pairing``, ``is_symplectic`` and ``meyer``'s forms
+apply it; ``times_transvection`` and ``word_action`` apply its sparse
+case, to the support of one class.  Inverses need no elimination:
+M^-1 = -J M^T J for a symplectic M, the index shuffle
+M^-1[i][j] = s(i) s(j) M[j^1][i^1], which ``sp_inverse`` writes out as
+one pass of signed ``j_times`` shuffles of the columns of M.
 
 A matrix is a tuple of row tuples of Python ints, and a homology class a
 tuple of ints: immutable, so a matrix serves as its own cache key and a
@@ -226,9 +227,22 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def sp_inverse(A: Matrix) -> Matrix:
-    """Inverse -J A^T J of a symplectic tuple matrix: row i is J applied to
-    column i of -A J, whose rows are J applied to those of A."""
-    return tuple(map(tuple, map(j_times, zip(*map(j_times, A)))))
+    """Inverse -J A^T J of a symplectic tuple matrix in one pass over A:
+    entry (i, j) is s(i) s(j) A[j^1][i^1], so row i is s(i) times
+    ``j_times`` of column i^1 of A, written out with the sign folded in."""
+    cols = tuple(zip(*A))
+    out = []
+    for i in range(len(A)):
+        c = cols[i ^ 1]
+        row = [0] * len(A)
+        if i & 1:  # s(i) = -1
+            row[0::2] = map(neg, c[1::2])
+            row[1::2] = c[0::2]
+        else:
+            row[0::2] = c[1::2]
+            row[1::2] = map(neg, c[0::2])
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def word_matrix(w: Word) -> Matrix:

@@ -242,6 +242,45 @@ def test_malformed_entry_names_its_path(capsys, tmp_path):
         assert code == 2 and err == f"error reading {path}: {message}\n"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"type": "II", "h": True}, "lefschetz[50].h: expected an integer, got a boolean"),
+    ({"type": "II", "h": 1.0}, "lefschetz[50].h: expected an integer, got a number"),
+    ({"type": "II", "h": 1, "conjugator": ["t1"]},
+     "lefschetz[50].conjugator: expected a string, got an array"),
+])
+def test_an_entry_is_read_off_a_checked_one_only_when_its_value_types_agree(
+        capsys, tmp_path, entry, message):
+    # True == 1 == 1.0 in Python: fifty checked {"type": "II", "h": 1}
+    # entries must not pass a later entry that only compares equal to them
+    doc = {"spec_version": 1, "higher_fiber": [{"genus": 2}],
+           "lefschetz": [{"type": "II", "h": 1} for _ in range(50)] + [entry]}
+    with pytest.raises(ValueError) as err:
+        fibration.spec_from_json(doc)
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "compute", str(path)) == (2, "", f"error reading {path}: {message}\n")
+
+
+def test_entries_that_read_alike_share_one_datum():
+    doc = {"spec_version": 1, "higher_fiber": [{"genus": 2}],
+           "lefschetz": [{"type": "I", "conjugator": "t1"}, {"type": "I"},
+                         {"conjugator": "t1", "type": "I"}, {"type": "I", "conjugator": ""},
+                         {"type": "I", "conjugator": "t1"}]}
+    data = fibration.spec_from_json(doc).lefschetz
+    assert [id(d) for d in data] == [id(data[k]) for k in (0, 1, 0, 1, 0)]
+    assert data[0] != data[1]
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"a": ' * 3_000 + "1" + "}" * 3_000])
+def test_a_document_nested_too_deeply_is_one_line(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run(capsys, "compute", str(path)) == (
+        2, "", f"error reading {path}: JSON nested too deeply\n")
+
+
 UNKNOWN_KEYS = [
     # (the object's place in an mgn(1, 1) document, the key added, its path)
     ((), "round", "round"),

@@ -639,9 +639,10 @@ def test_the_walk_and_the_pushforward_read_one_cut(ctx):
     assert sides == ((g - 1,) if isinstance(ctx.cycle, TypeI) else
                      (ctx.cycle.h, g - ctx.cycle.h))
     spec = FibrationSpec((5, g, 3), (), (RoundRegion(1, ctx.cycle, Word(g)),))
-    stages, contexts = fib._walk(spec)
-    assert contexts == [ctx]
-    assert stages == [[5, g, 3], [5, sides[0], 3, *sides[1:]]]
+    walk = fib._walk(spec)
+    assert walk.contexts == (ctx,)
+    assert walk.stages == ((5, g, 3), (5, sides[0], 3, *sides[1:]))
+    assert tuple(x.genus for x in walk.pushes[0]) == sides
     w = Word(g, tuple((gen, (-1) ** k * (k + 1))
                       for k, gen in enumerate(locsig.generators(ctx))))
     assert tuple(x.genus for x in locsig.push_forward(w, ctx)) == sides
@@ -872,3 +873,43 @@ class TestReport:
         bad = FibrationSpec((2,), (), (RoundRegion(0, TypeI(), gen_word(2, ChainTwist(4))),))
         with pytest.raises(ConsistencyError):
             fib.compute_report(bad)
+
+    def test_one_walk_per_report(self, monkeypatch):
+        # a report builds the spec's walk once, checks its data once, pushes
+        # each fold forward once and checks each fold monodromy at most once
+        calls = Counter()
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        for module, name in ((fib, "Walk"), (fib, "_data_issues"),
+                             (locsig, "push_forward"), (locsig, "validate_word")):
+            spy(module, name)
+        rng = random.Random(4)
+        specs = [family_spec("mgn", 3, 2), family_spec("mgn-tilde", 2, 1)]
+        specs += [random_valid_spec(rng, 3) for _ in range(30)]
+        assert max(len(spec.rounds) for spec in specs) == 2
+        for spec in specs:
+            calls.clear()
+            fib.compute_report(spec)
+            assert calls["Walk"] == calls["_data_issues"] == 1
+            assert calls["push_forward"] == len(spec.rounds)
+            assert calls["validate_word"] <= len(spec.rounds)
+
+    def test_a_monodromy_outside_its_stabiliser_is_refused_in_one_message(self):
+        # the walk keeps push_forward's error, which is validate_word's, and
+        # each pipeline raises it, called alone and called again
+        bad = FibrationSpec((2,), (), (RoundRegion(0, TypeI(), gen_word(2, ChainTwist(4))),))
+        with pytest.raises(locsig.ContextError) as want:
+            locsig.validate_word(bad.rounds[0].monodromy, CycleContext(2, TypeI()))
+        for pipeline in (fib.signature_meyer_path, fib.signature_breakdown,
+                         fib.signature_meyer_path):
+            with pytest.raises(locsig.ContextError) as err:
+                pipeline(bad)
+            assert str(err.value) == str(want.value)
+        assert [str(i) for i in fib.validate(bad).issues] == [f"rounds[0]: {want.value}"]

@@ -196,13 +196,18 @@ class TestTupleMatrices:
             assert surface.word_to_matrix(w) == tuple(map(tuple, reference_matrix(w).tolist()))
 
     def test_shuffle_inverse(self, rng):
-        for _ in range(40):
-            g = rng.randint(1, 5)
+        # -J M^T J, entry by entry s(i) s(j) M[j^1][i^1] with s(i) = (-1)^i,
+        # and a two-sided inverse, on word matrices up to genus 6
+        for _ in range(60):
+            g = rng.randint(1, 6)
             w = nested_random_word(rng, g)
             M = surface.word_matrix(w)
             Minv = surface.sp_inverse(M)
             J = numpy_j(g)
             assert Minv == tuple(map(tuple, (-J @ arr(M).T @ J).tolist()))
+            assert Minv == tuple(tuple((-1) ** (i + j) * M[j ^ 1][i ^ 1] for j in range(2 * g))
+                                 for i in range(2 * g))
+            assert (arr(M) @ arr(Minv)).tolist() == arr(eye(2 * g)).tolist()
             v = [rng.randint(-9, 9) for _ in range(2 * g)]
             assert surface.j_times(v) == (J @ arr(v)).tolist()
             assert surface.mat_mul(M, Minv) == surface.sp_identity(g)

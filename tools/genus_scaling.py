@@ -42,9 +42,10 @@ Prints one JSON object with the time, in seconds, of
 
 Each cell runs in its own interpreter, importing blfsig from CHECKOUT/src
 (default: the checkout this script lies in), so every cache starts cold.
-A cell repeats its call, clearing the caches in between, until it has run
-five times or spent a second, and reports the fastest run; a cell on a
-spec runs each time on a new copy of it, as a spec keeps its Hurwitz fold.
+A cell repeats its call, clearing the caches in between (every
+``cache_clear`` in the ``blfsig`` modules), until it has run five times or
+spent a second, and reports the fastest run; a cell on a spec runs each
+time on a new copy of it, as a spec keeps its Hurwitz fold and its walk.
 A cell that does not finish within BUDGET_S seconds is killed and recorded
 as "> budget"; one that fails, for instance by exceeding the address-space
 limit of MEMORY_MB megabytes, is recorded as "error: ...".
@@ -82,7 +83,6 @@ def cell(kind: str, g: int) -> float:
     import random
 
     from blfsig import fibration, locsig, meyer, surface, verify
-    from blfsig import words as word_module
     from blfsig.words import ChainTwist, Word, WordError, format_word, gen_word, parse_word
 
     rng = random.Random(5)
@@ -155,22 +155,18 @@ def cell(kind: str, g: int) -> float:
 
         def call():
             return meyer._tau_cached(A, B)
-    # the caches a cell clears between runs; a name that a checkout lacks or
-    # keeps as a plain function is skipped (earlier checkouts cache
-    # ``word_matrix``, and a --root run of one must still start cold)
-    caches = [cache for cache in (getattr(module, name, None) for module, name in
-                                  ((surface, "word_matrix"), (surface, "chain_class"),
-                                   (meyer, "_tau_cached"), (meyer, "_image"),
-                                   (meyer, "_window_state"), (meyer, "phi_base"),
-                                   (locsig, "_generator"), (word_module, "_twist"),
-                                   (fibration, "_vanishing_class")))
-              if hasattr(cache, "cache_clear")]
+    # the caches a cell clears between runs: every cache_clear in the blfsig
+    # modules, found, not named, so that any checkout starts cold
+    caches = {id(obj): obj for name, module in list(sys.modules.items())
+              if name == "blfsig" or name.startswith("blfsig.")
+              for obj in vars(module).values() if hasattr(obj, "cache_clear")}.values()
     best = float("inf")
     spent = 0.0
     for _ in range(5):
         for cache in caches:
             cache.cache_clear()
-        if base is not None:  # untimed: a spec keeps its Hurwitz fold, a copy does not
+        if base is not None:  # untimed: a spec keeps its Hurwitz fold and its walk,
+            # a copy neither
             spec = fibration.FibrationSpec(base.higher_fiber, base.lefschetz, base.rounds,
                                            base.spin, base.simply_connected)
         t = time.perf_counter()
