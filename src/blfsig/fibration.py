@@ -48,14 +48,17 @@ localized formula is evaluated on the words themselves, so the two routes
 stay independent.
 
 One walk over the folds (``_walk``), kept on the spec beside the fold,
-gives the component genera at each stage, each fold's ``CycleContext``
-(from ``_fold_genera``), the issues of the Lefschetz data, and each fold's
+is the one reader of a spec's Lefschetz data and the one judge of what the
+pipelines refuse.  It gives the component genera at each stage, each
+fold's ``CycleContext`` (from ``_fold_genera``), the distinct data objects
+(id -> datum, in order of first entry), their issues, and each fold's
 pushforward or the ContextError that refuses its monodromy.  Validation,
 both signature pipelines and the Euler characteristic read it, so a report
 walks once, checks each distinct datum once and pushes each fold forward
 once; it refuses an impossible fold with one ConsistencyError for all of
-them.  Work on the Lefschetz data is done per distinct datum object, read
-by identity, and the entries are only counted and mapped: a spec repeats
+them, and both pipelines refuse bad data or a bad fold through one
+``_refuse``.  Work on the Lefschetz data is done per distinct datum object,
+and the entries are only counted and mapped by identity: a spec repeats
 its data objects, as ``family_spec`` and ``spec_from_json`` build them.
 
 Validation (``validate``) checks that each Lefschetz datum is an essential
@@ -75,7 +78,7 @@ may still be caught by the integrality of the total signature.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -181,9 +184,9 @@ class RoundRegion(Frozen):
 
 class FibrationSpec(Frozen):
     """The fibration data.  Two values are kept on the object on first use
-    and are no fields: ``_fold``, the fold of the Hurwitz system
-    (``_hurwitz_state``), and ``_walk``, the walk over the folds
-    (``_walk``)."""
+    and are no fields: ``_walk``, the walk over the folds and the one
+    reading of the data (``_walk``), and ``_fold``, the fold of the Hurwitz
+    system (``_hurwitz_state``)."""
     __slots__ = ("higher_fiber", "lefschetz", "rounds", "spin", "simply_connected", "_key",
                  "_fold", "_walk")
 
@@ -226,10 +229,11 @@ def _fold_genera(genera: list[int], comp: int, cycle: CurveDescriptor) -> CycleC
 
 
 # the component genera before each round region and at the south disk, each
-# fold's context, the Lefschetz data's issues (``_data_issues``), and each
-# fold's pushforward or the ContextError that refused its monodromy, which
-# is the one ``locsig.validate_word`` raises
-Walk = namedtuple("Walk", "stages contexts data_issues pushes")
+# fold's context, the distinct Lefschetz data (id(d) -> d in order of first
+# entry: the one place that reads the entries by identity), their issues
+# (``_data_issues``), and each fold's pushforward or the ContextError that
+# refused its monodromy, which is the one ``locsig.validate_word`` raises
+Walk = namedtuple("Walk", "stages contexts data data_issues pushes")
 
 
 def _walk(spec: FibrationSpec) -> Walk:
@@ -262,7 +266,9 @@ def _walk(spec: FibrationSpec) -> Walk:
             pushes.append(e.with_traceback(None))
     if not spec.higher_fiber:  # no round names a component: the active one is 0
         raise ConsistencyError("active component 0 does not exist")
-    walk = Walk(tuple(stages), tuple(contexts), _data_issues(spec), tuple(pushes))
+    data = dict(zip(map(id, spec.lefschetz), spec.lefschetz))
+    walk = Walk(tuple(stages), tuple(contexts), data, _data_issues(spec, data),
+                tuple(pushes))
     object.__setattr__(spec, "_walk", walk)
     return walk
 
@@ -270,14 +276,6 @@ def _walk(spec: FibrationSpec) -> Walk:
 def component_stages(spec: FibrationSpec) -> list[list[int]]:
     """Component genera before each round region and at the south disk (``_walk``)."""
     return [list(stage) for stage in _walk(spec).stages]
-
-
-def _distinct_data(lefschetz) -> dict:
-    """id(d) -> d for each distinct datum object of a Hurwitz system, in
-    order of first entry: a spec repeats its data objects (as
-    ``family_spec`` and ``spec_from_json`` build them), and this reads them
-    by identity, hashing no datum."""
-    return dict(zip(map(id, lefschetz), lefschetz))
 
 
 def hurwitz_word(spec: FibrationSpec) -> Word:
@@ -292,20 +290,20 @@ def hurwitz_word(spec: FibrationSpec) -> Word:
 
 # -- validation ---------------------------------------------------------------
 
-def _data_issues(spec: FibrationSpec) -> list[tuple[int | None, str]]:
+def _data_issues(spec: FibrationSpec, data: dict) -> list[tuple[int | None, str]]:
     """Rule (a') on the Lefschetz data, as (j, message) for each datum j that
     breaks it, in order: a datum has the active genus g, and a II_h datum
     has 1 <= h <= g - 1 (II_0 and II_g twists act trivially, so they are no
     singular fibers).  Data on a genus-0 active component are one issue,
     with j None.  ``validate`` reports these and both signature pipelines
-    refuse them; each reads them off the spec's walk.  Each distinct datum
-    object is checked once (``_distinct_data``), and the entries are read
-    again only to place the data that fail."""
+    refuse them (``_refuse``); each reads them off the spec's walk.  Each
+    distinct datum object of ``data``, the walk's id map, is checked once,
+    and the entries are read again only to place the data that fail."""
     g = spec.active_genus()
     if g < 1 and spec.lefschetz:
         return [(None, "active component must have genus >= 1")]
     bad = {}
-    for key, d in _distinct_data(spec.lefschetz).items():
+    for key, d in data.items():
         if d.genus != g:
             bad[key] = f"word genus {d.genus} != fiber genus {g}"
         elif isinstance(d.cycle, TypeII) and not 1 <= d.cycle.h <= g - 1:
@@ -315,11 +313,17 @@ def _data_issues(spec: FibrationSpec) -> list[tuple[int | None, str]]:
     return [(j, bad[id(d)]) for j, d in enumerate(spec.lefschetz) if id(d) in bad]
 
 
-def _refuse_bad_data(walk: Walk) -> None:
-    """ConsistencyError naming the first datum that ``validate`` refuses."""
+def _refuse(walk: Walk) -> None:
+    """What both signature pipelines refuse, as ``validate`` reports it: a
+    ConsistencyError naming the first datum that breaks rule (a'), else the
+    walk's ContextError for the first fold monodromy outside its
+    stabiliser."""
     if walk.data_issues:
         j, message = walk.data_issues[0]
         raise ConsistencyError(message if j is None else f"lefschetz[{j}]: {message}")
+    for push in walk.pushes:
+        if isinstance(push, locsig.ContextError):
+            raise push.with_traceback(None)
 
 
 class ValidationIssue(namedtuple("ValidationIssue", "where message")):
@@ -329,15 +333,10 @@ class ValidationIssue(namedtuple("ValidationIssue", "where message")):
         return f"{self.where}: {self.message}"
 
 
-class ValidationReport:
-    """The itemised outcome of ``validate``, which grows its lists in place:
-    so a class, where the other result records are named tuples."""
-    __slots__ = ("issues", "notes")
-
-    def __init__(self, issues: list[ValidationIssue] | None = None,
-                 notes: list[str] | None = None):
-        self.issues = [] if issues is None else issues
-        self.notes = [] if notes is None else notes
+class ValidationReport(namedtuple("ValidationReport", "issues notes")):
+    """The itemised outcome of ``validate``, which builds it with two fresh
+    lists and appends to them."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -356,7 +355,7 @@ def validate(spec: FibrationSpec) -> ValidationReport:
     exactly on homology; (c) the south disk is trivial on homology.  A fold
     that fails (b) ends the checks on its component (on both sides of a II_h
     fold)."""
-    report = ValidationReport()
+    report = ValidationReport([], [])
     try:
         walk = _walk(spec)
     except ConsistencyError as e:
@@ -428,29 +427,23 @@ SignatureBreakdown = namedtuple("SignatureBreakdown", "sigma_terms h_terms total
 
 def signature_breakdown(spec: FibrationSpec) -> SignatureBreakdown:
     """The localized formula term by term; ConsistencyError for data that
-    ``validate`` refuses (rule (a')).  sigma_loc, its label and its count
-    are made once per distinct datum object, and the terms of one datum
-    share its value object."""
+    ``validate`` refuses (rule (a')), and the walk's ContextError for a fold
+    monodromy outside its stabiliser (``_refuse``).  The label text and
+    sigma_loc are made once per distinct datum object, the total is taken
+    over the distinct data with their numbers of entries, and sigma_loc is
+    one value object per cycle type, which the terms share."""
     g = spec.active_genus()
     walk = _walk(spec)
-    _refuse_bad_data(walk)
-    sigma = {}  # cycle -> sigma_loc, once per cycle type
-    data = {}  # id(datum) -> [cycle text, sigma_loc, cycle, number of entries]
-    sigma_terms = []
-    for j, d in enumerate(spec.lefschetz):
-        datum = data.get(id(d))
-        if datum is None:
-            if d.cycle not in sigma:
-                sigma[d.cycle] = locsig.sigma_loc(d.cycle, g)
-            datum = data[id(d)] = [str(d.cycle), sigma[d.cycle], d.cycle, 0]
-        datum[3] += 1
-        sigma_terms.append((f"sigma_loc[{j}]({datum[0]})", datum[1]))
-    counts = dict.fromkeys(sigma, 0)
-    for _, _, cycle, k in data.values():
-        counts[cycle] += k
+    _refuse(walk)
+    sigma = {}  # cycle -> sigma_loc: one value object per cycle type
+    table = {key: (str(d.cycle), sigma.setdefault(d.cycle, locsig.sigma_loc(d.cycle, g)))
+             for key, d in walk.data.items()}  # id(datum) -> (cycle text, sigma_loc)
+    ids = list(map(id, spec.lefschetz))
+    sigma_terms = [(f"sigma_loc[{j}]({text})", value)
+                   for j, (text, value) in enumerate(map(table.__getitem__, ids))]
     h_terms = [(f"h[{k}](g={ctx.genus}, {r.cycle})", locsig.h_word(r.monodromy, ctx))
                for k, (r, ctx) in enumerate(zip(spec.rounds, walk.contexts))]
-    total = sum((k * sigma[cycle] for cycle, k in counts.items()), Fraction(0))
+    total = sum((k * table[key][1] for key, k in Counter(ids).items()), Fraction(0))
     total += sum((v for _, v in h_terms), Fraction(0))
     return SignatureBreakdown(tuple(sigma_terms), tuple(h_terms), total)
 
@@ -470,7 +463,7 @@ def _hurwitz_state(spec: FibrationSpec) -> tuple[int, surface.Matrix]:
     datum enters the fold as its vanishing class, the pair (v, 1) for t_v;
     a type II datum has class 0 and the identity matrix, so it would add
     tau(P, 1) = 0 and leave P as it is, and is no factor.  Each distinct
-    datum object reads its class once (``_distinct_data``), and the factors
+    datum object of the spec's walk reads its class once, and the factors
     are read off by identity, so a spec that repeats its data hashes no word
     per datum.  ``meyer.sequence_state`` raises a repeated block of data as
     one power and folds windows of 2g classes as one form each."""
@@ -478,7 +471,7 @@ def _hurwitz_state(spec: FibrationSpec) -> tuple[int, surface.Matrix]:
         return spec._fold
     except AttributeError:
         pass
-    pairs = {key: (d.vector(), 1) for key, d in _distinct_data(spec.lefschetz).items()
+    pairs = {key: (d.vector(), 1) for key, d in _walk(spec).data.items()
              if isinstance(d.cycle, TypeI)}
     factors = list(filter(None, map(pairs.get, map(id, spec.lefschetz))))
     fold = meyer.sequence_state(factors) or (0, surface.sp_identity(spec.active_genus()))
@@ -502,23 +495,20 @@ def signature_meyer_path(spec: FibrationSpec) -> int:
     sum s(rounds) - phi(H^-1) - sum_k phi(D_k) - #II for H = P_n telescoped
     exactly: phi(H^-1) = tau(H, H^-1) - phi(H), and tau(A, A^-1) = 0 for
     every symplectic A.  Every term is an integer.  Data that ``validate``
-    refuses (rule (a')) raise ConsistencyError before the fold.  s of a
-    round is ``locsig._s_value`` on the pushforward that the spec's walk
-    holds, as ``locsig.s_word`` would fold it, and a monodromy outside its
-    stabiliser raises the walk's ContextError.
+    refuses (rule (a')) raise ConsistencyError, and a monodromy outside its
+    stabiliser the walk's ContextError, before the fold (``_refuse``).  s of
+    a round is ``locsig._s_value`` on the pushforward that the spec's walk
+    holds, as ``locsig.s_word`` would fold it.
     """
     walk = _walk(spec)
-    _refuse_bad_data(walk)
+    _refuse(walk)
     total = 0
     for r, ctx, push in zip(spec.rounds, walk.contexts, walk.pushes):
-        if isinstance(push, locsig.ContextError):
-            raise push.with_traceback(None)
         if isinstance(r.cycle, TypeI):  # s vanishes on a separating fold
             total += locsig._s_value(r.monodromy, ctx, meyer.correction(r.monodromy),
                                      meyer.correction(push[0]))
     total += _hurwitz_state(spec)[0]  # c = -Sum_k tau(P_{k-1}, D_k)
-    separating = {key for key, d in _distinct_data(spec.lefschetz).items()
-                  if isinstance(d.cycle, TypeII)}
+    separating = {key for key, d in walk.data.items() if isinstance(d.cycle, TypeII)}
     return total - sum(map(separating.__contains__, map(id, spec.lefschetz)))
 
 

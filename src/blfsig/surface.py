@@ -138,13 +138,24 @@ def _chain_support(i: int, g: int) -> tuple[int, ...]:
     return tuple(p for p in (2 * (k - 2), 2 * (k - 1)) if 0 <= p < 2 * g)  # a_{k-1}, a_k
 
 
+def _integer_class(c) -> list[int]:
+    """The entries of the class c as a new list of ints, read as matrix
+    entries are (``ratlin._integer``); ValueError for an entry that is not
+    an integer, so 1.5 is never read as 1."""
+    c = list(c)
+    x = ratlin._integers(c)
+    if None in x:
+        raise ValueError(f"class entry {c[x.index(None)]!r} is not an integer")
+    return x
+
+
 def transvection(c, e: int = 1) -> Matrix:
     """The e-th power x -> x + e <x, c> c of the transvection of the
     right-handed twist along the integer class c, as a tuple matrix:
     1 - e c c^T J, whose (i, j) entry is delta_ij + e s(j) c_i c_{j^1}: the
     identity times t_c^e (``times_transvection``).  Row i is the unit row
     where c_i = 0, so a null class gives the identity."""
-    c = tuple(map(int, c))
+    c = tuple(_integer_class(c))
     return times_transvection(sp_identity(len(c) // 2), c, e)
 
 
@@ -276,7 +287,7 @@ def word_action(w: Word, c) -> tuple[int, ...]:
     ``word_matrix``, whose repeated squaring keeps the cost polynomial in
     the size of the word as written."""
     g = check_genus(w.genus)
-    x = [int(v) for v in c]
+    x = _integer_class(c)
     if len(x) != 2 * g:
         raise ValueError(f"class of length {len(x)} at genus {g}")
     for item, exp in reversed(w.items):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from blfsig import fibration as fib
-from blfsig import locsig, meyer, surface, verify
+from blfsig import cli, locsig, meyer, surface, verify
 from blfsig.fibration import (
     ConsistencyError, FibrationSpec, LefschetzDatum, RoundRegion,
     chain_twist_datum, family_spec,
@@ -25,6 +25,21 @@ def with_data(spec, data):
     """The spec with its Lefschetz data replaced by ``data``."""
     return FibrationSpec(spec.higher_fiber, tuple(data), spec.rounds, spec.spin,
                          spec.simply_connected)
+
+
+def unshared(spec):
+    """The spec with every Lefschetz entry rebuilt as its own datum object,
+    so that no two entries share one."""
+    return with_data(spec, [LefschetzDatum(d.cycle, d.conjugator) for d in spec.lefschetz])
+
+
+# data that validation refuses, appended to the 16 data of mgn(2, 1)
+BAD_DATA = [
+    [chain_twist_datum(1, 1) for _ in range(5)],
+    [LefschetzDatum(TypeII(7), Word(2))],
+    [LefschetzDatum(TypeII(0), Word(2)), LefschetzDatum(TypeII(2), Word(2))],
+]
+BAD_DATA_IDS = ["five-of-genus-1", "II_7", "II_0-and-II_2"]
 
 
 def random_conjugator(rng, g, length):
@@ -218,11 +233,7 @@ class TestValidation:
         rep = fib.validate(bad)
         assert any("essential" in str(i) for i in rep.issues)
 
-    @pytest.mark.parametrize("bad", [
-        [chain_twist_datum(1, 1) for _ in range(5)],
-        [LefschetzDatum(TypeII(7), Word(2))],
-        [LefschetzDatum(TypeII(0), Word(2)), LefschetzDatum(TypeII(2), Word(2))],
-    ], ids=["five-of-genus-1", "II_7", "II_0-and-II_2"])
+    @pytest.mark.parametrize("bad", BAD_DATA, ids=BAD_DATA_IDS)
     def test_both_pipelines_refuse_what_validation_refuses(self, bad):
         base = family_spec("mgn", 2, 1)
         spec = with_data(base, base.lefschetz + tuple(bad))
@@ -239,12 +250,49 @@ class TestValidation:
 
     def test_each_distinct_datum_is_checked_once(self, monkeypatch):
         spec = family_spec("mgn", 2, 2)  # 32 data, 4 distinct objects
+        data = fib._walk(spec).data  # id -> datum, in order of first entry
+        assert list(data) == list(dict.fromkeys(map(id, spec.lefschetz)))
         reads = []
         genus = LefschetzDatum.genus
         monkeypatch.setattr(LefschetzDatum, "genus",
                             property(lambda d: reads.append(d) or genus.fget(d)))
-        assert fib._data_issues(spec) == []
+        assert fib._data_issues(spec, data) == []
+        assert len(spec.lefschetz) == 32
         assert len(reads) == len({id(d) for d in spec.lefschetz}) == 4
+
+    def test_a_bad_datum_is_refused_before_a_bad_fold(self):
+        # t4 is outside the stabiliser of a type I cycle at genus 2
+        bad = gen_word(2, ChainTwist(4))
+        spec = FibrationSpec((2,), (chain_twist_datum(1, 2), chain_twist_datum(1, 1)),
+                             (RoundRegion(0, TypeI(), bad),))
+        with pytest.raises(locsig.ContextError) as fold:
+            locsig.validate_word(bad, CycleContext(2, TypeI()))
+        datum = "lefschetz[1]: word genus 1 != fiber genus 2"
+        for pipeline in (fib.signature_breakdown, fib.signature_meyer_path):
+            with pytest.raises(ConsistencyError) as err:
+                pipeline(spec)
+            assert type(err.value) is ConsistencyError and str(err.value) == datum
+        assert [str(i) for i in fib.validate(spec).issues] == [datum, f"rounds[0]: {fold.value}"]
+
+    def test_a_bad_fold_is_refused_before_any_fold_is_evaluated(self, monkeypatch):
+        # mgn(2, 1) and then a fold on the genus-1 side whose monodromy t2 is
+        # outside its stabiliser: the localized formula refuses it through
+        # the walk, before it evaluates h on the good first fold
+        base = family_spec("mgn", 2, 1)
+        bad = gen_word(1, ChainTwist(2))
+        spec = FibrationSpec((2,), base.lefschetz,
+                             base.rounds + (RoundRegion(0, TypeI(), bad),))
+        with pytest.raises(locsig.ContextError) as want:
+            locsig.validate_word(bad, CycleContext(1, TypeI()))
+        calls = []
+        h_word = locsig.h_word
+        monkeypatch.setattr(locsig, "h_word", lambda *args: calls.append(args) or h_word(*args))
+        for pipeline in (fib.signature_breakdown, fib.signature_meyer_path):
+            with pytest.raises(locsig.ContextError) as err:
+                pipeline(spec)
+            assert str(err.value) == str(want.value)
+        assert calls == []
+        assert [str(i) for i in fib.validate(spec).issues] == [f"rounds[1]: {want.value}"]
 
     def test_a_round_on_a_missing_component(self):
         spec = FibrationSpec((1,), (), (RoundRegion(0, TypeI(), Word(1)),
@@ -860,6 +908,46 @@ class TestJson:
         assert json.loads(json.dumps(doc)) == doc
         assert doc["signature"] == -4
         assert doc["sigma_terms"][0][1] == "-2/3"
+
+
+class TestIdentity:
+    """The data are read by identity only to save work: a spec whose entries
+    share no datum object gives the same results as one that shares them."""
+
+    @staticmethod
+    def outcome(spec):
+        """Each public result of the spec, or the error each one raises."""
+        out = []
+        for fn in (lambda s: [str(i) for i in fib.validate(s).issues], fib.signature_breakdown,
+                   fib.signature_meyer_path, fib.euler_characteristic,
+                   lambda s: fib.compute_report(s).to_dict(),
+                   lambda s: cli._report_lines(fib.compute_report(s))):
+            try:
+                out.append(fn(spec))
+            except ValueError as e:
+                out.append((type(e), str(e)))
+        return out
+
+    def test_valid_specs(self):
+        rng = random.Random(4040)
+        specs = [family_spec("mgn", g, n) for g in (1, 2, 3) for n in (1, 2)]
+        specs += [family_spec("mgn-tilde", g, 1) for g in (2, 3)]
+        specs += [random_valid_spec(rng, 3) for _ in range(20)]
+        for spec in specs:
+            rebuilt = unshared(spec)
+            assert rebuilt == spec
+            assert len({id(d) for d in rebuilt.lefschetz}) == len(spec.lefschetz)
+            want = self.outcome(spec)
+            assert want[0] == [] and want[2] == want[4]["signature"]
+            assert self.outcome(rebuilt) == want
+
+    @pytest.mark.parametrize("bad", BAD_DATA, ids=BAD_DATA_IDS)
+    def test_refused_data(self, bad):
+        base = family_spec("mgn", 2, 1)
+        spec = with_data(base, base.lefschetz + tuple(bad))
+        want = self.outcome(spec)
+        assert want[1] == want[2] == (ConsistencyError, want[0][0])
+        assert self.outcome(unshared(spec)) == want
 
 
 class TestReport:

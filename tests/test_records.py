@@ -12,6 +12,7 @@ from blfsig.words import parse_word
 
 RECORDS = [
     (fib.ValidationIssue, ("where", "message")),
+    (fib.ValidationReport, ("issues", "notes")),
     (fib.SignatureBreakdown, ("sigma_terms", "h_terms", "total")),
     (fib.HomeoReport, ("status", "summands", "display")),
     (fib.InvariantReport, ("spec", "validation", "signature", "euler", "breakdown",
@@ -46,6 +47,14 @@ def test_records_read_as_before():
     assert str(fib.ValidationIssue("rounds[0]", "bad")) == "rounds[0]: bad"
     assert str(verify.CheckResult("x", True, "d")) == "ok   x: d"
     assert str(verify.CheckResult("x", False, "d")) == "FAIL x: d"
+
+    r = fib.ValidationReport([], [])
+    assert r.ok
+    r.add("rounds[0]", "bad")
+    assert not r.ok and r.issues == [fib.ValidationIssue("rounds[0]", "bad")]
+    spec = fib.family_spec("mgn", 1, 1)
+    a, b = fib.validate(spec), fib.validate(spec)  # two fresh pairs of lists
+    assert a == b and a.issues is not b.issues and a.notes is not b.notes
 
     d = locsig.decomposition_check(parse_word("t1 t2^-1 t3", 2), CycleContext(2, TypeI()))
     assert (d.homomorphism, d.s_term, d.phi_term, d.pushed_phi_term) == \

@@ -358,6 +358,25 @@ class TestCurveAction:
             surface.word_action(parse_word("t1", 2), (1, 0, 0))
         assert str(err.value) == "class of length 3 at genus 2"
 
+    @pytest.mark.parametrize("x", [1.5, 0.9, 1 + 0j, float("nan"), float("inf")],
+                             ids=["1.5", "0.9", "1+0j", "nan", "inf"])
+    def test_a_class_entry_that_is_no_integer_is_refused(self, x):
+        # int() would read 1.5 as 1 and 0.9 as 0, and raise TypeError on 1+0j
+        for act in (lambda: surface.transvection((x, 0)),
+                    lambda: surface.word_action(parse_word("t1 t2", 1), (x, 1))):
+            with pytest.raises(ValueError) as err:
+                act()
+            assert str(err.value) == f"class entry {x!r} is not an integer"
+
+    def test_an_integral_class_entry_is_read_as_an_integer(self):
+        w = parse_word("t1 t2", 1)
+        for one in (1.0, np.int64(1), True):
+            assert surface.transvection((one, 0)) == surface.transvection((1, 0)) \
+                == ((1, -1), (0, 1))
+            v = surface.word_action(w, (one, 1))
+            assert v == surface.word_action(w, (1, 1)) == (-1, 2)
+            assert all(type(x) is int for x in v)
+
 
 class TestIsSymplectic:
     def test_word_matrices_and_generators(self, rng):
